@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -26,39 +26,10 @@ from .core import (
     axiom_report,
     capacity_pair,
 )
-from .errors import (
-    CapacityError,
-    CheckError,
-    ConfigError,
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import CheckError, ConfigError, Error
 from .gnormal import g_expectation
-from .iid import (
-    MERGE_TOL,
-    capacity_sum_event,
-    lower_capacity_sum_event,
-    sum_functional_series,
-)
+from .iid import MERGE_TOL, capacity_sum_event, sum_functional_series
 from .lln import ExperimentConfig
-
-SUBCOMMANDS = (
-    "axioms",
-    "eval",
-    "capacity",
-    "gheat",
-    "clt",
-    "lln-series",
-    "mz-check",
-    "corollary",
-    "cc-series",
-    "subadd",
-    "sqs",
-)
 
 #: Named tolerances in effect for a run, recorded in every manifest.
 TOLERANCES = {
@@ -84,15 +55,7 @@ class RunManifest:
     tolerances: dict
 
     def to_json(self) -> str:
-        payload = {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "outputs": list(self.outputs),
-            "tolerances": self.tolerances,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _fmt(value) -> str:
@@ -146,6 +109,13 @@ _TOP_KEYS = {
 _SOLVER_KEYS = {"nx", "half_width", "dt_safety"}
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; booleans and numbers with a fractional part are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
@@ -166,18 +136,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             p=float(doc.get("p", 2.0)),
             alpha=float(doc.get("alpha", 4.0)),
             beta=float(doc.get("beta", 3.0)),
-            horizon=int(doc.get("N", 100)),
+            horizon=_integer(doc.get("N", 100), "N"),
             epsilons=tuple(doc.get("epsilons", (0.5,))),
-            seed=int(doc.get("seed", 0)),
-            nx=int(solver.get("nx", 801)),
+            seed=_integer(doc.get("seed", 0), "seed"),
+            nx=_integer(solver.get("nx", 801), "solver.nx"),
             half_width=(None if solver.get("half_width") is None else float(solver["half_width"])),
             dt_safety=float(solver.get("dt_safety", 0.9)),
-            trials=int(doc.get("trials", 1000)),
-            n_paths=int(doc.get("n_paths", 10000)),
+            trials=_integer(doc.get("trials", 1000), "trials"),
+            n_paths=_integer(doc.get("n_paths", 10000), "n_paths"),
         )
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
         raise ConfigError(f"malformed configuration value: {exc}") from exc
     cfg.ambiguity_set  # force grid/measure invariants at load time
     return cfg
@@ -280,14 +248,9 @@ def _run_eval(cfg: ExperimentConfig, out: Path) -> list[str]:
     ambiguity = cfg.ambiguity_set
     ambiguity.require_mean_certain("eval")
     n, p = cfg.horizon, cfg.p
-    upper = float(
-        sum_functional_series(ambiguity, n, lambda s: np.abs(s / n) ** p, centered=True)[-1]
-    )
-    lower = float(
-        sum_functional_series(
-            ambiguity, n, lambda s: np.abs(s / n) ** p, centered=True, maximize=False
-        )[-1]
-    )
+    psi = lambda s: np.abs(s / n) ** p
+    upper = float(sum_functional_series(ambiguity, n, psi, centered=True)[-1])
+    lower = float(sum_functional_series(ambiguity, n, psi, centered=True, maximize=False)[-1])
     rows = [("upper", upper), ("lower", lower)]
     _write_csv(out / "eval.csv", ("quantity", "value"), rows)
     if lower > upper + ATOL:
@@ -302,8 +265,9 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
     rows = []
     for eps in cfg.epsilons:
         threshold = n * eps - 1e-12
-        upper = capacity_sum_event(ambiguity, n, lambda s: abs(s - n * mu) >= threshold)
-        lower = lower_capacity_sum_event(ambiguity, n, lambda s: abs(s - n * mu) >= threshold)
+        event = lambda s: abs(s - n * mu) >= threshold
+        upper = capacity_sum_event(ambiguity, n, event)
+        lower = capacity_sum_event(ambiguity, n, event, maximize=False)
         if lower > upper + ATOL:
             raise CheckError(f"lower capacity {lower} exceeds upper {upper} at eps={eps}")
         rows.append((eps, upper, lower))
@@ -356,16 +320,9 @@ def _run_clt(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 
 def _series_rows(report: lln.SeriesReport):
-    return [
-        (n, t, s, r, g)
-        for n, t, s, r, g in zip(
-            report.n_values,
-            report.terms,
-            report.partial_sums,
-            report.reference,
-            report.clt_gaps,
-        )
-    ]
+    return list(
+        zip(report.n_values, report.terms, report.partial_sums, report.reference, report.clt_gaps)
+    )
 
 
 def _run_lln_series(cfg: ExperimentConfig, out: Path) -> list[str]:
@@ -389,12 +346,9 @@ def _run_lln_series(cfg: ExperimentConfig, out: Path) -> list[str]:
 def _run_mz(cfg: ExperimentConfig, out: Path) -> list[str]:
     n_list = list(range(2, min(12, cfg.horizon) + 1))
     report = lln.mz_check(cfg.ambiguity_set, cfg.alpha, n_list)
-    rows = [
-        (n, l, r, m, q)
-        for n, l, r, m, q in zip(
-            report.n_values, report.lhs, report.rhs_core, report.mean_terms, report.ratios
-        )
-    ]
+    rows = list(
+        zip(report.n_values, report.lhs, report.rhs_core, report.mean_terms, report.ratios)
+    )
     _write_csv(out / "mz_check.csv", ("n", "lhs", "rhs_core", "mean_term", "ratio"), rows)
     slope = lln.mz_trend_slope(report)
     _write_csv(
@@ -493,6 +447,7 @@ _RUNNERS = {
     "subadd": _run_subadd,
     "sqs": _run_sqs,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> RunManifest:
@@ -548,16 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CheckError as exc:
         print(f"FAIL: {exc}")
         return 1
-    except (
-        ConfigError,
-        ValidationError,
-        ParameterError,
-        PreconditionError,
-        DimensionError,
-        DomainError,
-        CapacityError,
-        ConfigurationError,
-    ) as exc:
+    except Error as exc:
         print(f"error: {exc}")
         return 2
     print(f"ok: wrote {', '.join(manifest.outputs)} to {args.out}")

@@ -163,6 +163,27 @@ def _payoff_values(
     return np.asarray(payoff(grid.x), dtype=float)
 
 
+def _coarse_origin(
+    values: np.ndarray,
+    t: float,
+    params: GNormalParams,
+    grid: HeatGrid,
+    resample: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> float:
+    """Origin value of a time-``t`` run on ``grid.coarsened()``.
+
+    The start values are ``resample`` evaluated on the coarse points when it
+    is given, else the fine ``values`` at every other point (odd ``nx``) or
+    interpolated onto the coarse points (even ``nx``).
+    """
+    coarse = grid.coarsened()
+    if resample is not None:
+        coarse_values = np.asarray(resample(coarse.x), dtype=float)
+    else:
+        coarse_values = values[::2] if grid.nx % 2 == 1 else np.interp(coarse.x, grid.x, values)
+    return float(np.interp(0.0, coarse.x, evolve(coarse_values, t, params, coarse)))
+
+
 def g_expectation(
     payoff: TabulatedPayoff | Callable[[np.ndarray], np.ndarray],
     params: GNormalParams,
@@ -180,16 +201,8 @@ def g_expectation(
     final = evolve(values, grid.horizon, params, grid)
     value = float(np.interp(0.0, grid.x, final))
 
-    coarse = grid.coarsened()
-    if isinstance(payoff, TabulatedPayoff):
-        if grid.nx % 2 == 1:
-            coarse_values = values[::2]
-        else:
-            coarse_values = np.interp(coarse.x, grid.x, values)
-    else:
-        coarse_values = np.asarray(payoff(coarse.x), dtype=float)
-    coarse_final = evolve(coarse_values, coarse.horizon, params, coarse)
-    coarse_value = float(np.interp(0.0, coarse.x, coarse_final))
+    resample = None if isinstance(payoff, TabulatedPayoff) else payoff
+    coarse_value = _coarse_origin(values, grid.horizon, params, grid, resample)
     return GExpectationResult(value, grid, abs(value - coarse_value))
 
 
@@ -265,18 +278,10 @@ def semigroup_check(
     values = _payoff_values(payoff, grid)
     total_t = a * a + b * b
 
-    direct = evolve(values, total_t, params, grid)
+    direct = float(np.interp(0.0, grid.x, evolve(values, total_t, params, grid)))
     composed = evolve(evolve(values, b * b, params, grid), a * a, params, grid)
-    residual = abs(
-        float(np.interp(0.0, grid.x, direct)) - float(np.interp(0.0, grid.x, composed))
-    )
-
-    coarse = grid.coarsened()
-    coarse_values = values[::2] if grid.nx % 2 == 1 else np.interp(coarse.x, grid.x, values)
-    coarse_direct = evolve(coarse_values, total_t, params, coarse)
-    estimate = abs(
-        float(np.interp(0.0, grid.x, direct)) - float(np.interp(0.0, coarse.x, coarse_direct))
-    )
+    residual = abs(direct - float(np.interp(0.0, grid.x, composed)))
+    estimate = abs(direct - _coarse_origin(values, total_t, params, grid))
     bound = tol_factor * estimate + 1e-12
     if residual > bound:
         raise CheckError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,22 +28,6 @@ MERGE_TOL = 1e-9
 
 #: Tolerance when locating a state on an already-built lattice.
 LOOKUP_TOL = 1e-6
-
-_DP_KINDS = ("sum", "sum_and_maxabs", "sumsq", "sum_with_additive_cost")
-
-
-@dataclass(frozen=True)
-class DPStateSpec:
-    """Which augmented state grid a dynamic program runs on, and its horizon."""
-
-    kind: str
-    horizon: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _DP_KINDS:
-            raise ParameterError(f"unknown DP kind {self.kind!r}; expected one of {_DP_KINDS}")
-        if self.horizon < 1:
-            raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +46,12 @@ class SumLattice:
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """Argmax certificate of a backward recursion: a measure index per node.
+    """Argmax (argmin, for a lower recursion) certificate: a measure index per node.
 
     ``choices[k][i]`` is the measure selected at step ``k`` in state
     ``step_states[k][i]``; ties were broken toward the lowest index.
     """
 
-    spec: DPStateSpec
     step_states: tuple[tuple[float, ...], ...]
     choices: tuple[tuple[int, ...], ...]
 
@@ -167,52 +150,58 @@ def _terminal_values(
     return np.asarray([float(terminal(s)) for s in states], dtype=float)
 
 
-def _one_step(
-    weights: np.ndarray, next_values: np.ndarray, trans: np.ndarray, maximize: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the one-step sublinear operator; returns values and argmax indices."""
-    scored = next_values[trans] @ weights.T  # (states, measures)
-    picks = np.argmax(scored, axis=1) if maximize else np.argmin(scored, axis=1)
-    return scored[np.arange(scored.shape[0]), picks], picks
+def _sweep(
+    weights: np.ndarray,
+    trans: Sequence[np.ndarray],
+    values: np.ndarray,
+    maximize: bool = True,
+    stage: Callable[[int], np.ndarray] | None = None,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The backward recursion: the only code that applies the one-step operator.
+
+    From terminal ``values`` on the last lattice, yields ``(k, V_k, picks)`` for
+    k = n-1..0, where ``V_k(s) = max_theta sum_j theta_j V_{k+1}(trans[k][s, j])``
+    (min if not ``maximize``) and ``picks`` are the optimal measure indices,
+    ties broken toward the lowest.  ``stage(k)`` is added to ``V_k`` for k >= 1.
+    """
+    for k in range(len(trans) - 1, -1, -1):
+        scored = values[trans[k]] @ weights.T  # (states, measures)
+        picks = np.argmax(scored, axis=1) if maximize else np.argmin(scored, axis=1)
+        values = scored[np.arange(scored.shape[0]), picks]
+        if stage is not None and k >= 1:
+            values = values + stage(k)
+        yield k, values, picks
 
 
 def _chain_dp(
     ambiguity: AmbiguitySet,
     n: int,
     terminal: TabulatedPayoff | Callable[[float], float],
-    maximize: bool,
-    want_policy: bool,
+    maximize: bool = True,
+    want_policy: bool = False,
     stage_costs: Sequence[Callable[[float], float]] | None = None,
+    offsets: np.ndarray | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
+    """The recursion on the k-step sums of ``offsets`` (default: the grid atoms)."""
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
-    lattices, trans = _build_chain(ambiguity.grid.array, n)
-    weights = ambiguity.weight_matrix
-
+    lattices, trans = _build_chain(ambiguity.grid.array if offsets is None else offsets, n)
     values = _terminal_values(lattices[n], terminal)
+    stage = None
     if stage_costs is not None:
         if len(stage_costs) != n:
             raise DomainError(f"expected {n} stage costs, got {len(stage_costs)}")
-        values = values + _stage_values(lattices[n], stage_costs[n - 1], n)
-    choices: list[tuple[int, ...]] = []
-    for k in range(n - 1, -1, -1):
-        values, picks = _one_step(weights, values, trans[k], maximize)
-        if stage_costs is not None and k >= 1:
-            values = values + _stage_values(lattices[k], stage_costs[k - 1], k)
+        stage = lambda k: _stage_values(lattices[k], stage_costs[k - 1], k)
+        values = values + stage(n)
+    choices: list[tuple[int, ...]] = [()] * n
+    for k, values, picks in _sweep(ambiguity.weight_matrix, trans, values, maximize, stage):
         if want_policy:
-            choices.append(tuple(int(p) for p in picks))
-    value = float(values[0])
-
+            choices[k] = tuple(int(p) for p in picks)
     policy = None
     if want_policy:
-        choices.reverse()
-        kind = "sum" if stage_costs is None else "sum_with_additive_cost"
-        policy = SelectionPolicy(
-            spec=DPStateSpec(kind, n),
-            step_states=tuple(tuple(float(s) for s in lattices[k]) for k in range(n)),
-            choices=tuple(choices),
-        )
-    return value, policy
+        states = tuple(tuple(float(s) for s in lattices[k]) for k in range(n))
+        policy = SelectionPolicy(states, tuple(choices))
+    return float(values[0]), policy
 
 
 def _stage_values(states: np.ndarray, cost: Callable[[float], float], step: int) -> np.ndarray:
@@ -226,21 +215,15 @@ def eval_sum_functional(
     ambiguity: AmbiguitySet,
     n: int,
     terminal: TabulatedPayoff | Callable[[float], float],
+    maximize: bool = True,
 ) -> tuple[float, SelectionPolicy]:
-    """Upper expectation of ``terminal(S_n)`` with its argmax selection policy."""
-    value, policy = _chain_dp(ambiguity, n, terminal, maximize=True, want_policy=True)
+    """Upper expectation of ``terminal(S_n)`` with its argmax selection policy.
+
+    With ``maximize=False``: the lower expectation and its argmin policy.
+    """
+    value, policy = _chain_dp(ambiguity, n, terminal, maximize, want_policy=True)
     assert policy is not None
     return value, policy
-
-
-def eval_lower_sum_functional(
-    ambiguity: AmbiguitySet,
-    n: int,
-    terminal: TabulatedPayoff | Callable[[float], float],
-) -> float:
-    """Lower expectation of ``terminal(S_n)``: the recursion with min in place of max."""
-    value, _ = _chain_dp(ambiguity, n, terminal, maximize=False, want_policy=False)
-    return value
 
 
 def eval_additive_functional(
@@ -260,40 +243,21 @@ def _additive_dp(
     want_policy: bool,
 ) -> tuple[float, SelectionPolicy | None]:
     return _chain_dp(
-        ambiguity,
-        n,
-        lambda s: 0.0,
-        maximize=True,
-        want_policy=want_policy,
-        stage_costs=list(stage_costs),
+        ambiguity, n, lambda s: 0.0, want_policy=want_policy, stage_costs=list(stage_costs)
     )
 
 
 def capacity_sum_event(
-    ambiguity: AmbiguitySet, n: int, predicate: Callable[[float], bool]
+    ambiguity: AmbiguitySet,
+    n: int,
+    predicate: Callable[[float], bool],
+    maximize: bool = True,
 ) -> float:
-    """Upper capacity of ``{predicate(S_n)}``: the recursion with an indicator terminal."""
-    value, _ = _chain_dp(
-        ambiguity,
-        n,
-        lambda s: 1.0 if predicate(s) else 0.0,
-        maximize=True,
-        want_policy=False,
-    )
-    return min(1.0, max(0.0, value))
+    """Upper capacity of ``{predicate(S_n)}``: the recursion with an indicator terminal.
 
-
-def lower_capacity_sum_event(
-    ambiguity: AmbiguitySet, n: int, predicate: Callable[[float], bool]
-) -> float:
-    """Lower capacity of ``{predicate(S_n)}`` (min-recursion on the indicator)."""
-    value, _ = _chain_dp(
-        ambiguity,
-        n,
-        lambda s: 1.0 if predicate(s) else 0.0,
-        maximize=False,
-        want_policy=False,
-    )
+    With ``maximize=False``: the lower capacity (min-recursion).
+    """
+    value, _ = _chain_dp(ambiguity, n, lambda s: 1.0 if predicate(s) else 0.0, maximize)
     return min(1.0, max(0.0, value))
 
 
@@ -331,7 +295,6 @@ def eval_maxabs_functional(
         raise CapacityError(f"maxabs DP is gated to n <= {max_horizon}, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
     offsets = ambiguity.grid.array - mu
-    weights = ambiguity.weight_matrix
 
     s_states = [np.zeros(1)]
     m_states = [np.zeros(1)]
@@ -346,8 +309,8 @@ def eval_maxabs_functional(
         trans.append(gids.reshape(s_cur.size, offsets.size))
 
     values = np.asarray([float(phi(m)) for m in m_states[n]], dtype=float)
-    for k in range(n - 1, -1, -1):
-        values, _ = _one_step(weights, values, trans[k], maximize=True)
+    for _, values, _ in _sweep(ambiguity.weight_matrix, trans, values):
+        pass
     return float(values[0])
 
 
@@ -359,16 +322,9 @@ def eval_sumsq_functional(
     The running sum of squared centered atoms forms its own lattice; the
     per-atom squared increments stay aligned with the measure weights.
     """
-    if n < 1:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
     mu = ambiguity.require_mean_certain("eval_sumsq_functional")
-    sq_offsets = (ambiguity.grid.array - mu) ** 2
-    lattices, trans = _build_chain(sq_offsets, n)
-    weights = ambiguity.weight_matrix
-    values = np.asarray([float(phi(q)) for q in lattices[n]], dtype=float)
-    for k in range(n - 1, -1, -1):
-        values, _ = _one_step(weights, values, trans[k], maximize=True)
-    return float(values[0])
+    value, _ = _chain_dp(ambiguity, n, phi, offsets=(ambiguity.grid.array - mu) ** 2)
+    return value
 
 
 def brute_force_oracle(
@@ -483,26 +439,18 @@ def sum_functional_series(
     offsets = ambiguity.grid.array
     if centered:
         offsets = offsets - ambiguity.require_mean_certain("sum_functional_series")
-    weights = ambiguity.weight_matrix
 
-    # reach[j] holds every sum of at most j offsets; 0 is always present.
-    reach = [np.zeros(1)]
-    trans: list[np.ndarray] = []
+    # lattice j holds every sum of at most j offsets: column 0 of each map
+    # is the zero offset, which keeps the origin reachable at every step
+    lattices, trans = _build_chain(np.concatenate([np.zeros(1), offsets]), horizon)
     zero_at = [0]
-    for j in range(horizon):
-        cur = reach[j]
-        cand = np.concatenate([cur, (cur[:, None] + offsets[None, :]).ravel()])
-        reps, gids = _merge(cand, MERGE_TOL)
-        reach.append(reps)
-        trans.append(gids[cur.size :].reshape(cur.size, offsets.size))
-        zero_at.append(int(gids[zero_at[j]]))
-
-    values = np.asarray(psi(reach[horizon]), dtype=float)
-    if values.shape != reach[horizon].shape:
+    for step_map in trans[:-1]:
+        zero_at.append(int(step_map[zero_at[-1], 0]))
+    values = np.asarray(psi(lattices[horizon]), dtype=float)
+    if values.shape != lattices[horizon].shape:
         raise DomainError("psi must map a state array to an equally shaped value array")
     out = np.empty(horizon)
-    for r in range(horizon):
-        j = horizon - r - 1
-        values, _ = _one_step(weights, values, trans[j], maximize)
-        out[r] = values[zero_at[j]]
+    moves = [step_map[:, 1:] for step_map in trans]
+    for k, values, _ in _sweep(ambiguity.weight_matrix, moves, values, maximize):
+        out[horizon - 1 - k] = values[zero_at[k]]
     return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .gnormal import GExpectationResult, GNormalParams, HeatGrid, default_grid, g_expectation
 from .iid import (
-    DPStateSpec,
     SelectionPolicy,
     _additive_dp,
     capacity_sum_event,
@@ -213,6 +212,44 @@ def _resolve_cp(
     return result.value, result.residual_estimate
 
 
+def _moment_series(
+    kind: str,
+    ambiguity: AmbiguitySet,
+    p: float,
+    horizon: int,
+    term: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    reference_exponent: float,
+    c_p: GExpectationResult | float | None,
+    params: GNormalParams | None,
+    grid: HeatGrid | None,
+) -> SeriesReport:
+    """Series report on the centered moments ``raw_n = E-hat[|S~_n|^p]``.
+
+    ``term(raw, n)`` gives the series terms; the reference curve is
+    ``c_p n^reference_exponent`` and the CLT gap is ``|n^{-p/2} raw_n - c_p|``.
+    """
+    raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** p, centered=True)
+    n = np.arange(1, horizon + 1, dtype=float)
+    terms = term(raw, n)
+    scaled = raw / n ** (p / 2.0)
+    cp_value, cp_residual = _resolve_cp(ambiguity, p, c_p, params, grid)
+    reference = cp_value * n**reference_exponent
+    gaps = np.abs(scaled - cp_value)
+    return SeriesReport(
+        kind=kind,
+        p=p,
+        n_values=tuple(range(1, horizon + 1)),
+        terms=tuple(float(t) for t in terms),
+        partial_sums=tuple(float(s) for s in np.cumsum(terms)),
+        reference=tuple(float(r) for r in reference),
+        scaled_terms=tuple(float(s) for s in scaled),
+        clt_gaps=tuple(float(g) for g in gaps),
+        c_p=cp_value,
+        c_p_residual=cp_residual,
+        tail=fit_tail(range(1, horizon + 1), terms),
+    )
+
+
 def slp_series(
     ambiguity: AmbiguitySet,
     p: float,
@@ -231,26 +268,8 @@ def slp_series(
     if p <= 0.0:
         raise ParameterError(f"need p > 0, got {p}")
     ambiguity.require_mean_certain("slp_series")
-    raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** p, centered=True)
-    n = np.arange(1, horizon + 1, dtype=float)
-    terms = raw / n**p
-    scaled = raw / n ** (p / 2.0)
-    cp_value, cp_residual = _resolve_cp(ambiguity, p, c_p, params, grid)
-    reference = cp_value * n ** (-p / 2.0)
-    gaps = np.abs(scaled - cp_value)
-    return SeriesReport(
-        kind="slp",
-        p=p,
-        n_values=tuple(range(1, horizon + 1)),
-        terms=tuple(float(t) for t in terms),
-        partial_sums=tuple(float(s) for s in np.cumsum(terms)),
-        reference=tuple(float(r) for r in reference),
-        scaled_terms=tuple(float(s) for s in scaled),
-        clt_gaps=tuple(float(g) for g in gaps),
-        c_p=cp_value,
-        c_p_residual=cp_residual,
-        tail=fit_tail(range(1, horizon + 1), terms),
-    )
+    term = lambda raw, n: raw / n**p
+    return _moment_series("slp", ambiguity, p, horizon, term, -p / 2.0, c_p, params, grid)
 
 
 def tail_consistency(report: SeriesReport, factor: float = 2.0) -> dict[str, float]:
@@ -369,6 +388,8 @@ def mz_check(
     """
     if alpha <= 2.0:
         raise ParameterError(f"need alpha > 2, got {alpha}")
+    if not n_list:
+        raise ParameterError("mz_check needs at least one horizon")
     mu = ambiguity.require_mean_certain("mz_check")
     for n in n_list:
         if n > max_n:
@@ -466,25 +487,9 @@ def corollary_series(
     mu = ambiguity.require_mean_certain("corollary_series")
     if abs(mu) > ATOL:
         raise PreconditionError(f"corollary_series requires mean zero, got mu = {mu}")
-    raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** p, centered=True)
-    n = np.arange(1, horizon + 1, dtype=float)
-    terms = raw * n ** (-beta)
-    scaled = raw / n ** (p / 2.0)
-    cp_value, cp_residual = _resolve_cp(ambiguity, p, c_p, params, grid)
-    reference = cp_value * n ** (p / 2.0 - beta)
-    gaps = np.abs(scaled - cp_value)
-    return SeriesReport(
-        kind="corollary",
-        p=p,
-        n_values=tuple(range(1, horizon + 1)),
-        terms=tuple(float(t) for t in terms),
-        partial_sums=tuple(float(s) for s in np.cumsum(terms)),
-        reference=tuple(float(r) for r in reference),
-        scaled_terms=tuple(float(s) for s in scaled),
-        clt_gaps=tuple(float(g) for g in gaps),
-        c_p=cp_value,
-        c_p_residual=cp_residual,
-        tail=fit_tail(range(1, horizon + 1), terms),
+    term = lambda raw, n: raw * n ** (-beta)
+    return _moment_series(
+        "corollary", ambiguity, p, horizon, term, p / 2.0 - beta, c_p, params, grid
     )
 
 
@@ -515,6 +520,11 @@ def moment_dichotomy_scan(
     return out
 
 
+def _series_costs(mu: float, beta: float, horizon: int) -> list[Callable[[float], float]]:
+    """Stage costs ``|s/k - mu|^beta``, k = 1..N, of the truncated series."""
+    return [(lambda k: (lambda s: abs(s / k - mu) ** beta))(k) for k in range(1, horizon + 1)]
+
+
 def subadditive_series_check(
     ambiguity: AmbiguitySet, beta: float, horizon: int, max_horizon: int = 4096
 ) -> tuple[float, float, float]:
@@ -525,12 +535,7 @@ def subadditive_series_check(
     if horizon > max_horizon:
         raise CapacityError(f"additive DP budget is N <= {max_horizon}, got {horizon}")
     mu = ambiguity.require_mean_certain("subadditive_series_check")
-    lhs, _ = _additive_dp(
-        ambiguity,
-        horizon,
-        [(lambda k: (lambda s: abs(s / k - mu) ** beta))(k) for k in range(1, horizon + 1)],
-        want_policy=False,
-    )
+    lhs, _ = _additive_dp(ambiguity, horizon, _series_costs(mu, beta, horizon), want_policy=False)
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** beta, centered=True)
     n = np.arange(1, horizon + 1, dtype=float)
     rhs = float(np.sum(raw / n**beta))
@@ -635,18 +640,13 @@ def sqs_empirical(
     if beta <= 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
-    value, argmax_policy = _additive_dp(
-        ambiguity,
-        horizon,
-        [(lambda k: (lambda s: abs(s / k - mu) ** beta))(k) for k in range(1, horizon + 1)],
-        want_policy=True,
-    )
+    costs = _series_costs(mu, beta, horizon)
+    value, argmax_policy = _additive_dp(ambiguity, horizon, costs, want_policy=True)
     assert argmax_policy is not None
 
     policies: list[tuple[str, SelectionPolicy]] = []
     for i in range(len(ambiguity.measures)):
         constant = SelectionPolicy(
-            spec=DPStateSpec("sum_with_additive_cost", horizon),
             step_states=argmax_policy.step_states,
             choices=tuple(
                 (i,) * len(states) for states in argmax_policy.step_states

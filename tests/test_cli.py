@@ -86,6 +86,22 @@ class TestParseConfig:
         cfg = parse_config(config_path)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", 1.5),
+            ("N", 2.7),
+            ("N", True),
+            ("trials", 3.9),
+            ("n_paths", 10.5),
+            ("solver.nx", 801.5),
+        ],
+    )
+    def test_integer_fields_refuse_fractions_and_booleans(self, key, value):
+        doc = apply_overrides(CANONICAL, [f"{key}={json.dumps(value)}"])
+        with pytest.raises(sx.ConfigError, match=key):
+            config_from_dict(doc)
+
 
 class TestOverrides:
     def test_scalar_and_nested(self):
@@ -139,6 +155,12 @@ class TestExitCodes:
         lines = (out / "eval.csv").read_text().splitlines()
         assert lines[0] == "quantity,value"
         assert lines[1].startswith("upper,") and lines[2].startswith("lower,")
+
+    def test_mz_check_without_horizons_is_config_error(self, config_path, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        code = main(["mz-check", "--config", str(config_path), "--out", out, "--override", "N=1"])
+        assert code == 2
+        assert "at least one horizon" in capsys.readouterr().out
 
     def test_mean_uncertain_set_is_config_error(self, tmp_path):
         path = write_config(tmp_path, measures=[[0.25, 0.5, 0.25], [0.1, 0.2, 0.7]])

@@ -54,25 +54,24 @@ class TestSumFunctional:
             assert all(p < 2 for p in picks)  # never the duplicated copies
 
 
+def lower_sum(ambiguity, n, terminal):
+    value, _ = sx.eval_sum_functional(ambiguity, n, terminal, maximize=False)
+    return value
+
+
 class TestLowerSumFunctional:
     def test_square_two_steps(self, theta_star):
-        assert sx.eval_lower_sum_functional(theta_star, 2, lambda s: s * s) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert lower_sum(theta_star, 2, lambda s: s * s) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant(self, theta_star):
-        assert sx.eval_lower_sum_functional(theta_star, 5, lambda s: 2.5) == pytest.approx(
-            2.5, abs=1e-12
-        )
+        assert lower_sum(theta_star, 5, lambda s: 2.5) == pytest.approx(2.5, abs=1e-12)
 
     def test_mean_certain_identity(self, theta_star):
-        assert sx.eval_lower_sum_functional(theta_star, 3, lambda s: s) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert lower_sum(theta_star, 3, lambda s: s) == pytest.approx(0.0, abs=1e-12)
 
     def test_negation_duality(self, theta_star):
         fn = lambda s: abs(s) ** 3 - s
-        lower = sx.eval_lower_sum_functional(theta_star, 3, fn)
+        lower = lower_sum(theta_star, 3, fn)
         upper_neg, _ = sx.eval_sum_functional(theta_star, 3, lambda s: -fn(s))
         assert lower == pytest.approx(-upper_neg, abs=1e-12)
 
@@ -168,7 +167,7 @@ class TestCapacitySumEvent:
     def test_complement_with_lower_capacity(self, theta_star):
         pred = lambda s: s >= 1.0 - 1e-9
         upper = sx.capacity_sum_event(theta_star, 4, pred)
-        lower_c = sx.lower_capacity_sum_event(theta_star, 4, lambda s: not pred(s))
+        lower_c = sx.capacity_sum_event(theta_star, 4, lambda s: not pred(s), maximize=False)
         assert upper + lower_c == pytest.approx(1.0, abs=1e-12)
 
 
@@ -278,7 +277,7 @@ class TestInvariantsLifted:
     def test_sandwich_by_fixed_measures(self, theta_star):
         fn = lambda s: abs(s) ** 3
         upper, _ = sx.eval_sum_functional(theta_star, 5, fn)
-        lower = sx.eval_lower_sum_functional(theta_star, 5, fn)
+        lower = lower_sum(theta_star, 5, fn)
         for measure in theta_star.measures:
             single = sx.AmbiguitySet(theta_star.grid, (measure,))
             classical, _ = sx.eval_sum_functional(single, 5, fn)
@@ -290,7 +289,7 @@ class TestInvariantsLifted:
             ambiguity = random_ambiguity(rng, max_atoms=4, max_measures=3)
             fn = lambda s: abs(s - 0.3) ** 2
             upper, _ = sx.eval_sum_functional(ambiguity, 3, fn)
-            lower = sx.eval_lower_sum_functional(ambiguity, 3, fn)
+            lower = lower_sum(ambiguity, 3, fn)
             for measure in ambiguity.measures:
                 single = sx.AmbiguitySet(ambiguity.grid, (measure,))
                 mid, _ = sx.eval_sum_functional(single, 3, fn)
@@ -325,12 +324,6 @@ class TestLattice:
         tight = sx.AmbiguitySet.from_rows((0.0, 1e-10), ((0.5, 0.5),))
         lattice = sx.sum_lattice(tight, 2)
         assert len(lattice.states) == 1  # 0, 1e-10, 2e-10 all merge at 1e-9
-
-    def test_step_spec_validation(self):
-        with pytest.raises(sx.ParameterError):
-            sx.DPStateSpec("bogus", 3)
-        with pytest.raises(sx.ParameterError):
-            sx.DPStateSpec("sum", 0)
 
 
 class TestSamplePath:
