@@ -39,7 +39,7 @@ TOLERANCES = {
     "pde_moment_tol": 1e-3,
     "tail_factor": 2.0,
     "mz_slope_limit": 0.05,
-    "sampling_tol": 1e-9,
+    "sampling_z": lln.SAMPLING_Z,
 }
 
 
@@ -414,12 +414,12 @@ def _run_sqs(cfg: ExperimentConfig, out: Path) -> list[str]:
         cfg.ambiguity_set, cfg.beta, cfg.horizon, cfg.n_paths, cfg.seed
     )
     rows = [
-        (s.label, s.mean, s.stderr, s.minimum, s.q25, s.median, s.q75, s.maximum)
+        (s.label, s.exact, s.mean, s.stderr, s.minimum, s.q25, s.median, s.q75, s.maximum)
         for s in summary.policies
     ]
     _write_csv(
         out / "sqs.csv",
-        ("policy", "mean", "stderr", "min", "q25", "median", "q75", "max"),
+        ("policy", "exact", "mean", "stderr", "min", "q25", "median", "q75", "max"),
         rows,
     )
     _write_csv(

@@ -156,6 +156,7 @@ def _sweep(
     values: np.ndarray,
     maximize: bool = True,
     stage: Callable[[int], np.ndarray] | None = None,
+    fixed: Callable[[int], np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The backward recursion: the only code that applies the one-step operator.
 
@@ -163,10 +164,15 @@ def _sweep(
     k = n-1..0, where ``V_k(s) = max_theta sum_j theta_j V_{k+1}(trans[k][s, j])``
     (min if not ``maximize``) and ``picks`` are the optimal measure indices,
     ties broken toward the lowest.  ``stage(k)`` is added to ``V_k`` for k >= 1.
+    With ``fixed(k)`` giving the picks of step k, the sweep evaluates that
+    policy instead; replaying the optimal picks reproduces ``V_k`` bit for bit.
     """
     for k in range(len(trans) - 1, -1, -1):
         scored = values[trans[k]] @ weights.T  # (states, measures)
-        picks = np.argmax(scored, axis=1) if maximize else np.argmin(scored, axis=1)
+        if fixed is not None:
+            picks = fixed(k)
+        else:
+            picks = np.argmax(scored, axis=1) if maximize else np.argmin(scored, axis=1)
         values = scored[np.arange(scored.shape[0]), picks]
         if stage is not None and k >= 1:
             values = values + stage(k)
@@ -181,11 +187,23 @@ def _chain_dp(
     want_policy: bool = False,
     stage_costs: Sequence[Callable[[float], float]] | None = None,
     offsets: np.ndarray | None = None,
+    replay: SelectionPolicy | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
-    """The recursion on the k-step sums of ``offsets`` (default: the grid atoms)."""
+    """The recursion on the k-step sums of ``offsets`` (default: the grid atoms).
+
+    With a ``replay`` policy built on the same lattices, returns that policy's
+    exact expected value (policy evaluation) instead of the optimum.
+    """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     lattices, trans = _build_chain(ambiguity.grid.array if offsets is None else offsets, n)
+    fixed = None
+    if replay is not None:
+        if replay.horizon != n or not all(
+            np.array_equal(replay.step_states[k], lattices[k]) for k in range(n)
+        ):
+            raise DomainError(f"the replayed policy is not built on this {n}-step lattice")
+        fixed = lambda k: np.asarray(replay.choices[k], dtype=np.intp)
     values = _terminal_values(lattices[n], terminal)
     stage = None
     if stage_costs is not None:
@@ -194,7 +212,7 @@ def _chain_dp(
         stage = lambda k: _stage_values(lattices[k], stage_costs[k - 1], k)
         values = values + stage(n)
     choices: list[tuple[int, ...]] = [()] * n
-    for k, values, picks in _sweep(ambiguity.weight_matrix, trans, values, maximize, stage):
+    for k, values, picks in _sweep(ambiguity.weight_matrix, trans, values, maximize, stage, fixed):
         if want_policy:
             choices[k] = tuple(int(p) for p in picks)
     policy = None
@@ -241,9 +259,15 @@ def _additive_dp(
     n: int,
     stage_costs: Sequence[Callable[[float], float]],
     want_policy: bool,
+    replay: SelectionPolicy | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
     return _chain_dp(
-        ambiguity, n, lambda s: 0.0, want_policy=want_policy, stage_costs=list(stage_costs)
+        ambiguity,
+        n,
+        lambda s: 0.0,
+        want_policy=want_policy,
+        stage_costs=list(stage_costs),
+        replay=replay,
     )
 
 
@@ -388,33 +412,58 @@ def _brute_force_many(
     return [float(t.max()) for t in totals]
 
 
-def sample_path(
-    ambiguity: AmbiguitySet, policy: SelectionPolicy, n: int, seed: int
-) -> PathSample:
-    """Simulate ``n`` increments, drawing each step from the policy-selected measure.
+def _sample_steps(
+    ambiguity: AmbiguitySet,
+    policy: SelectionPolicy,
+    n: int,
+    rng: np.random.Generator,
+    n_paths: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Advance ``n_paths`` paths together, yielding ``(X_k, S_k)`` for k = 1..n.
 
-    Deterministic for a fixed seed; concurrent tasks should derive their
-    seeds as root seed + task index.
+    Each step locates every path's partial sum on the policy's lattice, takes
+    the selected measure, and inverts one uniform draw per path against its
+    cumulative weights.  Callers that fold the yielded arrays into a running
+    statistic hold O(n_paths) memory, whatever ``n``.
     """
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
     if policy.horizon < n:
         raise DomainError(f"policy covers {policy.horizon} steps, {n} were requested")
-    rng = np.random.default_rng(seed)
     atoms = ambiguity.grid.array
     cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
-
-    increments = np.empty(n)
-    sums = np.empty(n)
-    s = 0.0
+    s = np.zeros(n_paths)
     for k in range(n):
-        row = cumw[policy.measure_at(k, s)]
-        j = min(int(np.searchsorted(row, rng.random(), side="right")), atoms.size - 1)
-        increments[k] = atoms[j]
-        s += atoms[j]
-        sums[k] = s
+        states = np.asarray(policy.step_states[k], dtype=float)
+        hi = np.searchsorted(states, s)
+        lo = np.maximum(hi - 1, 0)
+        hi = np.minimum(hi, states.size - 1)
+        use_lo = np.abs(states[lo] - s) <= LOOKUP_TOL
+        found = use_lo | (np.abs(states[hi] - s) <= LOOKUP_TOL)
+        if not found.all():
+            state = float(s[np.argmin(found)])
+            raise DomainError(f"state {state!r} is not on the step-{k} lattice")
+        rows = cumw[np.asarray(policy.choices[k], dtype=np.intp)[np.where(use_lo, lo, hi)]]
+        u = rng.random(n_paths)
+        j = np.minimum(np.sum(rows <= u[:, None], axis=1), atoms.size - 1)
+        x = atoms[j]
+        s = s + x
+        yield x, s
+
+
+def sample_path(
+    ambiguity: AmbiguitySet, policy: SelectionPolicy, n: int, seed: int
+) -> PathSample:
+    """Simulate ``n`` increments, drawing each step from the policy-selected measure.
+
+    A batch of one path from ``default_rng(seed)``, one uniform draw per
+    step: deterministic for a fixed seed.  Many paths are cheaper drawn as
+    one batch from one generator, as ``sqs_empirical`` does per policy.
+    """
+    rng = np.random.default_rng(seed)
+    steps = list(_sample_steps(ambiguity, policy, n, rng, 1))
     return PathSample(
-        tuple(float(x) for x in increments), tuple(float(s) for s in sums), seed
+        tuple(float(x[0]) for x, _ in steps), tuple(float(s[0]) for _, s in steps), seed
     )
 
 

@@ -38,12 +38,15 @@ from .gnormal import GExpectationResult, GNormalParams, HeatGrid, default_grid, 
 from .iid import (
     SelectionPolicy,
     _additive_dp,
+    _sample_steps,
     capacity_sum_event,
     eval_maxabs_functional,
     eval_sumsq_functional,
-    sample_path,
     sum_functional_series,
 )
+
+#: Standard errors a policy's Monte Carlo mean may stray from its exact value.
+SAMPLING_Z = 5.0
 
 
 @dataclass(frozen=True)
@@ -585,9 +588,11 @@ def cc_series(
 
 @dataclass(frozen=True)
 class PolicyPathSummary:
-    """Empirical distribution of the truncated series under one sampling policy."""
+    """Empirical distribution of the truncated series under one sampling policy,
+    beside that policy's exact expected series."""
 
     label: str
+    exact: float
     mean: float
     stderr: float
     minimum: float
@@ -623,52 +628,69 @@ def sqs_empirical(
     horizon: int,
     n_paths: int,
     seed: int,
-    tolerance: float = 1e-9,
 ) -> SqsSummary:
     """Sample the truncated series ``sum_{n<=N} |S_n/n - mu|^beta`` under each
     constant-measure policy and under the argmax policy of the additive
-    recursion, and check the sampling estimates against the exact value.
+    recursion, and check every policy against its exact expected series.
 
-    Per policy, the Monte Carlo mean estimates that policy's expected
-    series, none of which can exceed the adversarial upper expectation;
-    the maximum of the policy means is asserted against the exact value
-    plus ``tolerance``.  Individual paths routinely exceed the expectation
-    (a long same-sign run makes the early terms order one each), so the
-    per-path extremes are reported but not bounded.  Task seeds are
-    ``seed + policy_index * n_paths + path_index``.
+    Each policy's exact value comes from replaying its picks through the
+    recursion (policy evaluation).  The deterministic checks: no policy
+    exceeds the upper expectation (``exact <= dp_value + 1e-12``), and the
+    argmax policy attains it (``|exact - dp_value| <= 1e-12``).  Monte Carlo
+    then tests only the sampler: ``|mean - exact| <= SAMPLING_Z * stderr``.
+    Individual paths routinely exceed the expectation (a long same-sign run
+    makes the early terms order one each), so the per-path extremes are
+    reported but not bounded.
+
+    Policy ``i`` draws all of its ``n_paths`` paths together from the i-th
+    child of ``SeedSequence(seed)``, folding each step into the running
+    series, so memory is O(n_paths) whatever the horizon.
     """
     if beta <= 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
+    if n_paths < 2:
+        raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
     costs = _series_costs(mu, beta, horizon)
     value, argmax_policy = _additive_dp(ambiguity, horizon, costs, want_policy=True)
     assert argmax_policy is not None
 
-    policies: list[tuple[str, SelectionPolicy]] = []
-    for i in range(len(ambiguity.measures)):
-        constant = SelectionPolicy(
-            step_states=argmax_policy.step_states,
-            choices=tuple(
-                (i,) * len(states) for states in argmax_policy.step_states
-            ),
-        )
-        policies.append((f"measure_{i}", constant))
-    policies.append(("argmax", argmax_policy))
-
+    labels = [f"measure_{i}" for i in range(len(ambiguity.measures))] + ["argmax"]
+    streams = np.random.SeedSequence(seed).spawn(len(labels))
     summaries = []
-    for pol_idx, (label, policy) in enumerate(policies):
-        values = np.empty(n_paths)
-        for j in range(n_paths):
-            path = sample_path(ambiguity, policy, horizon, seed + pol_idx * n_paths + j)
-            sums = np.asarray(path.partial_sums)
-            k = np.arange(1, horizon + 1, dtype=float)
-            values[j] = float(np.sum(np.abs(sums / k - mu) ** beta))
+    for i, (label, stream) in enumerate(zip(labels, streams)):
+        # one constant-measure policy alive at a time keeps the peak memory down
+        policy = argmax_policy
+        if label != "argmax":
+            policy = SelectionPolicy(
+                argmax_policy.step_states,
+                tuple((i,) * len(states) for states in argmax_policy.step_states),
+            )
+        exact, _ = _additive_dp(ambiguity, horizon, costs, want_policy=False, replay=policy)
+        if exact > value + 1e-12:
+            raise CheckError(
+                f"policy {label} has exact value {exact}, above the upper expectation {value}"
+            )
+        if label == "argmax" and abs(exact - value) > 1e-12:
+            raise CheckError(f"the argmax policy's exact value {exact} misses the DP value {value}")
+        values = np.zeros(n_paths)
+        rng = np.random.default_rng(stream)
+        for k, (_, sums) in enumerate(_sample_steps(ambiguity, policy, horizon, rng, n_paths), 1):
+            values += np.abs(sums / k - mu) ** beta
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(n_paths))
+        if abs(mean - exact) > SAMPLING_Z * stderr:
+            raise CheckError(
+                f"policy {label}: sampled mean {mean} is more than {SAMPLING_Z} standard "
+                f"errors ({stderr}) from its exact value {exact}"
+            )
         q25, med, q75 = np.quantile(values, [0.25, 0.5, 0.75])
         summaries.append(
             PolicyPathSummary(
                 label=label,
-                mean=float(values.mean()),
-                stderr=float(values.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
+                exact=exact,
+                mean=mean,
+                stderr=stderr,
                 minimum=float(values.min()),
                 q25=float(q25),
                 median=float(med),
@@ -677,7 +699,7 @@ def sqs_empirical(
             )
         )
 
-    summary = SqsSummary(
+    return SqsSummary(
         beta=beta,
         horizon=horizon,
         n_paths=n_paths,
@@ -685,9 +707,3 @@ def sqs_empirical(
         dp_value=value,
         policies=tuple(summaries),
     )
-    if summary.max_policy_mean > value + tolerance:
-        raise CheckError(
-            f"sampled policy mean {summary.max_policy_mean} exceeds the exact upper "
-            f"expectation {value} + {tolerance}"
-        )
-    return summary

@@ -162,6 +162,12 @@ class TestExitCodes:
         assert code == 2
         assert "at least one horizon" in capsys.readouterr().out
 
+    def test_sqs_with_one_path_is_config_error(self, config_path, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        code = main(["sqs", "--config", str(config_path), "--out", out, "--override", "n_paths=1"])
+        assert code == 2
+        assert "n_paths" in capsys.readouterr().out
+
     def test_mean_uncertain_set_is_config_error(self, tmp_path):
         path = write_config(tmp_path, measures=[[0.25, 0.5, 0.25], [0.1, 0.2, 0.7]])
         code = main(["eval", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -263,6 +269,26 @@ class TestArtifacts:
             line.split(",") for line in (out / "subadd.csv").read_text().splitlines()[1:]
         )
         assert float(rows["margin"]) >= -1e-12
+
+    def test_sqs_artifacts(self, tmp_path):
+        canonical = Path(__file__).resolve().parents[1] / "configs" / "canonical.json"
+        out = tmp_path / "sqs"
+        args = ["sqs", "--config", str(canonical), "--out", str(out), "--override", "n_paths=300"]
+        assert main(args) == 0
+        policies = (out / "sqs.csv").read_text().splitlines()
+        assert policies[0] == "policy,exact,mean,stderr,min,q25,median,q75,max"
+        assert [row.split(",")[0] for row in policies[1:]] == ["measure_0", "measure_1", "argmax"]
+        bound = [row.split(",") for row in (out / "sqs_bound.csv").read_text().splitlines()]
+        assert bound[0] == ["quantity", "value"]
+        assert [row[0] for row in bound[1:]] == ["dp_upper", "max_policy_mean", "max_path_value"]
+        assert policies[-1].split(",")[1] == bound[1][1]  # the argmax exact value is dp_upper
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["tolerances"]["sampling_z"] == 5.0
+        assert "sampling_tol" not in manifest["tolerances"]
+        snapshot = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert main(args) == 0
+        for f in sorted(out.iterdir()):
+            assert f.read_bytes() == snapshot[f.name], f.name
 
     def test_seed_flag_overrides_config(self, config_path, tmp_path):
         out = tmp_path / "seeded"

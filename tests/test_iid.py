@@ -3,7 +3,8 @@ import pytest
 
 import sublex as sx
 from sublex.core import TabulatedPayoff
-from sublex.iid import _brute_force_many
+from sublex.iid import _brute_force_many, _chain_dp, _sample_steps
+from sublex.lln import SAMPLING_Z
 
 from conftest import random_ambiguity, random_mean_zero_ambiguity
 
@@ -348,15 +349,70 @@ class TestSamplePath:
         with pytest.raises(sx.DomainError):
             sx.sample_path(theta_star, policy, 4, seed=0)
 
-    def test_sampling_lower_bounds_dp_value(self, theta_star):
+    def test_off_lattice_state_is_domain_error(self, coin):
+        stray = sx.SelectionPolicy(((0.0,), (5.0,)), ((0,), (0,)))
+        with pytest.raises(sx.DomainError, match="step-1 lattice"):
+            sx.sample_path(coin, stray, 2, seed=0)
+
+    def test_batch_of_one_matches_stepwise_reference(self, theta_star):
+        def reference(ambiguity, policy, n, seed):
+            # one path, one measure lookup and one draw per step
+            rng = np.random.default_rng(seed)
+            atoms = ambiguity.grid.array
+            cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
+            increments, sums, s = [], [], 0.0
+            for k in range(n):
+                row = cumw[policy.measure_at(k, s)]
+                j = min(int(np.searchsorted(row, rng.random(), side="right")), atoms.size - 1)
+                s += atoms[j]
+                increments.append(float(atoms[j]))
+                sums.append(float(s))
+            return tuple(increments), tuple(sums)
+
+        irregular = sx.AmbiguitySet.from_rows(
+            (-0.7, 0.1, 1.3), ((0.2, 0.5, 0.3), (0.6, 0.1, 0.3))
+        )
+        cases = [
+            (theta_star, sx.eval_sum_functional(theta_star, 30, lambda s: abs(s) ** 3)[1], 30),
+            (theta_star, sx.eval_sum_functional(theta_star, 30, abs, maximize=False)[1], 17),
+            (irregular, sx.eval_sum_functional(irregular, 10, lambda s: abs(s) ** 3)[1], 10),
+        ]
+        for ambiguity, policy, n in cases:
+            for seed in range(40):
+                path = sx.sample_path(ambiguity, policy, n, seed)
+                assert (path.increments, path.partial_sums) == reference(ambiguity, policy, n, seed)
+
+    def test_policy_replay_matches_closed_forms(self, theta_star):
+        # E[S_n^4] = n m4 + 3 n (n-1) var^2 for an i.i.d. sum with mean zero
         n = 50
-        value, policy = sx.eval_sum_functional(theta_star, n, lambda s: abs(s) ** 4)
-        draws = np.empty(10_000)
-        for j in range(draws.size):
-            path = sx.sample_path(theta_star, policy, n, seed=1000 + j)
-            draws[j] = abs(path.partial_sums[-1]) ** 4
-        stderr = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert draws.mean() <= value + 3.0 * stderr
+        value, argmax = sx.eval_sum_functional(theta_star, n, lambda s: s**4)
+        replayed, _ = _chain_dp(theta_star, n, lambda s: s**4, replay=argmax)
+        assert replayed == value
+        for i, (var, m4) in enumerate([(0.5, 0.5), (1.0, 1.0)]):
+            constant = sx.SelectionPolicy(
+                argmax.step_states, tuple((i,) * len(s) for s in argmax.step_states)
+            )
+            exact, _ = _chain_dp(theta_star, n, lambda s: s**4, replay=constant)
+            assert exact == pytest.approx(n * m4 + 3 * n * (n - 1) * var**2, rel=1e-12)
+
+    def test_replay_needs_the_policy_lattice(self, theta_star):
+        _, policy = sx.eval_sum_functional(theta_star, 5, abs)
+        with pytest.raises(sx.DomainError):
+            _chain_dp(theta_star, 6, abs, replay=policy)
+        with pytest.raises(sx.DomainError):
+            _chain_dp(theta_star, 5, abs, offsets=theta_star.grid.array * 2, replay=policy)
+
+    def test_batch_sampling_matches_exact_policy_value(self, theta_star):
+        n = 50
+        for maximize in (True, False):
+            value, policy = sx.eval_sum_functional(theta_star, n, lambda s: s**4, maximize)
+            exact, _ = _chain_dp(theta_star, n, lambda s: s**4, replay=policy)
+            assert exact == value
+            for _, sums in _sample_steps(theta_star, policy, n, np.random.default_rng(1000), 10_000):
+                pass
+            draws = sums**4
+            stderr = draws.std(ddof=1) / np.sqrt(draws.size)
+            assert abs(draws.mean() - exact) <= SAMPLING_Z * stderr
 
 
 def test_batched_oracle_matches_single(theta_star):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sublex as sx
-from sublex.lln import ExperimentConfig, tail_consistency
+from sublex import lln
+from sublex.lln import SAMPLING_Z, ExperimentConfig, tail_consistency
 
 from conftest import random_mean_zero_ambiguity
 
@@ -293,21 +294,60 @@ class TestCCSeries:
 
 class TestSqsEmpirical:
     def test_deterministic_replay(self, theta_star):
-        one = sx.sqs_empirical(theta_star, 3.0, 20, 300, seed=20240811, tolerance=10.0)
-        two = sx.sqs_empirical(theta_star, 3.0, 20, 300, seed=20240811, tolerance=10.0)
+        one = sx.sqs_empirical(theta_star, 3.0, 20, 300, seed=20240811)
+        two = sx.sqs_empirical(theta_star, 3.0, 20, 300, seed=20240811)
         assert one == two
 
     def test_policy_labels(self, theta_star):
-        summary = sx.sqs_empirical(theta_star, 3.0, 15, 200, seed=20240811, tolerance=10.0)
+        summary = sx.sqs_empirical(theta_star, 3.0, 15, 200, seed=20240811)
         assert [p.label for p in summary.policies] == ["measure_0", "measure_1", "argmax"]
 
     def test_coin_sampling_respects_bound(self, coin):
-        # at arbitrary seeds the policy mean sits at the bound plus noise;
-        # the statistically sound check is three standard errors
-        summary = sx.sqs_empirical(coin, 3.0, 50, 2000, seed=20240811, tolerance=10.0)
-        worst_se = max(p.stderr for p in summary.policies)
-        assert summary.max_policy_mean <= summary.dp_value + 3.0 * worst_se
+        summary = sx.sqs_empirical(coin, 3.0, 50, 2000, seed=20240811)
+        for p in summary.policies:
+            # one measure: every policy is the adversarial one
+            assert p.exact == summary.dp_value
+            assert abs(p.mean - p.exact) <= SAMPLING_Z * p.stderr
         assert all(math.isfinite(p.maximum) for p in summary.policies)
+
+    def test_check_holds_on_consecutive_seeds(self, theta_star):
+        for seed in range(50):
+            summary = sx.sqs_empirical(theta_star, 3.0, 12, 200, seed=seed)
+            for p in summary.policies:
+                assert p.exact <= summary.dp_value + 1e-12
+                assert abs(p.mean - p.exact) <= SAMPLING_Z * p.stderr
+
+    def test_exact_policy_values_match_enumeration(self, theta_star):
+        n, beta = 3, 3.0
+
+        def series(xs):
+            return float(np.sum(np.abs(np.cumsum(xs) / np.arange(1, xs.size + 1)) ** beta))
+
+        summary = sx.sqs_empirical(theta_star, beta, n, 50, seed=7)
+        assert summary.dp_value == pytest.approx(
+            sx.brute_force_oracle(theta_star, n, series), abs=1e-12
+        )
+        for i, measure in enumerate(theta_star.measures):
+            alone = sx.AmbiguitySet(theta_star.grid, (measure,))
+            assert summary.policies[i].exact == pytest.approx(
+                sx.brute_force_oracle(alone, n, series), abs=1e-12
+            )
+        assert summary.policies[-1].exact == summary.dp_value
+
+    def test_biased_sampler_is_caught(self, theta_star, monkeypatch):
+        real = lln._sample_steps
+
+        def low_variance(ambiguity, policy, n, rng, n_paths):
+            picks = tuple((0,) * len(states) for states in policy.step_states)
+            return real(ambiguity, sx.SelectionPolicy(policy.step_states, picks), n, rng, n_paths)
+
+        monkeypatch.setattr(lln, "_sample_steps", low_variance)
+        with pytest.raises(sx.CheckError, match="measure_1: sampled mean"):
+            sx.sqs_empirical(theta_star, 3.0, 20, 1000, seed=20240811)
+
+    def test_needs_two_paths_for_a_standard_error(self, theta_star):
+        with pytest.raises(sx.ParameterError, match="n_paths"):
+            sx.sqs_empirical(theta_star, 3.0, 10, 1, seed=0)
 
     def test_beta_gate(self, theta_star):
         with pytest.raises(sx.ParameterError):
