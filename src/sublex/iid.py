@@ -6,15 +6,24 @@ maximization over per-step measure choices from the ambiguity set,
 
     V_n(s) = phi(s),   V_k(s) = max_theta sum_j theta_j V_{k+1}(s + atom_j),
 
-evaluated on the lattice of reachable partial sums.  A brute-force
-enumerator over *all* history-dependent measure assignments provides an
-independent oracle for this recursion at small sizes, and an argmax
-policy extracted from the recursion drives adversarial path sampling.
+evaluated on the lattice of reachable partial sums.  Commensurable offsets
+(decimals whose differences are integer multiples of one unit, as on the
+canonical grid) give an integer lattice: a state is a node index and its
+value the correctly rounded exact sum.  A dense integer lattice gathers
+successors by slicing and stores nothing per step; a sparse one (few
+offsets over a wide span) merges the reached indices.  Other offsets fall
+back to float lattices merged at ``MERGE_TOL``.  Merged lattices store one
+transition map per step, under a memory budget.  A brute-force enumerator
+over *all* history-dependent measure assignments provides an independent
+oracle for this recursion at small sizes, and an argmax policy extracted
+from the recursion drives adversarial path sampling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
@@ -28,6 +37,14 @@ MERGE_TOL = 1e-9
 
 #: Tolerance when locating a state on an already-built lattice.
 LOOKUP_TOL = 1e-6
+
+#: Bytes one lattice may hold: the nodes and transition maps of a merged
+#: chain, the reachability masks of a gapped integer lattice, or the widest
+#: level of a dense one with its successors.
+CHAIN_BUDGET_BYTES = 512 * 2**20
+
+#: Integers below this are exact in float64.
+_EXACT_INT = 2**53
 
 
 @dataclass(frozen=True)
@@ -44,41 +61,196 @@ class SumLattice:
         return arr
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+class _Lattice:
+    """Levels of nodes a recursion sweeps: level k holds the states after k
+    steps, and ``successors(k, V)`` gives, per move, the values ``V`` holds on
+    level k+1 at the successors of the nodes of level k."""
+
+    def reach(self, k: int) -> np.ndarray | None:
+        """Which nodes of level k are reachable; None when all of them are."""
+        return None
+
+    def states(self, k: int) -> np.ndarray:
+        """The reachable states of level k, increasing."""
+        return self.restrict(k, self.nodes(k))
+
+    def spread(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Values given on the reachable states of level k, put on its nodes (0 elsewhere)."""
+        mask = self.reach(k)
+        if mask is None:
+            return values
+        out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
+        out[mask] = values
+        return out
+
+    def restrict(self, k: int, node_values: np.ndarray) -> np.ndarray:
+        mask = self.reach(k)
+        return node_values if mask is None else node_values[mask]
+
+
 @dataclass(frozen=True)
+class _Units:
+    """Offsets ``(lo_num + shift * unit_num) / den`` exactly, shifts integer.
+
+    Offsets are read as the shortest decimals that round-trip (``repr``), so
+    atoms written 0.1 and 0.2 share the unit 1/10.
+    """
+
+    lo_num: int
+    unit_num: int
+    den: int
+    shifts: tuple[int, ...]
+
+    @property
+    def span(self) -> int:
+        return max(self.shifts)
+
+    def values(self, k: int, index: np.ndarray) -> np.ndarray:
+        """The sums ``k*lo + index*unit``: the floats nearest the exact sums
+        while the numerators stay exact in float64, float arithmetic beyond.
+        A float ``index`` is overwritten with them."""
+        out = np.asarray(index, dtype=float)
+        top = k * abs(self.lo_num) + int(out.max(initial=0.0)) * self.unit_num
+        if self.den < _EXACT_INT and top < _EXACT_INT:
+            # integers below 2**53 multiply and add exactly in float64
+            out *= self.unit_num
+            out += k * self.lo_num
+            out /= self.den
+        else:
+            out *= self.unit_num / self.den
+            out += k * (self.lo_num / self.den)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class _IntLattice(_Lattice):
+    """Dense sums of commensurable offsets.
+
+    Node i of level k is the sum ``k*lo + i*unit``, i = 0..k*span, and move j
+    takes node i to node ``i + moves[j]``.  Unreachable nodes (gapped grids)
+    carry values no reachable node ever reads: a successor of a reachable
+    node is reachable.
+    """
+
+    units: _Units
+    span: int
+    moves: np.ndarray
+    zero: int  # node shift of the zero offset of an at-most lattice
+    masks: tuple[np.ndarray | None, ...]  # levels before the first full one
+
+    def size(self, k: int) -> int:
+        return k * self.span + 1
+
+    def reach(self, k: int) -> np.ndarray | None:
+        return self.masks[k] if k < len(self.masks) else None
+
+    def nodes(self, k: int) -> np.ndarray:
+        return self.units.values(k, np.arange(self.size(k), dtype=float))
+
+    def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
+        width = self.size(k)
+        return [values[s : s + width] for s in self.moves]
+
+    def origin(self, k: int) -> int:
+        return k * self.zero
+
+
+@dataclass(frozen=True, eq=False)
+class _MergedLattice(_Lattice):
+    """Float lattices from sort-and-merge: ``maps[k][i, j]`` is the node of
+    level k+1 that move j reaches from node i of level k."""
+
+    levels: list[np.ndarray]
+    maps: list[np.ndarray]
+    origins: list[int] = field(default_factory=list)  # node of 0, at-most lattices
+
+    def nodes(self, k: int) -> np.ndarray:
+        return self.levels[k]
+
+    def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
+        return [values[step_map] for step_map in self.maps[k].T]
+
+    def origin(self, k: int) -> int:
+        return self.origins[k]
+
+
+@dataclass(frozen=True, eq=False)
+class _PairLattice(_Lattice):
+    """Dense (sum, running max of |sum|) pairs of commensurable offsets.
+
+    Node (i, M) of level k, flattened row-major, is the sum ``(i - k*zero)*unit``
+    on a path whose partial sums stayed within ``M*unit`` in absolute value;
+    a node's value is that running maximum.
+    """
+
+    units: _Units
+    span: int
+    zero: int
+    moves: np.ndarray
+    masks: list[np.ndarray] = field(default_factory=list)  # 2-D reachability per level
+
+    def shape(self, k: int) -> tuple[int, int]:
+        return k * self.span + 1, k * max(self.zero, self.span - self.zero) + 1
+
+    def reach(self, k: int) -> np.ndarray:
+        return self.masks[k].ravel()
+
+    def nodes(self, k: int) -> np.ndarray:
+        rows, cols = self.shape(k)
+        return np.tile(self.units.values(0, np.arange(cols, dtype=float)), rows)
+
+    def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
+        rows, cols = self.shape(k)
+        grid = values.reshape(self.shape(k + 1) + values.shape[1:])
+        reached = np.abs(np.arange(grid.shape[0]) - (k + 1) * self.zero)
+        running = np.arange(cols)
+        out = []
+        for s in self.moves:
+            at = np.arange(s, s + rows)[:, None]
+            nxt = grid[at, np.maximum(running, reached[at])]
+            out.append(nxt.reshape((rows * cols,) + values.shape[1:]))
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class SelectionPolicy:
     """Argmax (argmin, for a lower recursion) certificate: a measure index per node.
 
     ``choices[k][i]`` is the measure selected at step ``k`` in state
-    ``step_states[k][i]``; ties were broken toward the lowest index.
+    ``step_states[k][i]``; ties were broken toward the lowest index.  Both are
+    stored as read-only arrays.
     """
 
-    step_states: tuple[tuple[float, ...], ...]
-    choices: tuple[tuple[int, ...], ...]
+    step_states: tuple[np.ndarray, ...]
+    choices: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.step_states) != len(self.choices):
+        states = tuple(_read_only(s, np.float64) for s in self.step_states)
+        picks = tuple(_read_only(p, np.intp) for p in self.choices)
+        object.__setattr__(self, "step_states", states)
+        object.__setattr__(self, "choices", picks)
+        if len(states) != len(picks):
             raise ParameterError("one choice vector is required per step")
-        for states, picks in zip(self.step_states, self.choices):
-            if len(states) != len(picks):
-                raise ParameterError("choices must cover every state of their step")
+        if any(s.shape != p.shape or s.ndim != 1 for s, p in zip(states, picks)):
+            raise ParameterError("choices must cover every state of their step")
 
     @property
     def horizon(self) -> int:
         return len(self.choices)
 
-    @cached_property
-    def _state_arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.asarray(s, dtype=float) for s in self.step_states)
-
     def measure_at(self, step: int, state: float) -> int:
         if not 0 <= step < self.horizon:
             raise DomainError(f"policy defines steps 0..{self.horizon - 1}, got {step}")
-        states = self._state_arrays[step]
-        i = int(np.searchsorted(states, state))
-        for j in (i - 1, i):
-            if 0 <= j < states.size and abs(states[j] - state) <= LOOKUP_TOL:
-                return self.choices[step][j]
-        raise DomainError(f"state {state!r} is not on the step-{step} lattice")
+        at = _locate(self.step_states[step], np.asarray([state], dtype=float), step)
+        return int(self.choices[step][at[0]])
 
 
 @dataclass(frozen=True)
@@ -88,6 +260,19 @@ class PathSample:
     increments: tuple[float, ...]
     partial_sums: tuple[float, ...]
     seed: int
+
+
+def _locate(states: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
+    """Positions of ``values`` on the sorted ``states``, within LOOKUP_TOL."""
+    hi = np.searchsorted(states, values)
+    lo = np.maximum(hi - 1, 0)
+    hi = np.minimum(hi, states.size - 1)
+    use_lo = np.abs(states[lo] - values) <= LOOKUP_TOL
+    found = use_lo | (np.abs(states[hi] - values) <= LOOKUP_TOL)
+    if not found.all():
+        state = float(values[np.argmin(found)])
+        raise DomainError(f"state {state!r} is not on the step-{step} lattice")
+    return np.where(use_lo, lo, hi)
 
 
 def _merge(flat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -106,15 +291,37 @@ def _merge(flat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return sv[new], gids
 
 
+def _over_budget(what: str, held: int, step: int) -> CapacityError:
+    return CapacityError(
+        f"{what} would hold {held} bytes by step {step}, "
+        f"past the budget of {CHAIN_BUDGET_BYTES} bytes"
+    )
+
+
 def _build_chain(
-    offsets: np.ndarray, n: int, tol: float = MERGE_TOL
+    offsets: np.ndarray, n: int, tol: float = MERGE_TOL, span: int | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Lattices of k-step sums of ``offsets`` plus per-step transition maps.
 
     ``trans[k][i, a]`` is the index in lattice ``k+1`` of state
-    ``lattices[k][i] + offsets[a]``.
+    ``lattices[k][i] + offsets[a]``.  Integer offsets (with ``tol`` 0) merge
+    exactly.  Before anything is built, the bytes of all n steps are
+    projected from the count of k-draw multisets of the distinct offsets
+    (exact when no two sums merge), capped at the ``k*span + 1`` nodes an
+    integer level can hold, and a chain past ``CHAIN_BUDGET_BYTES`` raises
+    CapacityError.  Float offsets with an unknown unit whose sums coincide
+    often are overestimated.
     """
-    lattices = [np.zeros(1)]
+    distinct = np.unique(offsets).size
+    held = 0
+    for k in range(1, n + 1):
+        size = math.comb(k + distinct - 1, distinct - 1)
+        if span is not None:
+            size = min(size, k * span + 1)
+        held += size * 8 * (1 + offsets.size)
+        if held > CHAIN_BUDGET_BYTES:
+            raise _over_budget(f"the merged lattice of {n} steps over {distinct} offsets", held, k)
+    lattices = [np.zeros(1, dtype=offsets.dtype)]
     trans: list[np.ndarray] = []
     for _ in range(n):
         cur = lattices[-1]
@@ -125,17 +332,122 @@ def _build_chain(
     return lattices, trans
 
 
+def _commensurable(offsets: np.ndarray, tol: float) -> _Units | None:
+    """The exact integer form of ``offsets``, or None when their unit is at
+    most ``tol``, so that the float merge would fuse distinct nodes.  Generic
+    floats land here: their 17-digit decimals share a unit near 1e-17."""
+    exact = [Fraction(repr(float(x))) for x in offsets]
+    den = math.lcm(*(f.denominator for f in exact))
+    nums = [f.numerator * (den // f.denominator) for f in exact]
+    lo_num = min(nums)
+    unit_num = math.gcd(*(v - lo_num for v in nums)) or den
+    if unit_num / den <= tol:
+        return None
+    shifts = tuple((v - lo_num) // unit_num for v in nums)
+    common = math.gcd(lo_num, unit_num, den)
+    return _Units(lo_num // common, unit_num // common, den // common, shifts)
+
+
+def _reach_masks(shifts: np.ndarray, span: int, n: int) -> tuple[np.ndarray | None, ...]:
+    """Reachability of levels 0..n up to the first full level k >= 1.
+
+    Every later level is full too: it contains the previous one moved by the
+    shifts 0 and ``span``, which overlap once a level is wider than ``span``.
+    """
+    masks: list[np.ndarray | None] = [None]
+    reach = np.ones(1, dtype=bool)
+    held = 0
+    for k in range(1, n + 1):
+        held += k * span + 1
+        if held > CHAIN_BUDGET_BYTES:
+            raise _over_budget(f"the reachability of a gapped {n}-step lattice", held, k)
+        nxt = np.zeros(k * span + 1, dtype=bool)
+        for s in np.unique(shifts):
+            nxt[s : s + reach.size] |= reach
+        if nxt.all():
+            break
+        masks.append(nxt)
+        reach = nxt
+    return tuple(masks)
+
+
+def _dense_lattice(units: _Units, n: int, at_most: bool = False) -> _IntLattice:
+    """The dense integer lattice of ``units`` over levels 0..n; with
+    ``at_most``, shift 0 is the zero offset that keeps shorter sums."""
+    span = units.span
+    shifts = np.array(units.shifts, dtype=np.intp)
+    held = (n * span + 1) * 8 * (1 + shifts.size)
+    if held > CHAIN_BUDGET_BYTES:
+        raise _over_budget(f"the widest level of a dense {n}-step lattice", held, n)
+    masks = _reach_masks(shifts, span, n)
+    if at_most:
+        return _IntLattice(units, span, shifts[1:], int(shifts[0]), masks)
+    return _IntLattice(units, span, shifts, 0, masks)
+
+
+def _chain_lattice(
+    offsets: np.ndarray,
+    n: int,
+    at_most: bool = False,
+    units: _Units | None = None,
+    tol: float = MERGE_TOL,
+) -> _MergedLattice:
+    """Levels 0..n by sort-and-merge: of the integer shifts of ``units`` when
+    given (merged exactly, each node valued by ``units``), of the float
+    ``offsets`` at ``tol`` otherwise.  With ``at_most``, offset 0 is the zero
+    offset that keeps shorter sums."""
+    if units is None:
+        levels, maps = _build_chain(offsets, n, tol)
+    else:
+        keys, maps = _build_chain(np.array(units.shifts, dtype=np.int64), n, 0, units.span)
+        levels = [units.values(k, key) for k, key in enumerate(keys)]
+    if not at_most:
+        return _MergedLattice(levels, maps)
+    # column 0 of each map is the zero offset, which keeps the origin
+    # reachable at every step; the moves are the other columns
+    origins = [0]
+    for step_map in maps[:-1]:
+        origins.append(int(step_map[origins[-1], 0]))
+    return _MergedLattice(levels, [step_map[:, 1:] for step_map in maps], origins)
+
+
+def _lattice(
+    offsets: np.ndarray, n: int, at_most: bool = False, tol: float = MERGE_TOL
+) -> _IntLattice | _MergedLattice:
+    """Levels 0..n of the k-step sums of ``offsets`` (sums of at most k steps
+    when ``at_most``).
+
+    Commensurable offsets run on integer indices: densely, unless the dense
+    levels would hold more nodes than there are k-draw multisets of the
+    distinct offsets (few offsets over a wide span), then merged exactly.
+    Both give each node the same value.  Other offsets use the float merge
+    at ``tol``, as do integer indices too wide for float64.
+    """
+    if n < 0:
+        raise ParameterError(f"horizon must be >= 1, got {n}")
+    grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
+    units = _commensurable(grown, tol)
+    if units is None or n * units.span >= _EXACT_INT:
+        return _chain_lattice(grown, n, at_most, tol=tol)
+    distinct = len(set(units.shifts))
+    dense = units.span * n * (n + 1) // 2 + n  # nodes on levels 1..n
+    if dense <= math.comb(n + distinct, distinct) - 1:  # multisets of 1..n draws
+        return _dense_lattice(units, n, at_most)
+    return _chain_lattice(grown, n, at_most, units)
+
+
 def sum_lattice(ambiguity: AmbiguitySet, step: int, tol: float = MERGE_TOL) -> SumLattice:
     """Reachable partial-sum states after ``step`` draws from the grid."""
     if step < 0:
         raise ParameterError(f"step must be >= 0, got {step}")
-    lattices, _ = _build_chain(ambiguity.grid.array, step, tol)
-    return SumLattice(step, tuple(float(s) for s in lattices[step]))
+    lattice = _lattice(ambiguity.grid.array, step, tol=tol)
+    return SumLattice(step, tuple(lattice.states(step).tolist()))
 
 
 def _terminal_values(
     states: np.ndarray, terminal: TabulatedPayoff | Callable[[float], float]
 ) -> np.ndarray:
+    """A scalar terminal on an array of states: table lookup, or one call per state."""
     if isinstance(terminal, TabulatedPayoff):
         idx = np.searchsorted(terminal.state_array, states)
         out = np.empty(states.size)
@@ -152,74 +464,124 @@ def _terminal_values(
 
 def _sweep(
     weights: np.ndarray,
-    trans: Sequence[np.ndarray],
+    lattice: _Lattice,
+    n: int,
     values: np.ndarray,
     maximize: bool = True,
-    stage: Callable[[int], np.ndarray] | None = None,
+    stage: Callable[[int, np.ndarray], np.ndarray] | None = None,
     fixed: Callable[[int], np.ndarray] | None = None,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    with_picks: bool = False,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """The backward recursion: the only code that applies the one-step operator.
 
-    From terminal ``values`` on the last lattice, yields ``(k, V_k, picks)`` for
-    k = n-1..0, where ``V_k(s) = max_theta sum_j theta_j V_{k+1}(trans[k][s, j])``
-    (min if not ``maximize``) and ``picks`` are the optimal measure indices,
-    ties broken toward the lowest.  ``stage(k)`` is added to ``V_k`` for k >= 1.
-    With ``fixed(k)`` giving the picks of step k, the sweep evaluates that
-    policy instead; replaying the optimal picks reproduces ``V_k`` bit for bit.
+    From ``values`` on the nodes of level n, yields ``(k, V_k, picks)`` for
+    k = n-1..0, where ``V_k(s) = max_theta sum_j theta_j V_{k+1}(succ_j(s))``
+    (min if not ``maximize``), the successors coming from
+    ``lattice.successors``; the products are summed in move order,
+    elementwise.  ``picks``, the optimal measure indices with ties broken
+    toward the lowest, are derived only ``with_picks`` (None otherwise).
+    ``values`` may carry trailing columns, each swept independently.
+    For k >= 1, ``stage(k, V_k)`` replaces ``V_k`` (a stage cost added, or a
+    column started).  With ``fixed(k)`` giving the picks of step k, the sweep
+    evaluates that policy instead; replaying the optimal picks reproduces
+    ``V_k`` bit for bit.
     """
-    for k in range(len(trans) - 1, -1, -1):
-        scored = values[trans[k]] @ weights.T  # (states, measures)
+    best = np.maximum if maximize else np.minimum
+    for k in range(n - 1, -1, -1):
+        succ = lattice.successors(k, values)
+        scored = []
+        for row in weights:
+            acc = succ[0] * row[0]
+            for nxt, w in zip(succ[1:], row[1:]):
+                acc += nxt * w
+            scored.append(acc)
+        picks = None
         if fixed is not None:
             picks = fixed(k)
+            values = np.take_along_axis(np.stack(scored, axis=-1), picks[..., None], -1)[..., 0]
         else:
-            picks = np.argmax(scored, axis=1) if maximize else np.argmin(scored, axis=1)
-        values = scored[np.arange(scored.shape[0]), picks]
+            values = scored[0]
+            for candidate in scored[1:]:
+                values = best(values, candidate)  # a tie keeps the earlier measure's value
+            if with_picks:
+                picks = np.full(values.shape, len(scored) - 1, dtype=np.intp)
+                for i in range(len(scored) - 2, -1, -1):
+                    picks = np.where(scored[i] == values, i, picks)
         if stage is not None and k >= 1:
-            values = values + stage(k)
+            values = stage(k, values)
         yield k, values, picks
 
 
 def _chain_dp(
     ambiguity: AmbiguitySet,
+    lattice: _Lattice,
     n: int,
-    terminal: TabulatedPayoff | Callable[[float], float],
+    terminal: np.ndarray,
     maximize: bool = True,
+    stage: Callable[[int], np.ndarray] | None = None,
     want_policy: bool = False,
-    stage_costs: Sequence[Callable[[float], float]] | None = None,
-    offsets: np.ndarray | None = None,
     replay: SelectionPolicy | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
-    """The recursion on the k-step sums of ``offsets`` (default: the grid atoms).
+    """The n-step recursion on ``lattice`` from ``terminal``, the values on the
+    reachable states of level n; ``stage(k)``, values on the reachable states
+    of level k, is added at every level k = 1..n.
 
-    With a ``replay`` policy built on the same lattices, returns that policy's
+    With a ``replay`` policy built on the same states, returns that policy's
     exact expected value (policy evaluation) instead of the optimum.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
-    lattices, trans = _build_chain(ambiguity.grid.array if offsets is None else offsets, n)
     fixed = None
     if replay is not None:
         if replay.horizon != n or not all(
-            np.array_equal(replay.step_states[k], lattices[k]) for k in range(n)
+            np.array_equal(replay.step_states[k], lattice.states(k)) for k in range(n)
         ):
             raise DomainError(f"the replayed policy is not built on this {n}-step lattice")
-        fixed = lambda k: np.asarray(replay.choices[k], dtype=np.intp)
-    values = _terminal_values(lattices[n], terminal)
-    stage = None
-    if stage_costs is not None:
-        if len(stage_costs) != n:
-            raise DomainError(f"expected {n} stage costs, got {len(stage_costs)}")
-        stage = lambda k: _stage_values(lattices[k], stage_costs[k - 1], k)
-        values = values + stage(n)
-    choices: list[tuple[int, ...]] = [()] * n
-    for k, values, picks in _sweep(ambiguity.weight_matrix, trans, values, maximize, stage, fixed):
+        fixed = lambda k: lattice.spread(k, replay.choices[k])
+    values = lattice.spread(n, terminal)
+    add_stage = None
+    if stage is not None:
+        add_stage = lambda k, v: v + lattice.spread(k, stage(k))
+        values = add_stage(n, values)
+    choices: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * n
+    for k, values, picks in _sweep(
+        ambiguity.weight_matrix, lattice, n, values, maximize, add_stage, fixed, want_policy
+    ):
         if want_policy:
-            choices[k] = tuple(int(p) for p in picks)
+            choices[k] = lattice.restrict(k, picks)
     policy = None
     if want_policy:
-        states = tuple(tuple(float(s) for s in lattices[k]) for k in range(n))
+        states = tuple(lattice.states(k) for k in range(n))
+        for arr in states + tuple(choices):
+            arr.flags.writeable = False
         policy = SelectionPolicy(states, tuple(choices))
     return float(values[0]), policy
+
+
+def _horizons_dp(
+    ambiguity: AmbiguitySet,
+    lattice: _Lattice,
+    horizons: Sequence[int],
+    terminal: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """Upper expectations for several horizons from one sweep of ``lattice``.
+
+    ``terminal(n)`` gives the payoff on the reachable states of level n; for
+    each n of the increasing ``horizons`` a column starts from it at level n,
+    and level 0 holds every column's value, returned in horizon order.
+    """
+    top = horizons[-1]
+    if horizons[0] < 1:
+        raise ParameterError(f"horizons must be >= 1, got {horizons[0]}")
+    starts = set(horizons)
+    values = lattice.spread(top, terminal(top))[:, None]
+
+    def start(k: int, v: np.ndarray) -> np.ndarray:
+        return np.column_stack([v, lattice.spread(k, terminal(k))]) if k in starts else v
+
+    for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, stage=start):
+        pass
+    return values[0, ::-1]
 
 
 def _stage_values(states: np.ndarray, cost: Callable[[float], float], step: int) -> np.ndarray:
@@ -239,7 +601,9 @@ def eval_sum_functional(
 
     With ``maximize=False``: the lower expectation and its argmin policy.
     """
-    value, policy = _chain_dp(ambiguity, n, terminal, maximize, want_policy=True)
+    lattice = _lattice(ambiguity.grid.array, n)
+    values = _terminal_values(lattice.states(n), terminal)
+    value, policy = _chain_dp(ambiguity, lattice, n, values, maximize, want_policy=True)
     assert policy is not None
     return value, policy
 
@@ -250,24 +614,30 @@ def eval_additive_functional(
     stage_costs: Sequence[Callable[[float], float]],
 ) -> float:
     """Upper expectation of ``sum_{k=1..n} g_k(S_k)`` for per-step costs g_k."""
-    value, _ = _additive_dp(ambiguity, n, stage_costs, want_policy=False)
+    if n < 1:
+        raise ParameterError(f"horizon must be >= 1, got {n}")
+    costs = list(stage_costs)
+    if len(costs) != n:
+        raise DomainError(f"expected {n} stage costs, got {len(costs)}")
+    lattice = _lattice(ambiguity.grid.array, n)
+    stage = lambda k: _stage_values(lattice.states(k), costs[k - 1], k)
+    value, _ = _additive_dp(ambiguity, n, lattice, stage)
     return value
 
 
 def _additive_dp(
     ambiguity: AmbiguitySet,
     n: int,
-    stage_costs: Sequence[Callable[[float], float]],
-    want_policy: bool,
+    lattice: _Lattice,
+    stage: Callable[[int], np.ndarray],
+    want_policy: bool = False,
     replay: SelectionPolicy | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
+    """The recursion of ``sum_{k=1..n} g_k(S_k)`` on the grid's ``lattice``, with
+    ``stage(k)`` the values of g_k on the reachable states of level k."""
+    zero = np.zeros(lattice.states(n).size)
     return _chain_dp(
-        ambiguity,
-        n,
-        lambda s: 0.0,
-        want_policy=want_policy,
-        stage_costs=list(stage_costs),
-        replay=replay,
+        ambiguity, lattice, n, zero, stage=stage, want_policy=want_policy, replay=replay
     )
 
 
@@ -281,7 +651,10 @@ def capacity_sum_event(
 
     With ``maximize=False``: the lower capacity (min-recursion).
     """
-    value, _ = _chain_dp(ambiguity, n, lambda s: 1.0 if predicate(s) else 0.0, maximize)
+    lattice = _lattice(ambiguity.grid.array, n)
+    indicator = lambda s: 1.0 if predicate(s) else 0.0
+    values = _terminal_values(lattice.states(n), indicator)
+    value, _ = _chain_dp(ambiguity, lattice, n, values, maximize)
     return min(1.0, max(0.0, value))
 
 
@@ -302,6 +675,70 @@ def _pair_merge(
     return s[keep], m[keep], gids
 
 
+def _pair_chain(
+    offsets: np.ndarray, n: int, tol: float
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Running maxima per level and per-step maps of the merged (sum, running
+    max) pairs, keeping a running byte total of what is stored: a step that
+    would pass ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built."""
+    s_cur, m_cur = np.zeros(1, dtype=offsets.dtype), np.zeros(1, dtype=offsets.dtype)
+    levels, maps = [m_cur], []
+    held = 0
+    for k in range(1, n + 1):
+        projected = held + s_cur.size * offsets.size * 24
+        if projected > CHAIN_BUDGET_BYTES:
+            raise _over_budget(f"the merged pair lattice of {n} steps", projected, k)
+        s_next = (s_cur[:, None] + offsets[None, :]).ravel()
+        m_next = np.maximum(np.repeat(m_cur, offsets.size), np.abs(s_next))
+        s_new, m_cur, gids = _pair_merge(s_next, m_next, tol)
+        maps.append(gids.reshape(s_cur.size, offsets.size))
+        levels.append(m_cur)
+        s_cur = s_new
+        held += s_cur.nbytes + m_cur.nbytes + gids.nbytes
+    return levels, maps
+
+
+def _pair_lattice(offsets: np.ndarray, n: int) -> _PairLattice | _MergedLattice:
+    """Levels 0..n of the (sum, running max of |sum|) states of centered offsets.
+
+    Commensurable offsets give integer pairs: a dense grid of them when it
+    holds no more nodes than a bound on the reachable pairs (paths, or sums
+    times maxima) and fits ``CHAIN_BUDGET_BYTES`` with its masks and widest
+    level; the reached pairs merged exactly otherwise.  Other offsets use
+    the float pair merge.
+    """
+    units = _commensurable(np.concatenate([np.zeros(1), offsets]), MERGE_TOL)
+    if units is None or n * units.span >= _EXACT_INT:
+        return _MergedLattice(*_pair_chain(offsets, n, MERGE_TOL))
+    shifts = np.array(units.shifts, dtype=np.int64)
+    lattice = _PairLattice(units, units.span, int(shifts[0]), shifts[1:])
+    distinct = len(set(units.shifts[1:]))
+    dense = reachable = 0
+    rows = cols = 1
+    for k in range(1, n + 1):
+        rows, cols = lattice.shape(k)
+        dense += rows * cols
+        reachable += min(distinct**k, math.comb(k + distinct - 1, distinct - 1) * cols)
+    held = dense + 8 * (1 + lattice.moves.size) * rows * cols
+    if dense > reachable or held > CHAIN_BUDGET_BYTES:
+        maxima, maps = _pair_chain(lattice.moves - lattice.zero, n, 1)
+        return _MergedLattice([units.values(0, m) for m in maxima], maps)
+    return _dense_pairs(lattice, n)
+
+
+def _dense_pairs(lattice: _PairLattice, n: int) -> _PairLattice:
+    """Fills in the reachability masks of levels 0..n of a dense pair lattice."""
+    lattice.masks.append(np.ones((1, 1), dtype=bool))
+    for k in range(1, n + 1):
+        rows, cols = np.nonzero(lattice.masks[-1])
+        nxt = np.zeros(lattice.shape(k), dtype=bool)
+        for s in lattice.moves:
+            at = rows + s
+            nxt[at, np.maximum(cols, np.abs(at - k * lattice.zero))] = True
+        lattice.masks.append(nxt)
+    return lattice
+
+
 def eval_maxabs_functional(
     ambiguity: AmbiguitySet,
     n: int,
@@ -318,24 +755,9 @@ def eval_maxabs_functional(
     if n > max_horizon:
         raise CapacityError(f"maxabs DP is gated to n <= {max_horizon}, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
-    offsets = ambiguity.grid.array - mu
-
-    s_states = [np.zeros(1)]
-    m_states = [np.zeros(1)]
-    trans: list[np.ndarray] = []
-    for _ in range(n):
-        s_cur, m_cur = s_states[-1], m_states[-1]
-        s_next = (s_cur[:, None] + offsets[None, :]).ravel()
-        m_next = np.maximum(np.repeat(m_cur, offsets.size), np.abs(s_next))
-        s_reps, m_reps, gids = _pair_merge(s_next, m_next, MERGE_TOL)
-        s_states.append(s_reps)
-        m_states.append(m_reps)
-        trans.append(gids.reshape(s_cur.size, offsets.size))
-
-    values = np.asarray([float(phi(m)) for m in m_states[n]], dtype=float)
-    for _, values, _ in _sweep(ambiguity.weight_matrix, trans, values):
-        pass
-    return float(values[0])
+    lattice = _pair_lattice(ambiguity.grid.array - mu, n)
+    value, _ = _chain_dp(ambiguity, lattice, n, _terminal_values(lattice.states(n), phi))
+    return value
 
 
 def eval_sumsq_functional(
@@ -347,7 +769,9 @@ def eval_sumsq_functional(
     per-atom squared increments stay aligned with the measure weights.
     """
     mu = ambiguity.require_mean_certain("eval_sumsq_functional")
-    value, _ = _chain_dp(ambiguity, n, phi, offsets=(ambiguity.grid.array - mu) ** 2)
+    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n)
+    values = _terminal_values(lattice.states(n), phi)
+    value, _ = _chain_dp(ambiguity, lattice, n, values)
     return value
 
 
@@ -409,6 +833,10 @@ def _brute_force_many(
                 walk(depth + 1, prefix_code * n_atoms + a, branch)
 
     walk(0, 0, np.ones(n_assign))
+    # walk refers to itself through its closure; dropping the name breaks that
+    # cycle, so its n_assign-sized arrays are freed now rather than at the
+    # next cyclic garbage collection
+    del walk
     return [float(t.max()) for t in totals]
 
 
@@ -422,9 +850,9 @@ def _sample_steps(
     """Advance ``n_paths`` paths together, yielding ``(X_k, S_k)`` for k = 1..n.
 
     Each step locates every path's partial sum on the policy's lattice, takes
-    the selected measure, and inverts one uniform draw per path against its
-    cumulative weights.  Callers that fold the yielded arrays into a running
-    statistic hold O(n_paths) memory, whatever ``n``.
+    the selected measure, and inverts one uniform draw per path against its cumulative
+    weights.  Callers that fold the yielded arrays into a running statistic
+    hold O(n_paths) memory, whatever ``n``.
     """
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
@@ -434,16 +862,7 @@ def _sample_steps(
     cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
     s = np.zeros(n_paths)
     for k in range(n):
-        states = np.asarray(policy.step_states[k], dtype=float)
-        hi = np.searchsorted(states, s)
-        lo = np.maximum(hi - 1, 0)
-        hi = np.minimum(hi, states.size - 1)
-        use_lo = np.abs(states[lo] - s) <= LOOKUP_TOL
-        found = use_lo | (np.abs(states[hi] - s) <= LOOKUP_TOL)
-        if not found.all():
-            state = float(s[np.argmin(found)])
-            raise DomainError(f"state {state!r} is not on the step-{k} lattice")
-        rows = cumw[np.asarray(policy.choices[k], dtype=np.intp)[np.where(use_lo, lo, hi)]]
+        rows = cumw[policy.choices[k][_locate(policy.step_states[k], s, k)]]
         u = rng.random(n_paths)
         j = np.minimum(np.sum(rows <= u[:, None], axis=1), atoms.size - 1)
         x = atoms[j]
@@ -489,17 +908,14 @@ def sum_functional_series(
     if centered:
         offsets = offsets - ambiguity.require_mean_certain("sum_functional_series")
 
-    # lattice j holds every sum of at most j offsets: column 0 of each map
-    # is the zero offset, which keeps the origin reachable at every step
-    lattices, trans = _build_chain(np.concatenate([np.zeros(1), offsets]), horizon)
-    zero_at = [0]
-    for step_map in trans[:-1]:
-        zero_at.append(int(step_map[zero_at[-1], 0]))
-    values = np.asarray(psi(lattices[horizon]), dtype=float)
-    if values.shape != lattices[horizon].shape:
+    # level j holds every sum of at most j offsets, so the origin stays on it
+    lattice = _lattice(offsets, horizon, at_most=True)
+    states = lattice.states(horizon)
+    values = np.asarray(psi(states), dtype=float)
+    if values.shape != states.shape:
         raise DomainError("psi must map a state array to an equally shaped value array")
     out = np.empty(horizon)
-    moves = [step_map[:, 1:] for step_map in trans]
-    for k, values, _ in _sweep(ambiguity.weight_matrix, moves, values, maximize):
-        out[horizon - 1 - k] = values[zero_at[k]]
+    values = lattice.spread(horizon, values)
+    for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
+        out[horizon - 1 - k] = values[lattice.origin(k)]
     return out

@@ -37,11 +37,12 @@ from .errors import (
 from .gnormal import GExpectationResult, GNormalParams, HeatGrid, default_grid, g_expectation
 from .iid import (
     SelectionPolicy,
+    _Lattice,
     _additive_dp,
+    _horizons_dp,
+    _lattice,
+    _pair_lattice,
     _sample_steps,
-    capacity_sum_event,
-    eval_maxabs_functional,
-    eval_sumsq_functional,
     sum_functional_series,
 )
 
@@ -407,11 +408,21 @@ def mz_check(
         -lower_expect(ambiguity, centered), 0.0
     )
 
+    # one sweep per side serves every horizon
+    horizons = sorted(set(n_list))
+    offsets = ambiguity.grid.array - mu
+    pairs = _pair_lattice(offsets, horizons[-1])
+    squares = _lattice(offsets**2, horizons[-1])
+    lefts = _horizons_dp(ambiguity, pairs, horizons, lambda n: pairs.states(n) ** alpha)
+    rights = _horizons_dp(
+        ambiguity, squares, horizons, lambda n: squares.states(n) ** (alpha / 2.0)
+    )
+    left_at = dict(zip(horizons, lefts.tolist()))
+    right_at = dict(zip(horizons, rights.tolist()))
     lhs, rhs, means, ratios, run = [], [], [], [], []
     best = 0.0
     for n in n_list:
-        left = eval_maxabs_functional(ambiguity, n, lambda m: m**alpha, max_horizon=max_n)
-        right = eval_sumsq_functional(ambiguity, n, lambda q: q ** (alpha / 2.0))
+        left, right = left_at[n], right_at[n]
         mean_term = (n * base) ** alpha
         ratio = left / right
         best = max(best, ratio)
@@ -523,9 +534,9 @@ def moment_dichotomy_scan(
     return out
 
 
-def _series_costs(mu: float, beta: float, horizon: int) -> list[Callable[[float], float]]:
-    """Stage costs ``|s/k - mu|^beta``, k = 1..N, of the truncated series."""
-    return [(lambda k: (lambda s: abs(s / k - mu) ** beta))(k) for k in range(1, horizon + 1)]
+def _series_costs(lattice: _Lattice, mu: float, beta: float) -> Callable[[int], np.ndarray]:
+    """Stage costs ``|s/k - mu|^beta`` of the truncated series on the states of level k."""
+    return lambda k: np.abs(lattice.states(k) / k - mu) ** beta
 
 
 def subadditive_series_check(
@@ -538,7 +549,8 @@ def subadditive_series_check(
     if horizon > max_horizon:
         raise CapacityError(f"additive DP budget is N <= {max_horizon}, got {horizon}")
     mu = ambiguity.require_mean_certain("subadditive_series_check")
-    lhs, _ = _additive_dp(ambiguity, horizon, _series_costs(mu, beta, horizon), want_policy=False)
+    lattice = _lattice(ambiguity.grid.array, horizon)
+    lhs, _ = _additive_dp(ambiguity, horizon, lattice, _series_costs(lattice, mu, beta))
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** beta, centered=True)
     n = np.arange(1, horizon + 1, dtype=float)
     rhs = float(np.sum(raw / n**beta))
@@ -559,13 +571,15 @@ def cc_series(
         raise ParameterError(f"need alpha > 0, got {alpha}")
     mu = ambiguity.require_mean_certain("cc_series")
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** alpha, centered=True)
+    lattice = _lattice(ambiguity.grid.array, horizon)
+    # the 1e-12 slack only absorbs representation noise on the threshold
+    event = lambda n: (np.abs(lattice.states(n) - n * mu) >= n * eps - 1e-12).astype(float)
+    capacities = np.clip(_horizons_dp(ambiguity, lattice, range(1, horizon + 1), event), 0.0, 1.0)
     n_values = tuple(range(1, horizon + 1))
     terms = []
     bounds = []
     for n in n_values:
-        # the 1e-12 slack only absorbs representation noise on the threshold
-        threshold = n * eps - 1e-12
-        v = capacity_sum_event(ambiguity, n, lambda s: abs(s - n * mu) >= threshold)
+        v = float(capacities[n - 1])
         markov = float(raw[n - 1]) / (float(n) ** alpha * eps**alpha)
         if v > markov + 1e-12:
             raise CheckError(f"Markov cross-bound violated at n = {n}: {v} > {markov}")
@@ -644,29 +658,31 @@ def sqs_empirical(
 
     Policy ``i`` draws all of its ``n_paths`` paths together from the i-th
     child of ``SeedSequence(seed)``, folding each step into the running
-    series, so memory is O(n_paths) whatever the horizon.
+    series, so memory is O(n_paths) whatever the horizon.  The recursion and
+    the replays share one lattice and one evaluation of the stage costs.
     """
     if beta <= 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
     if n_paths < 2:
         raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
-    costs = _series_costs(mu, beta, horizon)
-    value, argmax_policy = _additive_dp(ambiguity, horizon, costs, want_policy=True)
+    lattice = _lattice(ambiguity.grid.array, horizon)
+    cost = _series_costs(lattice, mu, beta)
+    stage = {k: cost(k) for k in range(1, horizon + 1)}.__getitem__
+    value, argmax_policy = _additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
     assert argmax_policy is not None
 
     labels = [f"measure_{i}" for i in range(len(ambiguity.measures))] + ["argmax"]
     streams = np.random.SeedSequence(seed).spawn(len(labels))
     summaries = []
     for i, (label, stream) in enumerate(zip(labels, streams)):
-        # one constant-measure policy alive at a time keeps the peak memory down
         policy = argmax_policy
         if label != "argmax":
             policy = SelectionPolicy(
                 argmax_policy.step_states,
-                tuple((i,) * len(states) for states in argmax_policy.step_states),
+                tuple(np.broadcast_to(np.intp(i), s.shape) for s in argmax_policy.step_states),
             )
-        exact, _ = _additive_dp(ambiguity, horizon, costs, want_policy=False, replay=policy)
+        exact, _ = _additive_dp(ambiguity, horizon, lattice, stage, replay=policy)
         if exact > value + 1e-12:
             raise CheckError(
                 f"policy {label} has exact value {exact}, above the upper expectation {value}"

@@ -168,6 +168,18 @@ class TestExitCodes:
         assert code == 2
         assert "n_paths" in capsys.readouterr().out
 
+    def test_float_lattice_over_budget_is_capacity_error(self, tmp_path, capsys):
+        # five incommensurable atoms, symmetric: mean-certain, float-merge lattice
+        r2, r3 = 2**0.5, 3**0.5
+        path = write_config(
+            tmp_path,
+            atoms=[-r3, -r2 / 2, 0.0, r2 / 2, r3],
+            measures=[[0.1, 0.2, 0.4, 0.2, 0.1], [0.25, 0.05, 0.4, 0.05, 0.25]],
+        )
+        code = main(["eval", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "budget" in capsys.readouterr().out
+
     def test_mean_uncertain_set_is_config_error(self, tmp_path):
         path = write_config(tmp_path, measures=[[0.25, 0.5, 0.25], [0.1, 0.2, 0.7]])
         code = main(["eval", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -1,9 +1,30 @@
+import gc
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sublex as sx
+from sublex import iid
 from sublex.core import TabulatedPayoff
-from sublex.iid import _brute_force_many, _chain_dp, _sample_steps
+from sublex.iid import (
+    _brute_force_many,
+    _build_chain,
+    _chain_dp,
+    _chain_lattice,
+    _commensurable,
+    _dense_lattice,
+    _dense_pairs,
+    _IntLattice,
+    _lattice,
+    _MergedLattice,
+    _pair_chain,
+    _PairLattice,
+    _sample_steps,
+)
 from sublex.lln import SAMPLING_Z
 
 from conftest import random_ambiguity, random_mean_zero_ambiguity
@@ -386,33 +407,48 @@ class TestSamplePath:
         # E[S_n^4] = n m4 + 3 n (n-1) var^2 for an i.i.d. sum with mean zero
         n = 50
         value, argmax = sx.eval_sum_functional(theta_star, n, lambda s: s**4)
-        replayed, _ = _chain_dp(theta_star, n, lambda s: s**4, replay=argmax)
+        lattice = _lattice(theta_star.grid.array, n)
+        quartic = lattice.states(n) ** 4
+        replayed, _ = _chain_dp(theta_star, lattice, n, quartic, replay=argmax)
         assert replayed == value
         for i, (var, m4) in enumerate([(0.5, 0.5), (1.0, 1.0)]):
             constant = sx.SelectionPolicy(
                 argmax.step_states, tuple((i,) * len(s) for s in argmax.step_states)
             )
-            exact, _ = _chain_dp(theta_star, n, lambda s: s**4, replay=constant)
+            exact, _ = _chain_dp(theta_star, lattice, n, quartic, replay=constant)
             assert exact == pytest.approx(n * m4 + 3 * n * (n - 1) * var**2, rel=1e-12)
 
     def test_replay_needs_the_policy_lattice(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 5, abs)
+        longer = _lattice(theta_star.grid.array, 6)
         with pytest.raises(sx.DomainError):
-            _chain_dp(theta_star, 6, abs, replay=policy)
+            _chain_dp(theta_star, longer, 6, np.abs(longer.states(6)), replay=policy)
+        wider = _lattice(theta_star.grid.array * 2, 5)
         with pytest.raises(sx.DomainError):
-            _chain_dp(theta_star, 5, abs, offsets=theta_star.grid.array * 2, replay=policy)
+            _chain_dp(theta_star, wider, 5, np.abs(wider.states(5)), replay=policy)
 
     def test_batch_sampling_matches_exact_policy_value(self, theta_star):
         n = 50
         for maximize in (True, False):
             value, policy = sx.eval_sum_functional(theta_star, n, lambda s: s**4, maximize)
-            exact, _ = _chain_dp(theta_star, n, lambda s: s**4, replay=policy)
+            lattice = _lattice(theta_star.grid.array, n)
+            exact, _ = _chain_dp(theta_star, lattice, n, lattice.states(n) ** 4, replay=policy)
             assert exact == value
             for _, sums in _sample_steps(theta_star, policy, n, np.random.default_rng(1000), 10_000):
                 pass
             draws = sums**4
             stderr = draws.std(ddof=1) / np.sqrt(draws.size)
             assert abs(draws.mean() - exact) <= SAMPLING_Z * stderr
+
+
+def test_oracle_frees_its_arrays_on_return(theta_star):
+    gc.collect()
+    gc.disable()
+    try:
+        sx.brute_force_oracle(theta_star, 3, lambda xs: float(np.sum(xs)) ** 2)
+        assert gc.collect() == 0  # nothing left for the cycle collector
+    finally:
+        gc.enable()
 
 
 def test_batched_oracle_matches_single(theta_star):
@@ -423,3 +459,263 @@ def test_batched_oracle_matches_single(theta_star):
     batched = _brute_force_many(theta_star, 2, payoffs)
     singles = [sx.brute_force_oracle(theta_star, 2, f) for f in payoffs]
     assert batched == pytest.approx(singles, abs=0.0)
+
+
+#: Incommensurable atoms: no unit divides their differences.
+FLOAT_ATOMS = (-1.0, -np.sqrt(0.3), 0.1 * np.pi, np.e / 2, np.sqrt(2.0))
+
+
+def two_measures(atoms):
+    """A uniform and a tilted measure on ``atoms``."""
+    tilt = np.linspace(1.0, 2.0, len(atoms))
+    uniform = np.full(len(atoms), 1 / len(atoms))
+    return sx.AmbiguitySet.from_rows(atoms, (uniform, tilt / tilt.sum()))
+
+
+def units_of(atoms):
+    return _commensurable(np.asarray(atoms, dtype=float), iid.MERGE_TOL)
+
+
+def dense(atoms, n):
+    """The dense integer lattice of a commensurable grid, whatever its size."""
+    return _dense_lattice(units_of(atoms), n)
+
+
+def sparse(atoms, n):
+    """The exactly merged integer lattice of a commensurable grid."""
+    return _chain_lattice(np.asarray(atoms, dtype=float), n, units=units_of(atoms))
+
+
+def merged(atoms, n):
+    """The float-merge lattice of the grid, whatever its atoms."""
+    return _MergedLattice(*_build_chain(np.asarray(atoms, dtype=float), n))
+
+
+def representation(atoms, n):
+    lattice = _lattice(np.asarray(atoms, dtype=float), n)
+    if isinstance(lattice, _IntLattice):
+        return "dense"
+    return "float" if units_of(atoms) is None else "sparse"
+
+
+def exact_sum(path):
+    """A path's sum over the decimals its atoms are written as."""
+    return sum(Fraction(repr(float(x))) for x in path)
+
+
+@st.composite
+def commensurable_sets(draw):
+    """Grids ``lo + shift * unit`` of decimals (gapped ones included): dyadic
+    ones, whose float sums are exact, and others, whose float sums round;
+    1-3 random measures."""
+    unit = Fraction(draw(st.sampled_from(["0.1", "0.25", "0.3", "0.5", "1", "2"])))
+    shifts = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True))
+    lo = Fraction(draw(st.integers(-15, 5)), 10)
+    atoms = sorted(float(lo + (s - min(shifts)) * unit) for s in shifts)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        sizes = {"min_size": len(atoms), "max_size": len(atoms)}
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), **sizes)))
+        rows.append(w / w.sum())
+    return sx.AmbiguitySet.from_rows(atoms, rows)
+
+
+class TestIndexLattice:
+    @pytest.mark.parametrize(
+        "atoms, n, kind",
+        [
+            ((-1.0, 0.0, 1.0), 4, "dense"),
+            ((-0.5, 0.0, 1.0), 4, "dense"),
+            ((-0.5, 0.0, 1.0), 3, "sparse"),  # dense levels 3k+1 outnumber the multisets
+            ((0.0, 0.5, 1.5), 2, "sparse"),
+            ((0.4, 0.6, 1.0), 4, "dense"),
+            ((-0.3, 0.1, 0.2), 10, "dense"),  # the unit 1/10 is not dyadic
+            ((-0.3, 0.1, 0.2), 4, "sparse"),
+            ((-0.7, 0.1 * np.pi), 4, "dense"),  # any two atoms are commensurable
+            ((-1.0, -0.9995, 0.0, 0.9995, 1.0), 70, "dense"),  # 4000 units wide
+            ((0.0, 1.0, 2000.0), 4, "sparse"),
+            ((-0.7, 0.1, 1.3 * np.sqrt(2.0)), 4, "float"),
+            (FLOAT_ATOMS, 4, "float"),
+            ((0.0, 1e-10), 4, "float"),  # a unit the float merge would blur
+        ],
+    )
+    def test_representation_follows_the_node_counts(self, atoms, n, kind):
+        assert representation(atoms, n) == kind
+
+    def test_gapped_grid_exposes_reachable_states_only(self):
+        gapped = dense([0.0, 0.5, 1.5], 3)
+        assert gapped.units.unit_num / gapped.units.den == 0.5
+        assert gapped.states(2).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+        for k in range(4):
+            assert np.array_equal(gapped.states(k), merged([0.0, 0.5, 1.5], 3).states(k))
+            assert np.array_equal(gapped.states(k), sparse([0.0, 0.5, 1.5], 3).states(k))
+
+    def test_lattice_values_are_the_written_decimals(self):
+        # 4*(-0.3) + 19*0.1 rounds to 0.7000000000000002; the node is 0.7
+        reached = (0, 4, 5, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20)
+        written = [float(Fraction(i - 12, 10)) for i in reached]
+        for lattice in (dense((-0.3, 0.1, 0.2), 4), sparse((-0.3, 0.1, 0.2), 4)):
+            assert lattice.states(4).tolist() == written
+
+    @pytest.mark.parametrize("build", [dense, sparse])
+    def test_threshold_at_a_lattice_value_matches_oracle(self, build):
+        ambiguity = two_measures((-0.3, 0.1, 0.2))
+        n = 3
+        lattice = build(ambiguity.grid.array, n)
+        for c in lattice.states(n):
+            bound = Fraction(repr(float(c)))
+            for event, exact in (
+                (lambda s: s >= c, lambda xs: exact_sum(xs) >= bound),
+                (lambda s: s <= c, lambda xs: exact_sum(xs) <= bound),
+            ):
+                terminal = np.array([float(event(s)) for s in lattice.states(n)])
+                value, _ = _chain_dp(ambiguity, lattice, n, terminal)
+                oracle = sx.brute_force_oracle(ambiguity, n, lambda xs: float(exact(xs)))
+                assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+                public = sx.capacity_sum_event(ambiguity, n, event)
+                assert public == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=80, deadline=None)
+    @given(commensurable_sets(), st.integers(1, 6), st.booleans(), st.floats(-1.0, 1.0))
+    @example(two_measures((-0.5, 0.0, 1.0)), 5, True, 0.3)
+    @example(two_measures((0.0, 0.5, 1.5)), 5, False, 0.1)
+    @example(two_measures((-0.3, 0.1, 0.2)), 5, True, 0.2)
+    def test_integer_kernels_match_float_merge(self, ambiguity, n, maximize, center):
+        atoms = ambiguity.grid.array
+        lattices = dense(atoms, n), sparse(atoms, n), merged(atoms, n)
+        assert isinstance(lattices[0], _IntLattice)
+        dyadic = (units_of(atoms).den & (units_of(atoms).den - 1)) == 0
+        for k in range(n + 1):
+            states = [lattice.states(k) for lattice in lattices]
+            assert np.array_equal(states[0], states[1])
+            assert np.allclose(states[0], states[2], rtol=0.0, atol=1e-12)
+            assert np.array_equal(states[0], states[2]) or not dyadic
+        # a terminal tabulated on the reachable states only
+        table = TabulatedPayoff.from_callable(lattices[2].states(n), lambda s: abs(s - center) ** 3)
+        stages = [lambda k, lat=lat: np.cos(lat.states(k) + k) for lat in lattices]
+        results = []
+        for lattice, stage in zip(lattices, stages):
+            terminal = iid._terminal_values(lattice.states(n), table)
+            results.append(
+                _chain_dp(ambiguity, lattice, n, terminal, maximize, stage, want_policy=True)
+            )
+        (v_dense, p_dense), (v_sparse, p_sparse), (v_float, p_float) = results
+        assert v_dense == v_sparse
+        assert v_dense == pytest.approx(v_float, rel=1e-12, abs=1e-300)
+        for k in range(n):
+            assert np.array_equal(p_dense.choices[k], p_sparse.choices[k])
+            assert np.array_equal(p_dense.choices[k], p_float.choices[k]) or not dyadic
+        # the dense policy replays to its value on the merged lattices
+        for lattice, stage in zip(lattices[1:] if dyadic else lattices[1:2], stages[1:]):
+            terminal = iid._terminal_values(lattice.states(n), table)
+            replayed, _ = _chain_dp(ambiguity, lattice, n, terminal, stage=stage, replay=p_dense)
+            assert replayed == pytest.approx(v_dense, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "atoms", [(-0.5, 0.0, 1.0), (0.0, 0.5, 1.5), (-1.0, 1.0), (-0.3, 0.1, 0.2)]
+    )
+    def test_series_matches_float_merge_per_horizon(self, atoms):
+        ambiguity = two_measures(atoms)
+        series = sx.sum_functional_series(ambiguity, 8, lambda s: np.abs(s - 0.25) ** 3)
+        slow = merged(atoms, 8)
+        for n in range(1, 9):
+            terminal = np.abs(slow.states(n) - 0.25) ** 3
+            value, _ = _chain_dp(ambiguity, slow, n, terminal)
+            assert series[n - 1] == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "offsets", [(-1.0, 0.0, 1.0), (-1.0, 0.5), (-0.3, 0.1, 0.2), (-0.5, 0.0, 1.0)]
+    )
+    def test_dense_and_merged_pairs_agree(self, offsets):
+        offsets = np.asarray(offsets)
+        n = 5
+        units = units_of(np.concatenate([np.zeros(1), offsets]))
+        shifts = np.array(units.shifts)
+        full = _dense_pairs(_PairLattice(units, units.span, int(shifts[0]), shifts[1:]), n)
+        exact = _MergedLattice(*_pair_chain(shifts[1:] - shifts[0], n, 1))
+        floats = _MergedLattice(*_pair_chain(offsets, n, iid.MERGE_TOL))
+        weights = np.linspace(1.0, 2.0, offsets.size)
+        ambiguity = sx.AmbiguitySet.from_rows(offsets, (weights / weights.sum(),))
+        values = []
+        for lattice in (full, exact, floats):
+            values.append(_chain_dp(ambiguity, lattice, n, lattice.states(n) ** 3)[0])
+        scale = units.unit_num / units.den
+        nearest = [float(Fraction(int(m) * units.unit_num, units.den)) for m in exact.states(n)]
+        assert full.states(n).tolist() == nearest
+        assert np.allclose(full.states(n), floats.states(n), rtol=0.0, atol=1e-12)
+        assert values[0] == pytest.approx(values[2], rel=1e-12)
+        assert values[1] * scale**3 == pytest.approx(values[0], rel=1e-12)
+
+    def test_mean_certain_gapped_running_max(self):
+        # offsets {-1, 0.5} and 0 share the unit 0.5: a step moves the sum by 0 or
+        # 3 nodes, so the pair lattice is gapped
+        lopsided = sx.AmbiguitySet.from_rows((-1.0, 0.5), ((1 / 3, 2 / 3),))
+        for n in (1, 2, 4):
+            value = sx.eval_maxabs_functional(lopsided, n, lambda m: m**2)
+            oracle = sx.brute_force_oracle(
+                lopsided, n, lambda xs: float(np.max(np.abs(np.cumsum(xs)))) ** 2
+            )
+            assert value == pytest.approx(oracle, rel=1e-12)
+
+    def test_wide_pair_grid_is_merged_within_bounded_memory(self):
+        # 1024 units between the extreme atoms: the dense (sum, max) grid would
+        # hold about 3e8 nodes by n = 12; the merge holds the reached pairs
+        atoms = (-0.5, -0.5 + 2**-10, 0.0, 0.5 - 2**-10, 0.5)
+        wide = sx.AmbiguitySet.from_rows(atoms, ((0.2, 0.2, 0.2, 0.2, 0.2), (0.1, 0.3, 0.2, 0.3, 0.1)))
+        tracemalloc.start()
+        try:
+            value = sx.eval_maxabs_functional(wide, 12, lambda m: m**2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value <= 36.0
+        assert peak < 32 * 2**20
+
+    def test_series_memory_is_linear(self, theta_star):
+        tracemalloc.start()
+        try:
+            series = sx.sum_functional_series(theta_star, 4000, lambda s: np.abs(s) ** 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.shape == (4000,)
+        assert peak < 16 * 2**20
+
+
+class TestFloatBudget:
+    def test_float_chain_over_budget_raises_before_allocating(self):
+        family = sx.AmbiguitySet.from_rows(FLOAT_ATOMS, (np.full(5, 0.2),))
+        assert isinstance(_lattice(family.grid.array, 3), _MergedLattice)
+        tracemalloc.start()
+        try:
+            with pytest.raises(sx.CapacityError, match="budget"):
+                sx.eval_sum_functional(family, 100, abs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_budget_leaves_the_gated_sizes_alone(self):
+        # the widest float chain of the test suite and of the benchmark is far below it
+        family = sx.AmbiguitySet.from_rows(FLOAT_ATOMS[:4], (np.full(4, 0.25),))
+        sx.sum_functional_series(family, 40, lambda s: np.abs(s) ** 3)
+
+    def test_pair_chain_and_masks_keep_a_running_total(self, monkeypatch):
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**16)
+        a, b = np.sqrt(0.5), np.sqrt(0.3)
+        weights = (0.25 * b / (a + b), 0.75, 0.25 * a / (a + b))
+        irrational = sx.AmbiguitySet.from_rows((-a, 0.0, b), (weights,))
+        assert sx.eval_maxabs_functional(irrational, 3, lambda m: m) > 0.0
+        with pytest.raises(sx.CapacityError, match="pair lattice"):
+            sx.eval_maxabs_functional(irrational, 12, lambda m: m)
+        gapped = sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), (np.full(3, 1 / 3),))
+        with pytest.raises(sx.CapacityError, match="reachability"):
+            sx.sum_lattice(gapped, 400)
+
+
+def test_policy_sampled_on_another_grid_is_located_by_value(theta_star):
+    _, policy = sx.eval_sum_functional(theta_star, 4, abs)
+    wider = sx.AmbiguitySet.from_rows((-2.0, 0.0, 2.0), theta_star.weight_matrix)
+    with pytest.raises(sx.DomainError, match="lattice"):
+        for _ in _sample_steps(wider, policy, 4, np.random.default_rng(0), 50):
+            pass
