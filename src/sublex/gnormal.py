@@ -133,7 +133,23 @@ def _check_stability(grid: HeatGrid, params: GNormalParams) -> None:
 
 
 def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) -> np.ndarray:
-    """March ``du/dt = G(u_xx)`` from ``values`` for time ``t`` on the grid."""
+    """March ``du/dt = G(u_xx)`` from ``values`` for time ``t`` on the grid.
+
+    Each of the ``ceil(t / grid.dt)`` equal steps updates the interior nodes
+    by ``dt * G(d2) = (dt/2) * (su*max(d2, 0) - sl*max(-d2, 0))``, where
+    ``d2 = ((u[i+1] - 2*u[i]) + u[i-1]) / dx^2`` and su, sl are the variance
+    bounds; the boundary nodes, whose second difference is clamped to 0,
+    gain ``+0.0``.  The step is fused: ten ufunc calls in place on buffers
+    allocated once, one of which holds ``d2`` and ``-d2`` side by side, so
+    that one call takes both positive parts and one call scales them by
+    ``[su, sl]``; no call allocates.  These are the IEEE operations of the
+    formula in its order, so the step gives its bits, signed zeros and
+    infinities included: ``a - b`` is ``a + (-b)``, ``-(2*u)`` is ``u * -2``,
+    and ``diff * (-1/dx^2)`` is the exact negation of ``diff * (1/dx^2)``
+    because rounding is symmetric.  The shorter ``max(su*d2, sl*d2)`` has
+    the formula's value but can give -0.0 where it gives +0.0 (``-|x|`` at
+    the origin when sl = 0), which would change printed results.
+    """
     if t < 0.0:
         raise ParameterError(f"evolution time must be >= 0, got {t}")
     _check_stability(grid, params)
@@ -143,13 +159,30 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
     if t == 0.0:
         return u
     n_steps = max(1, math.ceil(t / grid.dt))
-    dt = t / n_steps
     inv_dx2 = 1.0 / (grid.dx * grid.dx)
-    su, sl = params.sigma_upper_sq, params.sigma_lower_sq
-    d2 = np.zeros_like(u)
+    # scalars as 0-d arrays: a Python float operand is converted on every call
+    half_dt, inv_dx2, neg_inv_dx2, neg_two, zero = map(
+        np.array, (t / n_steps * 0.5, inv_dx2, -inv_dx2, -2.0, 0.0)
+    )
+    up, mid, down = u[2:], u[1:-1], u[:-2]
+    width = mid.size
+    parts = np.empty(2 * width)  # d2 and -d2, then su*d2^+ and sl*d2^-
+    d2, neg = parts[:width], parts[width:]
+    variances = np.repeat([params.sigma_upper_sq, params.sigma_lower_sq], width)
+    multiply, maximum = np.multiply, np.maximum
+    # in-place operators where they fit: a call with out= costs more
     for _ in range(n_steps):
-        d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-        u += dt * 0.5 * (su * np.maximum(d2, 0.0) - sl * np.maximum(-d2, 0.0))
+        multiply(mid, neg_two, out=d2)  # -(2*u[i]), so that += gives u[i+1] - 2*u[i]
+        d2 += up
+        d2 += down
+        multiply(d2, neg_inv_dx2, out=neg)
+        d2 *= inv_dx2
+        maximum(parts, zero, out=parts)
+        parts *= variances
+        d2 -= neg
+        d2 *= half_dt
+        mid += d2
+    u[[0, -1]] += 0.0  # what every step adds at the boundary
     return u
 
 

@@ -39,9 +39,20 @@ MERGE_TOL = 1e-9
 LOOKUP_TOL = 1e-6
 
 #: Bytes one lattice may hold: the nodes and transition maps of a merged
-#: chain, the reachability masks of a gapped integer lattice, or the widest
-#: level of a dense one with its successors.
+#: chain with the temporaries of its widest merge, the reachability masks of
+#: a gapped integer lattice, or the widest level of a dense one with its
+#: successors; also the bytes of one selection policy.
 CHAIN_BUDGET_BYTES = 512 * 2**20
+
+#: Peak bytes per candidate of one merge step, its outputs included.  A
+#: ``_build_chain`` step holds the candidate sums, their sort order, the
+#: sorted copy, the group ids with their running count before and after the
+#: shift to 0-based (six 8-byte words) and a run flag; the new level and map
+#: are among them.  A ``_pair_chain`` step holds ten words and a flag: sums,
+#: maxima, their integer keys, their sorted copies, the sort order, the group
+#: ids and their running counts, or, at its end, the kept sums and maxima.
+_MERGE_BYTES = 6 * 8 + 1
+_PAIR_MERGE_BYTES = 10 * 8 + 1
 
 #: Integers below this are exact in float64.
 _EXACT_INT = 2**53
@@ -81,6 +92,11 @@ class _Lattice:
     def states(self, k: int) -> np.ndarray:
         """The reachable states of level k, increasing."""
         return self.restrict(k, self.nodes(k))
+
+    def count(self, k: int) -> int:
+        """The number of reachable states of level k."""
+        mask = self.reach(k)
+        return self.nodes(k).size if mask is None else int(np.count_nonzero(mask))
 
     def spread(self, k: int, values: np.ndarray) -> np.ndarray:
         """Values given on the reachable states of level k, put on its nodes (0 elsewhere)."""
@@ -151,6 +167,10 @@ class _IntLattice(_Lattice):
 
     def reach(self, k: int) -> np.ndarray | None:
         return self.masks[k] if k < len(self.masks) else None
+
+    def count(self, k: int) -> int:
+        mask = self.reach(k)
+        return self.size(k) if mask is None else int(np.count_nonzero(mask))
 
     def nodes(self, k: int) -> np.ndarray:
         return self.units.values(k, np.arange(self.size(k), dtype=float))
@@ -308,19 +328,26 @@ def _build_chain(
     exactly.  Before anything is built, the bytes of all n steps are
     projected from the count of k-draw multisets of the distinct offsets
     (exact when no two sums merge), capped at the ``k*span + 1`` nodes an
-    integer level can hold, and a chain past ``CHAIN_BUDGET_BYTES`` raises
+    integer level can hold.  Each step's projection adds the temporaries of
+    its merge (``_MERGE_BYTES`` per candidate sum) to what the earlier
+    steps store, and a chain past ``CHAIN_BUDGET_BYTES`` raises
     CapacityError.  Float offsets with an unknown unit whose sums coincide
     often are overestimated.
     """
     distinct = np.unique(offsets).size
     held = 0
+    width = 1
     for k in range(1, n + 1):
         size = math.comb(k + distinct - 1, distinct - 1)
         if span is not None:
             size = min(size, k * span + 1)
+        merging = held + width * offsets.size * _MERGE_BYTES
         held += size * 8 * (1 + offsets.size)
-        if held > CHAIN_BUDGET_BYTES:
-            raise _over_budget(f"the merged lattice of {n} steps over {distinct} offsets", held, k)
+        projected = max(merging, held)
+        if projected > CHAIN_BUDGET_BYTES:
+            what = f"the merged lattice of {n} steps over {distinct} offsets"
+            raise _over_budget(what, projected, k)
+        width = size
     lattices = [np.zeros(1, dtype=offsets.dtype)]
     trans: list[np.ndarray] = []
     for _ in range(n):
@@ -527,10 +554,17 @@ def _chain_dp(
     of level k, is added at every level k = 1..n.
 
     With a ``replay`` policy built on the same states, returns that policy's
-    exact expected value (policy evaluation) instead of the optimum.
+    exact expected value (policy evaluation) instead of the optimum.  A
+    policy keeps a state and a choice (16 bytes) per reachable state of
+    levels 0..n-1; past ``CHAIN_BUDGET_BYTES`` it raises CapacityError
+    before the sweep.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
+    if want_policy:
+        held = 16 * sum(lattice.count(k) for k in range(n))
+        if held > CHAIN_BUDGET_BYTES:
+            raise _over_budget(f"the selection policy of {n} steps", held, n - 1)
     fixed = None
     if replay is not None:
         if replay.horizon != n or not all(
@@ -679,13 +713,14 @@ def _pair_chain(
     offsets: np.ndarray, n: int, tol: float
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Running maxima per level and per-step maps of the merged (sum, running
-    max) pairs, keeping a running byte total of what is stored: a step that
-    would pass ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built."""
+    max) pairs, keeping a running byte total of what is stored: a step whose
+    merge (``_PAIR_MERGE_BYTES`` per candidate pair) would take that total
+    past ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built."""
     s_cur, m_cur = np.zeros(1, dtype=offsets.dtype), np.zeros(1, dtype=offsets.dtype)
     levels, maps = [m_cur], []
     held = 0
     for k in range(1, n + 1):
-        projected = held + s_cur.size * offsets.size * 24
+        projected = held + s_cur.size * offsets.size * _PAIR_MERGE_BYTES
         if projected > CHAIN_BUDGET_BYTES:
             raise _over_budget(f"the merged pair lattice of {n} steps", projected, k)
         s_next = (s_cur[:, None] + offsets[None, :]).ravel()

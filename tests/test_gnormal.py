@@ -1,11 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sublex as sx
+from sublex import gnormal
 from sublex.core import TabulatedPayoff
-from sublex.gnormal import default_grid, evolve
+from sublex.gnormal import _check_stability, default_grid, evolve
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +224,150 @@ def test_evolve_zero_time_is_identity(params):
     out = evolve(values, 0.0, params, grid)
     assert np.array_equal(out, values)
     assert out is not values
+
+
+def reference_evolve(values, t, params, grid):
+    """The stepper before the fused update: G applied through its positive
+    and negative parts, with fresh temporaries at every step."""
+    if t < 0.0:
+        raise sx.ParameterError(f"evolution time must be >= 0, got {t}")
+    _check_stability(grid, params)
+    u = np.asarray(values, dtype=float).copy()
+    if u.shape != (grid.nx,):
+        raise sx.DimensionError(f"expected {grid.nx} payoff values, got shape {u.shape}")
+    if t == 0.0:
+        return u
+    n_steps = max(1, math.ceil(t / grid.dt))
+    dt = t / n_steps
+    inv_dx2 = 1.0 / (grid.dx * grid.dx)
+    su, sl = params.sigma_upper_sq, params.sigma_lower_sq
+    d2 = np.zeros_like(u)
+    for _ in range(n_steps):
+        d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
+        u += dt * 0.5 * (su * np.maximum(d2, 0.0) - sl * np.maximum(-d2, 0.0))
+    return u
+
+
+PAYOFFS = (
+    np.abs,
+    lambda x: -np.abs(x),
+    lambda x: np.abs(x) ** 3,
+    lambda x: x**2,
+    np.cos,
+    lambda x: np.maximum(x - 0.3, 0.0),
+    lambda x: (x > 0.5).astype(float),
+)
+
+
+@st.composite
+def heat_problems(draw, min_nx=3):
+    """A variance interval (ratios 0 and 1 included), a grid of odd or even
+    size, a time up to 1 and one of the payoffs scaled."""
+    upper = draw(st.floats(0.05, 4.0))
+    ratio = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    params = sx.GNormalParams(ratio * upper, upper)
+    nx = draw(st.integers(min_nx, 260))
+    grid = default_grid(params, nx=nx, dt_safety=draw(st.floats(0.3, 1.0)))
+    t = draw(st.one_of(st.just(1.0), st.floats(0.001, 1.0)))
+    scale = draw(st.floats(-1e3, 1e3))
+    payoff = PAYOFFS[draw(st.integers(0, len(PAYOFFS) - 1))]
+    return params, grid, t, lambda x: scale * payoff(x)
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf)
+
+
+def assert_same_bits(out, want):
+    """Equal floats with equal signs of zero; NaN matches NaN whatever its payload."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestFusedStepper:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        heat_problems(), st.sampled_from(["payoff", "noisy", "special"]), st.integers(0, 2**32 - 1)
+    )
+    @example(
+        (sx.GNormalParams(0.0, 1.0), default_grid(sx.GNormalParams(0.0, 1.0), 5), 1.0,
+         lambda x: -np.abs(x)),
+        "payoff",
+        0,
+    )  # -|x| stays -0.0 at the origin under max(su*d2, sl*d2); the formula gives +0.0
+    @example(
+        (sx.GNormalParams(0.5, 1.0), default_grid(sx.GNormalParams(0.5, 1.0), 200), 0.4, np.cos),
+        "noisy",
+        0,
+    )
+    def test_evolve_matches_reference_stepper(self, problem, kind, seed):
+        params, grid, t, payoff = problem
+        values = payoff(grid.x)
+        rng = np.random.default_rng(seed)
+        if kind == "noisy":  # every node its own second difference
+            values = values + rng.normal(size=grid.nx)
+        elif kind == "special":  # signed zeros, subnormals, overflow, infinities
+            values = rng.choice(SPECIAL_VALUES, size=grid.nx)
+        with np.errstate(all="ignore"):
+            out = evolve(values, t, params, grid)
+            want = reference_evolve(values, t, params, grid)
+        assert np.array_equal(out, want, equal_nan=True)
+        assert_same_bits(out, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(heat_problems(min_nx=5), st.booleans())  # the coarse rerun needs 3 nodes
+    def test_g_expectation_matches_reference_stepper(self, problem, tabulated):
+        params, grid, _, payoff = problem
+        if tabulated:
+            payoff = TabulatedPayoff(tuple(grid.x), tuple(payoff(grid.x)))
+        fused = sx.g_expectation(payoff, params, grid)
+        with mock.patch.object(gnormal, "evolve", reference_evolve):
+            reference = sx.g_expectation(payoff, params, grid)
+        assert f"{fused.value:.17g}" == f"{reference.value:.17g}"
+        assert f"{fused.residual_estimate:.17g}" == f"{reference.residual_estimate:.17g}"
+
+    def test_input_checks_are_kept(self, params):
+        grid = default_grid(params, nx=11)
+        with pytest.raises(sx.ParameterError):
+            evolve(np.zeros(11), -0.1, params, grid)
+        with pytest.raises(sx.DimensionError):
+            evolve(np.zeros(12), 1.0, params, grid)
+        with pytest.raises(sx.ConfigurationError):
+            evolve(np.zeros(11), 1.0, params, sx.HeatGrid(grid.half_width, 11, 2.0 * grid.dt))
+
+
+class TestNonlinearSolver:
+    """The canonical interval (0.5, 1), where sigma_lo < sigma_hi: a convex
+    payoff takes its classical expectation at sigma_hi^2, a concave one at
+    sigma_lo^2, each within the solver's own residual estimate."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_convex_abs_moments_take_the_upper_variance(self, params, p):
+        result = sx.g_expectation(lambda x: np.abs(x) ** p, params)
+        want = sx.classical_abs_moment(p, params.sigma_upper_sq)
+        assert abs(result.value - want) <= result.residual_estimate
+        assert result.residual_estimate < 1e-3
+
+    def test_concave_abs_takes_the_lower_variance(self, params):
+        result = sx.g_expectation(lambda x: -np.abs(x), params)
+        want = -sx.classical_abs_moment(1, params.sigma_lower_sq)
+        assert abs(result.value - want) <= result.residual_estimate
+        assert result.residual_estimate < 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.sampled_from([1.0, 0.5, 0.25]),
+        st.lists(st.integers(-1024, 1024), min_size=65, max_size=65),
+        st.lists(st.integers(0, 2048), min_size=65, max_size=65),
+    )
+    def test_comparison_principle(self, params, level, t, low, gap):
+        # On the grids of 2**level + 1 nodes over [-8, 8] at the stability
+        # limit, dx, dt, the variances and dyadic times are powers of two, so
+        # integer payoffs evolve without rounding and the monotone scheme
+        # keeps f <= g at every node exactly.
+        grid = default_grid(params, nx=2**level + 1, dt_safety=1.0)
+        assert grid.dt == grid.dx**2 / params.sigma_upper_sq
+        f = np.array(low[: grid.nx], dtype=float)
+        g = f + np.array(gap[: grid.nx], dtype=float)
+        assert np.all(evolve(f, t, params, grid) <= evolve(g, t, params, grid))

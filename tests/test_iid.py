@@ -712,6 +712,74 @@ class TestFloatBudget:
         with pytest.raises(sx.CapacityError, match="reachability"):
             sx.sum_lattice(gapped, 400)
 
+    def test_chain_merge_temporaries_are_budgeted(self, monkeypatch):
+        # every horizon either builds within the budget, the merge step's
+        # candidates, sort order and group ids included, or raises first
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 4 * 2**20)
+        offsets = np.asarray(FLOAT_ATOMS)
+        outcomes = []
+        for n in range(1, 40):
+            tracemalloc.start()
+            try:
+                _build_chain(offsets, n)
+                outcomes.append("built")
+            except sx.CapacityError:
+                outcomes.append("raised")
+            finally:
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+            assert peak <= iid.CHAIN_BUDGET_BYTES, (n, peak)
+            if outcomes[-1] == "raised":
+                break
+        assert outcomes[-1] == "raised" and outcomes.count("built") >= 10
+
+    def test_pair_merge_temporaries_are_budgeted(self, monkeypatch):
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 4 * 2**20)
+        atoms = (-0.5, -0.5 + 2**-10, 0.0, 0.5 - 2**-10, 0.5)
+        wide = sx.AmbiguitySet.from_rows(atoms, ((0.2,) * 5, (0.1, 0.3, 0.2, 0.3, 0.1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(sx.CapacityError, match="pair lattice"):
+                sx.eval_maxabs_functional(wide, 64, lambda m: m**2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= iid.CHAIN_BUDGET_BYTES
+
+
+class TestPolicyBudget:
+    def test_policy_past_the_budget_raises_before_the_sweep(self, theta_star):
+        # 16 bytes for each of the ~N^2 states of levels 0..N-1: about 4 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(sx.CapacityError, match="selection policy"):
+                sx.eval_sum_functional(theta_star, 16000, abs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_policies_within_the_budget_are_unaffected(self, theta_star):
+        value, policy = sx.eval_sum_functional(theta_star, 1000, lambda s: abs(s) ** 3)
+        assert policy.horizon == 1000
+        assert sum(c.nbytes + s.nbytes for c, s in zip(policy.choices, policy.step_states)) == (
+            16 * 1000**2
+        )
+        assert value > 0.0
+
+    def test_policy_budget_counts_reachable_states(self, monkeypatch):
+        # gapped grid: level k has k*3 + 1 nodes, of which fewer are reachable
+        gapped = sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), (np.full(3, 1 / 3),))
+        lattice = _lattice(gapped.grid.array, 6)
+        states = sum(lattice.states(k).size for k in range(6))
+        assert states == sum(lattice.count(k) for k in range(6))
+        assert states < sum(lattice.size(k) for k in range(6))
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states)
+        sx.eval_sum_functional(gapped, 6, abs)
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states - 1)
+        with pytest.raises(sx.CapacityError, match="selection policy"):
+            sx.eval_sum_functional(gapped, 6, abs)
+
 
 def test_policy_sampled_on_another_grid_is_located_by_value(theta_star):
     _, policy = sx.eval_sum_functional(theta_star, 4, abs)
