@@ -139,10 +139,10 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
     by ``dt * G(d2) = (dt/2) * (su*max(d2, 0) - sl*max(-d2, 0))``, where
     ``d2 = ((u[i+1] - 2*u[i]) + u[i-1]) / dx^2`` and su, sl are the variance
     bounds; the boundary nodes, whose second difference is clamped to 0,
-    gain ``+0.0``.  The step is fused: ten ufunc calls in place on buffers
-    allocated once, one of which holds ``d2`` and ``-d2`` side by side, so
-    that one call takes both positive parts and one call scales them by
-    ``[su, sl]``; no call allocates.  These are the IEEE operations of the
+    gain ``+0.0``.  The step is fused: eleven ufunc calls in place on
+    buffers allocated once, one of which holds ``d2`` and ``-d2`` side by
+    side, so that two calls take the positive parts and one call scales them
+    by ``[su, sl]``; no call allocates.  These are the IEEE operations of the
     formula in its order, so the step gives its bits, signed zeros and
     infinities included: ``a - b`` is ``a + (-b)``, ``-(2*u)`` is ``u * -2``,
     and ``diff * (-1/dx^2)`` is the exact negation of ``diff * (1/dx^2)``
@@ -177,7 +177,8 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
         d2 += down
         multiply(d2, neg_inv_dx2, out=neg)
         d2 *= inv_dx2
-        maximum(parts, zero, out=parts)
+        maximum(d2, zero, out=d2)
+        maximum(neg, zero, out=neg)
         parts *= variances
         d2 -= neg
         d2 *= half_dt
