@@ -11,9 +11,13 @@ evaluated on the lattice of reachable partial sums.  Commensurable offsets
 canonical grid) give an integer lattice: a state is a node index and its
 value the correctly rounded exact sum.  A dense integer lattice gathers
 successors by slicing and stores nothing per step; a sparse one (few
-offsets over a wide span) merges the reached indices.  Other offsets fall
-back to float lattices merged at ``MERGE_TOL``.  Merged lattices store one
-transition map per step, under a memory budget.  A brute-force enumerator
+offsets over a wide span) merges the reached indices exactly and stores
+one transition map per step.  Other offsets run on the composition
+lattice: a node is a multiset of draws, ranked in the combinatorial number
+system, with closed-form successor ranks computed once and sliced per
+level; it needs no sort, no tolerance and no per-step maps.  Every
+lattice, with the arrays its sweep holds, stays under a memory budget.
+A brute-force enumerator
 over *all* history-dependent measure assignments provides an independent
 oracle for this recursion at small sizes, and an argmax policy extracted
 from the recursion drives adversarial path sampling.
@@ -32,7 +36,9 @@ import numpy as np
 from .core import AmbiguitySet, TabulatedPayoff
 from .errors import CapacityError, DomainError, ParameterError
 
-#: Partial-sum states closer than this are merged into one lattice node.
+#: Offsets whose common unit is at most this are not commensurable, float
+#: (sum, running max) pairs are merged at this resolution, and
+#: ``sum_lattice`` reports states closer than this as one.
 MERGE_TOL = 1e-9
 
 #: Tolerance when locating a state on an already-built lattice.
@@ -40,9 +46,18 @@ LOOKUP_TOL = 1e-6
 
 #: Bytes one lattice may hold: the nodes and transition maps of a merged
 #: chain with the temporaries of its widest merge, the reachability masks of
-#: a gapped integer lattice, or the widest level of a dense one with its
-#: successors; also the bytes of one selection policy.
+#: a gapped integer lattice, the widest level of a dense one with its
+#: successors, or the ranks, values and successor ranks of a composition
+#: lattice with the temporaries that build them; each with the arrays a sweep
+#: of it holds (``_sweep_bytes``).  Also the bytes of one selection policy.
 CHAIN_BUDGET_BYTES = 512 * 2**20
+
+#: Working arrays of a sweep step, in words per node of the widest level,
+#: beside its candidates and gathered successors: the level above, the
+#: running best and its predecessor, a weighted successor, the picks with
+#: their tie mask, and a stage's or terminal's states, value order, values
+#: and the spread sum.
+_SWEEP_WORDS = 10
 
 #: Peak bytes per candidate of one merge step, its outputs included.  A
 #: ``_build_chain`` step holds the candidate sums, their sort order, the
@@ -203,6 +218,62 @@ class _MergedLattice(_Lattice):
 
 
 @dataclass(frozen=True, eq=False)
+class _CompositionLattice(_Lattice):
+    """Sums of k draws from distinct offsets a_0..a_e, one node per multiset.
+
+    A node of level k is the tail t = (c_1..c_e) of a count vector, |t| <= k,
+    the free count c_0 being k - |t|; its value is
+    ``(k - |t|)*a_0 + sum_i t_i a_i``, the sum precomputed in index order.
+    Ranks are graded colex (by |t|, then recursively by the rank of
+    (t_2..t_e)), the combinatorial number system, so they do not depend on
+    k: level k is the first C(k+e, e) ranks of level k+1.  Adding offset j
+    takes rank r to ``succ[j-1][r]``; adding the free offset keeps the rank.
+    Nodes are in rank order; the states of a level follow from one argsort
+    of its node values, kept for the last level a caller asked about.  An
+    at-most lattice has the zero offset as a_0, so its origin is rank 0.
+    """
+
+    free: float  # a_0
+    moves: tuple[int, ...]  # the offset index of each move, 0 the free one
+    grade: np.ndarray  # |t| by rank, levels 0..n
+    base: np.ndarray  # sum_i t_i a_i by rank, levels 0..n
+    succ: tuple[np.ndarray, ...]  # ranks of t + e_j by rank, levels 0..n-1
+    orders: dict[int, np.ndarray] = field(default_factory=dict)  # by level, one at a time
+
+    def count(self, k: int) -> int:
+        return math.comb(k + len(self.succ), len(self.succ))
+
+    def nodes(self, k: int) -> np.ndarray:
+        width = self.count(k)
+        out = (k - self.grade[:width]) * self.free
+        out += self.base[:width]
+        return out
+
+    def order(self, k: int) -> np.ndarray:
+        """The ranks of level k by increasing value."""
+        if k not in self.orders:
+            self.orders.clear()
+            self.orders[k] = np.argsort(self.nodes(k), kind="stable")
+        return self.orders[k]
+
+    def restrict(self, k: int, node_values: np.ndarray) -> np.ndarray:
+        return node_values[self.order(k)]
+
+    def spread(self, k: int, values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(values)
+        out[self.order(k)] = values
+        return out
+
+    def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
+        width = self.count(k)
+        moved = [values[:width]] + [values[ranks[:width]] for ranks in self.succ]
+        return [moved[j] for j in self.moves]
+
+    def origin(self, k: int) -> int:
+        return 0
+
+
+@dataclass(frozen=True, eq=False)
 class _PairLattice(_Lattice):
     """Dense (sum, running max of |sum|) pairs of commensurable offsets.
 
@@ -318,51 +389,56 @@ def _over_budget(what: str, held: int, step: int) -> CapacityError:
     )
 
 
-def _build_chain(
-    offsets: np.ndarray, n: int, tol: float = MERGE_TOL, span: int | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Lattices of k-step sums of ``offsets`` plus per-step transition maps.
+def _sweep_bytes(width: int, measures: int, gathered: int) -> int:
+    """Bytes a sweep of a lattice holds beside it, from the ``width`` of its
+    widest level: a candidate array per measure, ``gathered`` successor or
+    index arrays and ``_SWEEP_WORDS`` working arrays; 0 when ``measures`` is
+    0, for a lattice that is not swept."""
+    return 8 * width * (measures + gathered + _SWEEP_WORDS) if measures else 0
 
-    ``trans[k][i, a]`` is the index in lattice ``k+1`` of state
-    ``lattices[k][i] + offsets[a]``.  Integer offsets (with ``tol`` 0) merge
-    exactly.  Before anything is built, the bytes of all n steps are
-    projected from the count of k-draw multisets of the distinct offsets
-    (exact when no two sums merge), capped at the ``k*span + 1`` nodes an
-    integer level can hold.  Each step's projection adds the temporaries of
-    its merge (``_MERGE_BYTES`` per candidate sum) to what the earlier
-    steps store, and a chain past ``CHAIN_BUDGET_BYTES`` raises
-    CapacityError.  Float offsets with an unknown unit whose sums coincide
-    often are overestimated.
+
+def _build_chain(
+    shifts: np.ndarray, n: int, span: int, measures: int = 0
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Levels of k-step sums of the integer ``shifts`` plus per-step maps.
+
+    ``trans[k][i, a]`` is the index in level ``k+1`` of node
+    ``levels[k][i] + shifts[a]``; equal sums merge exactly.  Before anything
+    is built, the bytes of all n steps are projected from the count of
+    k-draw multisets of the distinct shifts, capped at the ``k*span + 1``
+    nodes a level can hold.  Each step's projection adds the temporaries of
+    its merge (``_MERGE_BYTES`` per candidate sum) to what the earlier steps
+    store, the last one the arrays a sweep over ``measures`` holds, and a
+    chain past ``CHAIN_BUDGET_BYTES`` raises CapacityError.
     """
-    distinct = np.unique(offsets).size
+    distinct = np.unique(shifts).size
     held = 0
     width = 1
     for k in range(1, n + 1):
-        size = math.comb(k + distinct - 1, distinct - 1)
-        if span is not None:
-            size = min(size, k * span + 1)
-        merging = held + width * offsets.size * _MERGE_BYTES
-        held += size * 8 * (1 + offsets.size)
+        size = min(math.comb(k + distinct - 1, distinct - 1), k * span + 1)
+        merging = held + width * shifts.size * _MERGE_BYTES
+        held += size * 8 * (1 + shifts.size)
         projected = max(merging, held)
+        if k == n:
+            projected = max(projected, held + _sweep_bytes(size, measures, shifts.size))
         if projected > CHAIN_BUDGET_BYTES:
             what = f"the merged lattice of {n} steps over {distinct} offsets"
             raise _over_budget(what, projected, k)
         width = size
-    lattices = [np.zeros(1, dtype=offsets.dtype)]
+    levels = [np.zeros(1, dtype=shifts.dtype)]
     trans: list[np.ndarray] = []
     for _ in range(n):
-        cur = lattices[-1]
-        cand = (cur[:, None] + offsets[None, :]).ravel()
-        reps, gids = _merge(cand, tol)
-        lattices.append(reps)
-        trans.append(gids.reshape(cur.size, offsets.size))
-    return lattices, trans
+        cur = levels[-1]
+        keys, gids = _merge((cur[:, None] + shifts[None, :]).ravel(), 0)
+        levels.append(keys)
+        trans.append(gids.reshape(cur.size, shifts.size))
+    return levels, trans
 
 
 def _commensurable(offsets: np.ndarray, tol: float) -> _Units | None:
     """The exact integer form of ``offsets``, or None when their unit is at
-    most ``tol``, so that the float merge would fuse distinct nodes.  Generic
-    floats land here: their 17-digit decimals share a unit near 1e-17."""
+    most ``tol``, too fine to tell nodes apart.  Generic floats land here:
+    their 17-digit decimals share a unit near 1e-17."""
     exact = [Fraction(repr(float(x))) for x in offsets]
     den = math.lcm(*(f.denominator for f in exact))
     nums = [f.numerator * (den // f.denominator) for f in exact]
@@ -398,12 +474,16 @@ def _reach_masks(shifts: np.ndarray, span: int, n: int) -> tuple[np.ndarray | No
     return tuple(masks)
 
 
-def _dense_lattice(units: _Units, n: int, at_most: bool = False) -> _IntLattice:
-    """The dense integer lattice of ``units`` over levels 0..n; with
-    ``at_most``, shift 0 is the zero offset that keeps shorter sums."""
+def _dense_lattice(
+    units: _Units, n: int, at_most: bool = False, measures: int = 0
+) -> _IntLattice:
+    """The dense integer lattice of ``units`` over levels 0..n, budgeted with
+    a sweep over ``measures``; with ``at_most``, shift 0 is the zero offset
+    that keeps shorter sums."""
     span = units.span
     shifts = np.array(units.shifts, dtype=np.intp)
-    held = (n * span + 1) * 8 * (1 + shifts.size)
+    width = n * span + 1
+    held = width * 8 * (1 + shifts.size) + _sweep_bytes(width, measures, 0)
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the widest level of a dense {n}-step lattice", held, n)
     masks = _reach_masks(shifts, span, n)
@@ -413,21 +493,14 @@ def _dense_lattice(units: _Units, n: int, at_most: bool = False) -> _IntLattice:
 
 
 def _chain_lattice(
-    offsets: np.ndarray,
-    n: int,
-    at_most: bool = False,
-    units: _Units | None = None,
-    tol: float = MERGE_TOL,
+    units: _Units, n: int, at_most: bool = False, measures: int = 0
 ) -> _MergedLattice:
-    """Levels 0..n by sort-and-merge: of the integer shifts of ``units`` when
-    given (merged exactly, each node valued by ``units``), of the float
-    ``offsets`` at ``tol`` otherwise.  With ``at_most``, offset 0 is the zero
-    offset that keeps shorter sums."""
-    if units is None:
-        levels, maps = _build_chain(offsets, n, tol)
-    else:
-        keys, maps = _build_chain(np.array(units.shifts, dtype=np.int64), n, 0, units.span)
-        levels = [units.values(k, key) for k, key in enumerate(keys)]
+    """Levels 0..n of the integer shifts of ``units`` merged exactly, each
+    node valued by ``units``, budgeted with a sweep over ``measures``.  With
+    ``at_most``, offset 0 is the zero offset that keeps shorter sums."""
+    shifts = np.array(units.shifts, dtype=np.int64)
+    keys, maps = _build_chain(shifts, n, units.span, measures)
+    levels = [units.values(k, key) for k, key in enumerate(keys)]
     if not at_most:
         return _MergedLattice(levels, maps)
     # column 0 of each map is the zero offset, which keeps the origin
@@ -438,37 +511,111 @@ def _chain_lattice(
     return _MergedLattice(levels, [step_map[:, 1:] for step_map in maps], origins)
 
 
+def _binomial(x: np.ndarray, m: int) -> np.ndarray:
+    """``C(x + m, m)`` elementwise for nonnegative integers ``x``, exactly."""
+    out = np.ones_like(x)
+    for i in range(1, m + 1):
+        out *= x + i
+        out //= i  # out was C(x + i - 1, i - 1), so this divides exactly
+    return out
+
+
+def _tail_sums(e: int, n: int) -> list[np.ndarray]:
+    """The suffix sums ``g_i = t_i + ... + t_e`` of every tail t of e counts
+    with |t| <= n, one array per i, in rank order.
+
+    Built from the last coordinate up: the tails of m coordinates are, for
+    each g_1 = h in turn, h prepended to the tails of m-1 coordinates with
+    |.| <= h, which are the first C(h+m-1, m-1) of them.
+    """
+    grades = np.arange(n + 1)
+    sums: list[np.ndarray] = []
+    for m in range(1, e + 1):
+        counts = _binomial(grades, m - 1)
+        rows = np.arange(int(counts.sum()))
+        rows -= np.repeat(np.cumsum(counts) - counts, counts)
+        sums = [np.repeat(grades, counts)] + [g[rows] for g in sums]
+    return sums
+
+
+def _composition_lattice(
+    offsets: np.ndarray, n: int, at_most: bool = False, measures: int = 0
+) -> _CompositionLattice:
+    """Levels 0..n of the k-draw multisets of ``offsets``, at least two of
+    them distinct; with ``at_most``, offset 0 is the zero offset that keeps
+    shorter sums.
+
+    Before anything is allocated, the bytes are projected from the C(n+e, e)
+    nodes of level n: the suffix sums and row indices that build the ranks,
+    or the grades, base values and successor ranks kept with the arrays a
+    sweep over ``measures`` holds; past ``CHAIN_BUDGET_BYTES`` CapacityError
+    is raised.
+    """
+    atoms: list[float] = []
+    for x in offsets.tolist():
+        if x not in atoms:
+            atoms.append(x)
+    e = len(atoms) - 1
+    size = math.comb(n + e, e)
+    held = 8 * size * (2 + e)
+    projected = max(8 * size * (2 * e + 4), held + _sweep_bytes(size, measures, e))
+    if projected > CHAIN_BUDGET_BYTES:
+        what = f"the composition lattice of {n} steps over {e + 1} offsets"
+        raise _over_budget(what, projected, n)
+    sums = _tail_sums(e, n)
+    base = np.zeros(size)
+    for i, a in enumerate(atoms[1:]):
+        base += (sums[i] - sums[i + 1] if i + 1 < e else sums[i]) * a
+    width = math.comb(n - 1 + e, e)
+    succ = []
+    ranks = np.arange(width)
+    for i in range(e):
+        # rank(t) = sum_i C(g_i + e - i, e - i + 1), so raising g_1..g_j by one
+        # adds sum_{i <= j} C(g_i + e - i, e - i)
+        ranks = ranks + _binomial(sums[i][:width], e - 1 - i)
+        succ.append(ranks)
+    moves = tuple(atoms.index(x) for x in offsets.tolist())
+    return _CompositionLattice(atoms[0], moves[1:] if at_most else moves, sums[0], base, tuple(succ))
+
+
 def _lattice(
-    offsets: np.ndarray, n: int, at_most: bool = False, tol: float = MERGE_TOL
-) -> _IntLattice | _MergedLattice:
+    offsets: np.ndarray,
+    n: int,
+    at_most: bool = False,
+    tol: float = MERGE_TOL,
+    measures: int = 0,
+) -> _IntLattice | _MergedLattice | _CompositionLattice:
     """Levels 0..n of the k-step sums of ``offsets`` (sums of at most k steps
-    when ``at_most``).
+    when ``at_most``), budgeted with a sweep over ``measures`` (0: not swept).
 
     Commensurable offsets run on integer indices: densely, unless the dense
     levels would hold more nodes than there are k-draw multisets of the
     distinct offsets (few offsets over a wide span), then merged exactly.
-    Both give each node the same value.  Other offsets use the float merge
-    at ``tol``, as do integer indices too wide for float64.
+    Both give each node the same value.  Other offsets, whose unit is at
+    most ``tol``, and integer indices too wide for float64 run on the
+    composition lattice.
     """
     if n < 0:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
     units = _commensurable(grown, tol)
     if units is None or n * units.span >= _EXACT_INT:
-        return _chain_lattice(grown, n, at_most, tol=tol)
+        return _composition_lattice(grown, n, at_most, measures)
     distinct = len(set(units.shifts))
     dense = units.span * n * (n + 1) // 2 + n  # nodes on levels 1..n
     if dense <= math.comb(n + distinct, distinct) - 1:  # multisets of 1..n draws
-        return _dense_lattice(units, n, at_most)
-    return _chain_lattice(grown, n, at_most, units)
+        return _dense_lattice(units, n, at_most, measures)
+    return _chain_lattice(units, n, at_most, measures)
 
 
 def sum_lattice(ambiguity: AmbiguitySet, step: int, tol: float = MERGE_TOL) -> SumLattice:
-    """Reachable partial-sum states after ``step`` draws from the grid."""
+    """Reachable partial-sum states after ``step`` draws from the grid;
+    states closer than ``tol`` are reported as one, the lowest."""
     if step < 0:
         raise ParameterError(f"step must be >= 0, got {step}")
     lattice = _lattice(ambiguity.grid.array, step, tol=tol)
-    return SumLattice(step, tuple(lattice.states(step).tolist()))
+    states, _ = _merge(lattice.states(step), tol)
+    return SumLattice(step, tuple(states.tolist()))
 
 
 def _terminal_values(
@@ -486,7 +633,7 @@ def _terminal_values(
             else:
                 raise DomainError(f"terminal payoff is missing reachable state {s!r}")
         return out
-    return np.asarray([float(terminal(s)) for s in states], dtype=float)
+    return np.fromiter((float(terminal(s)) for s in states), dtype=float, count=states.size)
 
 
 def _sweep(
@@ -577,18 +724,19 @@ def _chain_dp(
     if stage is not None:
         add_stage = lambda k, v: v + lattice.spread(k, stage(k))
         values = add_stage(n, values)
+    states: list[np.ndarray] = [np.empty(0)] * n
     choices: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * n
     for k, values, picks in _sweep(
         ambiguity.weight_matrix, lattice, n, values, maximize, add_stage, fixed, want_policy
     ):
         if want_policy:
             choices[k] = lattice.restrict(k, picks)
+            states[k] = lattice.states(k)
     policy = None
     if want_policy:
-        states = tuple(lattice.states(k) for k in range(n))
-        for arr in states + tuple(choices):
+        for arr in states + choices:
             arr.flags.writeable = False
-        policy = SelectionPolicy(states, tuple(choices))
+        policy = SelectionPolicy(tuple(states), tuple(choices))
     return float(values[0]), policy
 
 
@@ -620,7 +768,7 @@ def _horizons_dp(
 
 def _stage_values(states: np.ndarray, cost: Callable[[float], float], step: int) -> np.ndarray:
     try:
-        return np.asarray([float(cost(s)) for s in states], dtype=float)
+        return np.fromiter((float(cost(s)) for s in states), dtype=float, count=states.size)
     except TypeError as exc:
         raise DomainError(f"stage cost for step {step} is not evaluable") from exc
 
@@ -635,7 +783,7 @@ def eval_sum_functional(
 
     With ``maximize=False``: the lower expectation and its argmin policy.
     """
-    lattice = _lattice(ambiguity.grid.array, n)
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
     values = _terminal_values(lattice.states(n), terminal)
     value, policy = _chain_dp(ambiguity, lattice, n, values, maximize, want_policy=True)
     assert policy is not None
@@ -653,7 +801,7 @@ def eval_additive_functional(
     costs = list(stage_costs)
     if len(costs) != n:
         raise DomainError(f"expected {n} stage costs, got {len(costs)}")
-    lattice = _lattice(ambiguity.grid.array, n)
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
     stage = lambda k: _stage_values(lattice.states(k), costs[k - 1], k)
     value, _ = _additive_dp(ambiguity, n, lattice, stage)
     return value
@@ -669,7 +817,7 @@ def _additive_dp(
 ) -> tuple[float, SelectionPolicy | None]:
     """The recursion of ``sum_{k=1..n} g_k(S_k)`` on the grid's ``lattice``, with
     ``stage(k)`` the values of g_k on the reachable states of level k."""
-    zero = np.zeros(lattice.states(n).size)
+    zero = np.zeros(lattice.count(n))
     return _chain_dp(
         ambiguity, lattice, n, zero, stage=stage, want_policy=want_policy, replay=replay
     )
@@ -685,7 +833,7 @@ def capacity_sum_event(
 
     With ``maximize=False``: the lower capacity (min-recursion).
     """
-    lattice = _lattice(ambiguity.grid.array, n)
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
     indicator = lambda s: 1.0 if predicate(s) else 0.0
     values = _terminal_values(lattice.states(n), indicator)
     value, _ = _chain_dp(ambiguity, lattice, n, values, maximize)
@@ -710,12 +858,13 @@ def _pair_merge(
 
 
 def _pair_chain(
-    offsets: np.ndarray, n: int, tol: float
+    offsets: np.ndarray, n: int, tol: float, measures: int = 0
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Running maxima per level and per-step maps of the merged (sum, running
     max) pairs, keeping a running byte total of what is stored: a step whose
     merge (``_PAIR_MERGE_BYTES`` per candidate pair) would take that total
-    past ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built."""
+    past ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built, and
+    so does a level whose sweep over ``measures`` would."""
     s_cur, m_cur = np.zeros(1, dtype=offsets.dtype), np.zeros(1, dtype=offsets.dtype)
     levels, maps = [m_cur], []
     held = 0
@@ -730,21 +879,28 @@ def _pair_chain(
         levels.append(m_cur)
         s_cur = s_new
         held += s_cur.nbytes + m_cur.nbytes + gids.nbytes
+        projected = held + _sweep_bytes(s_cur.size, measures, offsets.size)
+        if projected > CHAIN_BUDGET_BYTES:
+            raise _over_budget(f"the merged pair lattice of {n} steps", projected, k)
     return levels, maps
 
 
-def _pair_lattice(offsets: np.ndarray, n: int) -> _PairLattice | _MergedLattice:
-    """Levels 0..n of the (sum, running max of |sum|) states of centered offsets.
+def _pair_lattice(
+    offsets: np.ndarray, n: int, measures: int = 0
+) -> _PairLattice | _MergedLattice:
+    """Levels 0..n of the (sum, running max of |sum|) states of centered
+    offsets, budgeted with a sweep over ``measures`` (0: not swept).
 
     Commensurable offsets give integer pairs: a dense grid of them when it
     holds no more nodes than a bound on the reachable pairs (paths, or sums
-    times maxima) and fits ``CHAIN_BUDGET_BYTES`` with its masks and widest
-    level; the reached pairs merged exactly otherwise.  Other offsets use
-    the float pair merge.
+    times maxima) and fits ``CHAIN_BUDGET_BYTES`` with its masks, widest
+    level and sweep (a gathered successor per move, and one index array);
+    the reached pairs merged exactly otherwise.  Other offsets use the float
+    pair merge.
     """
     units = _commensurable(np.concatenate([np.zeros(1), offsets]), MERGE_TOL)
     if units is None or n * units.span >= _EXACT_INT:
-        return _MergedLattice(*_pair_chain(offsets, n, MERGE_TOL))
+        return _MergedLattice(*_pair_chain(offsets, n, MERGE_TOL, measures))
     shifts = np.array(units.shifts, dtype=np.int64)
     lattice = _PairLattice(units, units.span, int(shifts[0]), shifts[1:])
     distinct = len(set(units.shifts[1:]))
@@ -755,8 +911,9 @@ def _pair_lattice(offsets: np.ndarray, n: int) -> _PairLattice | _MergedLattice:
         dense += rows * cols
         reachable += min(distinct**k, math.comb(k + distinct - 1, distinct - 1) * cols)
     held = dense + 8 * (1 + lattice.moves.size) * rows * cols
+    held += _sweep_bytes(rows * cols, measures, lattice.moves.size + 1)
     if dense > reachable or held > CHAIN_BUDGET_BYTES:
-        maxima, maps = _pair_chain(lattice.moves - lattice.zero, n, 1)
+        maxima, maps = _pair_chain(lattice.moves - lattice.zero, n, 1, measures)
         return _MergedLattice([units.values(0, m) for m in maxima], maps)
     return _dense_pairs(lattice, n)
 
@@ -790,7 +947,7 @@ def eval_maxabs_functional(
     if n > max_horizon:
         raise CapacityError(f"maxabs DP is gated to n <= {max_horizon}, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
-    lattice = _pair_lattice(ambiguity.grid.array - mu, n)
+    lattice = _pair_lattice(ambiguity.grid.array - mu, n, len(ambiguity.measures))
     value, _ = _chain_dp(ambiguity, lattice, n, _terminal_values(lattice.states(n), phi))
     return value
 
@@ -804,7 +961,7 @@ def eval_sumsq_functional(
     per-atom squared increments stay aligned with the measure weights.
     """
     mu = ambiguity.require_mean_certain("eval_sumsq_functional")
-    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n)
+    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n, measures=len(ambiguity.measures))
     values = _terminal_values(lattice.states(n), phi)
     value, _ = _chain_dp(ambiguity, lattice, n, values)
     return value
@@ -944,7 +1101,7 @@ def sum_functional_series(
         offsets = offsets - ambiguity.require_mean_certain("sum_functional_series")
 
     # level j holds every sum of at most j offsets, so the origin stays on it
-    lattice = _lattice(offsets, horizon, at_most=True)
+    lattice = _lattice(offsets, horizon, at_most=True, measures=len(ambiguity.measures))
     states = lattice.states(horizon)
     values = np.asarray(psi(states), dtype=float)
     if values.shape != states.shape:

@@ -411,8 +411,9 @@ def mz_check(
     # one sweep per side serves every horizon
     horizons = sorted(set(n_list))
     offsets = ambiguity.grid.array - mu
-    pairs = _pair_lattice(offsets, horizons[-1])
-    squares = _lattice(offsets**2, horizons[-1])
+    measures = len(ambiguity.measures)
+    pairs = _pair_lattice(offsets, horizons[-1], measures)
+    squares = _lattice(offsets**2, horizons[-1], measures=measures)
     lefts = _horizons_dp(ambiguity, pairs, horizons, lambda n: pairs.states(n) ** alpha)
     rights = _horizons_dp(
         ambiguity, squares, horizons, lambda n: squares.states(n) ** (alpha / 2.0)
@@ -549,7 +550,7 @@ def subadditive_series_check(
     if horizon > max_horizon:
         raise CapacityError(f"additive DP budget is N <= {max_horizon}, got {horizon}")
     mu = ambiguity.require_mean_certain("subadditive_series_check")
-    lattice = _lattice(ambiguity.grid.array, horizon)
+    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
     lhs, _ = _additive_dp(ambiguity, horizon, lattice, _series_costs(lattice, mu, beta))
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** beta, centered=True)
     n = np.arange(1, horizon + 1, dtype=float)
@@ -571,7 +572,7 @@ def cc_series(
         raise ParameterError(f"need alpha > 0, got {alpha}")
     mu = ambiguity.require_mean_certain("cc_series")
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** alpha, centered=True)
-    lattice = _lattice(ambiguity.grid.array, horizon)
+    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
     # the 1e-12 slack only absorbs representation noise on the threshold
     event = lambda n: (np.abs(lattice.states(n) - n * mu) >= n * eps - 1e-12).astype(float)
     capacities = np.clip(_horizons_dp(ambiguity, lattice, range(1, horizon + 1), event), 0.0, 1.0)
@@ -666,7 +667,7 @@ def sqs_empirical(
     if n_paths < 2:
         raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
-    lattice = _lattice(ambiguity.grid.array, horizon)
+    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
     cost = _series_costs(lattice, mu, beta)
     stage = {k: cost(k) for k in range(1, horizon + 1)}.__getitem__
     value, argmax_policy = _additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)

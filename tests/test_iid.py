@@ -1,10 +1,12 @@
 import gc
+import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sublex as sx
@@ -16,14 +18,18 @@ from sublex.iid import (
     _chain_dp,
     _chain_lattice,
     _commensurable,
+    _composition_lattice,
+    _CompositionLattice,
     _dense_lattice,
     _dense_pairs,
     _IntLattice,
     _lattice,
+    _merge,
     _MergedLattice,
     _pair_chain,
     _PairLattice,
     _sample_steps,
+    _tail_sums,
 )
 from sublex.lln import SAMPLING_Z
 
@@ -483,19 +489,41 @@ def dense(atoms, n):
 
 def sparse(atoms, n):
     """The exactly merged integer lattice of a commensurable grid."""
-    return _chain_lattice(np.asarray(atoms, dtype=float), n, units=units_of(atoms))
+    return _chain_lattice(units_of(atoms), n)
+
+
+def reference_float_chain(offsets, n, at_most=False, tol=iid.MERGE_TOL):
+    """The float sort-and-merge lattice the composition lattice replaced: each
+    level's candidate sums sorted, runs closer than ``tol`` fused, and one
+    transition map stored per step.  With ``at_most``, a zero offset is put
+    first and keeps shorter sums."""
+    offsets = np.asarray(offsets, dtype=float)
+    if at_most:
+        offsets = np.concatenate([np.zeros(1), offsets])
+    levels, maps = [np.zeros(1)], []
+    for _ in range(n):
+        cur = levels[-1]
+        reps, gids = _merge((cur[:, None] + offsets[None, :]).ravel(), tol)
+        levels.append(reps)
+        maps.append(gids.reshape(cur.size, offsets.size))
+    if not at_most:
+        return _MergedLattice(levels, maps)
+    origins = [0]
+    for step_map in maps[:-1]:
+        origins.append(int(step_map[origins[-1], 0]))
+    return _MergedLattice(levels, [step_map[:, 1:] for step_map in maps], origins)
 
 
 def merged(atoms, n):
     """The float-merge lattice of the grid, whatever its atoms."""
-    return _MergedLattice(*_build_chain(np.asarray(atoms, dtype=float), n))
+    return reference_float_chain(atoms, n)
 
 
 def representation(atoms, n):
     lattice = _lattice(np.asarray(atoms, dtype=float), n)
     if isinstance(lattice, _IntLattice):
         return "dense"
-    return "float" if units_of(atoms) is None else "sparse"
+    return "float" if isinstance(lattice, _CompositionLattice) else "sparse"
 
 
 def exact_sum(path):
@@ -503,21 +531,53 @@ def exact_sum(path):
     return sum(Fraction(repr(float(x))) for x in path)
 
 
-@st.composite
-def commensurable_sets(draw):
-    """Grids ``lo + shift * unit`` of decimals (gapped ones included): dyadic
-    ones, whose float sums are exact, and others, whose float sums round;
-    1-3 random measures."""
-    unit = Fraction(draw(st.sampled_from(["0.1", "0.25", "0.3", "0.5", "1", "2"])))
-    shifts = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True))
-    lo = Fraction(draw(st.integers(-15, 5)), 10)
-    atoms = sorted(float(lo + (s - min(shifts)) * unit) for s in shifts)
+def draw_family(draw, atoms):
+    """1-3 random measures on ``atoms``."""
     rows = []
     for _ in range(draw(st.integers(1, 3))):
         sizes = {"min_size": len(atoms), "max_size": len(atoms)}
         w = np.array(draw(st.lists(st.floats(0.01, 1.0), **sizes)))
         rows.append(w / w.sum())
     return sx.AmbiguitySet.from_rows(atoms, rows)
+
+
+@st.composite
+def commensurable_sets(draw, dyadic=False):
+    """Grids ``lo + shift * unit`` of decimals (gapped ones included): dyadic
+    ones, whose float sums are exact, and others, whose float sums round;
+    1-3 random measures.  With ``dyadic``, dyadic ones only."""
+    units = ["0.25", "0.5", "1", "2"] if dyadic else ["0.1", "0.25", "0.3", "0.5", "1", "2"]
+    unit = Fraction(draw(st.sampled_from(units)))
+    shifts = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4, unique=True))
+    lo = Fraction(draw(st.integers(-15, 5)), 4 if dyadic else 10)
+    atoms = sorted(float(lo + (s - min(shifts)) * unit) for s in shifts)
+    return draw_family(draw, atoms)
+
+
+@st.composite
+def float_sets(draw):
+    """2-5 float atoms in about [-2, 2], at least 0.05 apart; 1-3 random measures."""
+    lo = draw(st.floats(-2.0, 0.0))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+    return draw_family(draw, np.cumsum([lo, *gaps]))
+
+
+def at_most_series(ambiguity, lattice, horizon, psi, maximize=True):
+    """The all-horizon values of ``psi(S_n)`` read at the origin of an at-most
+    lattice, as ``sum_functional_series`` reads them."""
+    values = lattice.spread(horizon, psi(lattice.states(horizon)))
+    out = np.empty(horizon)
+    for k, values, _ in iid._sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
+        out[horizon - 1 - k] = values[lattice.origin(k)]
+    return out
+
+
+def graded_rank(tail):
+    """The rank of a tail in the combinatorial number system, from its suffix
+    sums g_i: sum_i C(g_i + e - i, e - i + 1), i = 1..e."""
+    e = len(tail)
+    suffix = np.cumsum(tail[::-1])[::-1]
+    return sum(math.comb(int(suffix[i]) + e - 1 - i, e - i) for i in range(e))
 
 
 class TestIndexLattice:
@@ -682,10 +742,129 @@ class TestIndexLattice:
         assert peak < 16 * 2**20
 
 
+class TestCompositionLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(float_sets(), st.integers(1, 5), st.booleans(), st.floats(-1.0, 1.0))
+    @example(two_measures(FLOAT_ATOMS), 4, True, 0.3)
+    @example(two_measures((-0.5, 0.0, 0.5)), 5, False, 0.0)  # sums that coincide
+    def test_compositions_match_the_float_merge(self, ambiguity, n, maximize, center):
+        # the merge moves a node by up to n*MERGE_TOL when distinct sums lie
+        # within MERGE_TOL, so such grids are left out; sums that coincide
+        # (equal up to rounding) stay in
+        atoms = ambiguity.grid.array
+        grown = np.concatenate([np.zeros(1), atoms])
+        every = _composition_lattice(grown, n, at_most=True).states(n)  # sums of <= n draws
+        gaps = np.diff(every)
+        assume(np.all((gaps <= 1e-14 * n * np.max(np.abs(atoms))) | (gaps > 1e-6)))
+        lattices = _composition_lattice(atoms, n), reference_float_chain(atoms, n)
+        for k in range(n + 1):
+            fused, _ = _merge(lattices[0].states(k), iid.MERGE_TOL)
+            expected = lattices[1].states(k)
+            assert fused.shape == expected.shape
+            scale = max(k, 1) * np.max(np.abs(atoms))
+            assert np.allclose(fused, expected, rtol=0.0, atol=1e-12 * scale)
+        psi = lambda s: np.abs(s - center) ** 3
+        terminal, additive = [], []
+        for lattice in lattices:
+            states = lattice.states(n)
+            terminal.append(_chain_dp(ambiguity, lattice, n, psi(states), maximize)[0])
+            stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
+            zero = np.zeros(lattice.count(n))
+            additive.append(_chain_dp(ambiguity, lattice, n, zero, maximize, stage)[0])
+        assert terminal[0] == pytest.approx(terminal[1], rel=1e-12, abs=1e-300)
+        assert additive[0] == pytest.approx(additive[1], rel=1e-12, abs=1e-12)
+        series = [
+            at_most_series(ambiguity, lattice, n, psi, maximize)
+            for lattice in (
+                _composition_lattice(grown, n, at_most=True),
+                reference_float_chain(atoms, n, at_most=True),
+            )
+        ]
+        assert np.allclose(series[0], series[1], rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(commensurable_sets(dyadic=True), st.integers(1, 6), st.booleans(), st.floats(-1.0, 1.0))
+    def test_compositions_equal_integer_lattices_on_dyadic_grids(
+        self, ambiguity, n, maximize, center
+    ):
+        # dyadic sums are exact, so a node's value is its integer lattice
+        # node's, and every DP value agrees bit for bit
+        atoms = ambiguity.grid.array
+        lattices = _composition_lattice(atoms, n), dense(atoms, n)
+        for k in range(n + 1):
+            assert np.array_equal(np.unique(lattices[0].states(k)), lattices[1].states(k))
+        table = TabulatedPayoff.from_callable(lattices[1].states(n), lambda s: abs(s - center) ** 3)
+        results = []
+        for lattice in lattices:
+            terminal = iid._terminal_values(lattice.states(n), table)
+            stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
+            results.append(
+                _chain_dp(ambiguity, lattice, n, terminal, maximize, stage, want_policy=True)
+            )
+        (v_comp, p_comp), (v_int, p_int) = results
+        assert v_comp == v_int
+        for k in range(n):
+            at = np.searchsorted(p_int.step_states[k], p_comp.step_states[k])
+            assert np.array_equal(p_int.step_states[k][at], p_comp.step_states[k])
+            assert np.array_equal(p_int.choices[k][at], p_comp.choices[k])
+        grown = np.concatenate([np.zeros(1), atoms])
+        psi = lambda s: np.abs(s - center) ** 3
+        series = [
+            at_most_series(ambiguity, lattice, n, psi, maximize)
+            for lattice in (
+                _composition_lattice(grown, n, at_most=True),
+                _dense_lattice(units_of(grown), n, at_most=True),
+            )
+        ]
+        assert np.array_equal(series[0], series[1])
+
+    @pytest.mark.parametrize("e, n", [(1, 7), (2, 6), (3, 5), (4, 4)])
+    def test_ranks_are_a_bijection_on_every_level(self, e, n):
+        suffix = np.stack(_tail_sums(e, n), axis=1)
+        tails = suffix - np.concatenate([suffix[:, 1:], np.zeros((len(suffix), 1), int)], axis=1)
+        assert [graded_rank(t) for t in tails] == list(range(len(tails)))
+        for k in range(n + 1):
+            prefix = sorted(tuple(t) for t in tails[: math.comb(k + e, e)])
+            within = sorted(t for t in itertools.product(range(k + 1), repeat=e) if sum(t) <= k)
+            assert prefix == within
+
+    @pytest.mark.parametrize("e, n", [(1, 7), (2, 6), (3, 5), (4, 4)])
+    def test_successor_ranks_add_their_offset(self, e, n):
+        atoms = np.asarray(FLOAT_ATOMS[: e + 1])
+        lattice = _composition_lattice(atoms, n)
+        suffix = np.stack(_tail_sums(e, n), axis=1)
+        tails = suffix - np.concatenate([suffix[:, 1:], np.zeros((len(suffix), 1), int)], axis=1)
+        for k in range(n):
+            width = lattice.count(k)
+            here, above = lattice.nodes(k), lattice.nodes(k + 1)
+            for a, moved in zip(atoms, lattice.successors(k, above)):
+                assert np.allclose(moved, here + a, rtol=0.0, atol=1e-12 * (k + 1))
+            for j, ranks in enumerate(lattice.succ):
+                step = np.eye(e, dtype=int)[j]
+                assert ranks[:width].tolist() == [graded_rank(t + step) for t in tails[:width]]
+
+    @pytest.mark.parametrize("size, n", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2)])
+    def test_float_families_match_the_oracle(self, size, n):
+        ambiguity = two_measures(FLOAT_ATOMS[:size])
+        assert isinstance(_lattice(ambiguity.grid.array, n), _CompositionLattice)
+        threshold = 0.25  # on no lattice of these atoms
+        cube, event = _brute_force_many(
+            ambiguity,
+            n,
+            [lambda xs: abs(float(np.sum(xs))) ** 3, lambda xs: float(np.sum(xs) >= threshold)],
+        )
+        value, _ = sx.eval_sum_functional(ambiguity, n, lambda s: abs(s) ** 3)
+        assert value == pytest.approx(cube, rel=1e-12)
+        capacity = sx.capacity_sum_event(ambiguity, n, lambda s: s >= threshold)
+        assert capacity == pytest.approx(event, rel=1e-12, abs=1e-15)
+        series = sx.sum_functional_series(ambiguity, n, lambda s: np.abs(s) ** 3)
+        assert series[-1] == pytest.approx(cube, rel=1e-12)
+
+
 class TestFloatBudget:
     def test_float_chain_over_budget_raises_before_allocating(self):
         family = sx.AmbiguitySet.from_rows(FLOAT_ATOMS, (np.full(5, 0.2),))
-        assert isinstance(_lattice(family.grid.array, 3), _MergedLattice)
+        assert isinstance(_lattice(family.grid.array, 3), _CompositionLattice)
         tracemalloc.start()
         try:
             with pytest.raises(sx.CapacityError, match="budget"):
@@ -714,14 +893,15 @@ class TestFloatBudget:
 
     def test_chain_merge_temporaries_are_budgeted(self, monkeypatch):
         # every horizon either builds within the budget, the merge step's
-        # candidates, sort order and group ids included, or raises first
+        # candidates, sort order and group ids included, or raises first;
+        # the shifts of the 1024-unit grid, which merge few sums
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 4 * 2**20)
-        offsets = np.asarray(FLOAT_ATOMS)
+        shifts = np.array([0, 1, 512, 1023, 1024], dtype=np.int64)
         outcomes = []
         for n in range(1, 40):
             tracemalloc.start()
             try:
-                _build_chain(offsets, n)
+                _build_chain(shifts, n, 1024)
                 outcomes.append("built")
             except sx.CapacityError:
                 outcomes.append("raised")
@@ -747,6 +927,63 @@ class TestFloatBudget:
         assert peak <= iid.CHAIN_BUDGET_BYTES
 
 
+    def test_composition_lattice_and_sweep_are_budgeted(self, monkeypatch):
+        # every horizon either builds its lattice and sweeps it within the
+        # budget, the ranks' temporaries, candidates and gathered successors
+        # included, or raises first
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 4 * 2**20)
+        family = two_measures(FLOAT_ATOMS[:4])
+        calls = {
+            "capacity": lambda n: sx.capacity_sum_event(family, n, lambda s: s >= 0.25),
+            "series": lambda n: sx.sum_functional_series(family, n, lambda s: np.abs(s) ** 3),
+            "additive": lambda n: iid._additive_dp(family, n, *cosine_stages(family, n)),
+        }
+        for name, call in calls.items():
+            outcomes = traced_outcomes(call, range(1, 80))
+            assert outcomes[-1] == "raised" and outcomes.count("built") >= 10, name
+
+
+def cosine_stages(ambiguity, n):
+    """The lattice of an additive DP and the array stage cost cos(S_k)."""
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
+    return lattice, lambda k: np.cos(lattice.states(k))
+
+
+def traced_outcomes(call, horizons):
+    """Runs ``call(n)`` for increasing n until it raises CapacityError,
+    asserting that no run's traced peak passes the budget."""
+    outcomes = []
+    for n in horizons:
+        tracemalloc.start()
+        try:
+            call(n)
+            outcomes.append("built")
+        except sx.CapacityError:
+            outcomes.append("raised")
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak <= iid.CHAIN_BUDGET_BYTES, (n, peak)
+        if outcomes[-1] == "raised":
+            break
+    return outcomes
+
+
+class TestSweepBudget:
+    def test_running_max_sweep_stays_within_the_budget(self, theta_star, monkeypatch):
+        # dense pairs, merged pairs past the dense budget, or CapacityError
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**20)
+        call = lambda n: sx.eval_maxabs_functional(theta_star, n, lambda m: m**2, max_horizon=n)
+        outcomes = traced_outcomes(call, range(2, 200, 2))
+        assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
+
+    def test_dense_series_sweep_stays_within_the_budget(self, theta_star, monkeypatch):
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**18)
+        call = lambda n: sx.sum_functional_series(theta_star, n, lambda s: np.abs(s) ** 3)
+        outcomes = traced_outcomes(call, range(100, 5000, 100))
+        assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
+
+
 class TestPolicyBudget:
     def test_policy_past_the_budget_raises_before_the_sweep(self, theta_star):
         # 16 bytes for each of the ~N^2 states of levels 0..N-1: about 4 GB
@@ -768,17 +1005,20 @@ class TestPolicyBudget:
         assert value > 0.0
 
     def test_policy_budget_counts_reachable_states(self, monkeypatch):
-        # gapped grid: level k has k*3 + 1 nodes, of which fewer are reachable
+        # gapped grid: level k has k*3 + 1 nodes, of which fewer are reachable;
+        # 40 steps, so that the policy, quadratic in n, outgrows the lattice
+        # and its sweep, linear in n, and sets the budget
+        n = 40
         gapped = sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), (np.full(3, 1 / 3),))
-        lattice = _lattice(gapped.grid.array, 6)
-        states = sum(lattice.states(k).size for k in range(6))
-        assert states == sum(lattice.count(k) for k in range(6))
-        assert states < sum(lattice.size(k) for k in range(6))
+        lattice = _lattice(gapped.grid.array, n)
+        states = sum(lattice.states(k).size for k in range(n))
+        assert states == sum(lattice.count(k) for k in range(n))
+        assert states < sum(lattice.size(k) for k in range(n))
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states)
-        sx.eval_sum_functional(gapped, 6, abs)
+        sx.eval_sum_functional(gapped, n, abs)
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states - 1)
         with pytest.raises(sx.CapacityError, match="selection policy"):
-            sx.eval_sum_functional(gapped, 6, abs)
+            sx.eval_sum_functional(gapped, n, abs)
 
 
 def test_policy_sampled_on_another_grid_is_located_by_value(theta_star):
