@@ -15,18 +15,7 @@ from .core import (
     seminorm,
     upper_expect,
 )
-from .errors import (
-    CapacityError,
-    CheckError,
-    ConfigError,
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    Error,
-    ParameterError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import CapacityError, CheckError, Error, ParameterError
 from .gnormal import (
     GExpectationResult,
     GNormalParams,
@@ -55,7 +44,6 @@ from .iid import (
 )
 from .lln import (
     DichotomyVerdict,
-    ExperimentConfig,
     MZReport,
     SeriesReport,
     SqsSummary,

@@ -5,16 +5,19 @@ plottable CSV reports plus a run manifest into the output directory.
 Identical configuration and seed produce byte-identical outputs.
 
 Exit codes: 0 all assertions passed, 1 an assertion (mathematical check)
-failed, 2 usage or configuration error.
+failed (CheckError), 2 a usage error or any other sublex Error
+(ParameterError, CapacityError).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -26,10 +29,9 @@ from .core import (
     axiom_report,
     capacity_pair,
 )
-from .errors import CheckError, ConfigError, Error
-from .gnormal import g_expectation
+from .errors import CheckError, Error, ParameterError
+from .gnormal import GNormalParams, HeatGrid, default_grid, g_expectation
 from .iid import MERGE_TOL, capacity_sum_event, sum_functional_series
-from .lln import ExperimentConfig
 
 #: Named tolerances in effect for a run, recorded in every manifest.
 TOLERANCES = {
@@ -73,95 +75,136 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "atoms": list(cfg.atoms),
-        "measures": [list(row) for row in cfg.measures],
-        "p": cfg.p,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "N": cfg.horizon,
-        "epsilons": list(cfg.epsilons),
-        "seed": cfg.seed,
-        "solver": {
-            "nx": cfg.nx,
-            "half_width": cfg.half_width,
-            "dt_safety": cfg.dt_safety,
-        },
-        "trials": cfg.trials,
-        "n_paths": cfg.n_paths,
-    }
+def _entry(key: str, convert, rule: str, check, default: Any = MISSING):
+    """A config field: its JSON key (dotted inside the solver block), the
+    conversion of its value, and its admissible range as a rule for messages
+    and a check."""
+    return field(default=default, metadata=dict(key=key, convert=convert, rule=rule, check=check))
 
 
-_TOP_KEYS = {
-    "atoms",
-    "measures",
-    "p",
-    "alpha",
-    "beta",
-    "N",
-    "epsilons",
-    "seed",
-    "solver",
-    "trials",
-    "n_paths",
-}
-_SOLVER_KEYS = {"nx", "half_width", "dt_safety"}
+def _real(value) -> float:
+    """``value`` as a finite float; booleans are refused."""
+    number = float(value)
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(value)
+    return number
 
 
-def _integer(value, name: str) -> int:
+def _reals(values) -> tuple[float, ...]:
+    return tuple(_real(v) for v in values)
+
+
+def _integer(value) -> int:
     """``value`` as an int; booleans and numbers with a fractional part are refused."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        raise ValueError(value)
     return int(value)
 
 
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: an ambiguity set plus exponents, horizon and solver settings.
+
+    The fields are the configuration schema: each names its JSON key, its
+    conversion and its range, and a field without a default is required.
+    An invalid value raises ParameterError naming its key.
+    """
+
+    atoms: tuple[float, ...] = _entry("atoms", _reals, "a nonempty list of finite numbers", bool)
+    measures: tuple[tuple[float, ...], ...] = _entry(
+        "measures", lambda rows: tuple(map(_reals, rows)),
+        "a nonempty list of rows of finite numbers", bool
+    )
+    p: float = _entry("p", _real, "a finite number > 0", lambda x: x > 0.0, 2.0)
+    alpha: float = _entry("alpha", _real, "a finite number > 2", lambda x: x > 2.0, 4.0)
+    beta: float = _entry("beta", _real, "a finite number > 2", lambda x: x > 2.0, 3.0)
+    horizon: int = _entry("N", _integer, "an integer >= 1", lambda n: n >= 1, 100)
+    epsilons: tuple[float, ...] = _entry(
+        "epsilons", _reals, "a nonempty list of finite numbers > 0",
+        lambda e: bool(e) and min(e) > 0.0, (0.5,)
+    )
+    seed: int = _entry("seed", _integer, "an integer >= 0", lambda n: n >= 0, 0)
+    nx: int = _entry("solver.nx", _integer, "an integer >= 3", lambda n: n >= 3, 801)
+    half_width: float | None = _entry(
+        "solver.half_width", lambda x: x if x is None else _real(x), "null or a finite number > 0",
+        lambda x: x is None or x > 0.0, None
+    )
+    dt_safety: float = _entry(
+        "solver.dt_safety", _real, "a finite number in (0, 1]", lambda x: 0.0 < x <= 1.0, 0.9
+    )
+    trials: int = _entry("trials", _integer, "an integer >= 1", lambda n: n >= 1, 1000)
+    n_paths: int = _entry("n_paths", _integer, "an integer >= 1", lambda n: n >= 1, 10000)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            entry, value = f.metadata, getattr(self, f.name)
+            try:
+                value = entry["convert"](value)
+                admissible = entry["check"](value)
+            except (TypeError, ValueError, OverflowError):
+                admissible = False
+            if not admissible:
+                raise ParameterError(f"{entry['key']}: must be {entry['rule']}, got {value!r}")
+            object.__setattr__(self, f.name, value)
+        self.ambiguity_set  # the grid and measure invariants
+
+    @cached_property
+    def ambiguity_set(self) -> AmbiguitySet:
+        return AmbiguitySet.from_rows(self.atoms, self.measures)
+
+    def gnormal_params(self) -> GNormalParams:
+        return GNormalParams.from_ambiguity(self.ambiguity_set)
+
+    def heat_grid(self) -> HeatGrid:
+        params = self.gnormal_params()
+        if self.half_width is None:
+            return default_grid(params, nx=self.nx, dt_safety=self.dt_safety)
+        dx = 2.0 * self.half_width / (self.nx - 1)
+        return HeatGrid(self.half_width, self.nx, self.dt_safety * dx * dx / params.sigma_upper_sq)
+
+
+_SCHEMA = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    unknown = set(doc) - _TOP_KEYS
+    """The configuration a JSON document describes; keys absent from it take
+    their defaults."""
+    flat = {}
+    for key, value in doc.items():
+        if not any(k.startswith(f"{key}.") for k in _SCHEMA):
+            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            raise ParameterError(f"{key}: must be an object, got {value!r}")
+    unknown = sorted(set(flat) - set(_SCHEMA) | {key for key in doc if "." in key})
     if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    for required in ("atoms", "measures"):
-        if required not in doc:
-            raise ConfigError(f"missing required key {required!r}")
-    solver = doc.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("solver: must be an object")
-    unknown = set(solver) - _SOLVER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown solver keys: {sorted(unknown)}")
-    try:
-        cfg = ExperimentConfig(
-            atoms=tuple(doc["atoms"]),
-            measures=tuple(tuple(row) for row in doc["measures"]),
-            p=float(doc.get("p", 2.0)),
-            alpha=float(doc.get("alpha", 4.0)),
-            beta=float(doc.get("beta", 3.0)),
-            horizon=_integer(doc.get("N", 100), "N"),
-            epsilons=tuple(doc.get("epsilons", (0.5,))),
-            seed=_integer(doc.get("seed", 0), "seed"),
-            nx=_integer(solver.get("nx", 801), "solver.nx"),
-            half_width=(None if solver.get("half_width") is None else float(solver["half_width"])),
-            dt_safety=float(solver.get("dt_safety", 0.9)),
-            trials=_integer(doc.get("trials", 1000), "trials"),
-            n_paths=_integer(doc.get("n_paths", 10000), "n_paths"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed configuration value: {exc}") from exc
-    cfg.ambiguity_set  # force grid/measure invariants at load time
-    return cfg
+        raise ParameterError(f"unknown configuration keys {unknown}; the keys are {list(_SCHEMA)}")
+    missing = [key for key, f in _SCHEMA.items() if f.default is MISSING and key not in flat]
+    if missing:
+        raise ParameterError(f"missing required configuration keys {missing}")
+    return ExperimentConfig(**{_SCHEMA[key].name: value for key, value in flat.items()})
+
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    doc: dict = {}
+    for key, f in _SCHEMA.items():
+        group, _, name = key.rpartition(".")
+        (doc.setdefault(group, {}) if group else doc)[name] = getattr(cfg, f.name)
+    return json.loads(json.dumps(doc))  # tuples as lists
 
 
 def load_document(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ParameterError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ParameterError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top-level value must be an object")
+        raise ParameterError(f"{path}: top-level value must be an object")
     return doc
 
 
@@ -176,7 +219,7 @@ def apply_overrides(doc: dict, overrides: Sequence[str]) -> dict:
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
+            raise ParameterError(f"override {item!r} is not of the form key=value")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -186,7 +229,7 @@ def apply_overrides(doc: dict, overrides: Sequence[str]) -> dict:
         for part in parts[:-1]:
             target = target.setdefault(part, {})
             if not isinstance(target, dict):
-                raise ConfigError(f"override {key!r} descends into a non-object")
+                raise ParameterError(f"override {key!r} descends into a non-object")
         target[parts[-1]] = value
     return out
 
@@ -319,10 +362,16 @@ def _run_clt(cfg: ExperimentConfig, out: Path) -> list[str]:
     return ["clt.csv"]
 
 
-def _series_rows(report: lln.SeriesReport):
-    return list(
-        zip(report.n_values, report.terms, report.partial_sums, report.reference, report.clt_gaps)
-    )
+def _write_series(path: Path, report: lln.SeriesReport) -> None:
+    columns = (report.n_values, report.terms, report.partial_sums, report.reference)
+    header = ("n", "term", "partial_sum", "reference", "clt_gap")
+    _write_csv(path, header, list(zip(*columns, report.clt_gaps)))
+
+
+def _check_tail(report: lln.SeriesReport, what: str) -> None:
+    evidence = lln.tail_consistency(report)
+    if report.tail.exponent <= 1.0 or evidence["max_increment_ratio"] > TOLERANCES["tail_factor"]:
+        raise CheckError(f"{what} fails the tail criterion: {evidence}")
 
 
 def _run_lln_series(cfg: ExperimentConfig, out: Path) -> list[str]:
@@ -330,11 +379,7 @@ def _run_lln_series(cfg: ExperimentConfig, out: Path) -> list[str]:
         cfg.ambiguity_set, cfg.p, cfg.horizon, params=cfg.gnormal_params(), grid=cfg.heat_grid()
     )
     verdict = lln.dichotomy_diagnosis(report, cfg.p, report.c_p)
-    _write_csv(
-        out / "lln_series.csv",
-        ("n", "term", "partial_sum", "reference", "clt_gap"),
-        _series_rows(report),
-    )
+    _write_series(out / "lln_series.csv", report)
     _write_csv(
         out / "verdict.csv",
         ("p", "regime", "burn_in"),
@@ -368,14 +413,8 @@ def _run_corollary(cfg: ExperimentConfig, out: Path) -> list[str]:
         params=cfg.gnormal_params(),
         grid=cfg.heat_grid(),
     )
-    _write_csv(
-        out / "corollary.csv",
-        ("n", "term", "partial_sum", "reference", "clt_gap"),
-        _series_rows(report),
-    )
-    evidence = lln.tail_consistency(report)
-    if report.tail.exponent <= 1.0 or evidence["max_increment_ratio"] > TOLERANCES["tail_factor"]:
-        raise CheckError(f"weighted series fails the tail criterion: {evidence}")
+    _write_series(out / "corollary.csv", report)
+    _check_tail(report, "weighted series")
     return ["corollary.csv"]
 
 
@@ -389,12 +428,7 @@ def _run_cc(cfg: ExperimentConfig, out: Path) -> list[str]:
             ("n", "capacity", "markov_bound"),
             list(zip(report.n_values, report.terms, report.reference)),
         )
-        evidence = lln.tail_consistency(report)
-        if (
-            report.tail.exponent <= 1.0
-            or evidence["max_increment_ratio"] > TOLERANCES["tail_factor"]
-        ):
-            raise CheckError(f"capacity series at eps={eps} fails the tail criterion: {evidence}")
+        _check_tail(report, f"capacity series at eps={eps}")
         outputs.append(name)
     return outputs
 
@@ -453,7 +487,7 @@ SUBCOMMANDS = tuple(_RUNNERS)
 def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> RunManifest:
     """Execute one subcommand, writing its CSV artifacts and manifest."""
     if subcommand not in _RUNNERS:
-        raise ConfigError(f"unknown subcommand {subcommand!r}")
+        raise ParameterError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[subcommand](cfg, out)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError, ValidationError
+from .errors import ParameterError
 
 #: Absolute tolerance for scalar comparisons throughout the package.
 ATOL = 1e-12
@@ -25,7 +25,7 @@ ATOL = 1e-12
 def _as_float_tuple(values: Iterable[float], field: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
     if not all(np.isfinite(out)):
-        raise ValidationError(f"{field}: all entries must be finite, got {out}")
+        raise ParameterError(f"{field}: all entries must be finite, got {out}")
     return out
 
 
@@ -38,9 +38,9 @@ class SupportGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", _as_float_tuple(self.atoms, "atoms"))
         if len(self.atoms) == 0:
-            raise ValidationError("atoms: grid must be nonempty")
+            raise ParameterError("atoms: grid must be nonempty")
         if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
-            raise ValidationError(f"atoms: must be strictly increasing, got {self.atoms}")
+            raise ParameterError(f"atoms: must be strictly increasing, got {self.atoms}")
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -52,12 +52,12 @@ class SupportGrid:
         return arr
 
     def index_of(self, atom: float) -> int:
-        """Index of ``atom`` on the grid, within ``ATOL``; DomainError otherwise."""
+        """Index of ``atom`` on the grid, within ``ATOL``; ParameterError otherwise."""
         i = int(np.searchsorted(self.array, atom))
         for j in (i - 1, i):
             if 0 <= j < len(self.atoms) and abs(self.atoms[j] - atom) <= ATOL:
                 return j
-        raise DomainError(f"value {atom!r} is not an atom of the grid {self.atoms}")
+        raise ParameterError(f"value {atom!r} is not an atom of the grid {self.atoms}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class FiniteMeasure:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _as_float_tuple(self.weights, "weights"))
         if any(w < 0.0 for w in self.weights):
-            raise ValidationError(f"weights: must be nonnegative, got {self.weights}")
+            raise ParameterError(f"weights: must be nonnegative, got {self.weights}")
         total = float(np.sum(self.weights))
         if abs(total - 1.0) > ATOL:
-            raise ValidationError(f"weights: must sum to 1 within {ATOL}, got sum {total!r}")
+            raise ParameterError(f"weights: must sum to 1 within {ATOL}, got sum {total!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class TabulatedPayoff:
         object.__setattr__(self, "states", _as_float_tuple(self.states, "states"))
         object.__setattr__(self, "values", _as_float_tuple(self.values, "values"))
         if any(b <= a for a, b in zip(self.states, self.states[1:])):
-            raise ValidationError("states: must be strictly increasing")
+            raise ParameterError("states: must be strictly increasing")
         if len(self.states) != len(self.values):
-            raise ValidationError(
+            raise ParameterError(
                 f"states/values: length mismatch {len(self.states)} != {len(self.values)}"
             )
 
@@ -126,10 +126,10 @@ class AmbiguitySet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "measures", tuple(self.measures))
         if len(self.measures) == 0:
-            raise ValidationError("measures: family must be nonempty")
+            raise ParameterError("measures: family must be nonempty")
         for k, m in enumerate(self.measures):
             if len(m.weights) != len(self.grid):
-                raise ValidationError(
+                raise ParameterError(
                     f"measures[{k}]: {len(m.weights)} weights for a grid of {len(self.grid)} atoms"
                 )
 
@@ -182,11 +182,9 @@ class AmbiguitySet:
         return float(second.min()), float(second.max())
 
     def require_mean_certain(self, op: str) -> float:
-        from .errors import PreconditionError
-
         if not self.is_mean_certain:
             lo, hi = self.mean_interval
-            raise PreconditionError(
+            raise ParameterError(
                 f"{op}: ambiguity set is not mean-certain (per-measure means span [{lo}, {hi}])"
             )
         return self.mean
@@ -196,7 +194,7 @@ def _payoff_on_grid(ambiguity: AmbiguitySet, payoff: TabulatedPayoff) -> np.ndar
     if len(payoff.states) != len(ambiguity.grid) or np.max(
         np.abs(payoff.state_array - ambiguity.grid.array)
     ) > ATOL:
-        raise DimensionError(
+        raise ParameterError(
             "payoff states must coincide with the grid atoms "
             f"(payoff on {payoff.states}, grid {ambiguity.grid.atoms})"
         )

@@ -1,8 +1,12 @@
-"""Exception taxonomy shared by all sublex modules.
+"""Exception taxonomy shared by all sublex modules, sized to the command
+line's two failure exit codes.
 
-The split matters for the command line front end: configuration-shaped
-problems (bad inputs, unmet preconditions, oversized instances) map to
-exit code 2, while a failed mathematical guarantee maps to exit code 1.
+``CheckError``, a computed mathematical guarantee that failed, exits with
+code 1.  Every other ``Error`` exits with code 2: ``ParameterError`` (also a
+``ValueError``) for any invalid input, such as a configuration value, a
+parameter out of its range, misaligned payoffs and grids, a state off its
+lattice, an unmet precondition like mean certainty or an unstable solver
+grid; and ``CapacityError`` for an instance past an operation's size budget.
 """
 
 
@@ -10,36 +14,12 @@ class Error(Exception):
     """Base class for all sublex errors."""
 
 
-class DimensionError(Error):
-    """Payoff and grid (or two payoffs) are not aligned."""
-
-
-class DomainError(Error):
-    """A state, atom or policy node is outside the domain it must cover."""
-
-
 class ParameterError(Error, ValueError):
-    """A numeric parameter is outside its admissible range."""
-
-
-class PreconditionError(Error):
-    """An operation precondition (e.g. mean certainty) does not hold."""
+    """An input is invalid: out of its range, misaligned or off its domain."""
 
 
 class CapacityError(Error):
     """The instance exceeds the operation's size budget."""
-
-
-class ConfigurationError(Error):
-    """Solver grid settings are inconsistent (e.g. unstable time step)."""
-
-
-class ValidationError(Error):
-    """A type invariant was violated at construction or load time."""
-
-
-class ConfigError(Error):
-    """The configuration document could not be parsed."""
 
 
 class CheckError(Error):

@@ -26,13 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .core import AmbiguitySet, TabulatedPayoff
-from .errors import (
-    CheckError,
-    ConfigurationError,
-    DimensionError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import CheckError, ParameterError
 from .iid import sum_functional_series
 
 
@@ -45,12 +39,12 @@ class GNormalParams:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sigma_lower_sq <= self.sigma_upper_sq:
-            raise ValidationError(
+            raise ParameterError(
                 f"variance interval must satisfy 0 <= lower <= upper, got "
                 f"[{self.sigma_lower_sq}, {self.sigma_upper_sq}]"
             )
         if self.sigma_upper_sq <= 0.0:
-            raise ValidationError("upper variance must be positive")
+            raise ParameterError("upper variance must be positive")
 
     @classmethod
     def from_ambiguity(cls, ambiguity: AmbiguitySet) -> "GNormalParams":
@@ -74,13 +68,13 @@ class HeatGrid:
 
     def __post_init__(self) -> None:
         if self.half_width <= 0.0:
-            raise ValidationError(f"half_width must be positive, got {self.half_width}")
+            raise ParameterError(f"half_width must be positive, got {self.half_width}")
         if self.nx < 3:
-            raise ValidationError(f"nx must be >= 3, got {self.nx}")
+            raise ParameterError(f"nx must be >= 3, got {self.nx}")
         if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+            raise ParameterError(f"dt must be positive, got {self.dt}")
         if self.horizon <= 0.0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+            raise ParameterError(f"horizon must be positive, got {self.horizon}")
 
     @property
     def dx(self) -> float:
@@ -114,7 +108,7 @@ class GExpectationResult:
 
     def __post_init__(self) -> None:
         if self.residual_estimate < 0.0:
-            raise ValidationError("residual_estimate must be nonnegative")
+            raise ParameterError("residual_estimate must be nonnegative")
 
 
 def g_function(a: float, params: GNormalParams) -> float:
@@ -127,7 +121,7 @@ def g_function(a: float, params: GNormalParams) -> float:
 def _check_stability(grid: HeatGrid, params: GNormalParams) -> None:
     limit = grid.dx * grid.dx / params.sigma_upper_sq
     if grid.dt > limit * (1.0 + 1e-12):
-        raise ConfigurationError(
+        raise ParameterError(
             f"unstable explicit step: dt = {grid.dt} exceeds dx^2/sigma_hi^2 = {limit}"
         )
 
@@ -155,7 +149,7 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
     _check_stability(grid, params)
     u = np.asarray(values, dtype=float).copy()
     if u.shape != (grid.nx,):
-        raise DimensionError(f"expected {grid.nx} payoff values, got shape {u.shape}")
+        raise ParameterError(f"expected {grid.nx} payoff values, got shape {u.shape}")
     if t == 0.0:
         return u
     n_steps = max(1, math.ceil(t / grid.dt))
@@ -192,7 +186,7 @@ def _payoff_values(
 ) -> np.ndarray:
     if isinstance(payoff, TabulatedPayoff):
         if len(payoff.states) != grid.nx or np.max(np.abs(payoff.state_array - grid.x)) > 1e-9:
-            raise DimensionError("payoff must be tabulated on exactly the spatial grid points")
+            raise ParameterError("payoff must be tabulated on exactly the spatial grid points")
         return payoff.value_array.copy()
     return np.asarray(payoff(grid.x), dtype=float)
 

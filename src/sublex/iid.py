@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .core import AmbiguitySet, TabulatedPayoff
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, ParameterError
 
 #: Offsets whose common unit is at most this are not commensurable, float
 #: (sum, running max) pairs are merged at this resolution, and
@@ -108,10 +108,14 @@ class _Lattice:
         """The reachable states of level k, increasing."""
         return self.restrict(k, self.nodes(k))
 
+    def size(self, k: int) -> int:
+        """The number of nodes of level k."""
+        return self.nodes(k).size
+
     def count(self, k: int) -> int:
         """The number of reachable states of level k."""
         mask = self.reach(k)
-        return self.nodes(k).size if mask is None else int(np.count_nonzero(mask))
+        return self.size(k) if mask is None else int(np.count_nonzero(mask))
 
     def spread(self, k: int, values: np.ndarray) -> np.ndarray:
         """Values given on the reachable states of level k, put on its nodes (0 elsewhere)."""
@@ -183,10 +187,6 @@ class _IntLattice(_Lattice):
     def reach(self, k: int) -> np.ndarray | None:
         return self.masks[k] if k < len(self.masks) else None
 
-    def count(self, k: int) -> int:
-        mask = self.reach(k)
-        return self.size(k) if mask is None else int(np.count_nonzero(mask))
-
     def nodes(self, k: int) -> np.ndarray:
         return self.units.values(k, np.arange(self.size(k), dtype=float))
 
@@ -240,11 +240,11 @@ class _CompositionLattice(_Lattice):
     succ: tuple[np.ndarray, ...]  # ranks of t + e_j by rank, levels 0..n-1
     orders: dict[int, np.ndarray] = field(default_factory=dict)  # by level, one at a time
 
-    def count(self, k: int) -> int:
+    def size(self, k: int) -> int:
         return math.comb(k + len(self.succ), len(self.succ))
 
     def nodes(self, k: int) -> np.ndarray:
-        width = self.count(k)
+        width = self.size(k)
         out = (k - self.grade[:width]) * self.free
         out += self.base[:width]
         return out
@@ -265,7 +265,7 @@ class _CompositionLattice(_Lattice):
         return out
 
     def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
-        width = self.count(k)
+        width = self.size(k)
         moved = [values[:width]] + [values[ranks[:width]] for ranks in self.succ]
         return [moved[j] for j in self.moves]
 
@@ -293,6 +293,9 @@ class _PairLattice(_Lattice):
 
     def reach(self, k: int) -> np.ndarray:
         return self.masks[k].ravel()
+
+    def size(self, k: int) -> int:
+        return self.masks[k].size
 
     def nodes(self, k: int) -> np.ndarray:
         rows, cols = self.shape(k)
@@ -339,8 +342,8 @@ class SelectionPolicy:
 
     def measure_at(self, step: int, state: float) -> int:
         if not 0 <= step < self.horizon:
-            raise DomainError(f"policy defines steps 0..{self.horizon - 1}, got {step}")
-        at = _locate(self.step_states[step], np.asarray([state], dtype=float), step)
+            raise ParameterError(f"policy defines steps 0..{self.horizon - 1}, got {step}")
+        at = _locate(self.step_states[step], np.array([float(state)]), f"the step-{step} lattice")
         return int(self.choices[step][at[0]])
 
 
@@ -353,7 +356,7 @@ class PathSample:
     seed: int
 
 
-def _locate(states: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
+def _locate(states: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
     """Positions of ``values`` on the sorted ``states``, within LOOKUP_TOL."""
     hi = np.searchsorted(states, values)
     lo = np.maximum(hi - 1, 0)
@@ -362,7 +365,7 @@ def _locate(states: np.ndarray, values: np.ndarray, step: int) -> np.ndarray:
     found = use_lo | (np.abs(states[hi] - values) <= LOOKUP_TOL)
     if not found.all():
         state = float(values[np.argmin(found)])
-        raise DomainError(f"state {state!r} is not on the step-{step} lattice")
+        raise ParameterError(f"state {state!r} is not on {where}")
     return np.where(use_lo, lo, hi)
 
 
@@ -395,6 +398,12 @@ def _sweep_bytes(width: int, measures: int, gathered: int) -> int:
     index arrays and ``_SWEEP_WORDS`` working arrays; 0 when ``measures`` is
     0, for a lattice that is not swept."""
     return 8 * width * (measures + gathered + _SWEEP_WORDS) if measures else 0
+
+
+def _held(lattice: _Lattice) -> int:
+    """Bytes of the arrays ``lattice`` keeps."""
+    groups = [v if isinstance(v, (list, tuple)) else [v] for v in vars(lattice).values()]
+    return sum(a.nbytes for group in groups for a in group if isinstance(a, np.ndarray))
 
 
 def _build_chain(
@@ -623,16 +632,7 @@ def _terminal_values(
 ) -> np.ndarray:
     """A scalar terminal on an array of states: table lookup, or one call per state."""
     if isinstance(terminal, TabulatedPayoff):
-        idx = np.searchsorted(terminal.state_array, states)
-        out = np.empty(states.size)
-        for pos, (s, i) in enumerate(zip(states, idx)):
-            for j in (i - 1, i):
-                if 0 <= j < len(terminal.states) and abs(terminal.states[j] - s) <= LOOKUP_TOL:
-                    out[pos] = terminal.values[j]
-                    break
-            else:
-                raise DomainError(f"terminal payoff is missing reachable state {s!r}")
-        return out
+        return terminal.value_array[_locate(terminal.state_array, states, "the terminal table")]
     return np.fromiter((float(terminal(s)) for s in states), dtype=float, count=states.size)
 
 
@@ -717,7 +717,7 @@ def _chain_dp(
         if replay.horizon != n or not all(
             np.array_equal(replay.step_states[k], lattice.states(k)) for k in range(n)
         ):
-            raise DomainError(f"the replayed policy is not built on this {n}-step lattice")
+            raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
         fixed = lambda k: lattice.spread(k, replay.choices[k])
     values = lattice.spread(n, terminal)
     add_stage = None
@@ -751,10 +751,20 @@ def _horizons_dp(
     ``terminal(n)`` gives the payoff on the reachable states of level n; for
     each n of the increasing ``horizons`` a column starts from it at level n,
     and level 0 holds every column's value, returned in horizon order.
+    Before the sweep, the arrays of ``lattice`` and a sweep of its level
+    with the most values, nodes times the columns alive there, gathering at
+    most a successor per move, are projected; past ``CHAIN_BUDGET_BYTES``
+    CapacityError is raised.
     """
     top = horizons[-1]
     if horizons[0] < 1:
         raise ParameterError(f"horizons must be >= 1, got {horizons[0]}")
+    alive = len(horizons) - np.searchsorted(horizons, np.arange(top + 1))
+    widest = max(lattice.size(k) * int(columns) for k, columns in enumerate(alive))
+    measures, moves = ambiguity.weight_matrix.shape
+    held = _held(lattice) + _sweep_bytes(widest, measures, moves)
+    if held > CHAIN_BUDGET_BYTES:
+        raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
     starts = set(horizons)
     values = lattice.spread(top, terminal(top))[:, None]
 
@@ -770,7 +780,7 @@ def _stage_values(states: np.ndarray, cost: Callable[[float], float], step: int)
     try:
         return np.fromiter((float(cost(s)) for s in states), dtype=float, count=states.size)
     except TypeError as exc:
-        raise DomainError(f"stage cost for step {step} is not evaluable") from exc
+        raise ParameterError(f"stage cost for step {step} is not evaluable") from exc
 
 
 def eval_sum_functional(
@@ -800,7 +810,7 @@ def eval_additive_functional(
         raise ParameterError(f"horizon must be >= 1, got {n}")
     costs = list(stage_costs)
     if len(costs) != n:
-        raise DomainError(f"expected {n} stage costs, got {len(costs)}")
+        raise ParameterError(f"expected {n} stage costs, got {len(costs)}")
     lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
     stage = lambda k: _stage_values(lattice.states(k), costs[k - 1], k)
     value, _ = _additive_dp(ambiguity, n, lattice, stage)
@@ -1049,12 +1059,12 @@ def _sample_steps(
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
     if policy.horizon < n:
-        raise DomainError(f"policy covers {policy.horizon} steps, {n} were requested")
+        raise ParameterError(f"policy covers {policy.horizon} steps, {n} were requested")
     atoms = ambiguity.grid.array
     cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
     s = np.zeros(n_paths)
     for k in range(n):
-        rows = cumw[policy.choices[k][_locate(policy.step_states[k], s, k)]]
+        rows = cumw[policy.choices[k][_locate(policy.step_states[k], s, f"the step-{k} lattice")]]
         u = rng.random(n_paths)
         j = np.minimum(np.sum(rows <= u[:, None], axis=1), atoms.size - 1)
         x = atoms[j]
@@ -1105,7 +1115,7 @@ def sum_functional_series(
     states = lattice.states(horizon)
     values = np.asarray(psi(states), dtype=float)
     if values.shape != states.shape:
-        raise DomainError("psi must map a state array to an equally shaped value array")
+        raise ParameterError("psi must map a state array to an equally shaped value array")
     out = np.empty(horizon)
     values = lattice.spread(horizon, values)
     for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):

@@ -20,21 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import zeta
 
 from .core import ATOL, AmbiguitySet, TabulatedPayoff, lower_expect, upper_expect
-from .errors import (
-    CapacityError,
-    CheckError,
-    ParameterError,
-    PreconditionError,
-    ValidationError,
-)
-from .gnormal import GExpectationResult, GNormalParams, HeatGrid, default_grid, g_expectation
+from .errors import CapacityError, CheckError, ParameterError
+from .gnormal import GExpectationResult, GNormalParams, HeatGrid, g_expectation
 from .iid import (
     SelectionPolicy,
     _Lattice,
@@ -48,68 +41,6 @@ from .iid import (
 
 #: Standard errors a policy's Monte Carlo mean may stray from its exact value.
 SAMPLING_Z = 5.0
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: an ambiguity set plus exponents, horizon and solver settings."""
-
-    atoms: tuple[float, ...]
-    measures: tuple[tuple[float, ...], ...]
-    p: float = 2.0
-    alpha: float = 4.0
-    beta: float = 3.0
-    horizon: int = 100
-    epsilons: tuple[float, ...] = (0.5,)
-    seed: int = 0
-    nx: int = 801
-    half_width: float | None = None
-    dt_safety: float = 0.9
-    trials: int = 1000
-    n_paths: int = 10000
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(float(a) for a in self.atoms))
-        object.__setattr__(
-            self, "measures", tuple(tuple(float(w) for w in row) for row in self.measures)
-        )
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if self.p <= 0.0:
-            raise ValidationError(f"p: must be positive, got {self.p}")
-        if self.alpha <= 2.0:
-            raise ValidationError(f"alpha: must exceed 2, got {self.alpha}")
-        if self.beta <= 2.0:
-            raise ValidationError(f"beta: must exceed 2, got {self.beta}")
-        if self.horizon < 1:
-            raise ValidationError(f"N: must be >= 1, got {self.horizon}")
-        if any(e <= 0.0 for e in self.epsilons):
-            raise ValidationError(f"epsilons: must all be positive, got {self.epsilons}")
-        if not isinstance(self.seed, int):
-            raise ValidationError(f"seed: must be an integer, got {self.seed!r}")
-        if self.nx < 3:
-            raise ValidationError(f"solver.nx: must be >= 3, got {self.nx}")
-        if self.half_width is not None and self.half_width <= 0.0:
-            raise ValidationError(f"solver.half_width: must be positive, got {self.half_width}")
-        if not 0.0 < self.dt_safety <= 1.0:
-            raise ValidationError(f"solver.dt_safety: must lie in (0, 1], got {self.dt_safety}")
-        if self.trials < 1:
-            raise ValidationError(f"trials: must be >= 1, got {self.trials}")
-        if self.n_paths < 1:
-            raise ValidationError(f"n_paths: must be >= 1, got {self.n_paths}")
-
-    @cached_property
-    def ambiguity_set(self) -> AmbiguitySet:
-        return AmbiguitySet.from_rows(self.atoms, self.measures)
-
-    def gnormal_params(self) -> GNormalParams:
-        return GNormalParams.from_ambiguity(self.ambiguity_set)
-
-    def heat_grid(self) -> HeatGrid:
-        params = self.gnormal_params()
-        if self.half_width is None:
-            return default_grid(params, nx=self.nx, dt_safety=self.dt_safety)
-        dx = 2.0 * self.half_width / (self.nx - 1)
-        return HeatGrid(self.half_width, self.nx, self.dt_safety * dx * dx / params.sigma_upper_sq)
 
 
 @dataclass(frozen=True)
@@ -170,7 +101,7 @@ class SeriesReport:
         if not (
             len(self.n_values) == len(self.terms) == len(self.partial_sums) == len(self.reference)
         ):
-            raise ValidationError("series columns must have equal length")
+            raise ParameterError("series columns must have equal length")
 
     @property
     def horizon(self) -> int:
@@ -192,11 +123,11 @@ class DichotomyVerdict:
 
     def __post_init__(self) -> None:
         if self.regime not in ("diverges", "converges", "inconclusive"):
-            raise ValidationError(f"unknown regime {self.regime!r}")
+            raise ParameterError(f"unknown regime {self.regime!r}")
         if self.regime == "diverges" and self.p > 2.0:
-            raise ValidationError("a divergence verdict requires p <= 2")
+            raise ParameterError("a divergence verdict requires p <= 2")
         if self.regime == "converges" and self.p <= 2.0:
-            raise ValidationError("a convergence verdict requires p > 2")
+            raise ParameterError("a convergence verdict requires p > 2")
 
 
 def _resolve_cp(
@@ -374,7 +305,7 @@ class MZReport:
 
     def __post_init__(self) -> None:
         if any(v < 0 for col in (self.lhs, self.rhs_core, self.mean_terms) for v in col):
-            raise ValidationError("all MZ quantities must be nonnegative")
+            raise ParameterError("all MZ quantities must be nonnegative")
 
 
 def mz_check(
@@ -501,7 +432,7 @@ def corollary_series(
         )
     mu = ambiguity.require_mean_certain("corollary_series")
     if abs(mu) > ATOL:
-        raise PreconditionError(f"corollary_series requires mean zero, got mu = {mu}")
+        raise ParameterError(f"corollary_series requires mean zero, got mu = {mu}")
     term = lambda raw, n: raw * n ** (-beta)
     return _moment_series(
         "corollary", ambiguity, p, horizon, term, p / 2.0 - beta, c_p, params, grid
@@ -519,7 +450,7 @@ def moment_dichotomy_scan(
     exactly at p = 2 (p = 2 itself on the divergent side)."""
     ambiguity.require_mean_certain("moment_dichotomy_scan")
     if ambiguity.variance_interval[1] <= 0.0:
-        raise PreconditionError(
+        raise ParameterError(
             "moment_dichotomy_scan requires genuine dispersion (upper variance > 0)"
         )
     out: list[tuple[float, DichotomyVerdict]] = []

@@ -1,10 +1,13 @@
 import json
+import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import sublex as sx
 from sublex.cli import (
+    ExperimentConfig,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -53,34 +56,58 @@ class TestParseConfig:
 
     def test_weights_not_summing(self, tmp_path):
         path = write_config(tmp_path, measures=[[0.4, 0.3, 0.2]])
-        with pytest.raises(sx.ValidationError, match="weights"):
+        with pytest.raises(sx.ParameterError, match="weights"):
             parse_config(path)
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "atoms": [1, 2,\n}')
-        with pytest.raises(sx.ConfigError, match="line 3"):
+        with pytest.raises(sx.ParameterError, match="line 3"):
             parse_config(path)
 
     def test_unknown_key(self, tmp_path):
         path = write_config(tmp_path, bogus=1)
-        with pytest.raises(sx.ConfigError, match="bogus"):
+        with pytest.raises(sx.ParameterError, match="bogus"):
             parse_config(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(sx.ConfigError):
+        with pytest.raises(sx.ParameterError):
             parse_config(tmp_path / "nope.json")
 
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2, 3]")
-        with pytest.raises(sx.ConfigError, match="object"):
+        with pytest.raises(sx.ParameterError, match="object"):
             parse_config(path)
+
+    @pytest.mark.parametrize("solver", [5, None, [1]])
+    def test_solver_block_must_be_an_object(self, solver):
+        with pytest.raises(sx.ParameterError, match="solver: must be an object"):
+            config_from_dict({**CANONICAL, "solver": solver})
 
     def test_invalid_field_names_field(self, tmp_path):
         path = write_config(tmp_path, p=-1.0)
-        with pytest.raises(sx.ValidationError, match="p:"):
+        with pytest.raises(sx.ParameterError, match="p:"):
             parse_config(path)
+
+    def test_readme_matches_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        schema = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+        block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        config_from_dict(block)
+        keys = {k for k, v in block.items() if not isinstance(v, dict)}
+        keys |= {f"{k}.{sub}" for k, v in block.items() if isinstance(v, dict) for sub in v}
+        assert keys == set(schema)
+        # the key table: one row per key with its default and its range
+        rows = readme.split("\n| key ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+        documented = {}
+        for row in rows:
+            key, default, rule = (cell.strip(" `") for cell in row.split("|")[1:4])
+            documented[key] = (default, rule)
+        assert documented == {
+            key: ("required" if f.default is MISSING else json.dumps(f.default), f.metadata["rule"])
+            for key, f in schema.items()
+        }
 
     def test_roundtrip_through_dict(self, config_path):
         cfg = parse_config(config_path)
@@ -99,7 +126,7 @@ class TestParseConfig:
     )
     def test_integer_fields_refuse_fractions_and_booleans(self, key, value):
         doc = apply_overrides(CANONICAL, [f"{key}={json.dumps(value)}"])
-        with pytest.raises(sx.ConfigError, match=key):
+        with pytest.raises(sx.ParameterError, match=key):
             config_from_dict(doc)
 
 
@@ -116,7 +143,7 @@ class TestOverrides:
         assert doc["epsilons"] == [0.25, 0.75]
 
     def test_malformed(self):
-        with pytest.raises(sx.ConfigError):
+        with pytest.raises(sx.ParameterError):
             apply_overrides(CANONICAL, ["justakey"])
 
 
@@ -184,6 +211,41 @@ class TestExitCodes:
         path = write_config(tmp_path, measures=[[0.25, 0.5, 0.25], [0.1, 0.2, 0.7]])
         code = main(["eval", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "subcommand, changes, args, key",
+        [
+            ("lln-series", {"p": math.nan}, [], "p"),
+            ("subadd", {}, ["--override", "beta=Infinity"], "beta"),
+            ("axioms", {}, ["--seed", "-1"], "seed"),
+            ("sqs", {"seed": -1}, [], "seed"),
+            ("gheat", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
+            ("clt", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
+            ("lln-series", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
+            ("corollary", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
+            ("cc-series", {"epsilons": []}, [], "epsilons"),
+        ],
+        ids=[
+            "p-nan",
+            "beta-inf-override",
+            "seed-flag-negative",
+            "seed-negative",
+            "half_width-nan-gheat",
+            "half_width-nan-clt",
+            "half_width-nan-lln-series",
+            "half_width-nan-corollary",
+            "epsilons-empty",
+        ],
+    )
+    def test_invalid_value_exits_2_naming_its_key(
+        self, tmp_path, capsys, subcommand, changes, args, key
+    ):
+        path = write_config(tmp_path, **changes)
+        out = tmp_path / "o"
+        code = main([subcommand, "--config", str(path), "--out", str(out), *args])
+        assert code == 2
+        assert capsys.readouterr().out.startswith(f"error: {key}: must be ")
+        assert not out.exists()
 
 
 class TestArtifacts:

@@ -40,7 +40,7 @@ class TestUpperLower:
 
     def test_grid_mismatch(self, theta_star):
         other = TabulatedPayoff((-1.0, 1.0), (1.0, 1.0))
-        with pytest.raises(sx.DimensionError):
+        with pytest.raises(sx.ParameterError):
             sx.upper_expect(theta_star, other)
 
 
@@ -60,7 +60,7 @@ class TestCapacity:
         assert upper + lower_c == 1.0  # exact, not approximate
 
     def test_off_grid_atom(self, theta_star):
-        with pytest.raises(sx.DomainError):
+        with pytest.raises(sx.ParameterError):
             sx.capacity_pair(theta_star, [0.5])
 
     def test_lower_matches_lower_expect(self, theta_star):
@@ -131,23 +131,23 @@ class TestAxiomReport:
 
 class TestTypeInvariants:
     def test_atoms_must_increase(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.SupportGrid((0.0, 0.0, 1.0))
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.FiniteMeasure((0.5, 0.4))
 
     def test_weights_nonnegative(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.FiniteMeasure((1.1, -0.1))
 
     def test_measures_match_grid(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.AmbiguitySet(sx.SupportGrid((0.0, 1.0)), (sx.FiniteMeasure((1.0,)),))
 
     def test_empty_family(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.AmbiguitySet(sx.SupportGrid((0.0, 1.0)), ())
 
     def test_canonical_derived_quantities(self, theta_star):
@@ -159,7 +159,7 @@ class TestTypeInvariants:
     def test_mean_uncertain_set(self):
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
         assert not lopsided.is_mean_certain
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             lopsided.require_mean_certain("test")
 
 

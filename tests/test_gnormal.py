@@ -45,11 +45,11 @@ class TestGFunction:
 
 class TestParams:
     def test_interval_ordering(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.GNormalParams(2.0, 1.0)
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.GNormalParams(-0.1, 1.0)
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.GNormalParams(0.0, 0.0)
 
     def test_from_ambiguity(self, theta_star):
@@ -58,17 +58,17 @@ class TestParams:
 
     def test_from_ambiguity_requires_mean_certainty(self):
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             sx.GNormalParams.from_ambiguity(lopsided)
 
 
 class TestHeatGrid:
     def test_invariants(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.HeatGrid(0.0, 801, 1e-4)
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.HeatGrid(8.0, 2, 1e-4)
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.HeatGrid(8.0, 801, 0.0)
 
     def test_default_grid(self, params):
@@ -79,7 +79,7 @@ class TestHeatGrid:
 
     def test_stability_enforced(self, params):
         grid = sx.HeatGrid(8.0, 801, 1.0)  # far above the stability limit
-        with pytest.raises(sx.ConfigurationError):
+        with pytest.raises(sx.ParameterError):
             sx.g_expectation(lambda x: x**2, params, grid)
 
 
@@ -116,7 +116,7 @@ class TestGExpectation:
     def test_payoff_grid_mismatch(self, params):
         grid = default_grid(params)
         tab = TabulatedPayoff((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
-        with pytest.raises(sx.DimensionError):
+        with pytest.raises(sx.ParameterError):
             sx.g_expectation(tab, params, grid)
 
     def test_monotone_in_payoff(self, params):
@@ -234,7 +234,7 @@ def reference_evolve(values, t, params, grid):
     _check_stability(grid, params)
     u = np.asarray(values, dtype=float).copy()
     if u.shape != (grid.nx,):
-        raise sx.DimensionError(f"expected {grid.nx} payoff values, got shape {u.shape}")
+        raise sx.ParameterError(f"expected {grid.nx} payoff values, got shape {u.shape}")
     if t == 0.0:
         return u
     n_steps = max(1, math.ceil(t / grid.dt))
@@ -330,9 +330,9 @@ class TestFusedStepper:
         grid = default_grid(params, nx=11)
         with pytest.raises(sx.ParameterError):
             evolve(np.zeros(11), -0.1, params, grid)
-        with pytest.raises(sx.DimensionError):
+        with pytest.raises(sx.ParameterError):
             evolve(np.zeros(12), 1.0, params, grid)
-        with pytest.raises(sx.ConfigurationError):
+        with pytest.raises(sx.ParameterError):
             evolve(np.zeros(11), 1.0, params, sx.HeatGrid(grid.half_width, 11, 2.0 * grid.dt))
 
 

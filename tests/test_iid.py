@@ -30,6 +30,7 @@ from sublex.iid import (
     _PairLattice,
     _sample_steps,
     _tail_sums,
+    _terminal_values,
 )
 from sublex.lln import SAMPLING_Z
 
@@ -61,7 +62,7 @@ class TestSumFunctional:
 
     def test_missing_state_is_domain_error(self, theta_star):
         incomplete = TabulatedPayoff((-2.0, 0.0, 2.0), (4.0, 0.0, 4.0))
-        with pytest.raises(sx.DomainError):
+        with pytest.raises(sx.ParameterError):
             sx.eval_sum_functional(theta_star, 2, incomplete)
 
     def test_bad_horizon(self, theta_star):
@@ -120,7 +121,7 @@ class TestAdditiveFunctional:
         assert sx.eval_additive_functional(theta_star, 4, [lambda s: 0.0] * 4) == 0.0
 
     def test_wrong_cost_count(self, theta_star):
-        with pytest.raises(sx.DomainError):
+        with pytest.raises(sx.ParameterError):
             sx.eval_additive_functional(theta_star, 3, [lambda s: s])
 
 
@@ -146,7 +147,7 @@ class TestMaxAbsFunctional:
 
     def test_requires_mean_certainty(self):
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             sx.eval_maxabs_functional(lopsided, 2, lambda m: m)
 
     def test_horizon_gate(self, theta_star):
@@ -175,7 +176,7 @@ class TestSumsqFunctional:
 
     def test_requires_mean_certainty(self):
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             sx.eval_sumsq_functional(lopsided, 2, lambda q: q)
 
 
@@ -277,7 +278,7 @@ class TestSeries:
 
     def test_centered_requires_mean_certainty(self):
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             sx.sum_functional_series(lopsided, 3, lambda s: s, centered=True)
 
 
@@ -373,12 +374,12 @@ class TestSamplePath:
 
     def test_policy_gap(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 3, lambda s: s)
-        with pytest.raises(sx.DomainError):
+        with pytest.raises(sx.ParameterError):
             sx.sample_path(theta_star, policy, 4, seed=0)
 
     def test_off_lattice_state_is_domain_error(self, coin):
         stray = sx.SelectionPolicy(((0.0,), (5.0,)), ((0,), (0,)))
-        with pytest.raises(sx.DomainError, match="step-1 lattice"):
+        with pytest.raises(sx.ParameterError, match="step-1 lattice"):
             sx.sample_path(coin, stray, 2, seed=0)
 
     def test_batch_of_one_matches_stepwise_reference(self, theta_star):
@@ -427,10 +428,10 @@ class TestSamplePath:
     def test_replay_needs_the_policy_lattice(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 5, abs)
         longer = _lattice(theta_star.grid.array, 6)
-        with pytest.raises(sx.DomainError):
+        with pytest.raises(sx.ParameterError):
             _chain_dp(theta_star, longer, 6, np.abs(longer.states(6)), replay=policy)
         wider = _lattice(theta_star.grid.array * 2, 5)
-        with pytest.raises(sx.DomainError):
+        with pytest.raises(sx.ParameterError):
             _chain_dp(theta_star, wider, 5, np.abs(wider.states(5)), replay=policy)
 
     def test_batch_sampling_matches_exact_policy_value(self, theta_star):
@@ -983,6 +984,17 @@ class TestSweepBudget:
         outcomes = traced_outcomes(call, range(100, 5000, 100))
         assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
 
+    def test_many_horizon_sweeps_stay_within_the_budget(self, theta_star, monkeypatch):
+        # one value column per horizon: n of them for cc_series, n - 1 for mz_check
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**16)
+        call = lambda n: sx.cc_series(theta_star, 0.5, 4.0, n)
+        outcomes = traced_outcomes(call, range(4, 400, 4))
+        assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**21)
+        call = lambda n: sx.mz_check(theta_star, 4.0, list(range(2, n + 1)), max_n=n)
+        outcomes = traced_outcomes(call, range(4, 200, 4))
+        assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
+
 
 class TestPolicyBudget:
     def test_policy_past_the_budget_raises_before_the_sweep(self, theta_star):
@@ -1024,6 +1036,41 @@ class TestPolicyBudget:
 def test_policy_sampled_on_another_grid_is_located_by_value(theta_star):
     _, policy = sx.eval_sum_functional(theta_star, 4, abs)
     wider = sx.AmbiguitySet.from_rows((-2.0, 0.0, 2.0), theta_star.weight_matrix)
-    with pytest.raises(sx.DomainError, match="lattice"):
+    with pytest.raises(sx.ParameterError, match="lattice"):
         for _ in _sample_steps(wider, policy, 4, np.random.default_rng(0), 50):
             pass
+
+
+def reference_terminal_values(states, terminal):
+    """The per-state table lookup ``_terminal_values`` made before it called ``_locate``."""
+    idx = np.searchsorted(terminal.state_array, states)
+    out = np.empty(states.size)
+    for pos, (s, i) in enumerate(zip(states, idx)):
+        for j in (i - 1, i):
+            if 0 <= j < len(terminal.states) and abs(terminal.states[j] - s) <= iid.LOOKUP_TOL:
+                out[pos] = terminal.values[j]
+                break
+        else:
+            raise sx.ParameterError(f"terminal payoff is missing reachable state {s!r}")
+    return out
+
+
+class TestTerminalLookup:
+    def test_table_lookup_picks_the_entries_of_the_per_state_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            # gaps of a unit or of under LOOKUP_TOL, so some states match two entries
+            table = np.cumsum(rng.choice([1.0, 0.4e-6, 0.9e-6], 30))
+            terminal = TabulatedPayoff(tuple(table), tuple(rng.random(30)))
+            jitter = rng.choice([-0.9e-6, -0.5e-6, 0.0, 0.5e-6, 0.9e-6], 30)
+            states = np.unique(table + jitter)  # the ends may lie outside the table
+            np.testing.assert_array_equal(
+                _terminal_values(states, terminal), reference_terminal_values(states, terminal)
+            )
+
+    def test_missing_state_is_named(self):
+        terminal = TabulatedPayoff((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+        with pytest.raises(sx.ParameterError, match="0.5"):
+            _terminal_values(np.array([-1.0, 0.5, 1.0]), terminal)
+        with pytest.raises(sx.ParameterError, match="1.00001"):
+            _terminal_values(np.array([-1.0, 1.00001]), terminal)

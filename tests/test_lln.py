@@ -5,7 +5,8 @@ import pytest
 
 import sublex as sx
 from sublex import lln
-from sublex.lln import SAMPLING_Z, ExperimentConfig, tail_consistency
+from sublex.cli import ExperimentConfig
+from sublex.lln import SAMPLING_Z, tail_consistency
 
 from conftest import random_mean_zero_ambiguity
 
@@ -38,7 +39,7 @@ class TestExperimentConfig:
     )
     def test_invariants_name_the_field(self, field, kwargs):
         base = dict(atoms=(-1, 0, 1), measures=((0.25, 0.5, 0.25),))
-        with pytest.raises(sx.ValidationError, match=field.split(".")[-1]):
+        with pytest.raises(sx.ParameterError, match=field.split(".")[-1]):
             ExperimentConfig(**base, **kwargs)
 
 
@@ -80,7 +81,7 @@ class TestSlpSeries:
 
     def test_requires_mean_certainty(self):
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             sx.slp_series(lopsided, 2.0, 5, c_p=1.0)
 
     def test_reference_tracks_gap(self, theta_star, cp_cache):
@@ -115,9 +116,9 @@ class TestDichotomy:
         assert verdict.regime == "inconclusive"
 
     def test_verdict_type_invariant(self):
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.DichotomyVerdict("diverges", 3.0, None)
-        with pytest.raises(sx.ValidationError):
+        with pytest.raises(sx.ParameterError):
             sx.DichotomyVerdict("converges", 2.0, None)
 
     def test_scan_flips_at_two(self, theta_star, cp_cache):
@@ -135,7 +136,7 @@ class TestDichotomy:
 
     def test_scan_rejects_constant_variable(self):
         constant = sx.AmbiguitySet.from_rows((0.0,), ((1.0,),))
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             sx.moment_dichotomy_scan(constant, [2.0], 10)
 
     def test_scan_classical_coin(self, coin):
@@ -224,7 +225,7 @@ class TestCorollary:
         shifted = sx.AmbiguitySet.from_rows(
             (0.0, 1.0, 2.0), ((0.25, 0.5, 0.25), (0.5, 0.0, 0.5))
         )
-        with pytest.raises(sx.PreconditionError):
+        with pytest.raises(sx.ParameterError):
             sx.corollary_series(shifted, 3.0, 2.6, 10)
 
     def test_requires_p_above_two(self, theta_star):
