@@ -98,7 +98,8 @@ def _read_only(values, dtype) -> np.ndarray:
 class _Lattice:
     """Levels of nodes a recursion sweeps: level k holds the states after k
     steps, and ``successors(k, V)`` gives, per move, the values ``V`` holds on
-    level k+1 at the successors of the nodes of level k."""
+    level k+1 at the successors of the nodes of level k; ``gathered()`` of
+    those are new arrays, the others views."""
 
     def reach(self, k: int) -> np.ndarray | None:
         """Which nodes of level k are reachable; None when all of them are."""
@@ -194,6 +195,9 @@ class _IntLattice(_Lattice):
         width = self.size(k)
         return [values[s : s + width] for s in self.moves]
 
+    def gathered(self) -> int:
+        return 0  # the successors are views
+
     def origin(self, k: int) -> int:
         return k * self.zero
 
@@ -212,6 +216,9 @@ class _MergedLattice(_Lattice):
 
     def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
         return [values[step_map] for step_map in self.maps[k].T]
+
+    def gathered(self) -> int:
+        return self.maps[0].shape[1] if self.maps else 0
 
     def origin(self, k: int) -> int:
         return self.origins[k]
@@ -269,6 +276,9 @@ class _CompositionLattice(_Lattice):
         moved = [values[:width]] + [values[ranks[:width]] for ranks in self.succ]
         return [moved[j] for j in self.moves]
 
+    def gathered(self) -> int:
+        return len(self.succ)  # the free move is a view
+
     def origin(self, k: int) -> int:
         return 0
 
@@ -312,6 +322,9 @@ class _PairLattice(_Lattice):
             nxt = grid[at, np.maximum(running, reached[at])]
             out.append(nxt.reshape((rows * cols,) + values.shape[1:]))
         return out
+
+    def gathered(self) -> int:
+        return self.moves.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -703,13 +716,15 @@ def _chain_dp(
     With a ``replay`` policy built on the same states, returns that policy's
     exact expected value (policy evaluation) instead of the optimum.  A
     policy keeps a state and a choice (16 bytes) per reachable state of
-    levels 0..n-1; past ``CHAIN_BUDGET_BYTES`` it raises CapacityError
-    before the sweep.
+    levels 0..n-1; with the lattice and its sweep past
+    ``CHAIN_BUDGET_BYTES``, it raises CapacityError before the sweep.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     if want_policy:
-        held = 16 * sum(lattice.count(k) for k in range(n))
+        # the policy fills up while the lattice and the sweep's arrays are held
+        held = 16 * sum(lattice.count(k) for k in range(n)) + _held(lattice)
+        held += _sweep_bytes(lattice.size(n), len(ambiguity.measures), lattice.gathered())
         if held > CHAIN_BUDGET_BYTES:
             raise _over_budget(f"the selection policy of {n} steps", held, n - 1)
     fixed = None
@@ -752,8 +767,8 @@ def _horizons_dp(
     each n of the increasing ``horizons`` a column starts from it at level n,
     and level 0 holds every column's value, returned in horizon order.
     Before the sweep, the arrays of ``lattice`` and a sweep of its level
-    with the most values, nodes times the columns alive there, gathering at
-    most a successor per move, are projected; past ``CHAIN_BUDGET_BYTES``
+    with the most values, nodes times the columns alive there, gathering the
+    lattice's successor arrays, are projected; past ``CHAIN_BUDGET_BYTES``
     CapacityError is raised.
     """
     top = horizons[-1]
@@ -761,8 +776,7 @@ def _horizons_dp(
         raise ParameterError(f"horizons must be >= 1, got {horizons[0]}")
     alive = len(horizons) - np.searchsorted(horizons, np.arange(top + 1))
     widest = max(lattice.size(k) * int(columns) for k, columns in enumerate(alive))
-    measures, moves = ambiguity.weight_matrix.shape
-    held = _held(lattice) + _sweep_bytes(widest, measures, moves)
+    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.measures), lattice.gathered())
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
     starts = set(horizons)
@@ -1013,20 +1027,19 @@ def _brute_force_many(
 
     atoms = ambiguity.grid.array
     weights = ambiguity.weight_matrix
-    depth_offset = [0]
-    for k in range(1, n):
-        depth_offset.append(depth_offset[-1] + n_atoms ** (k - 1))
+    depth_offset = [sum(n_atoms**j for j in range(k)) for k in range(n)]  # first node per depth
 
-    assign_ids = np.arange(n_assign, dtype=np.int64)
-    totals = [np.zeros(n_assign) for _ in path_payoffs]
+    # axis i of an assignment array is the measure picked at decision node i;
+    # a single measure needs no axes
+    axes = n_nodes if n_meas > 1 else 0
+    totals = [np.zeros((n_meas,) * axes) for _ in path_payoffs]
     path = np.zeros(n)
 
     def walk(depth: int, prefix_code: int, prob: np.ndarray) -> None:
         node = depth_offset[depth] + prefix_code
-        radix = n_meas ** (n_nodes - 1 - node)
-        selected = (assign_ids // radix) % n_meas  # measure index per assignment
+        column = tuple(n_meas if axis == node else 1 for axis in range(axes))
         for a in range(n_atoms):
-            branch = prob * weights[selected, a]
+            branch = prob * weights[:, a].reshape(column)  # over the nodes on the path
             path[depth] = atoms[a]
             if depth + 1 == n:
                 for total, payoff in zip(totals, path_payoffs):
@@ -1034,10 +1047,10 @@ def _brute_force_many(
             else:
                 walk(depth + 1, prefix_code * n_atoms + a, branch)
 
-    walk(0, 0, np.ones(n_assign))
+    walk(0, 0, np.ones(()))
     # walk refers to itself through its closure; dropping the name breaks that
-    # cycle, so its n_assign-sized arrays are freed now rather than at the
-    # next cyclic garbage collection
+    # cycle, so its arrays are freed now rather than at the next cyclic
+    # garbage collection
     del walk
     return [float(t.max()) for t in totals]
 

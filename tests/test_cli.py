@@ -3,6 +3,7 @@ import math
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sublex as sx
@@ -409,3 +410,55 @@ class TestDeterminism:
         manifest = run("subadd", cfg, tmp_path / "api")
         assert manifest.outputs == ("subadd.csv",)
         assert (tmp_path / "api" / "manifest.json").exists()
+
+
+def per_trial_axioms_csv(seed: int, trials: int) -> bytes:
+    """``axioms.csv`` recomputed one trial at a time from the same draws: each
+    instance built by ``AmbiguitySet.from_rows``, each residual from
+    ``upper_expect`` on a payoff, each capacity from ``capacity_pair``."""
+    rng = np.random.default_rng(seed)
+    lines = ["trial,check,residual"]
+    for trial in range(trials):
+        n_atoms = int(rng.integers(2, 6))
+        atoms = np.cumsum(0.2 + rng.random(n_atoms)) - 1.5
+        n_meas = int(rng.integers(1, 5))
+        rows = []
+        for _ in range(n_meas):
+            w = rng.random(n_atoms) + 1e-3
+            rows.append(w / w.sum())
+        family = sx.AmbiguitySet.from_rows(atoms, rows)
+        grid = family.grid.atoms
+        va = rng.uniform(-5, 5, n_atoms)
+        vb = rng.uniform(-5, 5, n_atoms)
+        lam = float(3.0 * rng.random())
+        c = float(rng.uniform(-5, 5))
+
+        def eup(values) -> float:
+            return sx.upper_expect(family, sx.TabulatedPayoff(grid, tuple(values)))
+
+        hi = va if np.all(va >= vb) else np.maximum(va, vb)
+        residuals = {
+            "monotonicity": eup(vb) - eup(hi),
+            "constant_preserving": abs(eup(np.full(n_atoms, c)) - c),
+            "subadditivity": eup(va + vb) - (eup(va) + eup(vb)),
+            "positive_homogeneity": abs(eup(lam * va) - lam * eup(va)),
+        }
+        mask = rng.random(n_atoms) < 0.5
+        event = [a for a, keep in zip(grid, mask) if keep]
+        complement = [a for a, keep in zip(grid, mask) if not keep]
+        upper, _ = sx.capacity_pair(family, event)
+        _, lower = sx.capacity_pair(family, complement)
+        residuals["capacity_complement"] = abs(upper + lower - 1.0)
+        if complement:
+            grown, _ = sx.capacity_pair(family, event + [complement[0]])
+            residuals["capacity_monotone"] = upper - grown
+        lines += [f"{trial},{name},{format(r, '.17g')}" for name, r in residuals.items()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 901])
+def test_axioms_csv_matches_the_per_trial_recomputation(config_path, tmp_path, seed):
+    out = tmp_path / "axioms"
+    args = ["axioms", "--config", str(config_path), "--out", str(out)]
+    assert main(args + ["--seed", str(seed), "--override", "trials=200"]) == 0
+    assert (out / "axioms.csv").read_bytes() == per_trial_axioms_csv(seed, 200)

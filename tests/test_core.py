@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sublex as sx
-from sublex.core import TabulatedPayoff
+from sublex.core import TabulatedPayoff, _check_stacked
 
 from conftest import random_ambiguity
 
@@ -149,6 +149,31 @@ class TestTypeInvariants:
     def test_empty_family(self):
         with pytest.raises(sx.ParameterError):
             sx.AmbiguitySet(sx.SupportGrid((0.0, 1.0)), ())
+
+    @pytest.mark.parametrize(
+        "atoms, rows",
+        [
+            ((-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25), (0.5, 0.0, 0.5))),
+            ((0.0, 0.0, 1.0), ((0.25, 0.5, 0.25),)),
+            ((1.0, 0.0, 2.0), ((0.25, 0.5, 0.25),)),
+            ((0.0, np.nan, 1.0), ((0.25, 0.5, 0.25),)),
+            ((-1.0, 0.0, 1.0), ((1.1, -0.1, 0.0),)),
+            ((-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25), (0.5, 0.4, 0.0))),
+            ((-1.0, 0.0, 1.0), ((0.5, np.inf, 0.5),)),
+            ((-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25 + 2e-12),)),
+        ],
+    )
+    def test_stacked_checks_refuse_what_from_rows_refuses(self, atoms, rows):
+        # the checks of the axioms runner, on a stack of the instance and a valid one
+        valid = np.array([[-1.0, 0.0, 1.0]]), np.full((1, len(rows), 3), 1 / 3)
+        stacked = np.vstack([valid[0], [atoms]]), np.concatenate([valid[1], [rows]])
+        try:
+            sx.AmbiguitySet.from_rows(atoms, rows)
+        except sx.ParameterError:
+            with pytest.raises(sx.ParameterError):
+                _check_stacked(*stacked)
+        else:
+            _check_stacked(*stacked)
 
     def test_canonical_derived_quantities(self, theta_star):
         assert theta_star.is_mean_certain

@@ -970,6 +970,16 @@ def traced_outcomes(call, horizons):
     return outcomes
 
 
+def budget_outcomes(monkeypatch, call, budgets):
+    """Runs ``call()`` under each of the ``budgets``, asserting that every run
+    either raises CapacityError or keeps its traced peak within the budget."""
+    outcomes = []
+    for budget in budgets:
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", budget)
+        outcomes += traced_outcomes(lambda _: call(), [budget])
+    return outcomes
+
+
 class TestSweepBudget:
     def test_running_max_sweep_stays_within_the_budget(self, theta_star, monkeypatch):
         # dense pairs, merged pairs past the dense budget, or CapacityError
@@ -995,8 +1005,28 @@ class TestSweepBudget:
         outcomes = traced_outcomes(call, range(4, 200, 4))
         assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
 
+    def test_integer_lattice_successors_are_not_projected_as_gathered(
+        self, theta_star, monkeypatch
+    ):
+        # the successors of a dense integer lattice are views of the level above
+        lattice = _lattice(theta_star.grid.array, 80)
+        assert isinstance(lattice, _IntLattice) and lattice.gathered() == 0
+        call = lambda: sx.cc_series(theta_star, 0.5, 4.0, 80)
+        # a successor per move would project 399 kB and refuse it at 360 kB
+        assert budget_outcomes(monkeypatch, call, [360_000]) == ["built"]
+        outcomes = budget_outcomes(monkeypatch, call, range(100_000, 400_000, 20_000))
+        assert "raised" in outcomes and "built" in outcomes
+
 
 class TestPolicyBudget:
+    def test_policy_lattice_and_sweep_are_budgeted_together(self, monkeypatch):
+        # three float atoms at n = 60: a policy of 605 kB beside its composition
+        # lattice and the sweep of it
+        family = two_measures(FLOAT_ATOMS[:3])
+        call = lambda: sx.eval_sum_functional(family, 60, abs)
+        outcomes = budget_outcomes(monkeypatch, call, range(500_000, 1_000_000, 20_000))
+        assert "raised" in outcomes and "built" in outcomes
+
     def test_policy_past_the_budget_raises_before_the_sweep(self, theta_star):
         # 16 bytes for each of the ~N^2 states of levels 0..N-1: about 4 GB
         tracemalloc.start()
@@ -1019,16 +1049,18 @@ class TestPolicyBudget:
     def test_policy_budget_counts_reachable_states(self, monkeypatch):
         # gapped grid: level k has k*3 + 1 nodes, of which fewer are reachable;
         # 40 steps, so that the policy, quadratic in n, outgrows the lattice
-        # and its sweep, linear in n, and sets the budget
+        # and its sweep, linear in n, and sets the budget with them
         n = 40
         gapped = sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), (np.full(3, 1 / 3),))
         lattice = _lattice(gapped.grid.array, n)
         states = sum(lattice.states(k).size for k in range(n))
         assert states == sum(lattice.count(k) for k in range(n))
         assert states < sum(lattice.size(k) for k in range(n))
-        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states)
+        swept = iid._held(lattice) + iid._sweep_bytes(lattice.size(n), 1, lattice.gathered())
+        assert 16 * states > 2 * swept
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states + swept)
         sx.eval_sum_functional(gapped, n, abs)
-        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states - 1)
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states + swept - 1)
         with pytest.raises(sx.CapacityError, match="selection policy"):
             sx.eval_sum_functional(gapped, n, abs)
 
