@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import AmbiguitySet, TabulatedPayoff
 from .errors import CheckError, ParameterError
@@ -236,9 +235,16 @@ def g_expectation(
 
 def classical_abs_moment(p: float, sigma_sq: float) -> float:
     """E|N(0, sigma^2)|^p by adaptive quadrature, cross-checked against the
-    Gamma-function closed form; the two must agree to 1e-10."""
+    Gamma-function closed form; the two must agree to 1e-10.
+
+    ``quad`` is imported here, not at module level: importing
+    ``scipy.integrate`` costs more than every subcommand of the CLI, none
+    of which calls this function.
+    """
     if p <= 0.0 or sigma_sq <= 0.0:
         raise ParameterError(f"need p > 0 and sigma_sq > 0, got p={p}, sigma_sq={sigma_sq}")
+    from scipy.integrate import quad
+
     sigma = math.sqrt(sigma_sq)
     formula = sigma**p * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 

@@ -405,12 +405,13 @@ def _over_budget(what: str, held: int, step: int) -> CapacityError:
     )
 
 
-def _sweep_bytes(width: int, measures: int, gathered: int) -> int:
+def _sweep_bytes(width: int, measures: int, gathered: int, words: int = _SWEEP_WORDS) -> int:
     """Bytes a sweep of a lattice holds beside it, from the ``width`` of its
     widest level: a candidate array per measure, ``gathered`` successor or
-    index arrays and ``_SWEEP_WORDS`` working arrays; 0 when ``measures`` is
-    0, for a lattice that is not swept."""
-    return 8 * width * (measures + gathered + _SWEEP_WORDS) if measures else 0
+    index arrays and ``words`` working arrays (``_SWEEP_WORDS`` unless the
+    caller derives fewer); 0 when ``measures`` is 0, for a lattice that is
+    not swept."""
+    return 8 * width * (measures + gathered + words) if measures else 0
 
 
 def _held(lattice: _Lattice) -> int:
@@ -776,7 +777,12 @@ def _horizons_dp(
         raise ParameterError(f"horizons must be >= 1, got {horizons[0]}")
     alive = len(horizons) - np.searchsorted(horizons, np.arange(top + 1))
     widest = max(lattice.size(k) * int(columns) for k, columns in enumerate(alive))
-    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.measures), lattice.gathered())
+    # of the _SWEEP_WORDS, a sweep that derives no picks and adds no stage
+    # cost holds the level above, the running best with its predecessor and
+    # a weighted successor, not the picks, their tie mask or the four stage
+    # arrays; starting a column adds the stacked copy of the values
+    words = _SWEEP_WORDS - 2 - 4 + 1
+    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.measures), lattice.gathered(), words)
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
     starts = set(horizons)

@@ -1,4 +1,7 @@
 import numpy as np
+# np.unique imports numpy.ma on its first call; loaded here, that import is
+# not counted in the traced (tracemalloc) peak of whichever test calls it first
+import numpy.ma  # noqa: F401
 import pytest
 
 import sublex as sx

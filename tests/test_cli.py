@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 
 import sublex as sx
 from sublex.cli import (
+    SUBCOMMANDS,
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
@@ -410,6 +414,42 @@ class TestDeterminism:
         manifest = run("subadd", cfg, tmp_path / "api")
         assert manifest.outputs == ("subadd.csv",)
         assert (tmp_path / "api" / "manifest.json").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Imports sublex and the CLI, runs every subcommand given on its command
+#: line on the canonical config, and prints the exit codes and the scipy
+#: modules it loaded as the last line of JSON.
+IMPORT_PROBE = """
+import json, sys
+import sublex, sublex.cli
+config, out, names = sys.argv[1], sys.argv[2], sys.argv[3:]
+small = ["--override", "n_paths=200", "--override", "trials=20"]
+codes = {
+    name: sublex.cli.main([name, "--config", config, "--out", f"{out}/{name}", *small])
+    for name in names
+}
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_the_cli_path_loads_no_scipy(tmp_path):
+    # importing scipy.integrate costs more than all subcommands together; a
+    # quadrature check on the CLI path (c_p from classical_abs_moment, say)
+    # must keep its import local and out of the subcommands
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    config = str(ROOT / "configs" / "canonical.json")
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, config, str(tmp_path), *SUBCOMMANDS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == {name: 0 for name in SUBCOMMANDS}
+    assert result["scipy"] == []
 
 
 def per_trial_axioms_csv(seed: int, trials: int) -> bytes:

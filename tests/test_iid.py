@@ -1012,10 +1012,50 @@ class TestSweepBudget:
         lattice = _lattice(theta_star.grid.array, 80)
         assert isinstance(lattice, _IntLattice) and lattice.gathered() == 0
         call = lambda: sx.cc_series(theta_star, 0.5, 4.0, 80)
-        # a successor per move would project 399 kB and refuse it at 360 kB
-        assert budget_outcomes(monkeypatch, call, [360_000]) == ["built"]
+        # a successor per move would project 266 kB and refuse it at 230 kB
+        assert budget_outcomes(monkeypatch, call, [230_000]) == ["built"]
         outcomes = budget_outcomes(monkeypatch, call, range(100_000, 400_000, 20_000))
         assert "raised" in outcomes and "built" in outcomes
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [("cc_series", 80), ("cc_series", 200), ("mz_check", 16), ("mz_check", 32)],
+    )
+    def test_many_horizon_projection_is_close_to_the_traced_peak(
+        self, theta_star, monkeypatch, name, n
+    ):
+        # the projection counts what a many-column sweep holds, not the picks,
+        # tie mask and stage arrays of a one-column sweep
+        if name == "cc_series":
+            call = lambda: sx.cc_series(theta_star, 0.5, 4.0, n)
+        else:
+            call = lambda: sx.mz_check(theta_star, 4.0, list(range(2, n + 1)), max_n=n)
+        budget = smallest_admitting_budget(monkeypatch, call)
+        call()  # first-call allocations are not the sweep's
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.67 * budget <= peak <= budget, (budget, peak)
+
+
+def smallest_admitting_budget(monkeypatch, call, hi=2**24):
+    """A ``CHAIN_BUDGET_BYTES`` in 1..hi that admits ``call()`` while one byte
+    less raises CapacityError, found by bisection and left set; the smallest
+    admitting budget where admission grows with the budget."""
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", mid)
+        try:
+            call()
+            hi = mid
+        except sx.CapacityError:
+            lo = mid + 1
+    monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", lo)
+    return lo
 
 
 class TestPolicyBudget:

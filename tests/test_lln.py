@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 import sublex as sx
 from sublex import lln
@@ -381,6 +382,33 @@ class TestTailFitting:
         fit = sx.fit_tail(n, 1.0 / n)
         assert fit.exponent == pytest.approx(1.0, abs=1e-6)
         assert fit.predicted_tail_beyond == math.inf
+
+    @pytest.mark.parametrize("terms", [lambda n: 1.0 / n, lambda n: n**-0.5])
+    def test_non_integrable_tail_is_infinite_without_a_zeta(self, terms, monkeypatch):
+        def no_zeta(s, q):
+            raise AssertionError("the zeta of a non-integrable tail was evaluated")
+
+        monkeypatch.setattr(lln, "_hurwitz_zeta", no_zeta)
+        n = np.arange(1, 101)
+        fit = sx.fit_tail(n, terms(n))
+        assert fit.usable and fit.exponent <= 1.0
+        assert fit.predicted_tail_beyond == math.inf
+
+    @pytest.mark.parametrize("s", [1.0001, 1.01, 1.5, 2.0, 3.7, 10.0, 40.0])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 11.0, 201.0, 16001.0, 1e5])
+    def test_hurwitz_zeta_matches_scipy(self, s, q):
+        assert lln._hurwitz_zeta(s, q) == pytest.approx(float(zeta(s, q)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["slp", "corollary"])
+    def test_predicted_tail_matches_the_scipy_zeta(self, theta_star, cp_cache, kind):
+        if kind == "slp":
+            report = sx.slp_series(theta_star, 3.0, 200, c_p=cp_cache(3.0))
+        else:
+            report = sx.corollary_series(theta_star, 3.0, 2.6, 200, c_p=cp_cache(3.0))
+        tail = report.tail
+        assert tail.exponent > 1.0
+        expected = tail.coeff * float(zeta(tail.exponent, 201))
+        assert tail.predicted_tail_beyond == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_too_few_points(self):
         fit = sx.fit_tail([1, 2], [1.0, 0.5])
