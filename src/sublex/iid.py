@@ -6,21 +6,22 @@ maximization over per-step measure choices from the ambiguity set,
 
     V_n(s) = phi(s),   V_k(s) = max_theta sum_j theta_j V_{k+1}(s + atom_j),
 
-evaluated on the lattice of reachable partial sums.  Commensurable offsets
-(decimals whose differences are integer multiples of one unit, as on the
-canonical grid) give an integer lattice: a state is a node index and its
-value the correctly rounded exact sum.  A dense integer lattice gathers
-successors by slicing and stores nothing per step; a sparse one (few
-offsets over a wide span) merges the reached indices exactly and stores
-one transition map per step.  Other offsets run on the composition
-lattice: a node is a multiset of draws, ranked in the combinatorial number
-system, with closed-form successor ranks computed once and sliced per
-level; it needs no sort, no tolerance and no per-step maps.  Every
-lattice, with the arrays its sweep holds, stays under a memory budget.
-A brute-force enumerator
-over *all* history-dependent measure assignments provides an independent
-oracle for this recursion at small sizes, and an argmax policy extracted
-from the recursion drives adversarial path sampling.
+evaluated on the lattice of reachable partial sums, one of two.  The dense
+integer lattice serves commensurable offsets (decimals whose differences
+are integer multiples of one unit, as on the canonical grid) while its
+nodes do not outnumber the multisets of draws: a node is an index, its
+value the correctly rounded exact sum, and successors are slices.  All
+other offsets run on the composition lattice: a node is a multiset of
+draws, ranked in the combinatorial number system, with closed-form
+successor ranks computed once and sliced per level; it needs no sort, no
+tolerance and no per-step maps.  On commensurable offsets it counts the
+integer shifts and values a node as the dense lattice would.  Functionals
+of the running maximum run on one chain of merged (sum, running max)
+pairs.  Every lattice, with the arrays its sweep holds, stays under a
+memory budget.  A brute-force enumerator over *all* history-dependent
+measure assignments provides an independent oracle for this recursion at
+small sizes, and an argmax policy extracted from the recursion drives
+adversarial path sampling.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ MERGE_TOL = 1e-9
 #: Tolerance when locating a state on an already-built lattice.
 LOOKUP_TOL = 1e-6
 
-#: Bytes one lattice may hold: the nodes and transition maps of a merged
-#: chain with the temporaries of its widest merge, the reachability masks of
-#: a gapped integer lattice, the widest level of a dense one with its
-#: successors, or the ranks, values and successor ranks of a composition
-#: lattice with the temporaries that build them; each with the arrays a sweep
-#: of it holds (``_sweep_bytes``).  Also the bytes of one selection policy.
+#: Bytes one lattice may hold: the reachability masks of a gapped integer
+#: lattice, the widest level of a dense one with its successors, the ranks,
+#: values and successor ranks of a composition lattice with the temporaries
+#: that build them, or the maxima and transition maps of the pair chain with
+#: the temporaries of its widest merge; each with the arrays a sweep of it
+#: holds (``_sweep_bytes``).  Also the bytes of one selection policy.
 CHAIN_BUDGET_BYTES = 512 * 2**20
 
 #: Working arrays of a sweep step, in words per node of the widest level,
@@ -59,14 +60,10 @@ CHAIN_BUDGET_BYTES = 512 * 2**20
 #: and the spread sum.
 _SWEEP_WORDS = 10
 
-#: Peak bytes per candidate of one merge step, its outputs included.  A
-#: ``_build_chain`` step holds the candidate sums, their sort order, the
-#: sorted copy, the group ids with their running count before and after the
-#: shift to 0-based (six 8-byte words) and a run flag; the new level and map
-#: are among them.  A ``_pair_chain`` step holds ten words and a flag: sums,
-#: maxima, their integer keys, their sorted copies, the sort order, the group
-#: ids and their running counts, or, at its end, the kept sums and maxima.
-_MERGE_BYTES = 6 * 8 + 1
+#: Peak bytes per candidate pair of one ``_pair_chain`` step, its outputs
+#: included: ten words and a flag, the sums, maxima, their integer keys,
+#: their sorted copies, the sort order, the group ids and their running
+#: counts, or, at its end, the kept sums and maxima.
 _PAIR_MERGE_BYTES = 10 * 8 + 1
 
 #: Integers below this are exact in float64.
@@ -106,7 +103,9 @@ class _Lattice:
         return None
 
     def states(self, k: int) -> np.ndarray:
-        """The reachable states of level k, increasing."""
+        """The reachable states of level k: nondecreasing sums on a sum
+        lattice, running maxima in merge order (by sum, then maximum) on
+        the pair chain."""
         return self.restrict(k, self.nodes(k))
 
     def size(self, k: int) -> int:
@@ -204,12 +203,13 @@ class _IntLattice(_Lattice):
 
 @dataclass(frozen=True, eq=False)
 class _MergedLattice(_Lattice):
-    """Float lattices from sort-and-merge: ``maps[k][i, j]`` is the node of
-    level k+1 that move j reaches from node i of level k."""
+    """Merged nodes, as the pair chain builds them: ``levels[k]`` holds the
+    values of level k (the running maxima of its (sum, running max) pairs)
+    and ``maps[k][i, j]`` is the node of level k+1 that move j reaches from
+    node i of level k."""
 
     levels: list[np.ndarray]
     maps: list[np.ndarray]
-    origins: list[int] = field(default_factory=list)  # node of 0, at-most lattices
 
     def nodes(self, k: int) -> np.ndarray:
         return self.levels[k]
@@ -219,9 +219,6 @@ class _MergedLattice(_Lattice):
 
     def gathered(self) -> int:
         return self.maps[0].shape[1] if self.maps else 0
-
-    def origin(self, k: int) -> int:
-        return self.origins[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +235,9 @@ class _CompositionLattice(_Lattice):
     Nodes are in rank order; the states of a level follow from one argsort
     of its node values, kept for the last level a caller asked about.  An
     at-most lattice has the zero offset as a_0, so its origin is rank 0.
+    With ``units``, the offsets are its integer shifts and a node is valued
+    ``units.values(k, index)`` at its index sum, as on the dense lattice;
+    distinct multisets of equal sum stay distinct nodes of equal value.
     """
 
     free: float  # a_0
@@ -245,6 +245,7 @@ class _CompositionLattice(_Lattice):
     grade: np.ndarray  # |t| by rank, levels 0..n
     base: np.ndarray  # sum_i t_i a_i by rank, levels 0..n
     succ: tuple[np.ndarray, ...]  # ranks of t + e_j by rank, levels 0..n-1
+    units: _Units | None = None
     orders: dict[int, np.ndarray] = field(default_factory=dict)  # by level, one at a time
 
     def size(self, k: int) -> int:
@@ -254,7 +255,7 @@ class _CompositionLattice(_Lattice):
         width = self.size(k)
         out = (k - self.grade[:width]) * self.free
         out += self.base[:width]
-        return out
+        return out if self.units is None else self.units.values(k, out)
 
     def order(self, k: int) -> np.ndarray:
         """The ranks of level k by increasing value."""
@@ -281,50 +282,6 @@ class _CompositionLattice(_Lattice):
 
     def origin(self, k: int) -> int:
         return 0
-
-
-@dataclass(frozen=True, eq=False)
-class _PairLattice(_Lattice):
-    """Dense (sum, running max of |sum|) pairs of commensurable offsets.
-
-    Node (i, M) of level k, flattened row-major, is the sum ``(i - k*zero)*unit``
-    on a path whose partial sums stayed within ``M*unit`` in absolute value;
-    a node's value is that running maximum.
-    """
-
-    units: _Units
-    span: int
-    zero: int
-    moves: np.ndarray
-    masks: list[np.ndarray] = field(default_factory=list)  # 2-D reachability per level
-
-    def shape(self, k: int) -> tuple[int, int]:
-        return k * self.span + 1, k * max(self.zero, self.span - self.zero) + 1
-
-    def reach(self, k: int) -> np.ndarray:
-        return self.masks[k].ravel()
-
-    def size(self, k: int) -> int:
-        return self.masks[k].size
-
-    def nodes(self, k: int) -> np.ndarray:
-        rows, cols = self.shape(k)
-        return np.tile(self.units.values(0, np.arange(cols, dtype=float)), rows)
-
-    def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
-        rows, cols = self.shape(k)
-        grid = values.reshape(self.shape(k + 1) + values.shape[1:])
-        reached = np.abs(np.arange(grid.shape[0]) - (k + 1) * self.zero)
-        running = np.arange(cols)
-        out = []
-        for s in self.moves:
-            at = np.arange(s, s + rows)[:, None]
-            nxt = grid[at, np.maximum(running, reached[at])]
-            out.append(nxt.reshape((rows * cols,) + values.shape[1:]))
-        return out
-
-    def gathered(self) -> int:
-        return self.moves.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,44 +377,6 @@ def _held(lattice: _Lattice) -> int:
     return sum(a.nbytes for group in groups for a in group if isinstance(a, np.ndarray))
 
 
-def _build_chain(
-    shifts: np.ndarray, n: int, span: int, measures: int = 0
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Levels of k-step sums of the integer ``shifts`` plus per-step maps.
-
-    ``trans[k][i, a]`` is the index in level ``k+1`` of node
-    ``levels[k][i] + shifts[a]``; equal sums merge exactly.  Before anything
-    is built, the bytes of all n steps are projected from the count of
-    k-draw multisets of the distinct shifts, capped at the ``k*span + 1``
-    nodes a level can hold.  Each step's projection adds the temporaries of
-    its merge (``_MERGE_BYTES`` per candidate sum) to what the earlier steps
-    store, the last one the arrays a sweep over ``measures`` holds, and a
-    chain past ``CHAIN_BUDGET_BYTES`` raises CapacityError.
-    """
-    distinct = np.unique(shifts).size
-    held = 0
-    width = 1
-    for k in range(1, n + 1):
-        size = min(math.comb(k + distinct - 1, distinct - 1), k * span + 1)
-        merging = held + width * shifts.size * _MERGE_BYTES
-        held += size * 8 * (1 + shifts.size)
-        projected = max(merging, held)
-        if k == n:
-            projected = max(projected, held + _sweep_bytes(size, measures, shifts.size))
-        if projected > CHAIN_BUDGET_BYTES:
-            what = f"the merged lattice of {n} steps over {distinct} offsets"
-            raise _over_budget(what, projected, k)
-        width = size
-    levels = [np.zeros(1, dtype=shifts.dtype)]
-    trans: list[np.ndarray] = []
-    for _ in range(n):
-        cur = levels[-1]
-        keys, gids = _merge((cur[:, None] + shifts[None, :]).ravel(), 0)
-        levels.append(keys)
-        trans.append(gids.reshape(cur.size, shifts.size))
-    return levels, trans
-
-
 def _commensurable(offsets: np.ndarray, tol: float) -> _Units | None:
     """The exact integer form of ``offsets``, or None when their unit is at
     most ``tol``, too fine to tell nodes apart.  Generic floats land here:
@@ -488,7 +407,7 @@ def _reach_masks(shifts: np.ndarray, span: int, n: int) -> tuple[np.ndarray | No
         if held > CHAIN_BUDGET_BYTES:
             raise _over_budget(f"the reachability of a gapped {n}-step lattice", held, k)
         nxt = np.zeros(k * span + 1, dtype=bool)
-        for s in np.unique(shifts):
+        for s in set(shifts.tolist()):
             nxt[s : s + reach.size] |= reach
         if nxt.all():
             break
@@ -513,25 +432,6 @@ def _dense_lattice(
     if at_most:
         return _IntLattice(units, span, shifts[1:], int(shifts[0]), masks)
     return _IntLattice(units, span, shifts, 0, masks)
-
-
-def _chain_lattice(
-    units: _Units, n: int, at_most: bool = False, measures: int = 0
-) -> _MergedLattice:
-    """Levels 0..n of the integer shifts of ``units`` merged exactly, each
-    node valued by ``units``, budgeted with a sweep over ``measures``.  With
-    ``at_most``, offset 0 is the zero offset that keeps shorter sums."""
-    shifts = np.array(units.shifts, dtype=np.int64)
-    keys, maps = _build_chain(shifts, n, units.span, measures)
-    levels = [units.values(k, key) for k, key in enumerate(keys)]
-    if not at_most:
-        return _MergedLattice(levels, maps)
-    # column 0 of each map is the zero offset, which keeps the origin
-    # reachable at every step; the moves are the other columns
-    origins = [0]
-    for step_map in maps[:-1]:
-        origins.append(int(step_map[origins[-1], 0]))
-    return _MergedLattice(levels, [step_map[:, 1:] for step_map in maps], origins)
 
 
 def _binomial(x: np.ndarray, m: int) -> np.ndarray:
@@ -562,11 +462,16 @@ def _tail_sums(e: int, n: int) -> list[np.ndarray]:
 
 
 def _composition_lattice(
-    offsets: np.ndarray, n: int, at_most: bool = False, measures: int = 0
+    offsets: np.ndarray,
+    n: int,
+    at_most: bool = False,
+    measures: int = 0,
+    units: _Units | None = None,
 ) -> _CompositionLattice:
     """Levels 0..n of the k-draw multisets of ``offsets``, at least two of
     them distinct; with ``at_most``, offset 0 is the zero offset that keeps
-    shorter sums.
+    shorter sums.  With ``units``, ``offsets`` are its shifts as floats and
+    the nodes are valued by it.
 
     Before anything is allocated, the bytes are projected from the C(n+e, e)
     nodes of level n: the suffix sums and row indices that build the ranks,
@@ -598,7 +503,8 @@ def _composition_lattice(
         ranks = ranks + _binomial(sums[i][:width], e - 1 - i)
         succ.append(ranks)
     moves = tuple(atoms.index(x) for x in offsets.tolist())
-    return _CompositionLattice(atoms[0], moves[1:] if at_most else moves, sums[0], base, tuple(succ))
+    moves = moves[1:] if at_most else moves
+    return _CompositionLattice(atoms[0], moves, sums[0], base, tuple(succ), units)
 
 
 def _lattice(
@@ -607,16 +513,16 @@ def _lattice(
     at_most: bool = False,
     tol: float = MERGE_TOL,
     measures: int = 0,
-) -> _IntLattice | _MergedLattice | _CompositionLattice:
+) -> _IntLattice | _CompositionLattice:
     """Levels 0..n of the k-step sums of ``offsets`` (sums of at most k steps
     when ``at_most``), budgeted with a sweep over ``measures`` (0: not swept).
 
-    Commensurable offsets run on integer indices: densely, unless the dense
-    levels would hold more nodes than there are k-draw multisets of the
-    distinct offsets (few offsets over a wide span), then merged exactly.
-    Both give each node the same value.  Other offsets, whose unit is at
-    most ``tol``, and integer indices too wide for float64 run on the
-    composition lattice.
+    Commensurable offsets run on the dense integer lattice unless its levels
+    would hold more nodes than there are k-draw multisets of the distinct
+    offsets (few offsets over a wide span); then on the composition lattice
+    of their integer shifts, which gives each sum the same value.  Other
+    offsets, whose unit is at most ``tol``, and integer indices too wide for
+    float64 run on the composition lattice of the offsets themselves.
     """
     if n < 0:
         raise ParameterError(f"horizon must be >= 1, got {n}")
@@ -628,7 +534,8 @@ def _lattice(
     dense = units.span * n * (n + 1) // 2 + n  # nodes on levels 1..n
     if dense <= math.comb(n + distinct, distinct) - 1:  # multisets of 1..n draws
         return _dense_lattice(units, n, at_most, measures)
-    return _chain_lattice(units, n, at_most, measures)
+    shifts = np.array(units.shifts, dtype=float)
+    return _composition_lattice(shifts, n, at_most, measures, units)
 
 
 def sum_lattice(ambiguity: AmbiguitySet, step: int, tol: float = MERGE_TOL) -> SumLattice:
@@ -780,9 +687,11 @@ def _horizons_dp(
     # of the _SWEEP_WORDS, a sweep that derives no picks and adds no stage
     # cost holds the level above, the running best with its predecessor and
     # a weighted successor, not the picks, their tie mask or the four stage
-    # arrays; starting a column adds the stacked copy of the values
+    # arrays; starting a column adds the stacked copy of the values.  A
+    # level's successors are gathered while the previous level's are held
     words = _SWEEP_WORDS - 2 - 4 + 1
-    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.measures), lattice.gathered(), words)
+    gathered = 2 * lattice.gathered()
+    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.measures), gathered, words)
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
     starts = set(horizons)
@@ -915,50 +824,19 @@ def _pair_chain(
     return levels, maps
 
 
-def _pair_lattice(
-    offsets: np.ndarray, n: int, measures: int = 0
-) -> _PairLattice | _MergedLattice:
+def _pair_lattice(offsets: np.ndarray, n: int, measures: int = 0) -> _MergedLattice:
     """Levels 0..n of the (sum, running max of |sum|) states of centered
-    offsets, budgeted with a sweep over ``measures`` (0: not swept).
-
-    Commensurable offsets give integer pairs: a dense grid of them when it
-    holds no more nodes than a bound on the reachable pairs (paths, or sums
-    times maxima) and fits ``CHAIN_BUDGET_BYTES`` with its masks, widest
-    level and sweep (a gathered successor per move, and one index array);
-    the reached pairs merged exactly otherwise.  Other offsets use the float
-    pair merge.
+    offsets on the pair chain, budgeted with a sweep over ``measures`` (0:
+    not swept).  Commensurable offsets merge their integer shifts exactly,
+    each maximum valued by ``units``; other offsets merge floats at
+    ``MERGE_TOL``.
     """
     units = _commensurable(np.concatenate([np.zeros(1), offsets]), MERGE_TOL)
     if units is None or n * units.span >= _EXACT_INT:
         return _MergedLattice(*_pair_chain(offsets, n, MERGE_TOL, measures))
     shifts = np.array(units.shifts, dtype=np.int64)
-    lattice = _PairLattice(units, units.span, int(shifts[0]), shifts[1:])
-    distinct = len(set(units.shifts[1:]))
-    dense = reachable = 0
-    rows = cols = 1
-    for k in range(1, n + 1):
-        rows, cols = lattice.shape(k)
-        dense += rows * cols
-        reachable += min(distinct**k, math.comb(k + distinct - 1, distinct - 1) * cols)
-    held = dense + 8 * (1 + lattice.moves.size) * rows * cols
-    held += _sweep_bytes(rows * cols, measures, lattice.moves.size + 1)
-    if dense > reachable or held > CHAIN_BUDGET_BYTES:
-        maxima, maps = _pair_chain(lattice.moves - lattice.zero, n, 1, measures)
-        return _MergedLattice([units.values(0, m) for m in maxima], maps)
-    return _dense_pairs(lattice, n)
-
-
-def _dense_pairs(lattice: _PairLattice, n: int) -> _PairLattice:
-    """Fills in the reachability masks of levels 0..n of a dense pair lattice."""
-    lattice.masks.append(np.ones((1, 1), dtype=bool))
-    for k in range(1, n + 1):
-        rows, cols = np.nonzero(lattice.masks[-1])
-        nxt = np.zeros(lattice.shape(k), dtype=bool)
-        for s in lattice.moves:
-            at = rows + s
-            nxt[at, np.maximum(cols, np.abs(at - k * lattice.zero))] = True
-        lattice.masks.append(nxt)
-    return lattice
+    maxima, maps = _pair_chain(shifts[1:] - shifts[0], n, 1, measures)
+    return _MergedLattice([units.values(0, m) for m in maxima], maps)
 
 
 def eval_maxabs_functional(

@@ -419,8 +419,8 @@ class TestDeterminism:
 ROOT = Path(__file__).resolve().parents[1]
 
 #: Imports sublex and the CLI, runs every subcommand given on its command
-#: line on the canonical config, and prints the exit codes and the scipy
-#: modules it loaded as the last line of JSON.
+#: line on the canonical config, and prints the exit codes, the scipy
+#: modules it loaded and whether it loaded numpy.ma as the last line of JSON.
 IMPORT_PROBE = """
 import json, sys
 import sublex, sublex.cli
@@ -431,25 +431,36 @@ codes = {
     for name in names
 }
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": loaded}))
+print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys.modules}))
 """
+
+
+def run_import_probe(tmp_path, names):
+    """The last line of ``IMPORT_PROBE`` run on ``names`` in a new process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    config = str(ROOT / "configs" / "canonical.json")
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, config, str(tmp_path), *names],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == {name: 0 for name in names}
+    return result
 
 
 def test_the_cli_path_loads_no_scipy(tmp_path):
     # importing scipy.integrate costs more than all subcommands together; a
     # quadrature check on the CLI path (c_p from classical_abs_moment, say)
     # must keep its import local and out of the subcommands
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    config = str(ROOT / "configs" / "canonical.json")
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, config, str(tmp_path), *SUBCOMMANDS],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == {name: 0 for name in SUBCOMMANDS}
-    assert result["scipy"] == []
+    assert run_import_probe(tmp_path, SUBCOMMANDS)["scipy"] == []
+
+
+def test_eval_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (about 17 ms); the lattice
+    # DPs behind eval call nothing that does
+    assert run_import_probe(tmp_path, ["eval"])["numpy.ma"] is False
 
 
 def per_trial_axioms_csv(seed: int, trials: int) -> bytes:

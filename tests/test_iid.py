@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,21 +15,17 @@ from sublex import iid
 from sublex.core import TabulatedPayoff
 from sublex.iid import (
     _brute_force_many,
-    _build_chain,
     _chain_dp,
-    _chain_lattice,
     _commensurable,
     _composition_lattice,
     _CompositionLattice,
     _dense_lattice,
-    _dense_pairs,
     _IntLattice,
     _lattice,
     _merge,
     _MergedLattice,
-    _pair_chain,
-    _PairLattice,
     _sample_steps,
+    SelectionPolicy,
     _tail_sums,
     _terminal_values,
 )
@@ -489,8 +486,21 @@ def dense(atoms, n):
 
 
 def sparse(atoms, n):
-    """The exactly merged integer lattice of a commensurable grid."""
-    return _chain_lattice(units_of(atoms), n)
+    """The composition lattice of a commensurable grid's integer shifts,
+    valued by its units."""
+    units = units_of(atoms)
+    return _composition_lattice(np.array(units.shifts, dtype=float), n, units=units)
+
+
+@dataclass(frozen=True, eq=False)
+class AtMostChain(_MergedLattice):
+    """A float chain of the sums of at most k offsets: ``origins[k]`` is the
+    node of level k that holds 0."""
+
+    origins: tuple[int, ...] = ()
+
+    def origin(self, k):
+        return self.origins[k]
 
 
 def reference_float_chain(offsets, n, at_most=False, tol=iid.MERGE_TOL):
@@ -512,7 +522,7 @@ def reference_float_chain(offsets, n, at_most=False, tol=iid.MERGE_TOL):
     origins = [0]
     for step_map in maps[:-1]:
         origins.append(int(step_map[origins[-1], 0]))
-    return _MergedLattice(levels, [step_map[:, 1:] for step_map in maps], origins)
+    return AtMostChain(levels, [step_map[:, 1:] for step_map in maps], tuple(origins))
 
 
 def merged(atoms, n):
@@ -524,7 +534,15 @@ def representation(atoms, n):
     lattice = _lattice(np.asarray(atoms, dtype=float), n)
     if isinstance(lattice, _IntLattice):
         return "dense"
-    return "float" if isinstance(lattice, _CompositionLattice) else "sparse"
+    assert isinstance(lattice, _CompositionLattice)
+    return "float" if lattice.units is None else "composition"
+
+
+def relocated(policy, lattice, n):
+    """``policy``'s picks at the states of ``lattice``, located by value."""
+    states = [lattice.states(k) for k in range(n)]
+    at = [np.searchsorted(policy.step_states[k], s) for k, s in enumerate(states)]
+    return SelectionPolicy(tuple(states), tuple(c[i] for c, i in zip(policy.choices, at)))
 
 
 def exact_sum(path):
@@ -587,14 +605,14 @@ class TestIndexLattice:
         [
             ((-1.0, 0.0, 1.0), 4, "dense"),
             ((-0.5, 0.0, 1.0), 4, "dense"),
-            ((-0.5, 0.0, 1.0), 3, "sparse"),  # dense levels 3k+1 outnumber the multisets
-            ((0.0, 0.5, 1.5), 2, "sparse"),
+            ((-0.5, 0.0, 1.0), 3, "composition"),  # dense levels 3k+1 outnumber the multisets
+            ((0.0, 0.5, 1.5), 2, "composition"),
             ((0.4, 0.6, 1.0), 4, "dense"),
             ((-0.3, 0.1, 0.2), 10, "dense"),  # the unit 1/10 is not dyadic
-            ((-0.3, 0.1, 0.2), 4, "sparse"),
+            ((-0.3, 0.1, 0.2), 4, "composition"),
             ((-0.7, 0.1 * np.pi), 4, "dense"),  # any two atoms are commensurable
             ((-1.0, -0.9995, 0.0, 0.9995, 1.0), 70, "dense"),  # 4000 units wide
-            ((0.0, 1.0, 2000.0), 4, "sparse"),
+            ((0.0, 1.0, 2000.0), 4, "composition"),
             ((-0.7, 0.1, 1.3 * np.sqrt(2.0)), 4, "float"),
             (FLOAT_ATOMS, 4, "float"),
             ((0.0, 1e-10), 4, "float"),  # a unit the float merge would blur
@@ -609,7 +627,9 @@ class TestIndexLattice:
         assert gapped.states(2).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
         for k in range(4):
             assert np.array_equal(gapped.states(k), merged([0.0, 0.5, 1.5], 3).states(k))
-            assert np.array_equal(gapped.states(k), sparse([0.0, 0.5, 1.5], 3).states(k))
+            assert np.array_equal(gapped.states(k), np.unique(sparse([0.0, 0.5, 1.5], 3).states(k)))
+        # 0 + 0 + 1.5 and 0.5 + 0.5 + 0.5 are two nodes of one sum
+        assert sparse([0.0, 0.5, 1.5], 3).states(3).size == gapped.states(3).size + 1
 
     def test_lattice_values_are_the_written_decimals(self):
         # 4*(-0.3) + 19*0.1 rounds to 0.7000000000000002; the node is 0.7
@@ -648,7 +668,7 @@ class TestIndexLattice:
         dyadic = (units_of(atoms).den & (units_of(atoms).den - 1)) == 0
         for k in range(n + 1):
             states = [lattice.states(k) for lattice in lattices]
-            assert np.array_equal(states[0], states[1])
+            assert np.array_equal(states[0], np.unique(states[1]))
             assert np.allclose(states[0], states[2], rtol=0.0, atol=1e-12)
             assert np.array_equal(states[0], states[2]) or not dyadic
         # a terminal tabulated on the reachable states only
@@ -664,16 +684,21 @@ class TestIndexLattice:
         assert v_dense == v_sparse
         assert v_dense == pytest.approx(v_float, rel=1e-12, abs=1e-300)
         for k in range(n):
-            assert np.array_equal(p_dense.choices[k], p_sparse.choices[k])
+            # nodes of one sum on the composition lattice: equal values, equal picks
+            at = np.searchsorted(p_dense.step_states[k], p_sparse.step_states[k])
+            assert np.array_equal(p_dense.step_states[k][at], p_sparse.step_states[k])
+            assert np.array_equal(p_dense.choices[k][at], p_sparse.choices[k])
             assert np.array_equal(p_dense.choices[k], p_float.choices[k]) or not dyadic
-        # the dense policy replays to its value on the merged lattices
+        # the dense policy, located by value, replays to its value on the others
         for lattice, stage in zip(lattices[1:] if dyadic else lattices[1:2], stages[1:]):
             terminal = iid._terminal_values(lattice.states(n), table)
-            replayed, _ = _chain_dp(ambiguity, lattice, n, terminal, stage=stage, replay=p_dense)
+            policy = relocated(p_dense, lattice, n)
+            replayed, _ = _chain_dp(ambiguity, lattice, n, terminal, stage=stage, replay=policy)
             assert replayed == pytest.approx(v_dense, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize(
-        "atoms", [(-0.5, 0.0, 1.0), (0.0, 0.5, 1.5), (-1.0, 1.0), (-0.3, 0.1, 0.2)]
+        "atoms",
+        [(-0.5, 0.0, 1.0), (0.0, 0.5, 1.5), (-1.0, 1.0), (-0.3, 0.1, 0.2), (0.0, 1.0, 2000.0)],
     )
     def test_series_matches_float_merge_per_horizon(self, atoms):
         ambiguity = two_measures(atoms)
@@ -685,27 +710,24 @@ class TestIndexLattice:
             assert series[n - 1] == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "offsets", [(-1.0, 0.0, 1.0), (-1.0, 0.5), (-0.3, 0.1, 0.2), (-0.5, 0.0, 1.0)]
+        "offsets, rows",
+        [
+            ((-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25), (0.4, 0.2, 0.4))),
+            ((-1.0, 0.5), ((1 / 3, 2 / 3),)),
+            ((-0.3, 0.1, 0.2), ((0.36, 0.2, 0.44), (0.4, 0.0, 0.6))),
+            ((-0.5, 0.0, 1.0), ((0.4, 0.4, 0.2), (0.6, 0.1, 0.3))),
+        ],
     )
-    def test_dense_and_merged_pairs_agree(self, offsets):
-        offsets = np.asarray(offsets)
-        n = 5
-        units = units_of(np.concatenate([np.zeros(1), offsets]))
-        shifts = np.array(units.shifts)
-        full = _dense_pairs(_PairLattice(units, units.span, int(shifts[0]), shifts[1:]), n)
-        exact = _MergedLattice(*_pair_chain(shifts[1:] - shifts[0], n, 1))
-        floats = _MergedLattice(*_pair_chain(offsets, n, iid.MERGE_TOL))
-        weights = np.linspace(1.0, 2.0, offsets.size)
-        ambiguity = sx.AmbiguitySet.from_rows(offsets, (weights / weights.sum(),))
-        values = []
-        for lattice in (full, exact, floats):
-            values.append(_chain_dp(ambiguity, lattice, n, lattice.states(n) ** 3)[0])
-        scale = units.unit_num / units.den
-        nearest = [float(Fraction(int(m) * units.unit_num, units.den)) for m in exact.states(n)]
-        assert full.states(n).tolist() == nearest
-        assert np.allclose(full.states(n), floats.states(n), rtol=0.0, atol=1e-12)
-        assert values[0] == pytest.approx(values[2], rel=1e-12)
-        assert values[1] * scale**3 == pytest.approx(values[0], rel=1e-12)
+    def test_running_max_matches_the_oracle(self, offsets, rows):
+        # the pair chain on integer shifts, or on floats where the float mean
+        # is not exactly 0, against every history-dependent assignment
+        ambiguity = sx.AmbiguitySet.from_rows(offsets, rows)
+        mu = ambiguity.require_mean_certain("the oracle")
+        maxabs = lambda xs: float(np.max(np.abs(np.cumsum(xs - mu)))) ** 3
+        for n in range(1, 5 if len(rows) == 1 else 4):
+            value = sx.eval_maxabs_functional(ambiguity, n, lambda m: m**3)
+            oracle = sx.brute_force_oracle(ambiguity, n, maxabs)
+            assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15), n
 
     def test_mean_certain_gapped_running_max(self):
         # offsets {-1, 0.5} and 0 share the unit 0.5: a step moves the sum by 0 or
@@ -731,6 +753,28 @@ class TestIndexLattice:
             tracemalloc.stop()
         assert 0.0 < value <= 36.0
         assert peak < 32 * 2**20
+
+    def test_sparse_commensurable_grid_runs_on_compositions(self):
+        # (0, 1, 2000): the dense levels hold 2000k + 1 nodes, the composition
+        # levels C(k + 2, 2); reference: the dense lattice, without its
+        # reachability masks, whose unreachable nodes no reachable one reads
+        family = two_measures((0.0, 1.0, 2000.0))
+        n = 400
+        event = lambda s: s >= 380_000  # 190 draws of 2000
+        tracemalloc.start()
+        try:
+            value = sx.capacity_sum_event(family, n, event)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert representation(family.grid.array, n) == "composition"
+        assert peak < 32 * 2**20
+        units = units_of(family.grid.array)
+        full = _IntLattice(units, units.span, np.array(units.shifts), 0, (None,))
+        terminal = (full.states(n) >= 380_000).astype(float)
+        reference, _ = _chain_dp(family, full, n, terminal)
+        assert 0.0 < value < 1.0
+        assert value == pytest.approx(reference, rel=0.0, abs=1e-12)
 
     def test_series_memory_is_linear(self, theta_star):
         tracemalloc.start()
@@ -892,28 +936,6 @@ class TestFloatBudget:
         with pytest.raises(sx.CapacityError, match="reachability"):
             sx.sum_lattice(gapped, 400)
 
-    def test_chain_merge_temporaries_are_budgeted(self, monkeypatch):
-        # every horizon either builds within the budget, the merge step's
-        # candidates, sort order and group ids included, or raises first;
-        # the shifts of the 1024-unit grid, which merge few sums
-        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 4 * 2**20)
-        shifts = np.array([0, 1, 512, 1023, 1024], dtype=np.int64)
-        outcomes = []
-        for n in range(1, 40):
-            tracemalloc.start()
-            try:
-                _build_chain(shifts, n, 1024)
-                outcomes.append("built")
-            except sx.CapacityError:
-                outcomes.append("raised")
-            finally:
-                _, peak = tracemalloc.get_traced_memory()
-                tracemalloc.stop()
-            assert peak <= iid.CHAIN_BUDGET_BYTES, (n, peak)
-            if outcomes[-1] == "raised":
-                break
-        assert outcomes[-1] == "raised" and outcomes.count("built") >= 10
-
     def test_pair_merge_temporaries_are_budgeted(self, monkeypatch):
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 4 * 2**20)
         atoms = (-0.5, -0.5 + 2**-10, 0.0, 0.5 - 2**-10, 0.5)
@@ -982,7 +1004,7 @@ def budget_outcomes(monkeypatch, call, budgets):
 
 class TestSweepBudget:
     def test_running_max_sweep_stays_within_the_budget(self, theta_star, monkeypatch):
-        # dense pairs, merged pairs past the dense budget, or CapacityError
+        # the pair chain within the budget, or CapacityError
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**20)
         call = lambda n: sx.eval_maxabs_functional(theta_star, n, lambda m: m**2, max_horizon=n)
         outcomes = traced_outcomes(call, range(2, 200, 2))
@@ -1039,6 +1061,22 @@ class TestSweepBudget:
         finally:
             tracemalloc.stop()
         assert 0.67 * budget <= peak <= budget, (budget, peak)
+
+    def test_raising_the_budget_never_refuses_a_call(self, theta_star, monkeypatch):
+        # the lattice of a call depends on its input alone, so a budget that
+        # admits it admits it at every larger budget too
+        call = lambda: sx.mz_check(theta_star, 4.0, range(2, 17), max_n=16)
+        admitted = []
+        for budget in range(40_000, 200_001, 500):
+            monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", budget)
+            try:
+                call()
+                admitted.append(True)
+            except sx.CapacityError:
+                admitted.append(False)
+        assert not admitted[0] and admitted[-1]
+        flips = [i for i in range(1, len(admitted)) if admitted[i] != admitted[i - 1]]
+        assert admitted == sorted(admitted), [40_000 + 500 * i for i in flips]
 
 
 def smallest_admitting_budget(monkeypatch, call, hi=2**24):
