@@ -42,7 +42,7 @@ from .errors import CapacityError, ParameterError
 #: ``sum_lattice`` reports states closer than this as one.
 MERGE_TOL = 1e-9
 
-#: Tolerance when locating a state on an already-built lattice.
+#: Tolerance when locating a lattice's states on a tabulated terminal.
 LOOKUP_TOL = 1e-6
 
 #: Bytes one lattice may hold: the reachability masks of a gapped integer
@@ -50,7 +50,8 @@ LOOKUP_TOL = 1e-6
 #: values and successor ranks of a composition lattice with the temporaries
 #: that build them, or the maxima and transition maps of the pair chain with
 #: the temporaries of its widest merge; each with the arrays a sweep of it
-#: holds (``_sweep_bytes``).  Also the bytes of one selection policy.
+#: holds (``_sweep_bytes``).  Also a selection policy's picks (a byte per
+#: reachable state for up to 256 measures) with that lattice and sweep.
 CHAIN_BUDGET_BYTES = 512 * 2**20
 
 #: Working arrays of a sweep step, in words per node of the widest level,
@@ -84,14 +85,6 @@ class SumLattice:
         return arr
 
 
-def _read_only(values, dtype) -> np.ndarray:
-    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
-        return values
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
-
-
 class _Lattice:
     """Levels of nodes a recursion sweeps: level k holds the states after k
     steps, and ``successors(k, V)`` gives, per move, the values ``V`` holds on
@@ -117,8 +110,9 @@ class _Lattice:
         mask = self.reach(k)
         return self.size(k) if mask is None else int(np.count_nonzero(mask))
 
-    def spread(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Values given on the reachable states of level k, put on its nodes (0 elsewhere)."""
+    def on_nodes(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Values given on the reachable nodes of level k, in node order, put
+        on all its nodes (0 elsewhere)."""
         mask = self.reach(k)
         if mask is None:
             return values
@@ -126,9 +120,13 @@ class _Lattice:
         out[mask] = values
         return out
 
-    def restrict(self, k: int, node_values: np.ndarray) -> np.ndarray:
+    def reachable(self, k: int, node_values: np.ndarray) -> np.ndarray:
+        """The entries of ``node_values`` at the reachable nodes of level k, in node order."""
         mask = self.reach(k)
         return node_values if mask is None else node_values[mask]
+
+    # states are given in node order, except on the composition lattice
+    spread, restrict = on_nodes, reachable
 
 
 @dataclass(frozen=True)
@@ -199,6 +197,10 @@ class _IntLattice(_Lattice):
 
     def origin(self, k: int) -> int:
         return k * self.zero
+
+    def step(self, k: int, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        """The nodes of level k+1 that ``moves`` take ``nodes`` of level k to."""
+        return nodes + self.moves[moves]
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,37 +285,52 @@ class _CompositionLattice(_Lattice):
     def origin(self, k: int) -> int:
         return 0
 
+    def step(self, k: int, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        ranks = np.stack([nodes] + [succ[nodes] for succ in self.succ])
+        return ranks[np.asarray(self.moves)[moves], np.arange(nodes.size)]
+
 
 @dataclass(frozen=True, eq=False)
 class SelectionPolicy:
     """Argmax (argmin, for a lower recursion) certificate: a measure index per node.
 
-    ``choices[k][i]`` is the measure selected at step ``k`` in state
-    ``step_states[k][i]``; ties were broken toward the lowest index.  Both are
-    stored as read-only arrays.
+    ``choices[k][i]`` is the measure selected at step ``k`` at the i-th
+    reachable node of level k of ``lattice``, in its node order; ties were
+    broken toward the lowest index.  Picks are read-only, a byte each for up
+    to 256 measures.  ``step_states[k]``, the values of those nodes, is
+    derived from the lattice when read (8 bytes per state), not stored.
     """
 
-    step_states: tuple[np.ndarray, ...]
+    lattice: _Lattice
     choices: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        states = tuple(_read_only(s, np.float64) for s in self.step_states)
-        picks = tuple(_read_only(p, np.intp) for p in self.choices)
-        object.__setattr__(self, "step_states", states)
-        object.__setattr__(self, "choices", picks)
-        if len(states) != len(picks):
-            raise ParameterError("one choice vector is required per step")
-        if any(s.shape != p.shape or s.ndim != 1 for s, p in zip(states, picks)):
-            raise ParameterError("choices must cover every state of their step")
+        picks = []
+        for k, p in enumerate(self.choices):
+            if not isinstance(p, np.ndarray) or p.flags.writeable:
+                p = np.array(p)
+                p.flags.writeable = False
+            if p.dtype.kind not in "ui" or p.shape != (self.lattice.count(k),):
+                raise ParameterError("choices must pick a measure at every state of their step")
+            picks.append(p)
+        object.__setattr__(self, "choices", tuple(picks))
 
     @property
     def horizon(self) -> int:
         return len(self.choices)
 
+    @property
+    def step_states(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.lattice.reachable(k, self.lattice.nodes(k)) for k in range(self.horizon))
+
     def measure_at(self, step: int, state: float) -> int:
+        """The measure picked at step ``step`` in the state of exactly this value."""
         if not 0 <= step < self.horizon:
             raise ParameterError(f"policy defines steps 0..{self.horizon - 1}, got {step}")
-        at = _locate(self.step_states[step], np.array([float(state)]), f"the step-{step} lattice")
+        states = self.lattice.reachable(step, self.lattice.nodes(step))
+        at = np.flatnonzero(states == float(state))
+        if not at.size:
+            raise ParameterError(f"state {float(state)!r} is not on the step-{step} lattice")
         return int(self.choices[step][at[0]])
 
 
@@ -575,7 +592,8 @@ def _sweep(
     ``lattice.successors``; the products are summed in move order,
     elementwise.  ``picks``, the optimal measure indices with ties broken
     toward the lowest, are derived only ``with_picks`` (None otherwise).
-    ``values`` may carry trailing columns, each swept independently.
+    ``values`` may carry trailing columns, each swept independently.  Picks
+    are of the smallest unsigned type that holds every measure index.
     For k >= 1, ``stage(k, V_k)`` replaces ``V_k`` (a stage cost added, or a
     column started).  With ``fixed(k)`` giving the picks of step k, the sweep
     evaluates that policy instead; replaying the optimal picks reproduces
@@ -599,8 +617,9 @@ def _sweep(
             for candidate in scored[1:]:
                 values = best(values, candidate)  # a tie keeps the earlier measure's value
             if with_picks:
-                picks = np.full(values.shape, len(scored) - 1, dtype=np.intp)
-                for i in range(len(scored) - 2, -1, -1):
+                last = len(scored) - 1
+                picks = np.full(values.shape, last, dtype=np.min_scalar_type(last))
+                for i in range(last - 1, -1, -1):
                     picks = np.where(scored[i] == values, i, picks)
         if stage is not None and k >= 1:
             values = stage(k, values)
@@ -621,45 +640,39 @@ def _chain_dp(
     reachable states of level n; ``stage(k)``, values on the reachable states
     of level k, is added at every level k = 1..n.
 
-    With a ``replay`` policy built on the same states, returns that policy's
-    exact expected value (policy evaluation) instead of the optimum.  A
-    policy keeps a state and a choice (16 bytes) per reachable state of
-    levels 0..n-1; with the lattice and its sweep past
+    With a ``replay`` policy built on this lattice object, returns that
+    policy's exact expected value (policy evaluation) instead of the optimum.
+    A policy keeps one pick (a byte for up to 256 measures) per reachable
+    node of levels 0..n-1 and no states; with the lattice and its sweep past
     ``CHAIN_BUDGET_BYTES``, it raises CapacityError before the sweep.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     if want_policy:
         # the policy fills up while the lattice and the sweep's arrays are held
-        held = 16 * sum(lattice.count(k) for k in range(n)) + _held(lattice)
+        per_state = np.min_scalar_type(len(ambiguity.measures) - 1).itemsize
+        held = per_state * sum(lattice.count(k) for k in range(n)) + _held(lattice)
         held += _sweep_bytes(lattice.size(n), len(ambiguity.measures), lattice.gathered())
         if held > CHAIN_BUDGET_BYTES:
             raise _over_budget(f"the selection policy of {n} steps", held, n - 1)
     fixed = None
     if replay is not None:
-        if replay.horizon != n or not all(
-            np.array_equal(replay.step_states[k], lattice.states(k)) for k in range(n)
-        ):
+        if replay.horizon != n or replay.lattice is not lattice:
             raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
-        fixed = lambda k: lattice.spread(k, replay.choices[k])
+        fixed = lambda k: lattice.on_nodes(k, replay.choices[k])
     values = lattice.spread(n, terminal)
     add_stage = None
     if stage is not None:
         add_stage = lambda k, v: v + lattice.spread(k, stage(k))
         values = add_stage(n, values)
-    states: list[np.ndarray] = [np.empty(0)] * n
-    choices: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * n
+    choices: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * n
     for k, values, picks in _sweep(
         ambiguity.weight_matrix, lattice, n, values, maximize, add_stage, fixed, want_policy
     ):
         if want_policy:
-            choices[k] = lattice.restrict(k, picks)
-            states[k] = lattice.states(k)
-    policy = None
-    if want_policy:
-        for arr in states + choices:
-            arr.flags.writeable = False
-        policy = SelectionPolicy(tuple(states), tuple(choices))
+            choices[k] = lattice.reachable(k, picks)
+            choices[k].flags.writeable = False
+    policy = SelectionPolicy(lattice, tuple(choices)) if want_policy else None
     return float(values[0]), policy
 
 
@@ -948,24 +961,32 @@ def _sample_steps(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Advance ``n_paths`` paths together, yielding ``(X_k, S_k)`` for k = 1..n.
 
-    Each step locates every path's partial sum on the policy's lattice, takes
-    the selected measure, and inverts one uniform draw per path against its cumulative
-    weights.  Callers that fold the yielded arrays into a running statistic
-    hold O(n_paths) memory, whatever ``n``.
+    Every path carries its node on the policy's lattice, built on this grid.
+    A step takes the measure picked at that node, inverts one uniform draw
+    per path against its cumulative weights, and moves the node along the
+    drawn atom; no state is looked up by value.  Callers that fold the
+    yielded arrays into a running statistic hold O(n_paths) memory, whatever
+    ``n``.
     """
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
     if policy.horizon < n:
         raise ParameterError(f"policy covers {policy.horizon} steps, {n} were requested")
+    lattice = policy.lattice
     atoms = ambiguity.grid.array
+    first = lattice.states(1)  # the atoms, on the lattice of this grid
+    if first.shape != atoms.shape or not np.allclose(first, atoms, 0.0, MERGE_TOL):
+        raise ParameterError("the policy is not built on the lattice of this grid")
     cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
+    node = np.zeros(n_paths, dtype=np.intp)
     s = np.zeros(n_paths)
     for k in range(n):
-        rows = cumw[policy.choices[k][_locate(policy.step_states[k], s, f"the step-{k} lattice")]]
+        picks = lattice.on_nodes(k, policy.choices[k])[node]
         u = rng.random(n_paths)
-        j = np.minimum(np.sum(rows <= u[:, None], axis=1), atoms.size - 1)
+        j = np.minimum(sum(column[picks] <= u for column in cumw.T), atoms.size - 1)
         x = atoms[j]
         s = s + x
+        node = lattice.step(k, node, j)
         yield x, s
 
 

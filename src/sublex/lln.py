@@ -639,10 +639,8 @@ def sqs_empirical(
     for i, (label, stream) in enumerate(zip(labels, streams)):
         policy = argmax_policy
         if label != "argmax":
-            policy = SelectionPolicy(
-                argmax_policy.step_states,
-                tuple(np.broadcast_to(np.intp(i), s.shape) for s in argmax_policy.step_states),
-            )
+            picks = (np.broadcast_to(c.dtype.type(i), c.shape) for c in argmax_policy.choices)
+            policy = SelectionPolicy(lattice, tuple(picks))
         exact, _ = _additive_dp(ambiguity, horizon, lattice, stage, replay=policy)
         if exact > value + 1e-12:
             raise CheckError(
@@ -661,26 +659,6 @@ def sqs_empirical(
                 f"policy {label}: sampled mean {mean} is more than {SAMPLING_Z} standard "
                 f"errors ({stderr}) from its exact value {exact}"
             )
-        q25, med, q75 = np.quantile(values, [0.25, 0.5, 0.75])
-        summaries.append(
-            PolicyPathSummary(
-                label=label,
-                exact=exact,
-                mean=mean,
-                stderr=stderr,
-                minimum=float(values.min()),
-                q25=float(q25),
-                median=float(med),
-                q75=float(q75),
-                maximum=float(values.max()),
-            )
-        )
-
-    return SqsSummary(
-        beta=beta,
-        horizon=horizon,
-        n_paths=n_paths,
-        seed=seed,
-        dp_value=value,
-        policies=tuple(summaries),
-    )
+        stats = [values.min(), *np.quantile(values, [0.25, 0.5, 0.75]), values.max()]
+        summaries.append(PolicyPathSummary(label, exact, mean, stderr, *map(float, stats)))
+    return SqsSummary(beta, horizon, n_paths, seed, value, tuple(summaries))

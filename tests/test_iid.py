@@ -374,22 +374,19 @@ class TestSamplePath:
         with pytest.raises(sx.ParameterError):
             sx.sample_path(theta_star, policy, 4, seed=0)
 
-    def test_off_lattice_state_is_domain_error(self, coin):
-        stray = sx.SelectionPolicy(((0.0,), (5.0,)), ((0,), (0,)))
-        with pytest.raises(sx.ParameterError, match="step-1 lattice"):
-            sx.sample_path(coin, stray, 2, seed=0)
-
     def test_batch_of_one_matches_stepwise_reference(self, theta_star):
         def reference(ambiguity, policy, n, seed):
-            # one path, one measure lookup and one draw per step
+            # one path, one measure lookup and one draw per step; the lookup
+            # takes the state's lattice value, the exact sum correctly rounded
             rng = np.random.default_rng(seed)
             atoms = ambiguity.grid.array
             cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
-            increments, sums, s = [], [], 0.0
+            increments, sums, s, exact = [], [], 0.0, Fraction(0)
             for k in range(n):
-                row = cumw[policy.measure_at(k, s)]
+                row = cumw[policy.measure_at(k, float(exact))]
                 j = min(int(np.searchsorted(row, rng.random(), side="right")), atoms.size - 1)
                 s += atoms[j]
+                exact += Fraction(repr(float(atoms[j])))
                 increments.append(float(atoms[j]))
                 sums.append(float(s))
             return tuple(increments), tuple(sums)
@@ -411,14 +408,12 @@ class TestSamplePath:
         # E[S_n^4] = n m4 + 3 n (n-1) var^2 for an i.i.d. sum with mean zero
         n = 50
         value, argmax = sx.eval_sum_functional(theta_star, n, lambda s: s**4)
-        lattice = _lattice(theta_star.grid.array, n)
+        lattice = argmax.lattice
         quartic = lattice.states(n) ** 4
         replayed, _ = _chain_dp(theta_star, lattice, n, quartic, replay=argmax)
         assert replayed == value
         for i, (var, m4) in enumerate([(0.5, 0.5), (1.0, 1.0)]):
-            constant = sx.SelectionPolicy(
-                argmax.step_states, tuple((i,) * len(s) for s in argmax.step_states)
-            )
+            constant = sx.SelectionPolicy(lattice, tuple(np.full_like(c, i) for c in argmax.choices))
             exact, _ = _chain_dp(theta_star, lattice, n, quartic, replay=constant)
             assert exact == pytest.approx(n * m4 + 3 * n * (n - 1) * var**2, rel=1e-12)
 
@@ -435,7 +430,7 @@ class TestSamplePath:
         n = 50
         for maximize in (True, False):
             value, policy = sx.eval_sum_functional(theta_star, n, lambda s: s**4, maximize)
-            lattice = _lattice(theta_star.grid.array, n)
+            lattice = policy.lattice
             exact, _ = _chain_dp(theta_star, lattice, n, lattice.states(n) ** 4, replay=policy)
             assert exact == value
             for _, sums in _sample_steps(theta_star, policy, n, np.random.default_rng(1000), 10_000):
@@ -443,6 +438,94 @@ class TestSamplePath:
             draws = sums**4
             stderr = draws.std(ddof=1) / np.sqrt(draws.size)
             assert abs(draws.mean() - exact) <= SAMPLING_Z * stderr
+
+
+def value_lookup_steps(ambiguity, policy, n, rng, n_paths):
+    """The sampler as it was when paths carried only their partial sums: each
+    step located every path's sum among the sorted states of the level, within
+    LOOKUP_TOL, and took the pick stored at that state."""
+    lattice = policy.lattice
+    atoms = ambiguity.grid.array
+    cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
+    s = np.zeros(n_paths)
+    for k in range(n):
+        picks = lattice.restrict(k, lattice.on_nodes(k, policy.choices[k]))
+        rows = cumw[picks[iid._locate(lattice.states(k), s, f"the step-{k} lattice")]]
+        u = rng.random(n_paths)
+        j = np.minimum(np.sum(rows <= u[:, None], axis=1), atoms.size - 1)
+        x = atoms[j]
+        s = s + x
+        yield x, s
+
+
+#: One grid per lattice a policy can be built on: the canonical dense one, a
+#: gapped dense one, float atoms on the composition lattice, and a sparse
+#: grid on the composition lattice of its integer shifts.
+POLICY_GRIDS = {
+    "dense": (-1.0, 0.0, 1.0),
+    "gapped": (0.0, 0.5, 1.5),
+    "float": (-1.0, -np.sqrt(0.3), 0.1 * np.pi),
+    "composition": (0.0, 1.0, 2.0, 2000.0),
+}
+
+
+def grid_policies(atoms, n):
+    """Upper and lower policies of a terminal and of an additive functional on ``atoms``."""
+    family = two_measures(atoms)
+    lattice = _lattice(family.grid.array, n)
+    terminal = np.abs(lattice.states(n) - 0.3) ** 3
+    stage = lambda k: np.cos(lattice.states(k) + k)
+    policies = [
+        _chain_dp(family, lattice, n, terminal, maximize, want_policy=True)[1]
+        for maximize in (True, False)
+    ]
+    policies.append(_chain_dp(family, lattice, n, terminal, stage=stage, want_policy=True)[1])
+    return family, policies
+
+
+class TestIndexPolicies:
+    def test_grids_cover_every_representation(self):
+        kinds = {kind: representation(atoms, 6) for kind, atoms in POLICY_GRIDS.items()}
+        assert kinds == {
+            "dense": "dense", "gapped": "dense", "float": "float", "composition": "composition"
+        }
+        gapped = _lattice(np.asarray(POLICY_GRIDS["gapped"]), 6)
+        assert all(gapped.reach(k) is not None for k in range(1, 7))
+
+    def test_choices_must_cover_their_level(self, theta_star):
+        _, policy = sx.eval_sum_functional(theta_star, 3, abs)
+        for short in (policy.choices[2][:-1], policy.choices[2].astype(float)):
+            with pytest.raises(sx.ParameterError, match="every state"):
+                SelectionPolicy(policy.lattice, policy.choices[:2] + (short,))
+
+    @pytest.mark.parametrize("kind", list(POLICY_GRIDS))
+    def test_index_sampler_matches_value_lookup_bit_for_bit(self, kind):
+        n = 12
+        family, policies = grid_policies(POLICY_GRIDS[kind], n)
+        for policy in policies:
+            for seed in range(4):
+                steps = _sample_steps(family, policy, n, np.random.default_rng(seed), 300)
+                reference = value_lookup_steps(family, policy, n, np.random.default_rng(seed), 300)
+                for (x, s), (x_ref, s_ref) in itertools.zip_longest(steps, reference):
+                    np.testing.assert_array_equal(x, x_ref)
+                    np.testing.assert_array_equal(s, s_ref)
+
+    @pytest.mark.parametrize("kind", list(POLICY_GRIDS))
+    def test_measure_at_round_trips_every_reachable_state(self, kind):
+        for n in range(1, 7):
+            _, policies = grid_policies(POLICY_GRIDS[kind], n)
+            for policy in policies:
+                for k, states in enumerate(policy.step_states):
+                    assert states.size == policy.lattice.count(k)
+                    picks = [policy.measure_at(k, s) for s in states]
+                    assert picks == policy.choices[k].tolist()
+
+    def test_measure_at_is_exact(self, theta_star):
+        _, policy = sx.eval_sum_functional(theta_star, 3, abs)
+        assert policy.measure_at(1, 1.0) in (0, 1)
+        for off in (0.5, 1 + 1e-7):
+            with pytest.raises(sx.ParameterError, match="step-1 lattice"):
+                policy.measure_at(1, off)
 
 
 def test_oracle_frees_its_arrays_on_return(theta_star):
@@ -538,11 +621,11 @@ def representation(atoms, n):
     return "float" if lattice.units is None else "composition"
 
 
-def relocated(policy, lattice, n):
-    """``policy``'s picks at the states of ``lattice``, located by value."""
-    states = [lattice.states(k) for k in range(n)]
-    at = [np.searchsorted(policy.step_states[k], s) for k, s in enumerate(states)]
-    return SelectionPolicy(tuple(states), tuple(c[i] for c, i in zip(policy.choices, at)))
+def relocated(policy, target):
+    """``policy``'s picks at the states of the policy ``target``, on its lattice,
+    located by value."""
+    at = [np.searchsorted(policy.step_states[k], s) for k, s in enumerate(target.step_states)]
+    return SelectionPolicy(target.lattice, tuple(c[i] for c, i in zip(policy.choices, at)))
 
 
 def exact_sum(path):
@@ -690,9 +773,10 @@ class TestIndexLattice:
             assert np.array_equal(p_dense.choices[k][at], p_sparse.choices[k])
             assert np.array_equal(p_dense.choices[k], p_float.choices[k]) or not dyadic
         # the dense policy, located by value, replays to its value on the others
-        for lattice, stage in zip(lattices[1:] if dyadic else lattices[1:2], stages[1:]):
+        others = zip(lattices[1:] if dyadic else lattices[1:2], stages[1:], (p_sparse, p_float))
+        for lattice, stage, target in others:
             terminal = iid._terminal_values(lattice.states(n), table)
-            policy = relocated(p_dense, lattice, n)
+            policy = relocated(p_dense, target)
             replayed, _ = _chain_dp(ambiguity, lattice, n, terminal, stage=stage, replay=policy)
             assert replayed == pytest.approx(v_dense, rel=1e-12, abs=1e-300)
 
@@ -1098,19 +1182,20 @@ def smallest_admitting_budget(monkeypatch, call, hi=2**24):
 
 class TestPolicyBudget:
     def test_policy_lattice_and_sweep_are_budgeted_together(self, monkeypatch):
-        # three float atoms at n = 60: a policy of 605 kB beside its composition
-        # lattice and the sweep of it
+        # three float atoms at n = 60: a policy of 37.8 kB beside its composition
+        # lattice and the sweep of it (271 kB); every budget of the window
+        # admits each alone, and those under their 309 kB sum refuse the call
         family = two_measures(FLOAT_ATOMS[:3])
         call = lambda: sx.eval_sum_functional(family, 60, abs)
-        outcomes = budget_outcomes(monkeypatch, call, range(500_000, 1_000_000, 20_000))
+        outcomes = budget_outcomes(monkeypatch, call, range(272_000, 330_000, 2_000))
         assert "raised" in outcomes and "built" in outcomes
 
     def test_policy_past_the_budget_raises_before_the_sweep(self, theta_star):
-        # 16 bytes for each of the ~N^2 states of levels 0..N-1: about 4 GB
+        # a byte for each of the N^2 states of levels 0..N-1: 5.76e8 bytes
         tracemalloc.start()
         try:
             with pytest.raises(sx.CapacityError, match="selection policy"):
-                sx.eval_sum_functional(theta_star, 16000, abs)
+                sx.eval_sum_functional(theta_star, 24000, abs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1119,15 +1204,39 @@ class TestPolicyBudget:
     def test_policies_within_the_budget_are_unaffected(self, theta_star):
         value, policy = sx.eval_sum_functional(theta_star, 1000, lambda s: abs(s) ** 3)
         assert policy.horizon == 1000
-        assert sum(c.nbytes + s.nbytes for c, s in zip(policy.choices, policy.step_states)) == (
-            16 * 1000**2
-        )
+        assert sum(c.nbytes for c in policy.choices) == 1000**2
+        # no states are stored: the picks and the lattice are all the policy holds
+        assert sum(c.nbytes for c in policy.choices) + iid._held(policy.lattice) <= 1.1e6
         assert value > 0.0
+
+    def test_a_sixteen_thousand_step_policy_is_admitted(self, theta_star, monkeypatch):
+        # 2.56e8 one-byte picks fit the default budget; the sweep is not run
+        class Admitted(Exception):
+            pass
+
+        def refuse_to_sweep(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(iid, "_sweep", refuse_to_sweep)
+        with pytest.raises(Admitted):
+            sx.eval_sum_functional(theta_star, 16000, abs)
+
+    def test_past_255_measures_picks_take_two_bytes(self):
+        rng = np.random.default_rng(3)
+        weights = rng.random((300, 3))
+        family = sx.AmbiguitySet.from_rows((-1.0, 0.0, 2.0), weights / weights.sum(axis=1)[:, None])
+        value, policy = sx.eval_sum_functional(family, 4, lambda s: s**2)
+        assert all(c.dtype == np.uint16 for c in policy.choices)
+        assert max(int(c.max()) for c in policy.choices) > 255
+        lattice = policy.lattice
+        replayed, _ = _chain_dp(family, lattice, 4, lattice.states(4) ** 2, replay=policy)
+        assert replayed == value
 
     def test_policy_budget_counts_reachable_states(self, monkeypatch):
         # gapped grid: level k has k*3 + 1 nodes, of which fewer are reachable;
-        # 40 steps, so that the policy, quadratic in n, outgrows the lattice
-        # and its sweep, linear in n, and sets the budget with them
+        # the policy takes a byte per reachable state, beside the lattice (its
+        # masks take a byte per node) and its sweep, and sets the budget with
+        # them: one byte less refuses it
         n = 40
         gapped = sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), (np.full(3, 1 / 3),))
         lattice = _lattice(gapped.grid.array, n)
@@ -1135,15 +1244,15 @@ class TestPolicyBudget:
         assert states == sum(lattice.count(k) for k in range(n))
         assert states < sum(lattice.size(k) for k in range(n))
         swept = iid._held(lattice) + iid._sweep_bytes(lattice.size(n), 1, lattice.gathered())
-        assert 16 * states > 2 * swept
-        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states + swept)
-        sx.eval_sum_functional(gapped, n, abs)
-        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 16 * states + swept - 1)
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", states + swept)
+        _, policy = sx.eval_sum_functional(gapped, n, abs)
+        assert sum(c.nbytes for c in policy.choices) == states
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", states + swept - 1)
         with pytest.raises(sx.CapacityError, match="selection policy"):
             sx.eval_sum_functional(gapped, n, abs)
 
 
-def test_policy_sampled_on_another_grid_is_located_by_value(theta_star):
+def test_policy_sampled_on_another_grid_is_refused(theta_star):
     _, policy = sx.eval_sum_functional(theta_star, 4, abs)
     wider = sx.AmbiguitySet.from_rows((-2.0, 0.0, 2.0), theta_star.weight_matrix)
     with pytest.raises(sx.ParameterError, match="lattice"):

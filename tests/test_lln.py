@@ -340,8 +340,8 @@ class TestSqsEmpirical:
         real = lln._sample_steps
 
         def low_variance(ambiguity, policy, n, rng, n_paths):
-            picks = tuple((0,) * len(states) for states in policy.step_states)
-            return real(ambiguity, sx.SelectionPolicy(policy.step_states, picks), n, rng, n_paths)
+            picks = tuple(np.zeros_like(c) for c in policy.choices)
+            return real(ambiguity, sx.SelectionPolicy(policy.lattice, picks), n, rng, n_paths)
 
         monkeypatch.setattr(lln, "_sample_steps", low_variance)
         with pytest.raises(sx.CheckError, match="measure_1: sampled mean"):
