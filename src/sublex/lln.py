@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ATOL, AmbiguitySet, TabulatedPayoff, lower_expect, upper_expect
 from .errors import CapacityError, CheckError, ParameterError
-from .gnormal import GExpectationResult, GNormalParams, HeatGrid, g_expectation
+from .gnormal import GExpectationResult, GNormalParams, HeatGrid, _limit_abs_moment
 from .iid import (
     SelectionPolicy,
     _Lattice,
@@ -172,8 +172,7 @@ def _resolve_cp(
         return float(c_p), 0.0
     if params is None:
         params = GNormalParams.from_ambiguity(ambiguity)
-    result = g_expectation(lambda x: np.abs(x) ** p, params, grid)
-    return result.value, result.residual_estimate
+    return _limit_abs_moment(p, params, grid)
 
 
 def _moment_series(

@@ -5,6 +5,7 @@ import numpy.ma  # noqa: F401
 import pytest
 
 import sublex as sx
+from sublex import gnormal
 
 
 @pytest.fixture(scope="session")
@@ -21,13 +22,16 @@ def coin() -> sx.AmbiguitySet:
 @pytest.fixture(scope="session")
 def cp_cache():
     """G-normal absolute moments for the canonical variance interval (0.5, 1),
-    solved once per session."""
+    as the library resolves them (closed form for p >= 1, residual 0), once
+    per session."""
     params = sx.GNormalParams(0.5, 1.0)
+    grid = sx.default_grid(params)
     cache: dict[float, sx.GExpectationResult] = {}
 
     def get(p: float) -> sx.GExpectationResult:
         if p not in cache:
-            cache[p] = sx.g_expectation(lambda x: np.abs(x) ** p, params)
+            value, residual = gnormal._limit_abs_moment(p, params, grid)
+            cache[p] = sx.GExpectationResult(value, grid, residual)
         return cache[p]
 
     return get

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import sublex as sx
+from sublex import gnormal
 from sublex.cli import (
     SUBCOMMANDS,
     ExperimentConfig,
@@ -461,6 +463,32 @@ def test_eval_loads_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call (about 17 ms); the lattice
     # DPs behind eval call nothing that does
     assert run_import_probe(tmp_path, ["eval"])["numpy.ma"] is False
+
+
+class TestHeatSolves:
+    """The G-heat work each subcommand does on the canonical config: the
+    gheat battery is one stacked fine and one stacked coarse solve, and
+    c_p for p >= 1 is in closed form."""
+
+    @staticmethod
+    def evolve_calls(tmp_path, name, *overrides) -> int:
+        config = str(ROOT / "configs" / "canonical.json")
+        args = [name, "--config", config, "--out", str(tmp_path / name), *overrides]
+        with mock.patch.object(gnormal, "evolve", wraps=gnormal.evolve) as spy:
+            assert main(args) == 0
+        return spy.call_count
+
+    @pytest.mark.parametrize(
+        "name, calls", [("gheat", 2), ("clt", 0), ("lln-series", 0), ("corollary", 0)]
+    )
+    def test_evolve_calls(self, tmp_path, name, calls):
+        assert self.evolve_calls(tmp_path, name) == calls
+
+    def test_order_below_one_still_solves_the_pde(self, tmp_path):
+        assert self.evolve_calls(tmp_path, "clt", "--override", "p=0.5") == 2
+        cfg = parse_config(ROOT / "configs" / "canonical.json")
+        _, residual = gnormal._limit_abs_moment(0.5, cfg.gnormal_params(), cfg.heat_grid())
+        assert residual > 0.0
 
 
 def per_trial_axioms_csv(seed: int, trials: int) -> bytes:

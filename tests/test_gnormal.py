@@ -1,4 +1,5 @@
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -174,6 +175,33 @@ class TestClassicalAbsMoment:
             sx.classical_abs_moment(2.0, 0.0)
 
 
+class TestLimitMoment:
+    """c_p = E-hat|xi|^p: the Gamma closed form at sigma_hi^2 for p >= 1."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
+    def test_closed_form_matches_quadrature(self, params, p):
+        value, residual = gnormal._limit_abs_moment(p, params)
+        assert residual == 0.0
+        assert value == pytest.approx(sx.classical_abs_moment(p, 1.0), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.5])
+    def test_closed_form_is_within_the_pde_residual(self, params, p):
+        value, _ = gnormal._limit_abs_moment(p, params)
+        pde = sx.g_expectation(lambda x: np.abs(x) ** p, params)
+        assert abs(pde.value - value) <= pde.residual_estimate
+
+    def test_third_moment_is_exact(self, params):
+        value, _ = gnormal._limit_abs_moment(3.0, params)
+        assert value == 1.595769121605731  # 2 sqrt(2/pi)
+
+    def test_below_one_solves_the_pde(self, params):
+        grid = default_grid(params, nx=201)
+        value, residual = gnormal._limit_abs_moment(0.5, params, grid)
+        pde = sx.g_expectation(lambda x: np.abs(x) ** 0.5, params, grid)
+        assert (value, residual) == (pde.value, pde.residual_estimate)
+        assert residual > 0.0
+
+
 class TestCltGap:
     def test_second_moment_gap_vanishes(self, theta_star):
         result = sx.g_expectation(lambda x: x**2, sx.GNormalParams(0.5, 1.0))
@@ -246,6 +274,11 @@ def reference_evolve(values, t, params, grid):
         d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
         u += dt * 0.5 * (su * np.maximum(d2, 0.0) - sl * np.maximum(-d2, 0.0))
     return u
+
+
+def reference_evolve_rows(values, t, params, grid):
+    """``reference_evolve`` applied to each row of a ``(k, nx)`` stack."""
+    return np.stack([reference_evolve(row, t, params, grid) for row in values])
 
 
 PAYOFFS = (
@@ -321,10 +354,85 @@ class TestFusedStepper:
         if tabulated:
             payoff = TabulatedPayoff(tuple(grid.x), tuple(payoff(grid.x)))
         fused = sx.g_expectation(payoff, params, grid)
-        with mock.patch.object(gnormal, "evolve", reference_evolve):
+        with mock.patch.object(gnormal, "evolve", reference_evolve_rows):
             reference = sx.g_expectation(payoff, params, grid)
         assert f"{fused.value:.17g}" == f"{reference.value:.17g}"
         assert f"{fused.residual_estimate:.17g}" == f"{reference.residual_estimate:.17g}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        heat_problems(),
+        st.sampled_from(["payoff", "noisy", "special"]),
+        st.sampled_from([1, 2, 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(
+        (sx.GNormalParams(0.0, 1.0), default_grid(sx.GNormalParams(0.0, 1.0), 5), 1.0,
+         lambda x: -np.abs(x)),
+        "payoff",
+        2,
+        0,
+    )  # the signed zero of -|x| at the origin, odd nx
+    @example(
+        (sx.GNormalParams(0.0, 1.0), default_grid(sx.GNormalParams(0.0, 1.0), 6), 1.0,
+         lambda x: -np.abs(x)),
+        "payoff",
+        5,
+        0,
+    )  # and even nx
+    def test_stacked_rows_match_the_reference_stepper(self, problem, kind, k, seed):
+        params, grid, t, payoff = problem
+        rng = np.random.default_rng(seed)
+        rows = []
+        for i in range(k):  # row i: the payoff scaled by i + 1, noised or special values
+            values = (i + 1) * payoff(grid.x)
+            if kind == "noisy":
+                values = values + rng.normal(size=grid.nx)
+            elif kind == "special":
+                values = rng.choice(SPECIAL_VALUES, size=grid.nx)
+            rows.append(values)
+        stack = np.stack(rows)
+        with np.errstate(all="ignore"):
+            out = evolve(stack, t, params, grid)
+            want = reference_evolve_rows(stack, t, params, grid)
+        assert out.shape == (k, grid.nx)
+        for out_row, want_row in zip(out, want):
+            assert_same_bits(out_row, want_row)
+
+    @pytest.mark.parametrize("nx", [801, 200])
+    def test_stacked_solves_match_one_payoff_at_a_time(self, params, nx):
+        from sublex.cli import _GHEAT_BATTERY
+
+        grid = default_grid(params, nx=nx)
+        tabulated = [
+            TabulatedPayoff(tuple(grid.x), tuple(f(grid.x))) for f in (np.abs, np.sin)
+        ]
+        payoffs = [payoff for _, payoff in _GHEAT_BATTERY] + tabulated
+        stacked = gnormal._g_expectations(payoffs, params, grid)
+        assert len(stacked) == len(payoffs)
+        for payoff, result in zip(payoffs, stacked):
+            single = sx.g_expectation(payoff, params, grid)
+            assert f"{result.value:.17g}" == f"{single.value:.17g}"
+            assert f"{result.residual_estimate:.17g}" == f"{single.residual_estimate:.17g}"
+            assert result.grid == grid
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_a_stack_takes_two_maxima_per_step(self, monkeypatch, params, k):
+        calls = []
+
+        def maximum(*args, **kwargs):
+            calls.append(1)
+            return np.maximum(*args, **kwargs)
+
+        proxy = types.SimpleNamespace(**{n: getattr(np, n) for n in dir(np) if n[:2] != "__"})
+        proxy.maximum = maximum
+        monkeypatch.setattr(gnormal, "np", proxy)
+        grid = default_grid(params, nx=41)
+        gnormal.evolve(np.zeros(41), 1.0, params, grid)
+        one_row = len(calls)
+        calls.clear()
+        gnormal.evolve(np.zeros((k, 41)), 1.0, params, grid)
+        assert len(calls) == one_row == 2 * math.ceil(1.0 / grid.dt)
 
     def test_input_checks_are_kept(self, params):
         grid = default_grid(params, nx=11)
@@ -332,6 +440,10 @@ class TestFusedStepper:
             evolve(np.zeros(11), -0.1, params, grid)
         with pytest.raises(sx.ParameterError):
             evolve(np.zeros(12), 1.0, params, grid)
+        with pytest.raises(sx.ParameterError):
+            evolve(np.zeros((2, 12)), 1.0, params, grid)
+        with pytest.raises(sx.ParameterError):
+            evolve(np.zeros((1, 2, 11)), 1.0, params, grid)
         with pytest.raises(sx.ParameterError):
             evolve(np.zeros(11), 1.0, params, sx.HeatGrid(grid.half_width, 11, 2.0 * grid.dt))
 
