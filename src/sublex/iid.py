@@ -34,16 +34,13 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AmbiguitySet, TabulatedPayoff
+from .core import AmbiguitySet
 from .errors import CapacityError, ParameterError
 
 #: Offsets whose common unit is at most this are not commensurable, float
 #: (sum, running max) pairs are merged at this resolution, and
 #: ``sum_lattice`` reports states closer than this as one.
 MERGE_TOL = 1e-9
-
-#: Tolerance when locating a lattice's states on a tabulated terminal.
-LOOKUP_TOL = 1e-6
 
 #: Bytes one lattice may hold: the reachability masks of a gapped integer
 #: lattice, the widest level of a dense one with its successors, the ranks,
@@ -343,19 +340,6 @@ class PathSample:
     seed: int
 
 
-def _locate(states: np.ndarray, values: np.ndarray, where: str) -> np.ndarray:
-    """Positions of ``values`` on the sorted ``states``, within LOOKUP_TOL."""
-    hi = np.searchsorted(states, values)
-    lo = np.maximum(hi - 1, 0)
-    hi = np.minimum(hi, states.size - 1)
-    use_lo = np.abs(states[lo] - values) <= LOOKUP_TOL
-    found = use_lo | (np.abs(states[hi] - values) <= LOOKUP_TOL)
-    if not found.all():
-        state = float(values[np.argmin(found)])
-        raise ParameterError(f"state {state!r} is not on {where}")
-    return np.where(use_lo, lo, hi)
-
-
 def _merge(flat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sort values and fuse runs closer than ``tol``.
 
@@ -525,11 +509,7 @@ def _composition_lattice(
 
 
 def _lattice(
-    offsets: np.ndarray,
-    n: int,
-    at_most: bool = False,
-    tol: float = MERGE_TOL,
-    measures: int = 0,
+    offsets: np.ndarray, n: int, at_most: bool = False, measures: int = 0
 ) -> _IntLattice | _CompositionLattice:
     """Levels 0..n of the k-step sums of ``offsets`` (sums of at most k steps
     when ``at_most``), budgeted with a sweep over ``measures`` (0: not swept).
@@ -538,13 +518,13 @@ def _lattice(
     would hold more nodes than there are k-draw multisets of the distinct
     offsets (few offsets over a wide span); then on the composition lattice
     of their integer shifts, which gives each sum the same value.  Other
-    offsets, whose unit is at most ``tol``, and integer indices too wide for
-    float64 run on the composition lattice of the offsets themselves.
+    offsets, whose unit is at most ``MERGE_TOL``, and integer indices too
+    wide for float64 run on the composition lattice of the offsets themselves.
     """
     if n < 0:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
-    units = _commensurable(grown, tol)
+    units = _commensurable(grown, MERGE_TOL)
     if units is None or n * units.span >= _EXACT_INT:
         return _composition_lattice(grown, n, at_most, measures)
     distinct = len(set(units.shifts))
@@ -555,23 +535,26 @@ def _lattice(
     return _composition_lattice(shifts, n, at_most, measures, units)
 
 
-def sum_lattice(ambiguity: AmbiguitySet, step: int, tol: float = MERGE_TOL) -> SumLattice:
+def sum_lattice(ambiguity: AmbiguitySet, step: int) -> SumLattice:
     """Reachable partial-sum states after ``step`` draws from the grid;
-    states closer than ``tol`` are reported as one, the lowest."""
+    states closer than ``MERGE_TOL`` are reported as one, the lowest."""
     if step < 0:
         raise ParameterError(f"step must be >= 0, got {step}")
-    lattice = _lattice(ambiguity.grid.array, step, tol=tol)
-    states, _ = _merge(lattice.states(step), tol)
+    states, _ = _merge(_lattice(ambiguity.grid.array, step).states(step), MERGE_TOL)
     return SumLattice(step, tuple(states.tolist()))
 
 
-def _terminal_values(
-    states: np.ndarray, terminal: TabulatedPayoff | Callable[[float], float]
+def _on_states(
+    payoff: Callable[[np.ndarray], np.ndarray], states: np.ndarray, what: str, dtype: type = float
 ) -> np.ndarray:
-    """A scalar terminal on an array of states: table lookup, or one call per state."""
-    if isinstance(terminal, TabulatedPayoff):
-        return terminal.value_array[_locate(terminal.state_array, states, "the terminal table")]
-    return np.fromiter((float(terminal(s)) for s in states), dtype=float, count=states.size)
+    """The values of ``payoff`` on ``states`` from one call on the whole array,
+    the convention of every payoff here, broadcast to its shape as ``dtype``
+    (so a constant serves); ParameterError if ``payoff`` cannot take an array
+    or its values do not broadcast."""
+    try:
+        return np.broadcast_to(np.asarray(payoff(states), dtype=dtype), states.shape)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} must map an array of states to values of its shape") from exc
 
 
 def _sweep(
@@ -718,25 +701,19 @@ def _horizons_dp(
     return values[0, ::-1]
 
 
-def _stage_values(states: np.ndarray, cost: Callable[[float], float], step: int) -> np.ndarray:
-    try:
-        return np.fromiter((float(cost(s)) for s in states), dtype=float, count=states.size)
-    except TypeError as exc:
-        raise ParameterError(f"stage cost for step {step} is not evaluable") from exc
-
-
 def eval_sum_functional(
     ambiguity: AmbiguitySet,
     n: int,
-    terminal: TabulatedPayoff | Callable[[float], float],
+    terminal: Callable[[np.ndarray], np.ndarray],
     maximize: bool = True,
 ) -> tuple[float, SelectionPolicy]:
-    """Upper expectation of ``terminal(S_n)`` with its argmax selection policy.
+    """Upper expectation of ``terminal(S_n)`` with its argmax selection policy;
+    ``terminal`` maps the array of states of S_n to their values.
 
     With ``maximize=False``: the lower expectation and its argmin policy.
     """
     lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
-    values = _terminal_values(lattice.states(n), terminal)
+    values = _on_states(terminal, lattice.states(n), "terminal")
     value, policy = _chain_dp(ambiguity, lattice, n, values, maximize, want_policy=True)
     assert policy is not None
     return value, policy
@@ -745,16 +722,15 @@ def eval_sum_functional(
 def eval_additive_functional(
     ambiguity: AmbiguitySet,
     n: int,
-    stage_costs: Sequence[Callable[[float], float]],
+    stage_costs: Sequence[Callable[[np.ndarray], np.ndarray]],
 ) -> float:
-    """Upper expectation of ``sum_{k=1..n} g_k(S_k)`` for per-step costs g_k."""
-    if n < 1:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
+    """Upper expectation of ``sum_{k=1..n} g_k(S_k)`` for per-step costs g_k,
+    ``stage_costs[k-1]`` mapping the array of states of S_k to their g_k."""
     costs = list(stage_costs)
     if len(costs) != n:
         raise ParameterError(f"expected {n} stage costs, got {len(costs)}")
     lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
-    stage = lambda k: _stage_values(lattice.states(k), costs[k - 1], k)
+    stage = lambda k: _on_states(costs[k - 1], lattice.states(k), f"stage cost {k}")
     value, _ = _additive_dp(ambiguity, n, lattice, stage)
     return value
 
@@ -778,16 +754,16 @@ def _additive_dp(
 def capacity_sum_event(
     ambiguity: AmbiguitySet,
     n: int,
-    predicate: Callable[[float], bool],
+    predicate: Callable[[np.ndarray], np.ndarray],
     maximize: bool = True,
 ) -> float:
-    """Upper capacity of ``{predicate(S_n)}``: the recursion with an indicator terminal.
+    """Upper capacity of ``{predicate(S_n)}``: the recursion with an indicator
+    terminal, ``predicate``'s values on the array of states of S_n read by ``bool``.
 
     With ``maximize=False``: the lower capacity (min-recursion).
     """
     lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
-    indicator = lambda s: 1.0 if predicate(s) else 0.0
-    values = _terminal_values(lattice.states(n), indicator)
+    values = _on_states(predicate, lattice.states(n), "predicate", bool).astype(float)
     value, _ = _chain_dp(ambiguity, lattice, n, values, maximize)
     return min(1.0, max(0.0, value))
 
@@ -855,10 +831,11 @@ def _pair_lattice(offsets: np.ndarray, n: int, measures: int = 0) -> _MergedLatt
 def eval_maxabs_functional(
     ambiguity: AmbiguitySet,
     n: int,
-    phi: Callable[[float], float],
+    phi: Callable[[np.ndarray], np.ndarray],
     max_horizon: int = 64,
 ) -> float:
-    """Upper expectation of ``phi(max_{k<=n} |S~_k|)`` for a mean-certain set.
+    """Upper expectation of ``phi(max_{k<=n} |S~_k|)`` for a mean-certain set,
+    ``phi`` mapping an array of running maxima to their values.
 
     Runs on the augmented state (centered sum, running max of its absolute
     value); the state count grows ~n^2, so the horizon is gated.
@@ -869,22 +846,22 @@ def eval_maxabs_functional(
         raise CapacityError(f"maxabs DP is gated to n <= {max_horizon}, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
     lattice = _pair_lattice(ambiguity.grid.array - mu, n, len(ambiguity.measures))
-    value, _ = _chain_dp(ambiguity, lattice, n, _terminal_values(lattice.states(n), phi))
+    value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))
     return value
 
 
 def eval_sumsq_functional(
-    ambiguity: AmbiguitySet, n: int, phi: Callable[[float], float]
+    ambiguity: AmbiguitySet, n: int, phi: Callable[[np.ndarray], np.ndarray]
 ) -> float:
-    """Upper expectation of ``phi(sum_{k<=n} X~_k^2)`` for a mean-certain set.
+    """Upper expectation of ``phi(sum_{k<=n} X~_k^2)`` for a mean-certain set,
+    ``phi`` mapping an array of sums of squares to their values.
 
     The running sum of squared centered atoms forms its own lattice; the
     per-atom squared increments stay aligned with the measure weights.
     """
     mu = ambiguity.require_mean_certain("eval_sumsq_functional")
     lattice = _lattice((ambiguity.grid.array - mu) ** 2, n, measures=len(ambiguity.measures))
-    values = _terminal_values(lattice.states(n), phi)
-    value, _ = _chain_dp(ambiguity, lattice, n, values)
+    value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))
     return value
 
 
@@ -1018,7 +995,7 @@ def sum_functional_series(
     Because the sequence is i.i.d., the value with r remaining steps from
     state s is the same function U_r(s) at every calendar step, so one
     sweep of the one-step operator yields E-hat[psi(S_n)] (read at s = 0)
-    for every n <= N.  ``psi`` must accept an ndarray of states.  With
+    for every n <= N.  ``psi`` maps an array of states to their values.  With
     ``centered=True`` the recursion runs on atoms shifted by the certified
     mean, producing functionals of the centered sums.
     """
@@ -1030,12 +1007,8 @@ def sum_functional_series(
 
     # level j holds every sum of at most j offsets, so the origin stays on it
     lattice = _lattice(offsets, horizon, at_most=True, measures=len(ambiguity.measures))
-    states = lattice.states(horizon)
-    values = np.asarray(psi(states), dtype=float)
-    if values.shape != states.shape:
-        raise ParameterError("psi must map a state array to an equally shaped value array")
+    values = lattice.spread(horizon, _on_states(psi, lattice.states(horizon), "psi"))
     out = np.empty(horizon)
-    values = lattice.spread(horizon, values)
     for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
         out[horizon - 1 - k] = values[lattice.origin(k)]
     return out

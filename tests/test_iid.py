@@ -27,7 +27,6 @@ from sublex.iid import (
     _sample_steps,
     SelectionPolicy,
     _tail_sums,
-    _terminal_values,
 )
 from sublex.lln import SAMPLING_Z
 
@@ -50,17 +49,6 @@ class TestSumFunctional:
             theta_star, TabulatedPayoff.from_callable(theta_star.grid.atoms, fn)
         )
         assert value == pytest.approx(expected, abs=1e-14)
-
-    def test_tabulated_terminal(self, theta_star):
-        lattice = sx.sum_lattice(theta_star, 2)
-        terminal = TabulatedPayoff.from_callable(lattice.states, lambda s: s * s)
-        value, _ = sx.eval_sum_functional(theta_star, 2, terminal)
-        assert value == pytest.approx(2.0, abs=1e-12)
-
-    def test_missing_state_is_domain_error(self, theta_star):
-        incomplete = TabulatedPayoff((-2.0, 0.0, 2.0), (4.0, 0.0, 4.0))
-        with pytest.raises(sx.ParameterError):
-            sx.eval_sum_functional(theta_star, 2, incomplete)
 
     def test_bad_horizon(self, theta_star):
         with pytest.raises(sx.ParameterError):
@@ -193,7 +181,7 @@ class TestCapacitySumEvent:
     def test_complement_with_lower_capacity(self, theta_star):
         pred = lambda s: s >= 1.0 - 1e-9
         upper = sx.capacity_sum_event(theta_star, 4, pred)
-        lower_c = sx.capacity_sum_event(theta_star, 4, lambda s: not pred(s), maximize=False)
+        lower_c = sx.capacity_sum_event(theta_star, 4, lambda s: ~pred(s), maximize=False)
         assert upper + lower_c == pytest.approx(1.0, abs=1e-12)
 
 
@@ -277,6 +265,51 @@ class TestSeries:
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
         with pytest.raises(sx.ParameterError):
             sx.sum_functional_series(lopsided, 3, lambda s: s, centered=True)
+
+
+#: Every entry point that takes a payoff, as (its value at horizon n for a
+#: payoff, the same functional of a path for the enumeration oracle).
+PAYOFF_ENTRY_POINTS = {
+    "eval_sum_functional": (
+        lambda fam, n, f: sx.eval_sum_functional(fam, n, f)[0],
+        lambda f: lambda xs: f(np.sum(xs)),
+    ),
+    "eval_additive_functional": (
+        lambda fam, n, f: sx.eval_additive_functional(fam, n, [f] * n),
+        lambda f: lambda xs: sum(f(s) for s in np.cumsum(xs)),
+    ),
+    "capacity_sum_event": (
+        lambda fam, n, f: sx.capacity_sum_event(fam, n, f),
+        lambda f: lambda xs: bool(f(np.sum(xs))),
+    ),
+    "eval_maxabs_functional": (
+        lambda fam, n, f: sx.eval_maxabs_functional(fam, n, f),
+        lambda f: lambda xs: f(np.max(np.abs(np.cumsum(xs)))),
+    ),
+    "eval_sumsq_functional": (
+        lambda fam, n, f: sx.eval_sumsq_functional(fam, n, f),
+        lambda f: lambda xs: f(np.sum(np.square(xs))),
+    ),
+    "sum_functional_series": (
+        lambda fam, n, f: sx.sum_functional_series(fam, n, f)[-1],
+        lambda f: lambda xs: f(np.sum(xs)),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(PAYOFF_ENTRY_POINTS))
+def test_payoffs_map_state_arrays(theta_star, entry):
+    value_of, path_payoff = PAYOFF_ENTRY_POINTS[entry]
+    # an array payoff, and a constant that broadcasts to every state
+    for payoff in (lambda s: np.abs(s) ** 3 - s, lambda s: 2.5):
+        oracle = sx.brute_force_oracle(theta_star, 2, path_payoff(payoff))
+        assert value_of(theta_star, 2, payoff) == pytest.approx(oracle, abs=1e-12)
+    for refused in (lambda s: np.append(s, 0.0), lambda s: 1.0 if s > 0 else 0.0):
+        with pytest.raises(sx.ParameterError, match="array of states"):
+            value_of(theta_star, 3, refused)
+    if entry == "capacity_sum_event":
+        truthy = lambda s: np.where(s > 0, 2.0, np.where(s < 0, 0.5, 0.0))
+        assert value_of(theta_star, 3, truthy) == value_of(theta_star, 3, lambda s: s != 0)
 
 
 class TestInvariantsLifted:
@@ -440,6 +473,21 @@ class TestSamplePath:
             assert abs(draws.mean() - exact) <= SAMPLING_Z * stderr
 
 
+#: The tolerance within which the value-lookup sampler located a sum.
+LOOKUP_TOL = 1e-6
+
+
+def located(states, values):
+    """Positions of ``values`` on the sorted ``states``, within LOOKUP_TOL:
+    the lower neighbour when it is that close, else the upper one."""
+    hi = np.searchsorted(states, values)
+    lo = np.maximum(hi - 1, 0)
+    hi = np.minimum(hi, states.size - 1)
+    use_lo = np.abs(states[lo] - values) <= LOOKUP_TOL
+    assert (use_lo | (np.abs(states[hi] - values) <= LOOKUP_TOL)).all()
+    return np.where(use_lo, lo, hi)
+
+
 def value_lookup_steps(ambiguity, policy, n, rng, n_paths):
     """The sampler as it was when paths carried only their partial sums: each
     step located every path's sum among the sorted states of the level, within
@@ -450,7 +498,7 @@ def value_lookup_steps(ambiguity, policy, n, rng, n_paths):
     s = np.zeros(n_paths)
     for k in range(n):
         picks = lattice.restrict(k, lattice.on_nodes(k, policy.choices[k]))
-        rows = cumw[picks[iid._locate(lattice.states(k), s, f"the step-{k} lattice")]]
+        rows = cumw[picks[located(lattice.states(k), s)]]
         u = rng.random(n_paths)
         j = np.minimum(np.sum(rows <= u[:, None], axis=1), atoms.size - 1)
         x = atoms[j]
@@ -754,12 +802,11 @@ class TestIndexLattice:
             assert np.array_equal(states[0], np.unique(states[1]))
             assert np.allclose(states[0], states[2], rtol=0.0, atol=1e-12)
             assert np.array_equal(states[0], states[2]) or not dyadic
-        # a terminal tabulated on the reachable states only
-        table = TabulatedPayoff.from_callable(lattices[2].states(n), lambda s: abs(s - center) ** 3)
+        payoff = lambda s: np.abs(s - center) ** 3
         stages = [lambda k, lat=lat: np.cos(lat.states(k) + k) for lat in lattices]
         results = []
         for lattice, stage in zip(lattices, stages):
-            terminal = iid._terminal_values(lattice.states(n), table)
+            terminal = payoff(lattice.states(n))
             results.append(
                 _chain_dp(ambiguity, lattice, n, terminal, maximize, stage, want_policy=True)
             )
@@ -775,7 +822,7 @@ class TestIndexLattice:
         # the dense policy, located by value, replays to its value on the others
         others = zip(lattices[1:] if dyadic else lattices[1:2], stages[1:], (p_sparse, p_float))
         for lattice, stage, target in others:
-            terminal = iid._terminal_values(lattice.states(n), table)
+            terminal = payoff(lattice.states(n))
             policy = relocated(p_dense, target)
             replayed, _ = _chain_dp(ambiguity, lattice, n, terminal, stage=stage, replay=policy)
             assert replayed == pytest.approx(v_dense, rel=1e-12, abs=1e-300)
@@ -922,10 +969,10 @@ class TestCompositionLattice:
         lattices = _composition_lattice(atoms, n), dense(atoms, n)
         for k in range(n + 1):
             assert np.array_equal(np.unique(lattices[0].states(k)), lattices[1].states(k))
-        table = TabulatedPayoff.from_callable(lattices[1].states(n), lambda s: abs(s - center) ** 3)
+        payoff = lambda s: np.abs(s - center) ** 3
         results = []
         for lattice in lattices:
-            terminal = iid._terminal_values(lattice.states(n), table)
+            terminal = payoff(lattice.states(n))
             stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
             results.append(
                 _chain_dp(ambiguity, lattice, n, terminal, maximize, stage, want_policy=True)
@@ -1258,38 +1305,3 @@ def test_policy_sampled_on_another_grid_is_refused(theta_star):
     with pytest.raises(sx.ParameterError, match="lattice"):
         for _ in _sample_steps(wider, policy, 4, np.random.default_rng(0), 50):
             pass
-
-
-def reference_terminal_values(states, terminal):
-    """The per-state table lookup ``_terminal_values`` made before it called ``_locate``."""
-    idx = np.searchsorted(terminal.state_array, states)
-    out = np.empty(states.size)
-    for pos, (s, i) in enumerate(zip(states, idx)):
-        for j in (i - 1, i):
-            if 0 <= j < len(terminal.states) and abs(terminal.states[j] - s) <= iid.LOOKUP_TOL:
-                out[pos] = terminal.values[j]
-                break
-        else:
-            raise sx.ParameterError(f"terminal payoff is missing reachable state {s!r}")
-    return out
-
-
-class TestTerminalLookup:
-    def test_table_lookup_picks_the_entries_of_the_per_state_loop(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            # gaps of a unit or of under LOOKUP_TOL, so some states match two entries
-            table = np.cumsum(rng.choice([1.0, 0.4e-6, 0.9e-6], 30))
-            terminal = TabulatedPayoff(tuple(table), tuple(rng.random(30)))
-            jitter = rng.choice([-0.9e-6, -0.5e-6, 0.0, 0.5e-6, 0.9e-6], 30)
-            states = np.unique(table + jitter)  # the ends may lie outside the table
-            np.testing.assert_array_equal(
-                _terminal_values(states, terminal), reference_terminal_values(states, terminal)
-            )
-
-    def test_missing_state_is_named(self):
-        terminal = TabulatedPayoff((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
-        with pytest.raises(sx.ParameterError, match="0.5"):
-            _terminal_values(np.array([-1.0, 0.5, 1.0]), terminal)
-        with pytest.raises(sx.ParameterError, match="1.00001"):
-            _terminal_values(np.array([-1.0, 1.00001]), terminal)
