@@ -12,7 +12,10 @@ against.
 The scheme is explicit Euler in time with central second differences,
 second differences clamped to zero at the two boundary points (payoffs are
 held at their boundary values, which is accurate because the law has
-sub-Gaussian tails at scale sigma_hi).
+sub-Gaussian tails at scale sigma_hi).  Its error at the origin falls as
+dx^2, so a G-expectation is solved on the grid and on two successive
+coarsenings, and the three origin values give a Richardson value whose
+error bar is the size of its correction.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ import numpy as np
 from .core import AmbiguitySet, TabulatedPayoff
 from .errors import CheckError, ParameterError
 from .iid import sum_functional_series
+
+#: A fine/coarse difference within this multiple of max(1, |value|) is
+#: round-off (x^2 and -x^2, which the scheme keeps exact up to it), and its
+#: ratio to the next difference measures no order.
+ROUNDOFF = 1e-12
+
+#: The band of convergence ratios read as an order: 2^1 to 2^4.
+MIN_RATIO, MAX_RATIO = 2.0, 16.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,13 @@ class HeatGrid:
         return arr
 
     def coarsened(self) -> "HeatGrid":
-        """Half the spatial resolution, four times the step (same stability margin)."""
+        """Half the spatial resolution, four times the step.
+
+        For odd ``nx`` the coarse nodes are every other node, dx doubles and
+        the stability margin ``dt * sigma_hi^2 / dx^2`` is unchanged.  For
+        even ``nx`` dx grows by ``2 (nx - 1) / (nx - 2) > 2``, so the margin
+        shrinks (0.9 to 0.576 at nx = 6) and the step stays stable.
+        """
         return HeatGrid(self.half_width, (self.nx - 1) // 2 + 1, 4.0 * self.dt, self.horizon)
 
 
@@ -99,7 +116,13 @@ def default_grid(params: GNormalParams, nx: int = 801, dt_safety: float = 0.9) -
 
 @dataclass(frozen=True)
 class GExpectationResult:
-    """A solver value with a Richardson-style error estimate from a coarse rerun."""
+    """A solver value with its error bar.
+
+    The value is the Richardson value from solves on three grids and the
+    bar the size of its correction; where the three origin values show no
+    order, the value is the fine solve's and the bar its change under one
+    coarse rerun.
+    """
 
     value: float
     grid: HeatGrid
@@ -138,9 +161,9 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
 
     Each of the ``ceil(t / grid.dt)`` equal steps updates the interior nodes
     by ``dt * G(d2) = (dt/2) * (su*max(d2, 0) - sl*max(-d2, 0))``, where
-    ``d2 = ((u[i+1] - 2*u[i]) + u[i-1]) / dx^2`` and su, sl are the variance
-    bounds; the boundary nodes, whose second difference is clamped to 0,
-    gain ``+0.0``.  The step is fused: eleven ufunc calls in place on
+    ``d2 = ((u[i+1] - 2*u[i]) + u[i-1]) * (1/dx^2)`` and su, sl are the
+    variance bounds; the boundary nodes, whose second difference is clamped
+    to 0, gain ``+0.0``.  The step is fused: eleven ufunc calls in place on
     buffers allocated once, one of which holds ``d2`` and ``-d2`` side by
     side, so that two calls take the positive parts and one call scales them
     by ``[su, sl]``; no call allocates.  These are the IEEE operations of the
@@ -217,27 +240,53 @@ def _coarse_values(
     return values[::2] if grid.nx % 2 == 1 else np.interp(coarse.x, grid.x, values)
 
 
+def _extrapolate(origins: Sequence[float]) -> tuple[float, float]:
+    """Value and error bar from the origin values ``v0, v1[, v2]`` of solves
+    on a grid and its successive coarsenings.
+
+    If a grid's error is ``C h^q``, the ratio ``r = (v2 - v1) / (v1 - v0)``
+    reads ``2^q`` and the Richardson value ``v0 - (v1 - v0) / (r - 1)``
+    cancels that term; its bar is the size of the correction.  The value is
+    ``v0`` with bar ``|v1 - v0|`` when there is no third value, when
+    ``v1 - v0`` is at round-off level, or when r shows no order from 1 to 4.
+    """
+    v0, v1 = origins[0], origins[1]
+    step = v1 - v0
+    if len(origins) == 3 and abs(step) > ROUNDOFF * max(1.0, abs(v0)):
+        ratio = (origins[2] - v1) / step
+        if MIN_RATIO <= ratio <= MAX_RATIO:
+            correction = step / (ratio - 1.0)
+            return v0 - correction, abs(correction)
+    return v0, abs(step)
+
+
 def _g_expectations(
     payoffs: Sequence[TabulatedPayoff | Callable[[np.ndarray], np.ndarray]],
     params: GNormalParams,
     grid: HeatGrid | None = None,
 ) -> list[GExpectationResult]:
-    """``g_expectation`` of each payoff, from one stacked fine solve and one
-    stacked coarse solve; each result has the bits of its own solve."""
+    """``g_expectation`` of each payoff, from one stacked solve on ``grid``
+    and on each of its two coarsenings (one when ``nx < 9``, where the
+    second would have fewer than 3 nodes); each result has the bits of its
+    own solves."""
     if grid is None:
         grid = default_grid(params)
-    coarse = grid.coarsened()
-    values = [_payoff_values(payoff, grid) for payoff in payoffs]
-    starts = [
-        _coarse_values(v, grid, coarse, None if isinstance(payoff, TabulatedPayoff) else payoff)
-        for v, payoff in zip(values, payoffs)
+    grids = [grid, grid.coarsened()]
+    if grids[-1].nx >= 5:
+        grids.append(grids[-1].coarsened())
+    starts = [[_payoff_values(payoff, grid) for payoff in payoffs]]
+    for fine, coarse in zip(grids, grids[1:]):
+        starts.append([
+            _coarse_values(v, fine, coarse, None if isinstance(payoff, TabulatedPayoff) else payoff)
+            for v, payoff in zip(starts[-1], payoffs)
+        ])
+    origins = [
+        [float(np.interp(0.0, g.x, final)) for final in evolve(np.stack(s), g.horizon, params, g)]
+        for g, s in zip(grids, starts)
     ]
-    finals = evolve(np.stack(values), grid.horizon, params, grid)
-    coarse_finals = evolve(np.stack(starts), grid.horizon, params, coarse)
     results = []
-    for final, coarse_final in zip(finals, coarse_finals):
-        value = float(np.interp(0.0, grid.x, final))
-        residual = abs(value - float(np.interp(0.0, coarse.x, coarse_final)))
+    for values in zip(*origins):
+        value, residual = _extrapolate(values)
         results.append(GExpectationResult(value, grid, residual))
     return results
 
@@ -249,9 +298,16 @@ def g_expectation(
 ) -> GExpectationResult:
     """Upper expectation of ``payoff`` under the G-normal law.
 
-    The value is the time-1 solution at the origin.  The residual estimate
-    is the change under a rerun at half spatial resolution; halving dx and
-    dt once more moves the value by less than this estimate.
+    The time-1 solution at the origin is read on ``grid``, on
+    ``grid.coarsened()`` and on that grid's ``coarsened()``.  The ratio of
+    their successive differences measures the order of convergence, and
+    the value is the Richardson extrapolation with that order; the
+    residual estimate is the size of the extrapolation's correction, which
+    is also the estimated error of the fine solve alone.  When the
+    differences are at round-off level (``x^2``, constants, linear
+    payoffs), when the ratio shows no order from 1 to 4, or when
+    ``nx < 9``, the value is the fine solve's and the residual estimate its
+    change under the first coarse rerun.
     """
     return _g_expectations([payoff], params, grid)[0]
 

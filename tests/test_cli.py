@@ -467,8 +467,8 @@ def test_eval_loads_no_numpy_ma(tmp_path):
 
 class TestHeatSolves:
     """The G-heat work each subcommand does on the canonical config: the
-    gheat battery is one stacked fine and one stacked coarse solve, and
-    c_p for p >= 1 is in closed form."""
+    gheat battery is one stacked solve on each of three grids (fine,
+    coarsened, coarsened again), and c_p for p >= 1 is in closed form."""
 
     @staticmethod
     def evolve_calls(tmp_path, name, *overrides) -> int:
@@ -479,13 +479,13 @@ class TestHeatSolves:
         return spy.call_count
 
     @pytest.mark.parametrize(
-        "name, calls", [("gheat", 2), ("clt", 0), ("lln-series", 0), ("corollary", 0)]
+        "name, calls", [("gheat", 3), ("clt", 0), ("lln-series", 0), ("corollary", 0)]
     )
     def test_evolve_calls(self, tmp_path, name, calls):
         assert self.evolve_calls(tmp_path, name) == calls
 
     def test_order_below_one_still_solves_the_pde(self, tmp_path):
-        assert self.evolve_calls(tmp_path, "clt", "--override", "p=0.5") == 2
+        assert self.evolve_calls(tmp_path, "clt", "--override", "p=0.5") == 3
         cfg = parse_config(ROOT / "configs" / "canonical.json")
         _, residual = gnormal._limit_abs_moment(0.5, cfg.gnormal_params(), cfg.heat_grid())
         assert residual > 0.0

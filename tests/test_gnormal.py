@@ -1,5 +1,6 @@
 import math
 import types
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -483,3 +484,94 @@ class TestNonlinearSolver:
         f = np.array(low[: grid.nx], dtype=float)
         g = f + np.array(gap[: grid.nx], dtype=float)
         assert np.all(evolve(f, t, params, grid) <= evolve(g, t, params, grid))
+
+
+def two_grid(payoff, params, grid):
+    """The fine solve's origin value and its change under one rerun on
+    ``grid.coarsened()``: the G-expectation without extrapolation."""
+    coarse = grid.coarsened()
+    fine_value = float(np.interp(0.0, grid.x, evolve(payoff(grid.x), grid.horizon, params, grid)))
+    coarse_final = evolve(payoff(coarse.x), coarse.horizon, params, coarse)
+    return fine_value, abs(fine_value - float(np.interp(0.0, coarse.x, coarse_final)))
+
+
+class TestExtrapolation:
+    """The value from three grids: where a closed form exists it lies within
+    the error bar, and where the differences show no order of convergence
+    the two-grid result comes back bit for bit."""
+
+    @pytest.mark.parametrize("nx", [201, 801, 1601])
+    @pytest.mark.parametrize("ratio", [0.2, 0.5, 1.0])
+    def test_error_bar_covers_the_closed_form(self, nx, ratio):
+        params = sx.GNormalParams(ratio, 1.0)
+        cases = (
+            (np.abs, sx.classical_abs_moment(1, 1.0)),
+            (lambda x: np.abs(x) ** 3, sx.classical_abs_moment(3, 1.0)),
+            (lambda x: -np.abs(x), -sx.classical_abs_moment(1, ratio)),
+        )
+        results = gnormal._g_expectations(
+            [payoff for payoff, _ in cases], params, default_grid(params, nx=nx)
+        )
+        for result, (_, want) in zip(results, cases):
+            assert abs(result.value - want) <= result.residual_estimate
+
+    def test_cubic_moment_within_1e6_at_801_nodes(self, params):
+        result = sx.g_expectation(lambda x: np.abs(x) ** 3, params, default_grid(params, nx=801))
+        assert abs(result.value - 2.0 * math.sqrt(2.0 / math.pi)) <= 1e-6
+
+    @pytest.mark.parametrize("nx", [201, 801])
+    @pytest.mark.parametrize("lower", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "payoff",
+        [lambda x: x**2, lambda x: -(x**2), lambda x: np.full_like(x, 2.5), lambda x: x],
+        ids=["square", "neg_square", "constant", "linear"],
+    )
+    def test_round_off_differences_keep_the_two_grid_result(self, nx, lower, payoff):
+        params = sx.GNormalParams(lower, 1.0)
+        grid = default_grid(params, nx=nx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sx.g_expectation(payoff, params, grid)
+        assert (result.value, result.residual_estimate) == two_grid(payoff, params, grid)
+
+    @pytest.mark.parametrize("nx", [5, 6, 7, 8])
+    @pytest.mark.parametrize("payoff", PAYOFFS)
+    def test_grids_below_9_nodes_keep_the_two_grid_result(self, params, nx, payoff):
+        # their second coarsening would have fewer than 3 nodes
+        grid = default_grid(params, nx=nx)
+        result = sx.g_expectation(payoff, params, grid)
+        assert (result.value, result.residual_estimate) == two_grid(payoff, params, grid)
+
+    @pytest.mark.parametrize("nx", [11, 101])
+    @pytest.mark.parametrize("payoff", [np.abs, PAYOFFS[2]], ids=["abs", "abs_cubed"])
+    def test_ratios_outside_the_band_keep_the_two_grid_result(self, params, nx, payoff):
+        # measured ratios: -1.44 and 168 for |x|, -0.17 and -6.3 for |x|^3
+        grid = default_grid(params, nx=nx)
+        result = sx.g_expectation(payoff, params, grid)
+        assert (result.value, result.residual_estimate) == two_grid(payoff, params, grid)
+
+    def test_richardson_step(self):
+        # errors 1e-3 h^2 on h = 1, 2, 4 around the value 1
+        value, bar = gnormal._extrapolate((1.001, 1.004, 1.016))
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert bar == pytest.approx(1e-3, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "origins",
+        [
+            (1.0, 1.0, 1.5),  # no difference at all
+            (1.0, 1.0 + 4e-13, 1.0 + 2e-12),  # ratio 4, but differences at round-off level
+            (-1e6, -1e6 + 5e-7, -1e6 + 2.5e-6),  # the same, relative to the value
+            (2.0, 2.1, 2.15),  # ratio 1/2: diverging differences
+            (2.0, 2.1, 4.2),  # ratio 21: beyond order 4
+            (2.0, 2.1, 1.9),  # ratio -2: oscillating
+            (2.0, 2.1),  # no third grid
+            (math.nan, 1.0, 2.0),
+            (1.0, math.inf, math.inf),
+        ],
+    )
+    def test_no_order_keeps_the_fine_value(self, origins):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, bar = gnormal._extrapolate(origins)
+        assert f"{value!r} {bar!r}" == f"{origins[0]!r} {abs(origins[1] - origins[0])!r}"
