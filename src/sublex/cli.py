@@ -118,7 +118,7 @@ class ExperimentConfig:
         lambda e: bool(e) and min(e) > 0.0, (0.5,)
     )
     seed: int = _entry("seed", _integer, "an integer >= 0", lambda n: n >= 0, 0)
-    nx: int = _entry("solver.nx", _integer, "an integer >= 3", lambda n: n >= 3, 801)
+    nx: int = _entry("solver.nx", _integer, "an integer >= 5", lambda n: n >= 5, 801)
     half_width: float | None = _entry(
         "solver.half_width", lambda x: x if x is None else _real(x), "null or a finite number > 0",
         lambda x: x is None or x > 0.0, None

@@ -74,7 +74,6 @@ class HeatGrid:
     half_width: float
     nx: int
     dt: float
-    horizon: float = 1.0
 
     def __post_init__(self) -> None:
         if self.half_width <= 0.0:
@@ -83,8 +82,6 @@ class HeatGrid:
             raise ParameterError(f"nx must be >= 3, got {self.nx}")
         if self.dt <= 0.0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
-        if self.horizon <= 0.0:
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
 
     @property
     def dx(self) -> float:
@@ -104,7 +101,7 @@ class HeatGrid:
         even ``nx`` dx grows by ``2 (nx - 1) / (nx - 2) > 2``, so the margin
         shrinks (0.9 to 0.576 at nx = 6) and the step stays stable.
         """
-        return HeatGrid(self.half_width, (self.nx - 1) // 2 + 1, 4.0 * self.dt, self.horizon)
+        return HeatGrid(self.half_width, (self.nx - 1) // 2 + 1, 4.0 * self.dt)
 
 
 def default_grid(params: GNormalParams, nx: int = 801, dt_safety: float = 0.9) -> HeatGrid:
@@ -281,7 +278,7 @@ def _g_expectations(
             for v, payoff in zip(starts[-1], payoffs)
         ])
     origins = [
-        [float(np.interp(0.0, g.x, final)) for final in evolve(np.stack(s), g.horizon, params, g)]
+        [float(np.interp(0.0, g.x, final)) for final in evolve(np.stack(s), 1.0, params, g)]
         for g, s in zip(grids, starts)
     ]
     results = []

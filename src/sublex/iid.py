@@ -27,7 +27,7 @@ adversarial path sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -54,8 +54,8 @@ CHAIN_BUDGET_BYTES = 512 * 2**20
 #: Working arrays of a sweep step, in words per node of the widest level,
 #: beside its candidates and gathered successors: the level above, the
 #: running best and its predecessor, a weighted successor, the picks with
-#: their tie mask, and a stage's or terminal's states, value order, values
-#: and the spread sum.
+#: their tie mask, a stage's or terminal's states, its values and the staged
+#: sum; the tenth word is slack, kept so that no budget admission moves.
 _SWEEP_WORDS = 10
 
 #: Peak bytes per candidate pair of one ``_pair_chain`` step, its outputs
@@ -66,6 +66,9 @@ _PAIR_MERGE_BYTES = 10 * 8 + 1
 
 #: Integers below this are exact in float64.
 _EXACT_INT = 2**53
+
+#: The most measure assignments the enumeration oracle visits.
+_MAX_ASSIGNMENTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,9 @@ class _Lattice:
         return None
 
     def states(self, k: int) -> np.ndarray:
-        """The reachable states of level k: nondecreasing sums on a sum
-        lattice, running maxima in merge order (by sum, then maximum) on
-        the pair chain."""
-        return self.restrict(k, self.nodes(k))
+        """The values of the reachable nodes of level k, in node order: sums
+        on a sum lattice, running maxima on the pair chain."""
+        return self.reachable(k, self.nodes(k))
 
     def size(self, k: int) -> int:
         """The number of nodes of level k."""
@@ -121,9 +123,6 @@ class _Lattice:
         """The entries of ``node_values`` at the reachable nodes of level k, in node order."""
         mask = self.reach(k)
         return node_values if mask is None else node_values[mask]
-
-    # states are given in node order, except on the composition lattice
-    spread, restrict = on_nodes, reachable
 
 
 @dataclass(frozen=True)
@@ -231,10 +230,9 @@ class _CompositionLattice(_Lattice):
     (t_2..t_e)), the combinatorial number system, so they do not depend on
     k: level k is the first C(k+e, e) ranks of level k+1.  Adding offset j
     takes rank r to ``succ[j-1][r]``; adding the free offset keeps the rank.
-    Nodes are in rank order; the states of a level follow from one argsort
-    of its node values, kept for the last level a caller asked about.  An
-    at-most lattice has the zero offset as a_0, so its origin is rank 0.
-    With ``units``, the offsets are its integer shifts and a node is valued
+    The states of a level are its node values in rank order.  An at-most
+    lattice has the zero offset as a_0, so its origin is rank 0.  With
+    ``units``, the offsets are its integer shifts and a node is valued
     ``units.values(k, index)`` at its index sum, as on the dense lattice;
     distinct multisets of equal sum stay distinct nodes of equal value.
     """
@@ -245,7 +243,6 @@ class _CompositionLattice(_Lattice):
     base: np.ndarray  # sum_i t_i a_i by rank, levels 0..n
     succ: tuple[np.ndarray, ...]  # ranks of t + e_j by rank, levels 0..n-1
     units: _Units | None = None
-    orders: dict[int, np.ndarray] = field(default_factory=dict)  # by level, one at a time
 
     def size(self, k: int) -> int:
         return math.comb(k + len(self.succ), len(self.succ))
@@ -255,21 +252,6 @@ class _CompositionLattice(_Lattice):
         out = (k - self.grade[:width]) * self.free
         out += self.base[:width]
         return out if self.units is None else self.units.values(k, out)
-
-    def order(self, k: int) -> np.ndarray:
-        """The ranks of level k by increasing value."""
-        if k not in self.orders:
-            self.orders.clear()
-            self.orders[k] = np.argsort(self.nodes(k), kind="stable")
-        return self.orders[k]
-
-    def restrict(self, k: int, node_values: np.ndarray) -> np.ndarray:
-        return node_values[self.order(k)]
-
-    def spread(self, k: int, values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        out[self.order(k)] = values
-        return out
 
     def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
         width = self.size(k)
@@ -318,14 +300,13 @@ class SelectionPolicy:
 
     @property
     def step_states(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.lattice.reachable(k, self.lattice.nodes(k)) for k in range(self.horizon))
+        return tuple(self.lattice.states(k) for k in range(self.horizon))
 
     def measure_at(self, step: int, state: float) -> int:
         """The measure picked at step ``step`` in the state of exactly this value."""
         if not 0 <= step < self.horizon:
             raise ParameterError(f"policy defines steps 0..{self.horizon - 1}, got {step}")
-        states = self.lattice.reachable(step, self.lattice.nodes(step))
-        at = np.flatnonzero(states == float(state))
+        at = np.flatnonzero(self.lattice.states(step) == float(state))
         if not at.size:
             raise ParameterError(f"state {float(state)!r} is not on the step-{step} lattice")
         return int(self.choices[step][at[0]])
@@ -643,10 +624,10 @@ def _chain_dp(
         if replay.horizon != n or replay.lattice is not lattice:
             raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
         fixed = lambda k: lattice.on_nodes(k, replay.choices[k])
-    values = lattice.spread(n, terminal)
+    values = lattice.on_nodes(n, terminal)
     add_stage = None
     if stage is not None:
-        add_stage = lambda k, v: v + lattice.spread(k, stage(k))
+        add_stage = lambda k, v: v + lattice.on_nodes(k, stage(k))
         values = add_stage(n, values)
     choices: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * n
     for k, values, picks in _sweep(
@@ -682,19 +663,20 @@ def _horizons_dp(
     widest = max(lattice.size(k) * int(columns) for k, columns in enumerate(alive))
     # of the _SWEEP_WORDS, a sweep that derives no picks and adds no stage
     # cost holds the level above, the running best with its predecessor and
-    # a weighted successor, not the picks, their tie mask or the four stage
-    # arrays; starting a column adds the stacked copy of the values.  A
-    # level's successors are gathered while the previous level's are held
+    # a weighted successor, not the picks, their tie mask, the three stage
+    # arrays or the slack word; starting a column adds the stacked copy of
+    # the values.  A level's successors are gathered while the previous
+    # level's are held
     words = _SWEEP_WORDS - 2 - 4 + 1
     gathered = 2 * lattice.gathered()
     held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.measures), gathered, words)
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
     starts = set(horizons)
-    values = lattice.spread(top, terminal(top))[:, None]
+    values = lattice.on_nodes(top, terminal(top))[:, None]
 
     def start(k: int, v: np.ndarray) -> np.ndarray:
-        return np.column_stack([v, lattice.spread(k, terminal(k))]) if k in starts else v
+        return np.column_stack([v, lattice.on_nodes(k, terminal(k))]) if k in starts else v
 
     for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, stage=start):
         pass
@@ -838,7 +820,8 @@ def eval_maxabs_functional(
     ``phi`` mapping an array of running maxima to their values.
 
     Runs on the augmented state (centered sum, running max of its absolute
-    value); the state count grows ~n^2, so the horizon is gated.
+    value) on the pair chain, whose transition maps take about n^3 bytes,
+    so the horizon is gated.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
@@ -869,24 +852,21 @@ def brute_force_oracle(
     ambiguity: AmbiguitySet,
     n: int,
     path_payoff: Callable[[np.ndarray], float],
-    max_assignments: int = 10_000_000,
 ) -> float:
     """Independent oracle: enumerate every history-dependent measure assignment.
 
     Every partial increment history of length < n is one decision node; an
     assignment picks a measure for each node and induces a path measure.
     The maximum expectation over all ``|measures| ** nodes`` assignments is
-    returned.  Unlike the backward recursion this never interchanges max
-    and expectation, which is exactly what makes it a useful oracle.
+    returned; past ``_MAX_ASSIGNMENTS`` of them CapacityError is raised.
+    Unlike the backward recursion this never interchanges max and
+    expectation, which is exactly what makes it a useful oracle.
     """
-    return _brute_force_many(ambiguity, n, [path_payoff], max_assignments)[0]
+    return _brute_force_many(ambiguity, n, [path_payoff])[0]
 
 
 def _brute_force_many(
-    ambiguity: AmbiguitySet,
-    n: int,
-    path_payoffs: Sequence[Callable[[np.ndarray], float]],
-    max_assignments: int = 10_000_000,
+    ambiguity: AmbiguitySet, n: int, path_payoffs: Sequence[Callable[[np.ndarray], float]]
 ) -> list[float]:
     if not 1 <= n <= 4:
         raise CapacityError(f"brute force enumeration supports 1 <= n <= 4, got {n}")
@@ -894,9 +874,9 @@ def _brute_force_many(
     n_meas = len(ambiguity.measures)
     n_nodes = sum(n_atoms**k for k in range(n))
     n_assign = n_meas**n_nodes
-    if n_assign > max_assignments:
+    if n_assign > _MAX_ASSIGNMENTS:
         raise CapacityError(
-            f"{n_meas}^{n_nodes} = {n_assign} assignments exceed the budget {max_assignments}"
+            f"{n_meas}^{n_nodes} = {n_assign} assignments exceed the budget {_MAX_ASSIGNMENTS}"
         )
 
     atoms = ambiguity.grid.array
@@ -1007,7 +987,7 @@ def sum_functional_series(
 
     # level j holds every sum of at most j offsets, so the origin stays on it
     lattice = _lattice(offsets, horizon, at_most=True, measures=len(ambiguity.measures))
-    values = lattice.spread(horizon, _on_states(psi, lattice.states(horizon), "psi"))
+    values = lattice.on_nodes(horizon, _on_states(psi, lattice.states(horizon), "psi"))
     out = np.empty(horizon)
     for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
         out[horizon - 1 - k] = values[lattice.origin(k)]

@@ -41,6 +41,9 @@ from .iid import (
 #: Standard errors a policy's Monte Carlo mean may stray from its exact value.
 SAMPLING_Z = 5.0
 
+#: The longest horizon ``subadditive_series_check`` runs its additive DP to.
+_MAX_SUBADDITIVE_HORIZON = 4096
+
 
 @dataclass(frozen=True)
 class TailFit:
@@ -500,14 +503,16 @@ def _series_costs(lattice: _Lattice, mu: float, beta: float) -> Callable[[int], 
 
 
 def subadditive_series_check(
-    ambiguity: AmbiguitySet, beta: float, horizon: int, max_horizon: int = 4096
+    ambiguity: AmbiguitySet, beta: float, horizon: int
 ) -> tuple[float, float, float]:
     """Truncated subadditivity: E-hat[sum_{n<=N} |S~_n/n|^beta] <= sum of the
     per-n upper expectations.  Both sides are exact; returns (lhs, rhs, margin)."""
     if beta <= 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
-    if horizon > max_horizon:
-        raise CapacityError(f"additive DP budget is N <= {max_horizon}, got {horizon}")
+    if horizon > _MAX_SUBADDITIVE_HORIZON:
+        raise CapacityError(
+            f"additive DP budget is N <= {_MAX_SUBADDITIVE_HORIZON}, got {horizon}"
+        )
     mu = ambiguity.require_mean_certain("subadditive_series_check")
     lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
     lhs, _ = _additive_dp(ambiguity, horizon, lattice, _series_costs(lattice, mu, beta))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -231,6 +232,8 @@ class TestExitCodes:
             ("lln-series", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
             ("corollary", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
             ("cc-series", {"epsilons": []}, [], "epsilons"),
+            ("gheat", {}, ["--override", "solver.nx=3"], "solver.nx"),
+            ("gheat", {}, ["--override", "solver.nx=4"], "solver.nx"),
         ],
         ids=[
             "p-nan",
@@ -242,6 +245,8 @@ class TestExitCodes:
             "half_width-nan-lln-series",
             "half_width-nan-corollary",
             "epsilons-empty",
+            "nx-3-gheat",
+            "nx-4-gheat",
         ],
     )
     def test_invalid_value_exits_2_naming_its_key(
@@ -253,6 +258,15 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().out.startswith(f"error: {key}: must be ")
         assert not out.exists()
+
+    def test_smallest_solver_grid_runs_gheat(self, config_path, tmp_path):
+        # nx = 5 is the smallest grid whose coarse rerun has 3 nodes
+        out = tmp_path / "o"
+        code = main(
+            ["gheat", "--config", str(config_path), "--out", str(out), "--override", "solver.nx=5"]
+        )
+        assert code == 0
+        assert (out / "gheat.csv").exists()
 
 
 class TestArtifacts:
@@ -541,3 +555,36 @@ def test_axioms_csv_matches_the_per_trial_recomputation(config_path, tmp_path, s
     args = ["axioms", "--config", str(config_path), "--out", str(out)]
     assert main(args + ["--seed", str(seed), "--override", "trials=200"]) == 0
     assert (out / "axioms.csv").read_bytes() == per_trial_axioms_csv(seed, 200)
+
+
+#: SHA-256 of every CSV the subcommands write on ``configs/canonical.json``,
+#: by ``<subcommand>/<file>``.  A change that moves an output on purpose
+#: updates its digest here and lists the old and new values in CHANGES.md.
+CANONICAL_DIGESTS = {
+    "axioms/axioms.csv": "7de88b80752e8b9b15afc3f7910bc9b62461c66a517f7afb20741918baa7802e",
+    "capacity/capacity.csv": "d13efce9f3e1cde2d833b31e9de54714153af725f158921159aed678fb8ba088",
+    "cc-series/cc_series_0.csv": "e14a6ca9ce838997fc8387b30fb785e25f3f84017c061f86f38ee4c9d38dfc95",
+    "clt/clt.csv": "110da8afb33ca97754ac2830f7f256bd583d014b539b479ca679cc7464b012f9",
+    "corollary/corollary.csv": "1f0dc4bcef916bdf221797ad15ac0bc96e184179eb22cba051bd401e61d7f270",
+    "eval/eval.csv": "5df322c7e96202285bc8f50f152037a65cb9a63fbc54df0cf1ddb68e0c5a3301",
+    "gheat/gheat.csv": "448594da883fc5ef58a9df9b4a1d64c9100e5d67227e4177841109678efd0d16",
+    "lln-series/lln_series.csv": "eac7d6aa4d6f94cce14248bb895bfde5e0dc252bc670606e43f7f6b0a3756ba3",
+    "lln-series/verdict.csv": "a8f15f53fc6c8cb4078139746530de1bdce1188ddc3b60828c2be1c5b87d1abe",
+    "mz-check/mz_check.csv": "a39736897bf32f63e91579d27e99da0fe1eed3aa41e28adb9e1eb4881d1ce7f3",
+    "mz-check/mz_summary.csv": "bf4ff99c3ce52ea22089a75b14d90044fb35b8ccba47cef641181db5ce5f5176",
+    "sqs/sqs.csv": "5640901d2d4b4a322690f6f408b82410d8775e4333fb332906026dfffe86e583",
+    "sqs/sqs_bound.csv": "3816e84f27fe10a5156e217a13a18251addf91ab26d05c326ab6f8a8a0285a49",
+    "subadd/subadd.csv": "f7f5875c533ffe232039943b390468817b14333fbce797243d1fc28048585924",
+}
+
+
+def test_canonical_csvs_are_byte_identical(tmp_path):
+    # manifest.json is left out: it records the output directory
+    config = str(ROOT / "configs" / "canonical.json")
+    for name in SUBCOMMANDS:
+        assert main([name, "--config", config, "--out", str(tmp_path / name)]) == 0
+    digests = {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*/*.csv"))
+    }
+    assert digests == CANONICAL_DIGESTS

@@ -490,8 +490,8 @@ def two_grid(payoff, params, grid):
     """The fine solve's origin value and its change under one rerun on
     ``grid.coarsened()``: the G-expectation without extrapolation."""
     coarse = grid.coarsened()
-    fine_value = float(np.interp(0.0, grid.x, evolve(payoff(grid.x), grid.horizon, params, grid)))
-    coarse_final = evolve(payoff(coarse.x), coarse.horizon, params, coarse)
+    fine_value = float(np.interp(0.0, grid.x, evolve(payoff(grid.x), 1.0, params, grid)))
+    coarse_final = evolve(payoff(coarse.x), 1.0, params, coarse)
     return fine_value, abs(fine_value - float(np.interp(0.0, coarse.x, coarse_final)))
 
 

@@ -497,8 +497,9 @@ def value_lookup_steps(ambiguity, policy, n, rng, n_paths):
     cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
     s = np.zeros(n_paths)
     for k in range(n):
-        picks = lattice.restrict(k, lattice.on_nodes(k, policy.choices[k]))
-        rows = cumw[picks[located(lattice.states(k), s)]]
+        states = lattice.states(k)
+        order = np.argsort(states, kind="stable")
+        rows = cumw[policy.choices[k][order][located(states[order], s)]]
         u = rng.random(n_paths)
         j = np.minimum(np.sum(rows <= u[:, None], axis=1), atoms.size - 1)
         x = atoms[j]
@@ -715,7 +716,7 @@ def float_sets(draw):
 def at_most_series(ambiguity, lattice, horizon, psi, maximize=True):
     """The all-horizon values of ``psi(S_n)`` read at the origin of an at-most
     lattice, as ``sum_functional_series`` reads them."""
-    values = lattice.spread(horizon, psi(lattice.states(horizon)))
+    values = lattice.on_nodes(horizon, psi(lattice.states(horizon)))
     out = np.empty(horizon)
     for k, values, _ in iid._sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
         out[horizon - 1 - k] = values[lattice.origin(k)]
@@ -930,7 +931,7 @@ class TestCompositionLattice:
         atoms = ambiguity.grid.array
         grown = np.concatenate([np.zeros(1), atoms])
         every = _composition_lattice(grown, n, at_most=True).states(n)  # sums of <= n draws
-        gaps = np.diff(every)
+        gaps = np.diff(np.sort(every))
         assume(np.all((gaps <= 1e-14 * n * np.max(np.abs(atoms))) | (gaps > 1e-6)))
         lattices = _composition_lattice(atoms, n), reference_float_chain(atoms, n)
         for k in range(n + 1):
@@ -1035,6 +1036,29 @@ class TestCompositionLattice:
         assert capacity == pytest.approx(event, rel=1e-12, abs=1e-15)
         series = sx.sum_functional_series(ambiguity, n, lambda s: np.abs(s) ** 3)
         assert series[-1] == pytest.approx(cube, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [None, (0.0, 0.5, 1.5), (0.0, 1.0, 2000.0), (-0.7, 0.1, 1.3 * np.sqrt(2.0)), FLOAT_ATOMS],
+    ids=["dense", "gapped-units", "sparse-units", "float-3", "float-5"],
+)
+def test_sum_lattice_lists_the_fused_sorted_multiset_sums(theta_star, atoms):
+    # a lattice lists its states in node order; sum_lattice sorts and fuses
+    # them: the sums of every k-draw multiset, at MERGE_TOL
+    family = theta_star if atoms is None else two_measures(atoms)
+    grid = family.grid.array
+    exact = units_of(grid) is not None  # correctly rounded exact sums
+    for k in range(5):
+        states = sx.sum_lattice(family, k).array
+        assert np.all(np.diff(states) > 0.0)
+        draws = itertools.combinations_with_replacement(grid.tolist(), k)
+        expected, _ = _merge(np.array([float(exact_sum(d)) for d in draws]), iid.MERGE_TOL)
+        assert states.shape == expected.shape
+        if exact:
+            assert np.array_equal(states, expected)
+        else:
+            assert np.allclose(states, expected, rtol=0.0, atol=1e-12 * max(k, 1))
 
 
 class TestFloatBudget:
@@ -1236,6 +1260,22 @@ class TestPolicyBudget:
         call = lambda: sx.eval_sum_functional(family, 60, abs)
         outcomes = budget_outcomes(monkeypatch, call, range(272_000, 330_000, 2_000))
         assert "raised" in outcomes and "built" in outcomes
+
+    def test_a_policy_keeps_its_picks_and_its_lattice_only(self):
+        # three float atoms at n = 400: the returned value and policy keep the
+        # picks and the composition lattice's arrays, and no per-level order
+        family = two_measures(FLOAT_ATOMS[:3])
+        call = lambda: sx.eval_sum_functional(family, 400, abs)
+        call()  # first-call allocations are not the policy's
+        tracemalloc.start()
+        try:
+            result = call()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        policy = result[1]
+        picks = sum(c.nbytes for c in policy.choices)
+        assert kept <= picks + iid._held(policy.lattice) + 128 * 2**10, (kept, picks)
 
     def test_policy_past_the_budget_raises_before_the_sweep(self, theta_star):
         # a byte for each of the N^2 states of levels 0..N-1: 5.76e8 bytes
