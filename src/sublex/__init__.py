@@ -29,7 +29,6 @@ from .gnormal import (
     semigroup_check,
 )
 from .iid import (
-    PathSample,
     SelectionPolicy,
     SumLattice,
     brute_force_oracle,
@@ -38,7 +37,6 @@ from .iid import (
     eval_maxabs_functional,
     eval_sum_functional,
     eval_sumsq_functional,
-    sample_path,
     sum_functional_series,
     sum_lattice,
 )

@@ -27,14 +27,12 @@ from .errors import CheckError, Error, ParameterError
 from .gnormal import GNormalParams, HeatGrid, _g_expectations, _limit_abs_moment, default_grid
 from .iid import MERGE_TOL, capacity_sum_event, sum_functional_series
 
-#: Named tolerances in effect for a run, recorded in every manifest.
+#: The tolerances a run applies, each read from the constant that applies it,
+#: recorded in every manifest.
 TOLERANCES = {
     "comparison_atol": ATOL,
     "lattice_merge_tol": MERGE_TOL,
-    "series_identity_tol": 1e-10,
-    "pde_moment_tol": 1e-3,
-    "tail_factor": 2.0,
-    "mz_slope_limit": 0.05,
+    "tail_factor": lln.TAIL_FACTOR,
     "sampling_z": lln.SAMPLING_Z,
 }
 
@@ -358,17 +356,9 @@ def _write_series(path: Path, report: lln.SeriesReport) -> None:
     _write_csv(path, header, list(zip(*columns, report.clt_gaps)))
 
 
-def _check_tail(report: lln.SeriesReport, what: str) -> None:
-    evidence = lln.tail_consistency(report)
-    if report.tail.exponent <= 1.0 or evidence["max_increment_ratio"] > TOLERANCES["tail_factor"]:
-        raise CheckError(f"{what} fails the tail criterion: {evidence}")
-
-
 def _run_lln_series(cfg: ExperimentConfig, out: Path) -> list[str]:
-    report = lln.slp_series(
-        cfg.ambiguity_set, cfg.p, cfg.horizon, params=cfg.gnormal_params(), grid=cfg.heat_grid()
-    )
-    verdict = lln.dichotomy_diagnosis(report, cfg.p, report.c_p)
+    report = lln.slp_series(cfg.ambiguity_set, cfg.p, cfg.horizon, grid=cfg.heat_grid())
+    verdict = lln.dichotomy_diagnosis(report)
     _write_series(out / "lln_series.csv", report)
     _write_csv(
         out / "verdict.csv",
@@ -396,15 +386,10 @@ def _run_mz(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 def _run_corollary(cfg: ExperimentConfig, out: Path) -> list[str]:
     report = lln.corollary_series(
-        cfg.ambiguity_set,
-        cfg.p,
-        cfg.beta,
-        cfg.horizon,
-        params=cfg.gnormal_params(),
-        grid=cfg.heat_grid(),
+        cfg.ambiguity_set, cfg.p, cfg.beta, cfg.horizon, grid=cfg.heat_grid()
     )
     _write_series(out / "corollary.csv", report)
-    _check_tail(report, "weighted series")
+    lln._check_tail(report, "weighted series")
     return ["corollary.csv"]
 
 
@@ -418,7 +403,7 @@ def _run_cc(cfg: ExperimentConfig, out: Path) -> list[str]:
             ("n", "capacity", "markov_bound"),
             list(zip(report.n_values, report.terms, report.reference)),
         )
-        _check_tail(report, f"capacity series at eps={eps}")
+        lln._check_tail(report, f"capacity series at eps={eps}")
         outputs.append(name)
     return outputs
 

@@ -288,10 +288,10 @@ def axiom_report(
     payoff_b: TabulatedPayoff,
     lam: float,
     c: float,
-    tolerance: float = ATOL,
 ) -> AxiomReport:
     """Check monotonicity, constant preservation, sub-additivity and positive
-    homogeneity of the upper expectation on a concrete pair of payoffs.
+    homogeneity of the upper expectation on a concrete pair of payoffs, each
+    residual against ``ATOL``.
 
     Monotonicity is checked on (a, b) when a >= b pointwise; otherwise on the
     dominating pair (max(a, b), b) so the check is never vacuous.
@@ -302,8 +302,8 @@ def axiom_report(
     vb = _payoff_on_grid(ambiguity, payoff_b)
     scalars = np.array([[lam], [c]], dtype=float)
     residuals = _axiom_residuals(ambiguity.weight_matrix[None], va[None], vb[None], *scalars)[0]
-    checks = [AxiomCheck(name, r, r <= tolerance) for name, r in zip(_AXIOMS, residuals.tolist())]
-    return AxiomReport(*checks, tolerance=tolerance)
+    checks = [AxiomCheck(name, r, r <= ATOL) for name, r in zip(_AXIOMS, residuals.tolist())]
+    return AxiomReport(*checks, tolerance=ATOL)
 
 
 def _upper_many(weights: np.ndarray, values: np.ndarray) -> np.ndarray:

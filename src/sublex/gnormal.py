@@ -13,9 +13,12 @@ The scheme is explicit Euler in time with central second differences,
 second differences clamped to zero at the two boundary points (payoffs are
 held at their boundary values, which is accurate because the law has
 sub-Gaussian tails at scale sigma_hi).  Its error at the origin falls as
-dx^2, so a G-expectation is solved on the grid and on two successive
-coarsenings, and the three origin values give a Richardson value whose
-error bar is the size of its correction.
+dx^2, so a G-expectation of a payoff function is solved on the grid and on
+two successive coarsenings, and the three origin values give a Richardson
+value whose error bar is the size of its correction.
+
+The limit moment ``c_p`` and the CLT gap are functions of an ambiguity
+set's own variance interval.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AmbiguitySet, TabulatedPayoff
+from .core import AmbiguitySet
 from .errors import CheckError, ParameterError
 from .iid import sum_functional_series
 
@@ -38,6 +41,9 @@ ROUNDOFF = 1e-12
 
 #: The band of convergence ratios read as an order: 2^1 to 2^4.
 MIN_RATIO, MAX_RATIO = 2.0, 16.0
+
+#: ``semigroup_check`` fails past this multiple of the run's residual estimate.
+SEMIGROUP_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -210,31 +216,8 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
     return np.ascontiguousarray(u.T)
 
 
-def _payoff_values(
-    payoff: TabulatedPayoff | Callable[[np.ndarray], np.ndarray], grid: HeatGrid
-) -> np.ndarray:
-    if isinstance(payoff, TabulatedPayoff):
-        if len(payoff.states) != grid.nx or np.max(np.abs(payoff.state_array - grid.x)) > 1e-9:
-            raise ParameterError("payoff must be tabulated on exactly the spatial grid points")
-        return payoff.value_array.copy()
+def _payoff_values(payoff: Callable[[np.ndarray], np.ndarray], grid: HeatGrid) -> np.ndarray:
     return np.asarray(payoff(grid.x), dtype=float)
-
-
-def _coarse_values(
-    values: np.ndarray,
-    grid: HeatGrid,
-    coarse: HeatGrid,
-    resample: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Start values of the rerun on ``coarse = grid.coarsened()``.
-
-    They are ``resample`` evaluated on the coarse points when it is given,
-    else the fine ``values`` at every other point (odd ``nx``) or
-    interpolated onto the coarse points (even ``nx``).
-    """
-    if resample is not None:
-        return np.asarray(resample(coarse.x), dtype=float)
-    return values[::2] if grid.nx % 2 == 1 else np.interp(coarse.x, grid.x, values)
 
 
 def _extrapolate(origins: Sequence[float]) -> tuple[float, float]:
@@ -258,29 +241,23 @@ def _extrapolate(origins: Sequence[float]) -> tuple[float, float]:
 
 
 def _g_expectations(
-    payoffs: Sequence[TabulatedPayoff | Callable[[np.ndarray], np.ndarray]],
+    payoffs: Sequence[Callable[[np.ndarray], np.ndarray]],
     params: GNormalParams,
     grid: HeatGrid | None = None,
 ) -> list[GExpectationResult]:
     """``g_expectation`` of each payoff, from one stacked solve on ``grid``
     and on each of its two coarsenings (one when ``nx < 9``, where the
-    second would have fewer than 3 nodes); each result has the bits of its
-    own solves."""
+    second would have fewer than 3 nodes), each payoff evaluated on the
+    points of each grid; each result has the bits of its own solves."""
     if grid is None:
         grid = default_grid(params)
     grids = [grid, grid.coarsened()]
     if grids[-1].nx >= 5:
         grids.append(grids[-1].coarsened())
-    starts = [[_payoff_values(payoff, grid) for payoff in payoffs]]
-    for fine, coarse in zip(grids, grids[1:]):
-        starts.append([
-            _coarse_values(v, fine, coarse, None if isinstance(payoff, TabulatedPayoff) else payoff)
-            for v, payoff in zip(starts[-1], payoffs)
-        ])
-    origins = [
-        [float(np.interp(0.0, g.x, final)) for final in evolve(np.stack(s), 1.0, params, g)]
-        for g, s in zip(grids, starts)
-    ]
+    origins = []
+    for g in grids:
+        finals = evolve(np.stack([_payoff_values(f, g) for f in payoffs]), 1.0, params, g)
+        origins.append([float(np.interp(0.0, g.x, final)) for final in finals])
     results = []
     for values in zip(*origins):
         value, residual = _extrapolate(values)
@@ -289,11 +266,12 @@ def _g_expectations(
 
 
 def g_expectation(
-    payoff: TabulatedPayoff | Callable[[np.ndarray], np.ndarray],
+    payoff: Callable[[np.ndarray], np.ndarray],
     params: GNormalParams,
     grid: HeatGrid | None = None,
 ) -> GExpectationResult:
-    """Upper expectation of ``payoff`` under the G-normal law.
+    """Upper expectation of ``payoff`` under the G-normal law; ``payoff``
+    maps an array of grid points to its values there.
 
     The time-1 solution at the origin is read on ``grid``, on
     ``grid.coarsened()`` and on that grid's ``coarsened()``.  The ratio of
@@ -356,27 +334,13 @@ def classical_abs_moment(p: float, sigma_sq: float) -> float:
     return by_quad
 
 
-def clt_gap(
-    ambiguity: AmbiguitySet,
-    n: int,
-    p: float,
-    params: GNormalParams | None = None,
-) -> float:
-    """Finite-n central-limit error |E-hat[|S~_n/sqrt(n)|^p] - c_p|, c_p in closed form."""
+def clt_gap(ambiguity: AmbiguitySet, n: int, p: float) -> float:
+    """Finite-n central-limit error |E-hat[|S~_n/sqrt(n)|^p] - c_p|, c_p in
+    closed form for the set's variance interval."""
     if p < 1.0:
         raise ParameterError(f"need p >= 1, got {p}")
     ambiguity.require_mean_certain("clt_gap")
-    derived = GNormalParams.from_ambiguity(ambiguity)
-    if params is None:
-        params = derived
-    elif (
-        abs(params.sigma_lower_sq - derived.sigma_lower_sq) > 1e-9
-        or abs(params.sigma_upper_sq - derived.sigma_upper_sq) > 1e-9
-    ):
-        raise ParameterError(
-            "params must carry the variance interval of the ambiguity set "
-            f"({derived.sigma_lower_sq}, {derived.sigma_upper_sq})"
-        )
+    params = GNormalParams.from_ambiguity(ambiguity)
     root = math.sqrt(n)
     dp_value = float(
         sum_functional_series(ambiguity, n, lambda s: np.abs(s / root) ** p, centered=True)[-1]
@@ -386,19 +350,18 @@ def clt_gap(
 
 
 def semigroup_check(
-    payoff: TabulatedPayoff | Callable[[np.ndarray], np.ndarray],
+    payoff: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     params: GNormalParams,
     grid: HeatGrid | None = None,
-    tol_factor: float = 5.0,
 ) -> float:
     """Self-consistency of the scaling identity aX + bX' =d sqrt(a^2+b^2) X.
 
     In solver terms the identity says a run of total time a^2 + b^2 must
     agree with the composition of a time-b^2 run followed by a time-a^2
     run.  Returns the absolute discrepancy at the origin, and raises if it
-    exceeds ``tol_factor`` times the total run's residual estimate.
+    exceeds ``SEMIGROUP_FACTOR`` times the total run's residual estimate.
     """
     if a < 0.0 or b < 0.0 or (a == 0.0 and b == 0.0):
         raise ParameterError("need a, b >= 0 and not both zero")
@@ -411,11 +374,14 @@ def semigroup_check(
     composed = evolve(evolve(values, b * b, params, grid), a * a, params, grid)
     residual = abs(direct - float(np.interp(0.0, grid.x, composed)))
     coarse = grid.coarsened()
-    coarse_final = evolve(_coarse_values(values, grid, coarse), total_t, params, coarse)
+    # the fine values at every other point (odd nx) or interpolated onto the coarse points
+    start = values[::2] if grid.nx % 2 == 1 else np.interp(coarse.x, grid.x, values)
+    coarse_final = evolve(start, total_t, params, coarse)
     estimate = abs(direct - float(np.interp(0.0, coarse.x, coarse_final)))
-    bound = tol_factor * estimate + 1e-12
+    bound = SEMIGROUP_FACTOR * estimate + 1e-12
     if residual > bound:
         raise CheckError(
-            f"semigroup discrepancy {residual} exceeds {tol_factor} x residual estimate {estimate}"
+            f"semigroup discrepancy {residual} exceeds {SEMIGROUP_FACTOR} x residual "
+            f"estimate {estimate}"
         )
     return residual

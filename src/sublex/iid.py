@@ -70,6 +70,9 @@ _EXACT_INT = 2**53
 #: The most measure assignments the enumeration oracle visits.
 _MAX_ASSIGNMENTS = 10_000_000
 
+#: The longest horizon of ``eval_maxabs_functional``, whose maps take about n^3 bytes.
+_MAX_MAXABS_HORIZON = 64
+
 
 @dataclass(frozen=True)
 class SumLattice:
@@ -170,13 +173,12 @@ class _IntLattice(_Lattice):
     """
 
     units: _Units
-    span: int
     moves: np.ndarray
     zero: int  # node shift of the zero offset of an at-most lattice
     masks: tuple[np.ndarray | None, ...]  # levels before the first full one
 
     def size(self, k: int) -> int:
-        return k * self.span + 1
+        return k * self.units.span + 1
 
     def reach(self, k: int) -> np.ndarray | None:
         return self.masks[k] if k < len(self.masks) else None
@@ -312,15 +314,6 @@ class SelectionPolicy:
         return int(self.choices[step][at[0]])
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One simulated increment path and its prefix sums."""
-
-    increments: tuple[float, ...]
-    partial_sums: tuple[float, ...]
-    seed: int
-
-
 def _merge(flat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sort values and fuse runs closer than ``tol``.
 
@@ -412,8 +405,8 @@ def _dense_lattice(
         raise _over_budget(f"the widest level of a dense {n}-step lattice", held, n)
     masks = _reach_masks(shifts, span, n)
     if at_most:
-        return _IntLattice(units, span, shifts[1:], int(shifts[0]), masks)
-    return _IntLattice(units, span, shifts, 0, masks)
+        return _IntLattice(units, shifts[1:], int(shifts[0]), masks)
+    return _IntLattice(units, shifts, 0, masks)
 
 
 def _binomial(x: np.ndarray, m: int) -> np.ndarray:
@@ -814,19 +807,18 @@ def eval_maxabs_functional(
     ambiguity: AmbiguitySet,
     n: int,
     phi: Callable[[np.ndarray], np.ndarray],
-    max_horizon: int = 64,
 ) -> float:
     """Upper expectation of ``phi(max_{k<=n} |S~_k|)`` for a mean-certain set,
     ``phi`` mapping an array of running maxima to their values.
 
     Runs on the augmented state (centered sum, running max of its absolute
     value) on the pair chain, whose transition maps take about n^3 bytes,
-    so the horizon is gated.
+    so the horizon is gated to ``_MAX_MAXABS_HORIZON``.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
-    if n > max_horizon:
-        raise CapacityError(f"maxabs DP is gated to n <= {max_horizon}, got {n}")
+    if n > _MAX_MAXABS_HORIZON:
+        raise CapacityError(f"maxabs DP is gated to n <= {_MAX_MAXABS_HORIZON}, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
     lattice = _pair_lattice(ambiguity.grid.array - mu, n, len(ambiguity.measures))
     value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))
@@ -945,22 +937,6 @@ def _sample_steps(
         s = s + x
         node = lattice.step(k, node, j)
         yield x, s
-
-
-def sample_path(
-    ambiguity: AmbiguitySet, policy: SelectionPolicy, n: int, seed: int
-) -> PathSample:
-    """Simulate ``n`` increments, drawing each step from the policy-selected measure.
-
-    A batch of one path from ``default_rng(seed)``, one uniform draw per
-    step: deterministic for a fixed seed.  Many paths are cheaper drawn as
-    one batch from one generator, as ``sqs_empirical`` does per policy.
-    """
-    rng = np.random.default_rng(seed)
-    steps = list(_sample_steps(ambiguity, policy, n, rng, 1))
-    return PathSample(
-        tuple(float(x[0]) for x, _ in steps), tuple(float(s[0]) for _, s in steps), seed
-    )
 
 
 def sum_functional_series(

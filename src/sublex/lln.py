@@ -11,9 +11,11 @@ version together with its adversarial sampling probe.
 The divergent side is operationalized through the scaled moments
 ``n^{p/2} a_n``, which converge to the p-th absolute moment ``c_p`` of the
 G-normal limit: beyond the first index where the CLT gap drops below
-c_p/4, the scaled moments must stay above c_p/2.  The convergent side is
-structural: terms must track a fitted power tail (log-log least squares
-over the top half of the range, factor-2 tolerance on predicted tails).
+c_p/4, the scaled moments must stay above c_p/2.  ``c_p`` is derived from
+the set's own variance interval (in closed form for p >= 1), never passed
+in.  The convergent side is structural: terms must track a fitted power
+tail (log-log least squares over the top half of the range, observed tails
+within ``TAIL_FACTOR`` times the predicted ones).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import ATOL, AmbiguitySet, TabulatedPayoff, lower_expect, upper_expect
 from .errors import CapacityError, CheckError, ParameterError
-from .gnormal import GExpectationResult, GNormalParams, HeatGrid, _limit_abs_moment
+from .gnormal import GNormalParams, HeatGrid, _limit_abs_moment
 from .iid import (
     SelectionPolicy,
     _Lattice,
@@ -40,6 +42,9 @@ from .iid import (
 
 #: Standard errors a policy's Monte Carlo mean may stray from its exact value.
 SAMPLING_Z = 5.0
+
+#: How far observed tails of a convergent series may exceed the fitted ones.
+TAIL_FACTOR = 2.0
 
 #: The longest horizon ``subadditive_series_check`` runs its additive DP to.
 _MAX_SUBADDITIVE_HORIZON = 4096
@@ -117,7 +122,6 @@ def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
 class SeriesReport:
     """Per-n terms of one series, with partial sums, reference curve and tail fit."""
 
-    kind: str
     p: float
     n_values: tuple[int, ...]
     terms: tuple[float, ...]
@@ -162,47 +166,29 @@ class DichotomyVerdict:
             raise ParameterError("a convergence verdict requires p > 2")
 
 
-def _resolve_cp(
-    ambiguity: AmbiguitySet,
-    p: float,
-    c_p: GExpectationResult | float | None,
-    params: GNormalParams | None,
-    grid: HeatGrid | None,
-) -> tuple[float, float]:
-    if isinstance(c_p, GExpectationResult):
-        return c_p.value, c_p.residual_estimate
-    if c_p is not None:
-        return float(c_p), 0.0
-    if params is None:
-        params = GNormalParams.from_ambiguity(ambiguity)
-    return _limit_abs_moment(p, params, grid)
-
-
 def _moment_series(
-    kind: str,
     ambiguity: AmbiguitySet,
     p: float,
     horizon: int,
     term: Callable[[np.ndarray, np.ndarray], np.ndarray],
     reference_exponent: float,
-    c_p: GExpectationResult | float | None,
-    params: GNormalParams | None,
     grid: HeatGrid | None,
 ) -> SeriesReport:
     """Series report on the centered moments ``raw_n = E-hat[|S~_n|^p]``.
 
     ``term(raw, n)`` gives the series terms; the reference curve is
-    ``c_p n^reference_exponent`` and the CLT gap is ``|n^{-p/2} raw_n - c_p|``.
+    ``c_p n^reference_exponent`` and the CLT gap is ``|n^{-p/2} raw_n - c_p|``,
+    with ``c_p`` the limit moment of the set's variance interval (the PDE
+    on ``grid`` below p = 1).
     """
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** p, centered=True)
     n = np.arange(1, horizon + 1, dtype=float)
     terms = term(raw, n)
     scaled = raw / n ** (p / 2.0)
-    cp_value, cp_residual = _resolve_cp(ambiguity, p, c_p, params, grid)
+    cp_value, cp_residual = _limit_abs_moment(p, GNormalParams.from_ambiguity(ambiguity), grid)
     reference = cp_value * n**reference_exponent
     gaps = np.abs(scaled - cp_value)
     return SeriesReport(
-        kind=kind,
         p=p,
         n_values=tuple(range(1, horizon + 1)),
         terms=tuple(float(t) for t in terms),
@@ -220,8 +206,6 @@ def slp_series(
     ambiguity: AmbiguitySet,
     p: float,
     horizon: int,
-    c_p: GExpectationResult | float | None = None,
-    params: GNormalParams | None = None,
     grid: HeatGrid | None = None,
 ) -> SeriesReport:
     """Terms ``a_n = E-hat[|S~_n/n|^p]`` for n = 1..N, with the reference curve
@@ -235,16 +219,16 @@ def slp_series(
         raise ParameterError(f"need p > 0, got {p}")
     ambiguity.require_mean_certain("slp_series")
     term = lambda raw, n: raw / n**p
-    return _moment_series("slp", ambiguity, p, horizon, term, -p / 2.0, c_p, params, grid)
+    return _moment_series(ambiguity, p, horizon, term, -p / 2.0, grid)
 
 
-def tail_consistency(report: SeriesReport, factor: float = 2.0) -> dict[str, float]:
-    """Structural convergence checks against the fitted power tail.
+def tail_consistency(report: SeriesReport) -> dict[str, float]:
+    """Structural convergence evidence against the fitted power tail.
 
-    Verifies the fitted exponent is integrable (> 1) and that observed
-    partial-sum increments over the fit window stay within ``factor`` times
-    the increments predicted by the fitted curve.  Returns the evidence
-    margins; raises nothing (callers decide what a failure means).
+    Returns the fitted exponent, the predicted tail beyond the horizon and
+    the largest ratio of an observed tail sum over the fit window to the
+    one the fitted curve predicts (inf unless the exponent is integrable,
+    > 1); raises nothing (callers decide what a failure means).
     """
     tail = report.tail
     out: dict[str, float] = {
@@ -277,17 +261,27 @@ def tail_consistency(report: SeriesReport, factor: float = 2.0) -> dict[str, flo
     return out
 
 
-def dichotomy_diagnosis(
-    report: SeriesReport, p: float, c_p: float, tail_factor: float = 2.0
-) -> DichotomyVerdict:
+def _check_tail(report: SeriesReport, what: str) -> dict[str, float]:
+    """The convergent-side criterion of every series: returns the evidence of
+    :func:`tail_consistency`, and raises CheckError naming ``what`` unless
+    the fitted exponent exceeds 1 and no observed tail exceeds
+    ``TAIL_FACTOR`` times its fitted prediction."""
+    evidence = tail_consistency(report)
+    if report.tail.exponent <= 1.0 or evidence["max_increment_ratio"] > TAIL_FACTOR:
+        raise CheckError(f"{what} fails the tail criterion: {evidence} (tolerance {TAIL_FACTOR})")
+    return evidence
+
+
+def dichotomy_diagnosis(report: SeriesReport) -> DichotomyVerdict:
     """Diagnose one series: divergence evidence for p <= 2, convergence for p > 2.
 
-    Divergent side: find the burn-in index (first n whose CLT gap is below
-    c_p/4, mirroring "there exists N" in the underlying argument) and
-    verify ``n^{p/2} a_n >= c_p/2`` from there on.  Convergent side: the
-    structural tail checks of :func:`tail_consistency`.  Too little data
+    Divergent side: find the burn-in index (first n whose CLT gap to the
+    report's ``c_p`` is below c_p/4, mirroring "there exists N" in the
+    underlying argument) and verify ``n^{p/2} a_n >= c_p/2`` from there on.
+    Convergent side: the structural tail criterion.  Too little data
     yields an inconclusive verdict, which is distinct from a failed check.
     """
+    p, c_p = report.p, report.c_p
     if p <= 2.0:
         scaled = np.asarray(report.scaled_terms)
         gaps = np.abs(scaled - c_p)
@@ -310,16 +304,9 @@ def dichotomy_diagnosis(
             {"min_scaled_beyond_burn_in": floor, "c_p": c_p},
         )
 
-    evidence = tail_consistency(report, tail_factor)
     if not report.tail.usable:
-        return DichotomyVerdict("inconclusive", p, None, evidence)
-    if report.tail.exponent <= 1.0 or evidence["max_increment_ratio"] > tail_factor:
-        raise CheckError(
-            f"series for p = {p} > 2 fails the tail criterion: "
-            f"exponent {report.tail.exponent}, increment ratio "
-            f"{evidence['max_increment_ratio']} (tolerance {tail_factor})"
-        )
-    return DichotomyVerdict("converges", p, None, evidence)
+        return DichotomyVerdict("inconclusive", p, None, tail_consistency(report))
+    return DichotomyVerdict("converges", p, None, _check_tail(report, f"series for p = {p} > 2"))
 
 
 @dataclass(frozen=True)
@@ -446,8 +433,6 @@ def corollary_series(
     p: float,
     beta: float,
     horizon: int,
-    c_p: GExpectationResult | float | None = None,
-    params: GNormalParams | None = None,
     grid: HeatGrid | None = None,
 ) -> SeriesReport:
     """Weighted series ``n^{-beta} E-hat[|S_n|^p]`` for a centered set.
@@ -465,16 +450,13 @@ def corollary_series(
     if abs(mu) > ATOL:
         raise ParameterError(f"corollary_series requires mean zero, got mu = {mu}")
     term = lambda raw, n: raw * n ** (-beta)
-    return _moment_series(
-        "corollary", ambiguity, p, horizon, term, p / 2.0 - beta, c_p, params, grid
-    )
+    return _moment_series(ambiguity, p, horizon, term, p / 2.0 - beta, grid)
 
 
 def moment_dichotomy_scan(
     ambiguity: AmbiguitySet,
     p_list: Sequence[float],
     horizon: int,
-    params: GNormalParams | None = None,
     grid: HeatGrid | None = None,
 ) -> list[tuple[float, DichotomyVerdict]]:
     """Run the series diagnosis per exponent and require the verdict to flip
@@ -486,8 +468,7 @@ def moment_dichotomy_scan(
         )
     out: list[tuple[float, DichotomyVerdict]] = []
     for p in p_list:
-        report = slp_series(ambiguity, p, horizon, params=params, grid=grid)
-        verdict = dichotomy_diagnosis(report, p, report.c_p)
+        verdict = dichotomy_diagnosis(slp_series(ambiguity, p, horizon, grid))
         expected = "diverges" if p <= 2.0 else "converges"
         if verdict.regime != expected:
             raise CheckError(
@@ -551,7 +532,6 @@ def cc_series(
         terms.append(v)
         bounds.append(markov)
     return SeriesReport(
-        kind="cc",
         p=alpha,
         n_values=n_values,
         terms=tuple(terms),
@@ -624,7 +604,8 @@ def sqs_empirical(
     Policy ``i`` draws all of its ``n_paths`` paths together from the i-th
     child of ``SeedSequence(seed)``, folding each step into the running
     series, so memory is O(n_paths) whatever the horizon.  The recursion and
-    the replays share one lattice and one evaluation of the stage costs.
+    the replays share one lattice; each evaluates the stage costs one level
+    at a time, so no more than a level's costs are held at once.
     """
     if beta <= 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
@@ -632,8 +613,7 @@ def sqs_empirical(
         raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
     lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
-    cost = _series_costs(lattice, mu, beta)
-    stage = {k: cost(k) for k in range(1, horizon + 1)}.__getitem__
+    stage = _series_costs(lattice, mu, beta)
     value, argmax_policy = _additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
     assert argmax_policy is not None
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 # np.unique imports numpy.ma on its first call; loaded here, that import is
 # not counted in the traced (tracemalloc) peak of whichever test calls it first
@@ -5,7 +7,7 @@ import numpy.ma  # noqa: F401
 import pytest
 
 import sublex as sx
-from sublex import gnormal
+from sublex import gnormal, iid
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +60,23 @@ def random_mean_zero_ambiguity(rng: np.random.Generator, max_measures: int = 3):
         w_minus = u * b / (a + b)
         rows.append((w_minus, 1.0 - w_plus - w_minus, w_plus))
     return sx.AmbiguitySet.from_rows((-a, 0.0, b), rows)
+
+
+def traced_outcomes(call, horizons):
+    """Runs ``call(n)`` for increasing n until it raises CapacityError,
+    asserting that no run's traced peak passes the budget."""
+    outcomes = []
+    for n in horizons:
+        tracemalloc.start()
+        try:
+            call(n)
+            outcomes.append("built")
+        except sx.CapacityError:
+            outcomes.append("raised")
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        assert peak <= iid.CHAIN_BUDGET_BYTES, (n, peak)
+        if outcomes[-1] == "raised":
+            break
+    return outcomes

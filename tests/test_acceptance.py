@@ -16,6 +16,7 @@ import sublex as sx
 from sublex.cli import main
 from sublex.core import TabulatedPayoff
 from sublex.iid import _brute_force_many
+from sublex import gnormal, lln
 from sublex.lln import tail_consistency
 
 from conftest import random_ambiguity, random_mean_zero_ambiguity
@@ -140,34 +141,36 @@ def test_03_exact_variance_law(theta_star):
 def test_04_divergence_at_p2(theta_star, cp_cache):
     with criterion(4, "p = 2 series tracks the harmonic numbers", 30.0):
         c2 = cp_cache(2.0)
-        report = sx.slp_series(theta_star, 2.0, 1000, c_p=c2)
+        report = sx.slp_series(theta_star, 2.0, 1000)
+        assert report.c_p == c2.value  # derived from the set's variance interval
         harmonic = np.cumsum(1.0 / np.arange(1, 1001))
         assert np.max(np.abs(np.asarray(report.partial_sums) - harmonic)) <= 1e-10
         scaled = np.asarray(report.scaled_terms)
         assert np.max(np.abs(scaled - 1.0)) <= 1e-10
         assert np.all(scaled >= c2.value / 2.0)
-        verdict = sx.dichotomy_diagnosis(report, 2.0, report.c_p)
+        verdict = sx.dichotomy_diagnosis(report)
         assert verdict.regime == "diverges"
 
 
 def test_05_divergence_at_p1(theta_star, cp_cache):
     with criterion(5, "p = 1 scaled moments approach c_1", 120.0):
         c1 = cp_cache(1.0)
-        report = sx.slp_series(theta_star, 1.0, 256, c_p=c1)
+        report = sx.slp_series(theta_star, 1.0, 256)
+        assert report.c_p == c1.value  # derived from the set's variance interval
         for n, scaled, gap in zip(report.n_values, report.scaled_terms, report.clt_gaps):
             assert abs(scaled * 1.0 - c1.value) <= gap + c1.residual_estimate + 1e-15
         # the per-n gap column is the same quantity clt_gap computes
         for n in (16, 256):
             direct = sx.clt_gap(theta_star, n, 1.0)
             assert direct == pytest.approx(report.clt_gaps[n - 1], abs=1e-9)
-        verdict = sx.dichotomy_diagnosis(report, 1.0, report.c_p)
+        verdict = sx.dichotomy_diagnosis(report)
         assert verdict.regime == "diverges"
         assert verdict.burn_in is not None
         scaled = np.asarray(report.scaled_terms)
         assert np.all(scaled[verdict.burn_in - 1 :] >= c1.value / 2.0)
 
 
-def test_06_convergence_at_p3(theta_star, cp_cache):
+def test_06_convergence_at_p3(theta_star):
     with criterion(6, "p = 3 interpolation chain and fitted tail", 120.0):
         cubes = sx.sum_functional_series(theta_star, 200, lambda s: np.abs(s) ** 3, centered=True)
         fourths = sx.sum_functional_series(
@@ -176,9 +179,10 @@ def test_06_convergence_at_p3(theta_star, cp_cache):
         margins = fourths ** (3.0 / 4.0) - cubes
         assert float(margins.min()) >= -1e-12
 
-        report = sx.slp_series(theta_star, 3.0, 200, c_p=cp_cache(3.0))
+        report = sx.slp_series(theta_star, 3.0, 200)
         assert 1.0 < report.tail.exponent < 2.0  # the n^{-3/2} structure
-        evidence = tail_consistency(report, factor=2.0)
+        evidence = tail_consistency(report)
+        assert lln.TAIL_FACTOR == 2.0
         assert evidence["max_increment_ratio"] <= 2.0
 
 
@@ -232,7 +236,8 @@ def test_08_g_heat_solver(theta_star):
             -0.5, abs=1e-3
         )
         # raises if the discrepancy exceeds five times the residual estimate
-        sx.semigroup_check(lambda x: np.abs(x) ** 3, 1.0, 1.0, params, tol_factor=5.0)
+        assert gnormal.SEMIGROUP_FACTOR == 5.0
+        sx.semigroup_check(lambda x: np.abs(x) ** 3, 1.0, 1.0, params)
 
 
 def test_09_clt_gap_trend(theta_star, cp_cache):
@@ -246,21 +251,22 @@ def test_09_clt_gap_trend(theta_star, cp_cache):
             assert later <= earlier + slack
 
 
-def test_10_weighted_series(theta_star, cp_cache):
+def test_10_weighted_series(theta_star):
     with criterion(10, "weighted series converges; boundary beta rejected", 60.0):
-        report = sx.corollary_series(theta_star, 3.0, 2.6, 100, c_p=cp_cache(3.0))
+        report = sx.corollary_series(theta_star, 3.0, 2.6, 100)
         assert report.tail.exponent > 1.0
-        assert tail_consistency(report, factor=2.0)["max_increment_ratio"] <= 2.0
+        assert lln.TAIL_FACTOR == 2.0
+        assert tail_consistency(report)["max_increment_ratio"] <= 2.0
         with pytest.raises(sx.ParameterError):
             sx.corollary_series(theta_star, 3.0, 2.5, 100)
 
 
-def test_11_dichotomy_scan(theta_star, cp_cache):
+def test_11_dichotomy_scan(theta_star):
     with criterion(11, "verdict flips exactly at p = 2", 180.0):
         verdicts = []
         for p in (1.0, 2.0, 2.5, 3.0, 4.0):
-            report = sx.slp_series(theta_star, p, 200, c_p=cp_cache(p))
-            verdicts.append(sx.dichotomy_diagnosis(report, p, report.c_p).regime)
+            report = sx.slp_series(theta_star, p, 200)
+            verdicts.append(sx.dichotomy_diagnosis(report).regime)
         assert verdicts == ["diverges", "diverges", "converges", "converges", "converges"]
 
 
@@ -286,7 +292,8 @@ def test_13_complete_convergence(theta_star):
         for v, bound in zip(report.terms, report.reference):
             assert v <= bound + 1e-12
         assert report.tail.exponent > 1.0
-        assert tail_consistency(report, factor=2.0)["max_increment_ratio"] <= 2.0
+        assert lln.TAIL_FACTOR == 2.0
+        assert tail_consistency(report)["max_increment_ratio"] <= 2.0
 
 
 def test_14_cli_determinism(tmp_path):

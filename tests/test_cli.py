@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sublex as sx
-from sublex import gnormal
+from sublex import gnormal, iid, lln
 from sublex.cli import (
     SUBCOMMANDS,
     ExperimentConfig,
@@ -297,6 +297,17 @@ class TestArtifacts:
         assert manifest["subcommand"] == "lln-series"
         assert manifest["config"]["p"] == 2.0
         assert "lln_series.csv" in manifest["outputs"]
+
+    def test_manifest_records_the_applied_tolerances(self, config_path, tmp_path):
+        out = tmp_path / "subadd"
+        assert main(["subadd", "--config", str(config_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["tolerances"] == {
+            "comparison_atol": sx.ATOL,
+            "lattice_merge_tol": iid.MERGE_TOL,
+            "tail_factor": lln.TAIL_FACTOR,
+            "sampling_z": lln.SAMPLING_Z,
+        }
 
     def test_gheat_schema(self, config_path, tmp_path):
         out = tmp_path / "gheat"

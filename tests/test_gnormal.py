@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import sublex as sx
 from sublex import gnormal
-from sublex.core import TabulatedPayoff
 from sublex.gnormal import _check_stability, default_grid, evolve
 
 
@@ -110,17 +109,6 @@ class TestGExpectation:
         down = sx.g_expectation(lambda x: -(x**2), params)
         assert down.value == pytest.approx(-0.5, abs=1e-3)
 
-    def test_tabulated_payoff_roundtrip(self, params):
-        grid = default_grid(params)
-        tab = TabulatedPayoff(tuple(grid.x), tuple(grid.x**2))
-        assert sx.g_expectation(tab, params, grid).value == pytest.approx(1.0, abs=1e-3)
-
-    def test_payoff_grid_mismatch(self, params):
-        grid = default_grid(params)
-        tab = TabulatedPayoff((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
-        with pytest.raises(sx.ParameterError):
-            sx.g_expectation(tab, params, grid)
-
     def test_monotone_in_payoff(self, params):
         lo = sx.g_expectation(np.abs, params)
         hi = sx.g_expectation(lambda x: np.abs(x) + 0.1 * x**2, params)
@@ -216,10 +204,6 @@ class TestCltGap:
         # E[(S_n/sqrt(n))^4] = 3 - 2/n for a fair +-1 coin, limit 3
         gap = sx.clt_gap(coin, 64, 4)
         assert gap == pytest.approx(2.0 / 64.0, abs=5e-3)
-
-    def test_params_must_match_set(self, theta_star):
-        with pytest.raises(sx.ParameterError):
-            sx.clt_gap(theta_star, 8, 2, params=sx.GNormalParams(0.1, 2.0))
 
     def test_order_below_one(self, theta_star):
         with pytest.raises(sx.ParameterError):
@@ -349,11 +333,9 @@ class TestFusedStepper:
         assert_same_bits(out, want)
 
     @settings(max_examples=20, deadline=None)
-    @given(heat_problems(min_nx=5), st.booleans())  # the coarse rerun needs 3 nodes
-    def test_g_expectation_matches_reference_stepper(self, problem, tabulated):
+    @given(heat_problems(min_nx=5))  # the coarse rerun needs 3 nodes
+    def test_g_expectation_matches_reference_stepper(self, problem):
         params, grid, _, payoff = problem
-        if tabulated:
-            payoff = TabulatedPayoff(tuple(grid.x), tuple(payoff(grid.x)))
         fused = sx.g_expectation(payoff, params, grid)
         with mock.patch.object(gnormal, "evolve", reference_evolve_rows):
             reference = sx.g_expectation(payoff, params, grid)
@@ -405,10 +387,7 @@ class TestFusedStepper:
         from sublex.cli import _GHEAT_BATTERY
 
         grid = default_grid(params, nx=nx)
-        tabulated = [
-            TabulatedPayoff(tuple(grid.x), tuple(f(grid.x))) for f in (np.abs, np.sin)
-        ]
-        payoffs = [payoff for _, payoff in _GHEAT_BATTERY] + tabulated
+        payoffs = [payoff for _, payoff in _GHEAT_BATTERY] + [np.sin]
         stacked = gnormal._g_expectations(payoffs, params, grid)
         assert len(stacked) == len(payoffs)
         for payoff, result in zip(payoffs, stacked):

@@ -30,7 +30,7 @@ from sublex.iid import (
 )
 from sublex.lln import SAMPLING_Z
 
-from conftest import random_ambiguity, random_mean_zero_ambiguity
+from conftest import random_ambiguity, random_mean_zero_ambiguity, traced_outcomes
 
 
 class TestSumFunctional:
@@ -136,6 +136,7 @@ class TestMaxAbsFunctional:
             sx.eval_maxabs_functional(lopsided, 2, lambda m: m)
 
     def test_horizon_gate(self, theta_star):
+        assert iid._MAX_MAXABS_HORIZON == 64
         with pytest.raises(sx.CapacityError):
             sx.eval_maxabs_functional(theta_star, 65, lambda m: m)
 
@@ -385,27 +386,34 @@ class TestLattice:
         assert len(lattice.states) == 1  # 0, 1e-10, 2e-10 all merge at 1e-9
 
 
+def one_path(ambiguity, policy, n, seed):
+    """The increments and partial sums of one path drawn from ``default_rng(seed)``."""
+    steps = list(_sample_steps(ambiguity, policy, n, np.random.default_rng(seed), 1))
+    return tuple(float(x[0]) for x, _ in steps), tuple(float(s[0]) for _, s in steps)
+
+
 class TestSamplePath:
     def test_deterministic_replay(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 6, lambda s: abs(s) ** 4)
-        first = sx.sample_path(theta_star, policy, 6, seed=42)
-        second = sx.sample_path(theta_star, policy, 6, seed=42)
+        first = one_path(theta_star, policy, 6, seed=42)
+        second = one_path(theta_star, policy, 6, seed=42)
         assert first == second
-        assert len(first.increments) == 6
-        assert all(x in theta_star.grid.atoms for x in first.increments)
-        assert first.partial_sums == tuple(np.cumsum(first.increments))
+        increments, partial_sums = first
+        assert len(increments) == 6
+        assert all(x in theta_star.grid.atoms for x in increments)
+        assert partial_sums == tuple(np.cumsum(increments))
 
     def test_single_measure_is_classical_sampling(self, coin):
         _, policy = sx.eval_sum_functional(coin, 500, lambda s: s)
-        path = sx.sample_path(coin, policy, 500, seed=1)
-        values, counts = np.unique(path.increments, return_counts=True)
+        increments, _ = one_path(coin, policy, 500, seed=1)
+        values, counts = np.unique(increments, return_counts=True)
         assert set(values) == {-1.0, 1.0}
         assert abs(counts[0] - counts[1]) < 120  # ~4.8 sigma for 500 fair flips
 
     def test_policy_gap(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 3, lambda s: s)
         with pytest.raises(sx.ParameterError):
-            sx.sample_path(theta_star, policy, 4, seed=0)
+            one_path(theta_star, policy, 4, seed=0)
 
     def test_batch_of_one_matches_stepwise_reference(self, theta_star):
         def reference(ambiguity, policy, n, seed):
@@ -434,8 +442,7 @@ class TestSamplePath:
         ]
         for ambiguity, policy, n in cases:
             for seed in range(40):
-                path = sx.sample_path(ambiguity, policy, n, seed)
-                assert (path.increments, path.partial_sums) == reference(ambiguity, policy, n, seed)
+                assert one_path(ambiguity, policy, n, seed) == reference(ambiguity, policy, n, seed)
 
     def test_policy_replay_matches_closed_forms(self, theta_star):
         # E[S_n^4] = n m4 + 3 n (n-1) var^2 for an i.i.d. sum with mean zero
@@ -902,7 +909,7 @@ class TestIndexLattice:
         assert representation(family.grid.array, n) == "composition"
         assert peak < 32 * 2**20
         units = units_of(family.grid.array)
-        full = _IntLattice(units, units.span, np.array(units.shifts), 0, (None,))
+        full = _IntLattice(units, np.array(units.shifts), 0, (None,))
         terminal = (full.states(n) >= 380_000).astype(float)
         reference, _ = _chain_dp(family, full, n, terminal)
         assert 0.0 < value < 1.0
@@ -1127,26 +1134,6 @@ def cosine_stages(ambiguity, n):
     return lattice, lambda k: np.cos(lattice.states(k))
 
 
-def traced_outcomes(call, horizons):
-    """Runs ``call(n)`` for increasing n until it raises CapacityError,
-    asserting that no run's traced peak passes the budget."""
-    outcomes = []
-    for n in horizons:
-        tracemalloc.start()
-        try:
-            call(n)
-            outcomes.append("built")
-        except sx.CapacityError:
-            outcomes.append("raised")
-        finally:
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        assert peak <= iid.CHAIN_BUDGET_BYTES, (n, peak)
-        if outcomes[-1] == "raised":
-            break
-    return outcomes
-
-
 def budget_outcomes(monkeypatch, call, budgets):
     """Runs ``call()`` under each of the ``budgets``, asserting that every run
     either raises CapacityError or keeps its traced peak within the budget."""
@@ -1161,7 +1148,8 @@ class TestSweepBudget:
     def test_running_max_sweep_stays_within_the_budget(self, theta_star, monkeypatch):
         # the pair chain within the budget, or CapacityError
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**20)
-        call = lambda n: sx.eval_maxabs_functional(theta_star, n, lambda m: m**2, max_horizon=n)
+        monkeypatch.setattr(iid, "_MAX_MAXABS_HORIZON", 200)
+        call = lambda n: sx.eval_maxabs_functional(theta_star, n, lambda m: m**2)
         outcomes = traced_outcomes(call, range(2, 200, 2))
         assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
 

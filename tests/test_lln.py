@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from scipy.special import zeta
 
 import sublex as sx
-from sublex import lln
+from sublex import gnormal, iid, lln
 from sublex.cli import ExperimentConfig
 from sublex.lln import SAMPLING_Z, tail_consistency
 
-from conftest import random_mean_zero_ambiguity
+from conftest import random_mean_zero_ambiguity, traced_outcomes
 
 
 class TestExperimentConfig:
@@ -45,76 +46,97 @@ class TestExperimentConfig:
 
 
 class TestSlpSeries:
-    def test_p2_harmonic(self, theta_star, cp_cache):
-        report = sx.slp_series(theta_star, 2.0, 50, c_p=cp_cache(2.0))
+    def test_p2_harmonic(self, theta_star):
+        report = sx.slp_series(theta_star, 2.0, 50)
         harmonic = np.cumsum(1.0 / np.arange(1, 51))
         assert np.max(np.abs(np.asarray(report.partial_sums) - harmonic)) <= 1e-10
         assert report.partial_sums[9] == pytest.approx(2.9289682540, abs=1e-10)
 
-    def test_single_term(self, theta_star, cp_cache):
-        report = sx.slp_series(theta_star, 2.0, 1, c_p=cp_cache(2.0))
+    def test_single_term(self, theta_star):
+        report = sx.slp_series(theta_star, 2.0, 1)
         assert report.total == pytest.approx(1.0, abs=1e-12)
 
     def test_coin_fourth_moment_closed_form(self, coin):
         # E S_n^4 = 3n^2 - 2n for the fair +-1 coin
-        report = sx.slp_series(coin, 4.0, 20, c_p=3.0)
+        report = sx.slp_series(coin, 4.0, 20)
         n = np.arange(1, 21, dtype=float)
         expected = (3.0 * n**2 - 2.0 * n) / n**4
         assert np.max(np.abs(np.asarray(report.terms) - expected)) <= 1e-12
 
     def test_coin_low_horizon_against_oracle(self, coin):
-        report = sx.slp_series(coin, 4.0, 3, c_p=3.0)
+        report = sx.slp_series(coin, 4.0, 3)
         for n in (1, 2, 3):
             bf = sx.brute_force_oracle(
                 coin, n, lambda xs: abs(float(np.sum(xs)) / n) ** 4
             )
             assert report.terms[n - 1] == pytest.approx(bf, abs=1e-12)
 
-    def test_scaling_identity_shares_one_table(self, theta_star, cp_cache):
-        report = sx.slp_series(theta_star, 3.0, 64, c_p=cp_cache(3.0))
+    def test_scaling_identity_shares_one_table(self, theta_star):
+        report = sx.slp_series(theta_star, 3.0, 64)
         for n, term, scaled in zip(report.n_values, report.terms, report.scaled_terms):
             assert term == pytest.approx(scaled / n ** 1.5, rel=1e-13)
 
-    def test_partial_sums_consistent(self, theta_star, cp_cache):
-        report = sx.slp_series(theta_star, 2.5, 40, c_p=cp_cache(2.5))
+    def test_partial_sums_consistent(self, theta_star):
+        report = sx.slp_series(theta_star, 2.5, 40)
         assert report.total == pytest.approx(sum(report.terms), abs=1e-12)
         assert all(b >= a for a, b in zip(report.partial_sums, report.partial_sums[1:]))
+
+    def test_c_p_below_one_is_the_pde_value_of_the_set(self, theta_star):
+        report = sx.slp_series(theta_star, 0.5, 4)
+        params = sx.GNormalParams.from_ambiguity(theta_star)
+        assert (report.c_p, report.c_p_residual) == gnormal._limit_abs_moment(0.5, params)
+        assert report.c_p_residual > 0.0
+
+    def test_coin_c_p_is_the_classical_moment(self, coin):
+        assert sx.slp_series(coin, 2.0, 4).c_p == pytest.approx(1.0, rel=1e-15)
+        assert sx.slp_series(coin, 4.0, 4).c_p == pytest.approx(3.0, rel=1e-15)
 
     def test_requires_mean_certainty(self):
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
         with pytest.raises(sx.ParameterError):
-            sx.slp_series(lopsided, 2.0, 5, c_p=1.0)
+            sx.slp_series(lopsided, 2.0, 5)
 
-    def test_reference_tracks_gap(self, theta_star, cp_cache):
+    def test_reference_tracks_gap(self, theta_star):
         # |n^{p/2} a_n - c_p| is the CLT gap column, by construction
-        report = sx.slp_series(theta_star, 1.0, 32, c_p=cp_cache(1.0))
+        report = sx.slp_series(theta_star, 1.0, 32)
         for n, scaled, gap in zip(report.n_values, report.scaled_terms, report.clt_gaps):
             assert gap == pytest.approx(abs(scaled - report.c_p), abs=1e-15)
 
 
 class TestDichotomy:
-    def test_p2_diverges(self, theta_star, cp_cache):
-        report = sx.slp_series(theta_star, 2.0, 100, c_p=cp_cache(2.0))
-        verdict = sx.dichotomy_diagnosis(report, 2.0, report.c_p)
+    def test_p2_diverges(self, theta_star):
+        report = sx.slp_series(theta_star, 2.0, 100)
+        verdict = sx.dichotomy_diagnosis(report)
         assert verdict.regime == "diverges"
         scaled = np.asarray(report.scaled_terms)
         assert np.all(scaled >= report.c_p / 2.0)
         assert np.max(np.abs(scaled - 1.0)) <= 1e-10
 
-    def test_p3_converges(self, theta_star, cp_cache):
-        report = sx.slp_series(theta_star, 3.0, 120, c_p=cp_cache(3.0))
-        verdict = sx.dichotomy_diagnosis(report, 3.0, report.c_p)
+    def test_p3_converges(self, theta_star):
+        report = sx.slp_series(theta_star, 3.0, 120)
+        verdict = sx.dichotomy_diagnosis(report)
         assert verdict.regime == "converges"
 
     def test_coin_p2_diverges(self, coin):
-        report = sx.slp_series(coin, 2.0, 80, c_p=1.0)
-        verdict = sx.dichotomy_diagnosis(report, 2.0, 1.0)
+        report = sx.slp_series(coin, 2.0, 80)
+        verdict = sx.dichotomy_diagnosis(report)
         assert verdict.regime == "diverges"
 
-    def test_insufficient_horizon_is_inconclusive(self, theta_star, cp_cache):
-        report = sx.slp_series(theta_star, 1.0, 1, c_p=cp_cache(1.0))
-        verdict = sx.dichotomy_diagnosis(report, 1.0, report.c_p)
+    def test_insufficient_horizon_is_inconclusive(self, theta_star):
+        report = sx.slp_series(theta_star, 1.0, 1)
+        verdict = sx.dichotomy_diagnosis(report)
         assert verdict.regime == "inconclusive"
+
+    def test_a_non_integrable_tail_fails_the_one_criterion(self, theta_star):
+        # the diagnosis and the CLI's series checks apply the same criterion
+        report = sx.slp_series(theta_star, 3.0, 100)
+        terms = tuple(n**-0.9 for n in report.n_values)
+        slow = dataclasses.replace(report, terms=terms, tail=sx.fit_tail(report.n_values, terms))
+        with pytest.raises(sx.CheckError, match=r"p = 3.0 > 2 fails the tail criterion"):
+            sx.dichotomy_diagnosis(slow)
+        with pytest.raises(sx.CheckError, match="weighted series fails the tail criterion"):
+            lln._check_tail(slow, "weighted series")
+        assert lln._check_tail(report, "weighted series") == tail_consistency(report)
 
     def test_verdict_type_invariant(self):
         with pytest.raises(sx.ParameterError):
@@ -122,10 +144,9 @@ class TestDichotomy:
         with pytest.raises(sx.ParameterError):
             sx.DichotomyVerdict("converges", 2.0, None)
 
-    def test_scan_flips_at_two(self, theta_star, cp_cache):
+    def test_scan_flips_at_two(self, theta_star):
         scan = sx.moment_dichotomy_scan(
-            theta_star, [1.0, 2.0, 2.5, 3.0, 4.0], 150, grid=None,
-            params=sx.GNormalParams(0.5, 1.0),
+            theta_star, [1.0, 2.0, 2.5, 3.0, 4.0], 150, grid=None
         )
         assert [v.regime for _, v in scan] == [
             "diverges",
@@ -212,12 +233,12 @@ class TestCorollary:
         with pytest.raises(sx.ParameterError, match=r"\(p\+2\)/2"):
             sx.corollary_series(theta_star, 3.0, 2.5, 10)
 
-    def test_single_term(self, theta_star, cp_cache):
-        report = sx.corollary_series(theta_star, 3.0, 2.6, 1, c_p=cp_cache(3.0))
+    def test_single_term(self, theta_star):
+        report = sx.corollary_series(theta_star, 3.0, 2.6, 1)
         assert report.total == pytest.approx(1.0, abs=1e-12)
 
-    def test_converges_structurally(self, theta_star, cp_cache):
-        report = sx.corollary_series(theta_star, 3.0, 2.6, 100, c_p=cp_cache(3.0))
+    def test_converges_structurally(self, theta_star):
+        report = sx.corollary_series(theta_star, 3.0, 2.6, 100)
         evidence = tail_consistency(report)
         assert report.tail.exponent > 1.0
         assert evidence["max_increment_ratio"] <= 2.0
@@ -295,6 +316,15 @@ class TestCCSeries:
 
 
 class TestSqsEmpirical:
+    def test_stage_costs_stay_within_the_budget(self, theta_star, monkeypatch):
+        # the recursion and its replays hold one level's stage costs at a
+        # time, not every level's beside the budgeted policy
+        sx.sqs_empirical(theta_star, 3.0, 10, 2, seed=0)  # first-call imports, untraced
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**19)
+        call = lambda n: sx.sqs_empirical(theta_star, 3.0, n, 2, seed=0)
+        outcomes = traced_outcomes(call, (100, 200, 400, 800))
+        assert outcomes == ["built", "built", "built", "raised"]
+
     def test_deterministic_replay(self, theta_star):
         one = sx.sqs_empirical(theta_star, 3.0, 20, 300, seed=20240811)
         two = sx.sqs_empirical(theta_star, 3.0, 20, 300, seed=20240811)
@@ -359,8 +389,8 @@ class TestSqsEmpirical:
         # once every |s_n/n| <= 1, the per-path series is nonincreasing in beta
         _, policy = sx.eval_sum_functional(coin, 30, lambda s: s)
         for seed in range(5):
-            path = sx.sample_path(coin, policy, 30, seed=seed)
-            sums = np.asarray(path.partial_sums)
+            steps = iid._sample_steps(coin, policy, 30, np.random.default_rng(seed), 1)
+            sums = np.array([s[0] for _, s in steps])
             ratios = np.abs(sums / np.arange(1, 31))
             assert np.all(ratios <= 1.0)
             low = float(np.sum(ratios**2.1))
@@ -400,11 +430,11 @@ class TestTailFitting:
         assert lln._hurwitz_zeta(s, q) == pytest.approx(float(zeta(s, q)), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kind", ["slp", "corollary"])
-    def test_predicted_tail_matches_the_scipy_zeta(self, theta_star, cp_cache, kind):
+    def test_predicted_tail_matches_the_scipy_zeta(self, theta_star, kind):
         if kind == "slp":
-            report = sx.slp_series(theta_star, 3.0, 200, c_p=cp_cache(3.0))
+            report = sx.slp_series(theta_star, 3.0, 200)
         else:
-            report = sx.corollary_series(theta_star, 3.0, 2.6, 200, c_p=cp_cache(3.0))
+            report = sx.corollary_series(theta_star, 3.0, 2.6, 200)
         tail = report.tail
         assert tail.exponent > 1.0
         expected = tail.coeff * float(zeta(tail.exponent, 201))
