@@ -6,11 +6,9 @@ from .core import (
     AxiomReport,
     FiniteMeasure,
     SupportGrid,
-    TabulatedPayoff,
     axiom_report,
     canonical_set,
     capacity_pair,
-    indicator_payoff,
     lower_expect,
     seminorm,
     upper_expect,

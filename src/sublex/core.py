@@ -3,9 +3,10 @@
 An ambiguity set is a finite family of finitely supported probability
 measures sharing one atom grid.  The upper expectation of a payoff is the
 maximum of its linear expectations over the family; the lower expectation
-is the conjugate ``-E[-X]``.  Because everything is finite, indicators and
-arbitrary tabulated payoffs are admissible and every quantity is exactly
-computable (up to double-precision round-off).
+is the conjugate ``-E[-X]``.  A payoff, and an event's predicate, is a
+function of the whole array of atoms, applied once by ``_on_states``: the
+rule for every payoff in the package.  Because everything is finite, every
+quantity is exactly computable (up to double-precision round-off).
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class SupportGrid:
         arr.flags.writeable = False
         return arr
 
-    def index_of(self, atom: float) -> int:
-        """Index of ``atom`` on the grid, within ``ATOL``; ParameterError otherwise."""
-        i = int(np.searchsorted(self.array, atom))
-        for j in (i - 1, i):
-            if 0 <= j < len(self.atoms) and abs(self.atoms[j] - atom) <= ATOL:
-                return j
-        raise ParameterError(f"value {atom!r} is not an atom of the grid {self.atoms}")
-
 
 @dataclass(frozen=True)
 class FiniteMeasure:
@@ -73,47 +66,6 @@ class FiniteMeasure:
         total = float(np.sum(self.weights))
         if abs(total - 1.0) > ATOL:
             raise ParameterError(f"weights: must sum to 1 within {ATOL}, got sum {total!r}")
-
-
-@dataclass(frozen=True)
-class TabulatedPayoff:
-    """A real function given by its values on a finite, increasing state grid."""
-
-    states: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", _as_float_tuple(self.states, "states"))
-        object.__setattr__(self, "values", _as_float_tuple(self.values, "values"))
-        if any(b <= a for a, b in zip(self.states, self.states[1:])):
-            raise ParameterError("states: must be strictly increasing")
-        if len(self.states) != len(self.values):
-            raise ParameterError(
-                f"states/values: length mismatch {len(self.states)} != {len(self.values)}"
-            )
-
-    @classmethod
-    def from_callable(cls, states: Sequence[float], fn: Callable[[float], float]) -> "TabulatedPayoff":
-        return cls(tuple(states), tuple(float(fn(s)) for s in states))
-
-    @classmethod
-    def constant(cls, states: Sequence[float], c: float) -> "TabulatedPayoff":
-        return cls(tuple(states), (float(c),) * len(states))
-
-    @cached_property
-    def value_array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def state_array(self) -> np.ndarray:
-        arr = np.asarray(self.states, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    def __neg__(self) -> "TabulatedPayoff":
-        return TabulatedPayoff(self.states, tuple(-v for v in self.values))
 
 
 @dataclass(frozen=True)
@@ -190,58 +142,56 @@ class AmbiguitySet:
         return self.mean
 
 
-def _payoff_on_grid(ambiguity: AmbiguitySet, payoff: TabulatedPayoff) -> np.ndarray:
-    if len(payoff.states) != len(ambiguity.grid) or np.max(
-        np.abs(payoff.state_array - ambiguity.grid.array)
-    ) > ATOL:
-        raise ParameterError(
-            "payoff states must coincide with the grid atoms "
-            f"(payoff on {payoff.states}, grid {ambiguity.grid.atoms})"
-        )
-    return payoff.value_array
+def _on_states(
+    payoff: Callable[[np.ndarray], np.ndarray], states: np.ndarray, what: str, dtype: type = float
+) -> np.ndarray:
+    """The values of ``payoff`` on ``states`` from one call on the whole array,
+    the convention of every payoff in the package, broadcast to its shape as
+    ``dtype`` (so a constant serves); ParameterError if ``payoff`` cannot
+    take an array or its values do not broadcast."""
+    try:
+        return np.broadcast_to(np.asarray(payoff(states), dtype=dtype), states.shape)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{what} must map an array of states to values of its shape") from exc
 
 
-def upper_expect(ambiguity: AmbiguitySet, payoff: TabulatedPayoff) -> float:
-    """Upper expectation: the maximum of E_P[payoff] over the measure family."""
-    values = _payoff_on_grid(ambiguity, payoff)
+def _upper(ambiguity: AmbiguitySet, values: np.ndarray) -> float:
     return float(np.max(ambiguity.weight_matrix @ values))
 
 
-def lower_expect(ambiguity: AmbiguitySet, payoff: TabulatedPayoff) -> float:
+def upper_expect(ambiguity: AmbiguitySet, payoff: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Upper expectation: the maximum of E_P[payoff] over the measure family,
+    ``payoff`` mapping the array of atoms to its values."""
+    return _upper(ambiguity, _on_states(payoff, ambiguity.grid.array, "payoff"))
+
+
+def lower_expect(ambiguity: AmbiguitySet, payoff: Callable[[np.ndarray], np.ndarray]) -> float:
     """Lower expectation ``-upper_expect(-payoff)``; never exceeds the upper one."""
-    values = _payoff_on_grid(ambiguity, payoff)
-    return -float(np.max(ambiguity.weight_matrix @ (-values)))
+    return -_upper(ambiguity, -_on_states(payoff, ambiguity.grid.array, "payoff"))
 
 
-def indicator_payoff(grid: SupportGrid, event: Iterable[float]) -> TabulatedPayoff:
-    """Indicator of a set of atoms, as a payoff on the grid."""
-    values = [0.0] * len(grid)
-    for atom in event:
-        values[grid.index_of(atom)] = 1.0
-    return TabulatedPayoff(grid.atoms, tuple(values))
-
-
-def capacity_pair(ambiguity: AmbiguitySet, event: Iterable[float]) -> tuple[float, float]:
-    """Upper and lower capacity (V, v) of a set of atoms.
+def capacity_pair(
+    ambiguity: AmbiguitySet, event: Callable[[np.ndarray], np.ndarray]
+) -> tuple[float, float]:
+    """Upper and lower capacity (V, v) of the atoms where ``event``, a
+    predicate on the array of atoms read by ``bool``, holds.
 
     V is the upper expectation of the indicator.  v is computed as
     ``1 - V(complement)``, which equals the lower expectation of the
     indicator and keeps ``V(A) + v(A^c) = 1`` exact in floating point.
     """
-    ind = indicator_payoff(ambiguity.grid, event)
-    complement = TabulatedPayoff(ind.states, tuple(1.0 - v for v in ind.values))
-    upper = upper_expect(ambiguity, ind)
-    lower = 1.0 - upper_expect(ambiguity, complement)
-    return upper, lower
+    mask = _on_states(event, ambiguity.grid.array, "event", bool)
+    return _upper(ambiguity, mask.astype(float)), 1.0 - _upper(ambiguity, (~mask).astype(float))
 
 
-def seminorm(ambiguity: AmbiguitySet, payoff: TabulatedPayoff, p: float) -> float:
+def seminorm(
+    ambiguity: AmbiguitySet, payoff: Callable[[np.ndarray], np.ndarray], p: float
+) -> float:
     """The p-seminorm ``(upper_expect(|payoff|^p))**(1/p)`` for p >= 1."""
     if p < 1.0:
         raise ParameterError(f"seminorm order must satisfy p >= 1, got {p}")
-    values = np.abs(_payoff_on_grid(ambiguity, payoff)) ** p
-    moment = float(np.max(ambiguity.weight_matrix @ values))
-    return moment ** (1.0 / p)
+    values = np.abs(_on_states(payoff, ambiguity.grid.array, "payoff")) ** p
+    return _upper(ambiguity, values) ** (1.0 / p)
 
 
 #: The four defining properties, in the order ``AxiomReport`` checks them.
@@ -284,8 +234,8 @@ class AxiomReport:
 
 def axiom_report(
     ambiguity: AmbiguitySet,
-    payoff_a: TabulatedPayoff,
-    payoff_b: TabulatedPayoff,
+    payoff_a: Callable[[np.ndarray], np.ndarray],
+    payoff_b: Callable[[np.ndarray], np.ndarray],
     lam: float,
     c: float,
 ) -> AxiomReport:
@@ -298,8 +248,8 @@ def axiom_report(
     """
     if lam < 0.0:
         raise ParameterError(f"positive homogeneity requires lambda >= 0, got {lam}")
-    va = _payoff_on_grid(ambiguity, payoff_a)
-    vb = _payoff_on_grid(ambiguity, payoff_b)
+    va = _on_states(payoff_a, ambiguity.grid.array, "payoff_a")
+    vb = _on_states(payoff_b, ambiguity.grid.array, "payoff_b")
     scalars = np.array([[lam], [c]], dtype=float)
     residuals = _axiom_residuals(ambiguity.weight_matrix[None], va[None], vb[None], *scalars)[0]
     checks = [AxiomCheck(name, r, r <= ATOL) for name, r in zip(_AXIOMS, residuals.tolist())]

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AmbiguitySet
+from .core import AmbiguitySet, _on_states
 from .errors import CheckError, ParameterError
 from .iid import sum_functional_series
 
@@ -216,10 +216,6 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
     return np.ascontiguousarray(u.T)
 
 
-def _payoff_values(payoff: Callable[[np.ndarray], np.ndarray], grid: HeatGrid) -> np.ndarray:
-    return np.asarray(payoff(grid.x), dtype=float)
-
-
 def _extrapolate(origins: Sequence[float]) -> tuple[float, float]:
     """Value and error bar from the origin values ``v0, v1[, v2]`` of solves
     on a grid and its successive coarsenings.
@@ -256,7 +252,7 @@ def _g_expectations(
         grids.append(grids[-1].coarsened())
     origins = []
     for g in grids:
-        finals = evolve(np.stack([_payoff_values(f, g) for f in payoffs]), 1.0, params, g)
+        finals = evolve(np.stack([_on_states(f, g.x, "payoff") for f in payoffs]), 1.0, params, g)
         origins.append([float(np.interp(0.0, g.x, final)) for final in finals])
     results = []
     for values in zip(*origins):
@@ -367,7 +363,7 @@ def semigroup_check(
         raise ParameterError("need a, b >= 0 and not both zero")
     if grid is None:
         grid = default_grid(params)
-    values = _payoff_values(payoff, grid)
+    values = _on_states(payoff, grid.x, "payoff")
     total_t = a * a + b * b
 
     direct = float(np.interp(0.0, grid.x, evolve(values, total_t, params, grid)))

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AmbiguitySet
+from .core import AmbiguitySet, _on_states
 from .errors import CapacityError, ParameterError
 
 #: Offsets whose common unit is at most this are not commensurable, float
@@ -69,9 +69,6 @@ _EXACT_INT = 2**53
 
 #: The most measure assignments the enumeration oracle visits.
 _MAX_ASSIGNMENTS = 10_000_000
-
-#: The longest horizon of ``eval_maxabs_functional``, whose maps take about n^3 bytes.
-_MAX_MAXABS_HORIZON = 64
 
 
 @dataclass(frozen=True)
@@ -518,19 +515,6 @@ def sum_lattice(ambiguity: AmbiguitySet, step: int) -> SumLattice:
     return SumLattice(step, tuple(states.tolist()))
 
 
-def _on_states(
-    payoff: Callable[[np.ndarray], np.ndarray], states: np.ndarray, what: str, dtype: type = float
-) -> np.ndarray:
-    """The values of ``payoff`` on ``states`` from one call on the whole array,
-    the convention of every payoff here, broadcast to its shape as ``dtype``
-    (so a constant serves); ParameterError if ``payoff`` cannot take an array
-    or its values do not broadcast."""
-    try:
-        return np.broadcast_to(np.asarray(payoff(states), dtype=dtype), states.shape)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{what} must map an array of states to values of its shape") from exc
-
-
 def _sweep(
     weights: np.ndarray,
     lattice: _Lattice,
@@ -812,13 +796,11 @@ def eval_maxabs_functional(
     ``phi`` mapping an array of running maxima to their values.
 
     Runs on the augmented state (centered sum, running max of its absolute
-    value) on the pair chain, whose transition maps take about n^3 bytes,
-    so the horizon is gated to ``_MAX_MAXABS_HORIZON``.
+    value) on the pair chain, whose maps take about n^3 bytes in all; the
+    chain raises CapacityError before it would pass ``CHAIN_BUDGET_BYTES``.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
-    if n > _MAX_MAXABS_HORIZON:
-        raise CapacityError(f"maxabs DP is gated to n <= {_MAX_MAXABS_HORIZON}, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
     lattice = _pair_lattice(ambiguity.grid.array - mu, n, len(ambiguity.measures))
     value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))

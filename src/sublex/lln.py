@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ATOL, AmbiguitySet, TabulatedPayoff, lower_expect, upper_expect
+from .core import ATOL, AmbiguitySet, lower_expect, upper_expect
 from .errors import CapacityError, CheckError, ParameterError
 from .gnormal import GNormalParams, HeatGrid, _limit_abs_moment
 from .iid import (
@@ -350,9 +350,7 @@ def mz_check(
         if n < 1:
             raise ParameterError(f"horizons must be >= 1, got {n}")
 
-    centered = TabulatedPayoff(
-        ambiguity.grid.atoms, tuple(a - mu for a in ambiguity.grid.atoms)
-    )
+    centered = lambda a: a - mu
     base = max(upper_expect(ambiguity, centered), 0.0) + max(
         -lower_expect(ambiguity, centered), 0.0
     )

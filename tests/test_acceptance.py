@@ -14,7 +14,6 @@ import pytest
 
 import sublex as sx
 from sublex.cli import main
-from sublex.core import TabulatedPayoff
 from sublex.iid import _brute_force_many
 from sublex import gnormal, lln
 from sublex.lln import tail_consistency
@@ -41,19 +40,20 @@ def test_01_axiom_suite():
         rng = np.random.default_rng(20240811)
         for _ in range(1000):
             ambiguity = random_ambiguity(rng)
-            atoms = ambiguity.grid.atoms
-            pa = TabulatedPayoff(atoms, tuple(rng.uniform(-5, 5, len(atoms))))
-            pb = TabulatedPayoff(atoms, tuple(rng.uniform(-5, 5, len(atoms))))
+            k = len(ambiguity.grid)
+            va, vb = rng.uniform(-5, 5, k), rng.uniform(-5, 5, k)
             report = sx.axiom_report(
-                ambiguity, pa, pb, float(3 * rng.random()), float(rng.uniform(-5, 5))
+                ambiguity,
+                lambda _: va,
+                lambda _: vb,
+                float(3 * rng.random()),
+                float(rng.uniform(-5, 5)),
             )
             assert report.all_pass and report.max_residual <= 1e-12
 
-            mask = rng.random(len(atoms)) < 0.5
-            event = [a for a, m in zip(atoms, mask) if m]
-            complement = [a for a, m in zip(atoms, mask) if not m]
-            upper, _ = sx.capacity_pair(ambiguity, event)
-            _, lower_c = sx.capacity_pair(ambiguity, complement)
+            mask = rng.random(k) < 0.5
+            upper, _ = sx.capacity_pair(ambiguity, lambda _: mask)
+            _, lower_c = sx.capacity_pair(ambiguity, lambda _: ~mask)
             assert upper + lower_c == 1.0  # exact
 
 

@@ -519,7 +519,8 @@ class TestHeatSolves:
 def per_trial_axioms_csv(seed: int, trials: int) -> bytes:
     """``axioms.csv`` recomputed one trial at a time from the same draws: each
     instance built by ``AmbiguitySet.from_rows``, each residual from
-    ``upper_expect`` on a payoff, each capacity from ``capacity_pair``."""
+    ``upper_expect`` on a payoff of the atoms, each capacity from
+    ``capacity_pair`` on a mask predicate."""
     rng = np.random.default_rng(seed)
     lines = ["trial,check,residual"]
     for trial in range(trials):
@@ -531,14 +532,13 @@ def per_trial_axioms_csv(seed: int, trials: int) -> bytes:
             w = rng.random(n_atoms) + 1e-3
             rows.append(w / w.sum())
         family = sx.AmbiguitySet.from_rows(atoms, rows)
-        grid = family.grid.atoms
         va = rng.uniform(-5, 5, n_atoms)
         vb = rng.uniform(-5, 5, n_atoms)
         lam = float(3.0 * rng.random())
         c = float(rng.uniform(-5, 5))
 
         def eup(values) -> float:
-            return sx.upper_expect(family, sx.TabulatedPayoff(grid, tuple(values)))
+            return sx.upper_expect(family, lambda _: values)
 
         hi = va if np.all(va >= vb) else np.maximum(va, vb)
         residuals = {
@@ -548,14 +548,14 @@ def per_trial_axioms_csv(seed: int, trials: int) -> bytes:
             "positive_homogeneity": abs(eup(lam * va) - lam * eup(va)),
         }
         mask = rng.random(n_atoms) < 0.5
-        event = [a for a, keep in zip(grid, mask) if keep]
-        complement = [a for a, keep in zip(grid, mask) if not keep]
-        upper, _ = sx.capacity_pair(family, event)
-        _, lower = sx.capacity_pair(family, complement)
+        upper, _ = sx.capacity_pair(family, lambda _: mask)
+        _, lower = sx.capacity_pair(family, lambda _: ~mask)
         residuals["capacity_complement"] = abs(upper + lower - 1.0)
-        if complement:
-            grown, _ = sx.capacity_pair(family, event + [complement[0]])
-            residuals["capacity_monotone"] = upper - grown
+        if not mask.all():
+            grown = mask.copy()
+            grown[np.argmin(mask)] = True  # the first atom of the complement
+            grown_upper, _ = sx.capacity_pair(family, lambda _: grown)
+            residuals["capacity_monotone"] = upper - grown_upper
         lines += [f"{trial},{name},{format(r, '.17g')}" for name, r in residuals.items()]
     return ("\n".join(lines) + "\n").encode()
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import sublex as sx
 from sublex import iid
-from sublex.core import TabulatedPayoff
 from sublex.iid import (
     _brute_force_many,
     _chain_dp,
@@ -45,9 +44,7 @@ class TestSumFunctional:
     def test_one_step_reduces_to_upper_expect(self, theta_star):
         fn = lambda s: s**3 - 2 * s + 1
         value, _ = sx.eval_sum_functional(theta_star, 1, fn)
-        expected = sx.upper_expect(
-            theta_star, TabulatedPayoff.from_callable(theta_star.grid.atoms, fn)
-        )
+        expected = sx.upper_expect(theta_star, fn)
         assert value == pytest.approx(expected, abs=1e-14)
 
     def test_bad_horizon(self, theta_star):
@@ -135,10 +132,11 @@ class TestMaxAbsFunctional:
         with pytest.raises(sx.ParameterError):
             sx.eval_maxabs_functional(lopsided, 2, lambda m: m)
 
-    def test_horizon_gate(self, theta_star):
-        assert iid._MAX_MAXABS_HORIZON == 64
-        with pytest.raises(sx.CapacityError):
-            sx.eval_maxabs_functional(theta_star, 65, lambda m: m)
+    def test_admits_horizons_past_64(self, theta_star):
+        # the byte budget, not a horizon gate, bounds the pair chain
+        maxabs = sx.eval_maxabs_functional(theta_star, 65, lambda m: m**2)
+        terminal, _ = sx.eval_sum_functional(theta_star, 65, lambda s: s * s)
+        assert maxabs >= terminal - 1e-12
 
 
 class TestSumsqFunctional:
@@ -1148,7 +1146,6 @@ class TestSweepBudget:
     def test_running_max_sweep_stays_within_the_budget(self, theta_star, monkeypatch):
         # the pair chain within the budget, or CapacityError
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**20)
-        monkeypatch.setattr(iid, "_MAX_MAXABS_HORIZON", 200)
         call = lambda n: sx.eval_maxabs_functional(theta_star, n, lambda m: m**2)
         outcomes = traced_outcomes(call, range(2, 200, 2))
         assert outcomes[-1] == "raised" and outcomes.count("built") >= 5

@@ -13,3 +13,5 @@ def test_library_quickstart_runs():
     namespace: dict = {}
     exec(compile(block.group(1), f"{README}:quickstart", "exec"), namespace)
     assert abs(namespace["value"] - 35.0) <= 1e-9  # E-hat |S_8|^3 on the canonical set
+    assert namespace["upper"] == 1.0  # E-hat |X|
+    assert namespace["cap"] == (0.5, 0.25)  # (V, v) of {X > 0}
