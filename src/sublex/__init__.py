@@ -4,7 +4,6 @@ from .core import (
     ATOL,
     AmbiguitySet,
     AxiomReport,
-    FiniteMeasure,
     SupportGrid,
     axiom_report,
     canonical_set,

@@ -298,8 +298,7 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
     n = cfg.horizon
     rows = []
     for eps in cfg.epsilons:
-        threshold = n * eps - 1e-12
-        event = lambda s: abs(s - n * mu) >= threshold
+        event = lln._deviation_event(n, mu, eps)
         upper = capacity_sum_event(ambiguity, n, event)
         lower = capacity_sum_event(ambiguity, n, event, maximize=False)
         if lower > upper + ATOL:
@@ -369,6 +368,8 @@ def _run_lln_series(cfg: ExperimentConfig, out: Path) -> list[str]:
 
 
 def _run_mz(cfg: ExperimentConfig, out: Path) -> list[str]:
+    if cfg.horizon < 2:
+        raise ParameterError(f"N: mz-check needs N >= 2, got {cfg.horizon}")
     n_list = list(range(2, min(12, cfg.horizon) + 1))
     report = lln.mz_check(cfg.ambiguity_set, cfg.alpha, n_list)
     rows = list(

@@ -1,8 +1,9 @@
 """Sublinear expectation algebra on finite ambiguity sets.
 
-An ambiguity set is a finite family of finitely supported probability
-measures sharing one atom grid.  The upper expectation of a payoff is the
-maximum of its linear expectations over the family; the lower expectation
+An ambiguity set is one atom grid and one weight matrix, a row of
+probability weights per measure, checked once by the array checks the
+batched axiom runs share.  The upper expectation of a payoff is the
+maximum of its linear expectations over the rows; the lower expectation
 is the conjugate ``-E[-X]``.  A payoff, and an event's predicate, is a
 function of the whole array of atoms, applied once by ``_on_states``: the
 rule for every payoff in the package.  Because everything is finite, every
@@ -11,9 +12,9 @@ quantity is exactly computable (up to double-precision round-off).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,25 +24,15 @@ from .errors import ParameterError
 ATOL = 1e-12
 
 
-def _as_float_tuple(values: Iterable[float], field: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not all(np.isfinite(out)):
-        raise ParameterError(f"{field}: all entries must be finite, got {out}")
-    return out
-
-
 @dataclass(frozen=True)
 class SupportGrid:
-    """Ordered atoms a one-step random variable can take."""
+    """Ordered atoms a one-step random variable can take; the ambiguity set
+    that holds the grid checks them."""
 
     atoms: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", _as_float_tuple(self.atoms, "atoms"))
-        if len(self.atoms) == 0:
-            raise ParameterError("atoms: grid must be nonempty")
-        if any(b <= a for a, b in zip(self.atoms, self.atoms[1:])):
-            raise ParameterError(f"atoms: must be strictly increasing, got {self.atoms}")
+        object.__setattr__(self, "atoms", tuple(map(float, self.atoms)))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -53,48 +44,40 @@ class SupportGrid:
         return arr
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
-    """Probability weights aligned with a SupportGrid."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _as_float_tuple(self.weights, "weights"))
-        if any(w < 0.0 for w in self.weights):
-            raise ParameterError(f"weights: must be nonnegative, got {self.weights}")
-        total = float(np.sum(self.weights))
-        if abs(total - 1.0) > ATOL:
-            raise ParameterError(f"weights: must sum to 1 within {ATOL}, got sum {total!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmbiguitySet:
-    """A finite family of measures on one grid; the carrier of the upper expectation."""
+    """A finite family of probability measures on one grid, the carrier of the
+    upper expectation: row k of the read-only ``weight_matrix`` (measures x
+    atoms) holds measure k's weights.  Checked once, on construction, by
+    ``_check_stacked``."""
 
     grid: SupportGrid
-    measures: tuple[FiniteMeasure, ...]
+    weight_matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "measures", tuple(self.measures))
-        if len(self.measures) == 0:
-            raise ParameterError("measures: family must be nonempty")
-        for k, m in enumerate(self.measures):
-            if len(m.weights) != len(self.grid):
-                raise ParameterError(
-                    f"measures[{k}]: {len(m.weights)} weights for a grid of {len(self.grid)} atoms"
-                )
+        weights = np.array(self.weight_matrix, dtype=float)
+        if len(self.grid) == 0:
+            raise ParameterError("atoms: grid must be nonempty")
+        if weights.ndim != 2 or len(weights) == 0:
+            raise ParameterError("measures: family must be nonempty, one row per measure")
+        if weights.shape[1] != len(self.grid):
+            raise ParameterError(
+                f"measures: {weights.shape[1]} weights for a grid of {len(self.grid)} atoms"
+            )
+        _check_stacked(self.grid.array[None], weights[None])
+        weights.flags.writeable = False
+        object.__setattr__(self, "weight_matrix", weights)
 
     @classmethod
     def from_rows(cls, atoms: Sequence[float], rows: Sequence[Sequence[float]]) -> "AmbiguitySet":
-        return cls(SupportGrid(tuple(atoms)), tuple(FiniteMeasure(tuple(r)) for r in rows))
-
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Measure weights stacked as a (n_measures, n_atoms) array."""
-        mat = np.asarray([m.weights for m in self.measures], dtype=float)
-        mat.flags.writeable = False
-        return mat
+        """The set with one measure per row of weights on ``atoms``."""
+        grid = SupportGrid(atoms)
+        for k, row in enumerate(rows):
+            if len(row) != len(grid):
+                raise ParameterError(
+                    f"measures[{k}]: {len(row)} weights for a grid of {len(grid)} atoms"
+                )
+        return cls(grid, np.array(rows, dtype=float).reshape(len(rows), len(grid)))
 
     @cached_property
     def per_measure_means(self) -> np.ndarray:
@@ -194,42 +177,31 @@ def seminorm(
     return _upper(ambiguity, values) ** (1.0 / p)
 
 
-#: The four defining properties, in the order ``AxiomReport`` checks them.
+#: The four defining properties, in the order ``AxiomReport`` holds them.
 _AXIOMS = ("monotonicity", "constant_preserving", "subadditivity", "positive_homogeneity")
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class AxiomReport:
-    """Result of checking the four defining properties of a sublinear expectation.
+    """The residuals of the four defining properties of a sublinear
+    expectation, each passing within ``ATOL``.
 
     Residuals follow the convention "violation > 0": inequality checks
     report their signed slack, equality checks their absolute defect.
     """
 
-    monotonicity: AxiomCheck
-    constant_preserving: AxiomCheck
-    subadditivity: AxiomCheck
-    positive_homogeneity: AxiomCheck
-    tolerance: float
-
-    @property
-    def checks(self) -> tuple[AxiomCheck, ...]:
-        return tuple(getattr(self, name) for name in _AXIOMS)
+    monotonicity: float
+    constant_preserving: float
+    subadditivity: float
+    positive_homogeneity: float
 
     @property
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(r <= ATOL for r in astuple(self))
 
     @property
     def max_residual(self) -> float:
-        return max(c.residual for c in self.checks)
+        return max(astuple(self))
 
 
 def axiom_report(
@@ -252,8 +224,7 @@ def axiom_report(
     vb = _on_states(payoff_b, ambiguity.grid.array, "payoff_b")
     scalars = np.array([[lam], [c]], dtype=float)
     residuals = _axiom_residuals(ambiguity.weight_matrix[None], va[None], vb[None], *scalars)[0]
-    checks = [AxiomCheck(name, r, r <= ATOL) for name, r in zip(_AXIOMS, residuals.tolist())]
-    return AxiomReport(*checks, tolerance=ATOL)
+    return AxiomReport(*residuals.tolist())
 
 
 def _upper_many(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -282,8 +253,8 @@ def _axiom_residuals(
 
 
 def _check_stacked(atoms: np.ndarray, weights: np.ndarray) -> None:
-    """The checks ``AmbiguitySet.from_rows`` makes, on T stacked instances:
-    atoms (T, A) finite and strictly increasing, weights (T, M, A) finite and
+    """The checks of every ``AmbiguitySet``, on T stacked instances: atoms
+    (T, A) finite and strictly increasing, weights (T, M, A) finite and
     nonnegative, each measure summing to 1 within ``ATOL``."""
     if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
         raise ParameterError("atoms, weights: all entries must be finite")

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AmbiguitySet, _on_states
+from .core import ATOL, AmbiguitySet, _on_states
 from .errors import CheckError, ParameterError
 from .iid import sum_functional_series
 
@@ -374,7 +374,7 @@ def semigroup_check(
     start = values[::2] if grid.nx % 2 == 1 else np.interp(coarse.x, grid.x, values)
     coarse_final = evolve(start, total_t, params, coarse)
     estimate = abs(direct - float(np.interp(0.0, coarse.x, coarse_final)))
-    bound = SEMIGROUP_FACTOR * estimate + 1e-12
+    bound = SEMIGROUP_FACTOR * estimate + ATOL
     if residual > bound:
         raise CheckError(
             f"semigroup discrepancy {residual} exceeds {SEMIGROUP_FACTOR} x residual "

@@ -591,9 +591,9 @@ def _chain_dp(
         raise ParameterError(f"horizon must be >= 1, got {n}")
     if want_policy:
         # the policy fills up while the lattice and the sweep's arrays are held
-        per_state = np.min_scalar_type(len(ambiguity.measures) - 1).itemsize
+        per_state = np.min_scalar_type(len(ambiguity.weight_matrix) - 1).itemsize
         held = per_state * sum(lattice.count(k) for k in range(n)) + _held(lattice)
-        held += _sweep_bytes(lattice.size(n), len(ambiguity.measures), lattice.gathered())
+        held += _sweep_bytes(lattice.size(n), len(ambiguity.weight_matrix), lattice.gathered())
         if held > CHAIN_BUDGET_BYTES:
             raise _over_budget(f"the selection policy of {n} steps", held, n - 1)
     fixed = None
@@ -646,7 +646,7 @@ def _horizons_dp(
     # level's are held
     words = _SWEEP_WORDS - 2 - 4 + 1
     gathered = 2 * lattice.gathered()
-    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.measures), gathered, words)
+    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.weight_matrix), gathered, words)
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
     starts = set(horizons)
@@ -671,7 +671,7 @@ def eval_sum_functional(
 
     With ``maximize=False``: the lower expectation and its argmin policy.
     """
-    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.weight_matrix))
     values = _on_states(terminal, lattice.states(n), "terminal")
     value, policy = _chain_dp(ambiguity, lattice, n, values, maximize, want_policy=True)
     assert policy is not None
@@ -688,7 +688,7 @@ def eval_additive_functional(
     costs = list(stage_costs)
     if len(costs) != n:
         raise ParameterError(f"expected {n} stage costs, got {len(costs)}")
-    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.weight_matrix))
     stage = lambda k: _on_states(costs[k - 1], lattice.states(k), f"stage cost {k}")
     value, _ = _additive_dp(ambiguity, n, lattice, stage)
     return value
@@ -721,7 +721,7 @@ def capacity_sum_event(
 
     With ``maximize=False``: the lower capacity (min-recursion).
     """
-    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.weight_matrix))
     values = _on_states(predicate, lattice.states(n), "predicate", bool).astype(float)
     value, _ = _chain_dp(ambiguity, lattice, n, values, maximize)
     return min(1.0, max(0.0, value))
@@ -802,7 +802,7 @@ def eval_maxabs_functional(
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
-    lattice = _pair_lattice(ambiguity.grid.array - mu, n, len(ambiguity.measures))
+    lattice = _pair_lattice(ambiguity.grid.array - mu, n, len(ambiguity.weight_matrix))
     value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))
     return value
 
@@ -817,7 +817,7 @@ def eval_sumsq_functional(
     per-atom squared increments stay aligned with the measure weights.
     """
     mu = ambiguity.require_mean_certain("eval_sumsq_functional")
-    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n, measures=len(ambiguity.measures))
+    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n, measures=len(ambiguity.weight_matrix))
     value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))
     return value
 
@@ -845,7 +845,7 @@ def _brute_force_many(
     if not 1 <= n <= 4:
         raise CapacityError(f"brute force enumeration supports 1 <= n <= 4, got {n}")
     n_atoms = len(ambiguity.grid)
-    n_meas = len(ambiguity.measures)
+    n_meas = len(ambiguity.weight_matrix)
     n_nodes = sum(n_atoms**k for k in range(n))
     n_assign = n_meas**n_nodes
     if n_assign > _MAX_ASSIGNMENTS:
@@ -944,7 +944,7 @@ def sum_functional_series(
         offsets = offsets - ambiguity.require_mean_certain("sum_functional_series")
 
     # level j holds every sum of at most j offsets, so the origin stays on it
-    lattice = _lattice(offsets, horizon, at_most=True, measures=len(ambiguity.measures))
+    lattice = _lattice(offsets, horizon, at_most=True, measures=len(ambiguity.weight_matrix))
     values = lattice.on_nodes(horizon, _on_states(psi, lattice.states(horizon), "psi"))
     out = np.empty(horizon)
     for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):

@@ -265,7 +265,13 @@ def _check_tail(report: SeriesReport, what: str) -> dict[str, float]:
     """The convergent-side criterion of every series: returns the evidence of
     :func:`tail_consistency`, and raises CheckError naming ``what`` unless
     the fitted exponent exceeds 1 and no observed tail exceeds
-    ``TAIL_FACTOR`` times its fitted prediction."""
+    ``TAIL_FACTOR`` times its fitted prediction.  A fit with too few points
+    is inconclusive, not failed: ParameterError, asking for a longer horizon."""
+    if not report.tail.usable:
+        raise ParameterError(
+            f"{what}: the tail fit at horizon N = {report.n_values[-1]} has "
+            f"{report.tail.n_points} points, too few for a fit; raise N"
+        )
     evidence = tail_consistency(report)
     if report.tail.exponent <= 1.0 or evidence["max_increment_ratio"] > TAIL_FACTOR:
         raise CheckError(f"{what} fails the tail criterion: {evidence} (tolerance {TAIL_FACTOR})")
@@ -358,7 +364,7 @@ def mz_check(
     # one sweep per side serves every horizon
     horizons = sorted(set(n_list))
     offsets = ambiguity.grid.array - mu
-    measures = len(ambiguity.measures)
+    measures = len(ambiguity.weight_matrix)
     pairs = _pair_lattice(offsets, horizons[-1], measures)
     squares = _lattice(offsets**2, horizons[-1], measures=measures)
     lefts = _horizons_dp(ambiguity, pairs, horizons, lambda n: pairs.states(n) ** alpha)
@@ -374,7 +380,7 @@ def mz_check(
         mean_term = (n * base) ** alpha
         ratio = left / right
         best = max(best, ratio)
-        if left > best * (mean_term + right) + 1e-12:
+        if left > best * (mean_term + right) + ATOL:
             raise CheckError(f"chain bound violated at n = {n}: {left} > {best * (mean_term + right)}")
         lhs.append(left)
         rhs.append(right)
@@ -410,7 +416,7 @@ def holder_step_check(
 ) -> tuple[float, float, float]:
     """Interpolation step: E-hat[|S~_n|^p] <= (E-hat[|S~_n|^alpha])^{p/alpha}.
 
-    Returns (lhs, rhs, margin); the margin may not fall below -1e-12.
+    Returns (lhs, rhs, margin); the margin may not fall below ``-ATOL``.
     """
     if not 2.0 < p <= alpha:
         raise ParameterError(f"need 2 < p <= alpha, got p={p}, alpha={alpha}")
@@ -421,7 +427,7 @@ def holder_step_check(
     )
     rhs = moment ** (p / alpha)
     margin = rhs - lhs
-    if margin < -1e-12:
+    if margin < -ATOL:
         raise CheckError(f"interpolation bound violated at n = {n}: margin {margin}")
     return lhs, rhs, margin
 
@@ -493,15 +499,22 @@ def subadditive_series_check(
             f"additive DP budget is N <= {_MAX_SUBADDITIVE_HORIZON}, got {horizon}"
         )
     mu = ambiguity.require_mean_certain("subadditive_series_check")
-    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
+    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.weight_matrix))
     lhs, _ = _additive_dp(ambiguity, horizon, lattice, _series_costs(lattice, mu, beta))
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** beta, centered=True)
     n = np.arange(1, horizon + 1, dtype=float)
     rhs = float(np.sum(raw / n**beta))
     margin = rhs - lhs
-    if margin < -1e-12:
+    if margin < -ATOL:
         raise CheckError(f"subadditivity violated: lhs {lhs} > rhs {rhs}")
     return lhs, rhs, margin
+
+
+def _deviation_event(n: int, mu: float, eps: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The event ``|S_n - n mu| >= n eps`` as a predicate on values of S_n; its
+    ``ATOL`` slack only absorbs representation noise on the threshold."""
+    threshold = n * eps - ATOL
+    return lambda s: np.abs(s - n * mu) >= threshold
 
 
 def cc_series(
@@ -515,9 +528,8 @@ def cc_series(
         raise ParameterError(f"need alpha > 0, got {alpha}")
     mu = ambiguity.require_mean_certain("cc_series")
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** alpha, centered=True)
-    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
-    # the 1e-12 slack only absorbs representation noise on the threshold
-    event = lambda n: (np.abs(lattice.states(n) - n * mu) >= n * eps - 1e-12).astype(float)
+    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.weight_matrix))
+    event = lambda n: _deviation_event(n, mu, eps)(lattice.states(n)).astype(float)
     capacities = np.clip(_horizons_dp(ambiguity, lattice, range(1, horizon + 1), event), 0.0, 1.0)
     n_values = tuple(range(1, horizon + 1))
     terms = []
@@ -525,7 +537,7 @@ def cc_series(
     for n in n_values:
         v = float(capacities[n - 1])
         markov = float(raw[n - 1]) / (float(n) ** alpha * eps**alpha)
-        if v > markov + 1e-12:
+        if v > markov + ATOL:
             raise CheckError(f"Markov cross-bound violated at n = {n}: {v} > {markov}")
         terms.append(v)
         bounds.append(markov)
@@ -592,8 +604,8 @@ def sqs_empirical(
 
     Each policy's exact value comes from replaying its picks through the
     recursion (policy evaluation).  The deterministic checks: no policy
-    exceeds the upper expectation (``exact <= dp_value + 1e-12``), and the
-    argmax policy attains it (``|exact - dp_value| <= 1e-12``).  Monte Carlo
+    exceeds the upper expectation (``exact <= dp_value + ATOL``), and the
+    argmax policy attains it (``|exact - dp_value| <= ATOL``).  Monte Carlo
     then tests only the sampler: ``|mean - exact| <= SAMPLING_Z * stderr``.
     Individual paths routinely exceed the expectation (a long same-sign run
     makes the early terms order one each), so the per-path extremes are
@@ -610,12 +622,12 @@ def sqs_empirical(
     if n_paths < 2:
         raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
-    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.measures))
+    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.weight_matrix))
     stage = _series_costs(lattice, mu, beta)
     value, argmax_policy = _additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
     assert argmax_policy is not None
 
-    labels = [f"measure_{i}" for i in range(len(ambiguity.measures))] + ["argmax"]
+    labels = [f"measure_{i}" for i in range(len(ambiguity.weight_matrix))] + ["argmax"]
     streams = np.random.SeedSequence(seed).spawn(len(labels))
     summaries = []
     for i, (label, stream) in enumerate(zip(labels, streams)):
@@ -624,11 +636,11 @@ def sqs_empirical(
             picks = (np.broadcast_to(c.dtype.type(i), c.shape) for c in argmax_policy.choices)
             policy = SelectionPolicy(lattice, tuple(picks))
         exact, _ = _additive_dp(ambiguity, horizon, lattice, stage, replay=policy)
-        if exact > value + 1e-12:
+        if exact > value + ATOL:
             raise CheckError(
                 f"policy {label} has exact value {exact}, above the upper expectation {value}"
             )
-        if label == "argmax" and abs(exact - value) > 1e-12:
+        if label == "argmax" and abs(exact - value) > ATOL:
             raise CheckError(f"the argmax policy's exact value {exact} misses the DP value {value}")
         values = np.zeros(n_paths)
         rng = np.random.default_rng(stream)

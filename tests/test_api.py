@@ -6,7 +6,7 @@ import sublex as sx
 
 PUBLIC_NAMES = [
     "ATOL", "AmbiguitySet", "AxiomReport", "CapacityError", "CheckError", "DichotomyVerdict",
-    "Error", "FiniteMeasure", "GExpectationResult", "GNormalParams", "HeatGrid", "MZReport",
+    "Error", "GExpectationResult", "GNormalParams", "HeatGrid", "MZReport",
     "ParameterError", "SelectionPolicy", "SeriesReport", "SqsSummary", "SumLattice",
     "SupportGrid", "axiom_report", "brute_force_oracle", "canonical_set", "capacity_pair",
     "capacity_sum_event", "cc_series", "classical_abs_moment", "clt_gap", "corollary_series",

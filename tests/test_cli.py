@@ -195,7 +195,27 @@ class TestExitCodes:
         out = str(tmp_path / "o")
         code = main(["mz-check", "--config", str(config_path), "--out", out, "--override", "N=1"])
         assert code == 2
-        assert "at least one horizon" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("error: N: mz-check needs N >= 2, got 1")
+
+    def test_mz_check_runs_from_two_horizons(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        args = ["mz-check", "--config", str(config_path), "--out", str(out), "--override", "N=2"]
+        assert main(args) == 0
+        assert (out / "mz_check.csv").read_text().splitlines()[1].startswith("2,")
+
+    @pytest.mark.parametrize(
+        "subcommand, horizon, expected",
+        [("corollary", 4, 2), ("cc-series", 4, 2), ("corollary", 5, 0), ("lln-series", 3, 0)],
+    )
+    def test_a_tail_fit_with_too_few_points_is_a_config_error(
+        self, config_path, tmp_path, capsys, subcommand, horizon, expected
+    ):
+        # at N = 4 the top half of the range holds 2 positive terms, and a fit needs 3
+        out = str(tmp_path / "o")
+        args = [subcommand, "--config", str(config_path), "--out", out, "--override", f"N={horizon}"]
+        assert main(args) == expected
+        if expected == 2:
+            assert f"horizon N = {horizon} has 2 points" in capsys.readouterr().out
 
     def test_sqs_with_one_path_is_config_error(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -79,12 +79,12 @@ class TestAxiomReport:
 
     def test_zero_scaling(self, theta_star):
         rep = sx.axiom_report(theta_star, lambda x: x * x, np.abs, 0.0, 0.0)
-        assert rep.positive_homogeneity.residual == 0.0
+        assert rep.positive_homogeneity == 0.0
 
     def test_equal_payoffs_subadditivity_exact(self, theta_star):
         a = lambda x: x * x
         rep = sx.axiom_report(theta_star, a, a, 1.0, 0.0)
-        assert rep.subadditivity.residual == pytest.approx(0.0, abs=1e-15)
+        assert rep.subadditivity == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_lambda(self, theta_star):
         with pytest.raises(sx.ParameterError):
@@ -138,23 +138,25 @@ def test_grid_payoffs_map_state_arrays(theta_star, entry):
 class TestTypeInvariants:
     def test_atoms_must_increase(self):
         with pytest.raises(sx.ParameterError):
-            sx.SupportGrid((0.0, 0.0, 1.0))
+            sx.AmbiguitySet.from_rows((0.0, 0.0, 1.0), ((0.25, 0.5, 0.25),))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(sx.ParameterError):
-            sx.FiniteMeasure((0.5, 0.4))
+            sx.AmbiguitySet.from_rows((0.0, 1.0), ((0.5, 0.4),))
 
     def test_weights_nonnegative(self):
         with pytest.raises(sx.ParameterError):
-            sx.FiniteMeasure((1.1, -0.1))
+            sx.AmbiguitySet.from_rows((0.0, 1.0), ((1.1, -0.1),))
 
     def test_measures_match_grid(self):
-        with pytest.raises(sx.ParameterError):
-            sx.AmbiguitySet(sx.SupportGrid((0.0, 1.0)), (sx.FiniteMeasure((1.0,)),))
+        with pytest.raises(sx.ParameterError, match=r"measures\[0\]"):
+            sx.AmbiguitySet.from_rows((0.0, 1.0), ((1.0,),))
+        with pytest.raises(sx.ParameterError, match="3 weights for a grid of 2 atoms"):
+            sx.AmbiguitySet(sx.SupportGrid((0.0, 1.0)), np.full((1, 3), 1 / 3))
 
     def test_empty_family(self):
         with pytest.raises(sx.ParameterError):
-            sx.AmbiguitySet(sx.SupportGrid((0.0, 1.0)), ())
+            sx.AmbiguitySet.from_rows((0.0, 1.0), ())
 
     @pytest.mark.parametrize(
         "atoms, rows",
@@ -234,9 +236,7 @@ def test_extra_measure_widens_envelope(ambiguity, va):
     pa = tabulated(va[:k])
     rng = np.random.default_rng(abs(hash(tuple(va[:k]))) % 2**32)
     w = rng.random(k) + 1e-3
-    grown = sx.AmbiguitySet(
-        ambiguity.grid, ambiguity.measures + (sx.FiniteMeasure(tuple(w / w.sum())),)
-    )
+    grown = sx.AmbiguitySet(ambiguity.grid, np.vstack([ambiguity.weight_matrix, w / w.sum()]))
     assert sx.upper_expect(grown, pa) >= sx.upper_expect(ambiguity, pa) - 1e-12
     assert sx.lower_expect(grown, pa) <= sx.lower_expect(ambiguity, pa) + 1e-12
 
@@ -245,7 +245,7 @@ def test_extra_measure_widens_envelope(ambiguity, va):
 @given(sets_strategy, values_strategy)
 def test_duplicate_measures_are_harmless(ambiguity, va):
     pa = tabulated(va[: len(ambiguity.grid)])
-    doubled = sx.AmbiguitySet(ambiguity.grid, ambiguity.measures + ambiguity.measures)
+    doubled = sx.AmbiguitySet(ambiguity.grid, np.vstack([ambiguity.weight_matrix] * 2))
     assert sx.upper_expect(doubled, pa) == pytest.approx(
         sx.upper_expect(ambiguity, pa), abs=1e-12
     )
@@ -255,7 +255,7 @@ def test_duplicate_measures_are_harmless(ambiguity, va):
 @given(sets_strategy)
 def test_capacity_complement_and_monotonicity(ambiguity):
     atoms = ambiguity.grid.atoms
-    rng = np.random.default_rng(len(atoms) * 101 + len(ambiguity.measures))
+    rng = np.random.default_rng(len(atoms) * 101 + len(ambiguity.weight_matrix))
     mask = rng.random(len(atoms)) < 0.5
     upper, lower = sx.capacity_pair(ambiguity, lambda a: mask)
     upper_c, lower_c = sx.capacity_pair(ambiguity, lambda a: ~mask)
@@ -274,7 +274,7 @@ def test_capacity_complement_and_monotonicity(ambiguity):
 def test_single_measure_collapses_envelope():
     rng = np.random.default_rng(3)
     ambiguity = random_ambiguity(rng, max_measures=1)
-    assert len(ambiguity.measures) == 1
+    assert len(ambiguity.weight_matrix) == 1
     for _ in range(20):
         pa = tabulated(rng.uniform(-5, 5, len(ambiguity.grid)))
         assert sx.upper_expect(ambiguity, pa) == pytest.approx(

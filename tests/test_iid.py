@@ -56,10 +56,10 @@ class TestSumFunctional:
         assert policy.horizon == 4
         for step, states in enumerate(policy.step_states):
             for s in states:
-                assert 0 <= policy.measure_at(step, s) < len(theta_star.measures)
+                assert 0 <= policy.measure_at(step, s) < len(theta_star.weight_matrix)
 
     def test_tie_breaks_to_lowest_index(self, theta_star):
-        doubled = sx.AmbiguitySet(theta_star.grid, theta_star.measures + theta_star.measures)
+        doubled = sx.AmbiguitySet(theta_star.grid, np.vstack([theta_star.weight_matrix] * 2))
         _, policy = sx.eval_sum_functional(doubled, 3, lambda s: s * s)
         for picks in policy.choices:
             assert all(p < 2 for p in picks)  # never the duplicated copies
@@ -336,8 +336,8 @@ class TestInvariantsLifted:
         fn = lambda s: abs(s) ** 3
         upper, _ = sx.eval_sum_functional(theta_star, 5, fn)
         lower = lower_sum(theta_star, 5, fn)
-        for measure in theta_star.measures:
-            single = sx.AmbiguitySet(theta_star.grid, (measure,))
+        for row in theta_star.weight_matrix:
+            single = sx.AmbiguitySet(theta_star.grid, row[None])
             classical, _ = sx.eval_sum_functional(single, 5, fn)
             assert lower - 1e-12 <= classical <= upper + 1e-12
 
@@ -348,8 +348,8 @@ class TestInvariantsLifted:
             fn = lambda s: abs(s - 0.3) ** 2
             upper, _ = sx.eval_sum_functional(ambiguity, 3, fn)
             lower = lower_sum(ambiguity, 3, fn)
-            for measure in ambiguity.measures:
-                single = sx.AmbiguitySet(ambiguity.grid, (measure,))
+            for row in ambiguity.weight_matrix:
+                single = sx.AmbiguitySet(ambiguity.grid, row[None])
                 mid, _ = sx.eval_sum_functional(single, 3, fn)
                 assert lower - 1e-12 <= mid <= upper + 1e-12
 
@@ -1128,7 +1128,7 @@ class TestFloatBudget:
 
 def cosine_stages(ambiguity, n):
     """The lattice of an additive DP and the array stage cost cos(S_k)."""
-    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.measures))
+    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.weight_matrix))
     return lattice, lambda k: np.cos(lattice.states(k))
 
 

@@ -359,8 +359,8 @@ class TestSqsEmpirical:
         assert summary.dp_value == pytest.approx(
             sx.brute_force_oracle(theta_star, n, series), abs=1e-12
         )
-        for i, measure in enumerate(theta_star.measures):
-            alone = sx.AmbiguitySet(theta_star.grid, (measure,))
+        for i, row in enumerate(theta_star.weight_matrix):
+            alone = sx.AmbiguitySet(theta_star.grid, row[None])
             assert summary.policies[i].exact == pytest.approx(
                 sx.brute_force_oracle(alone, n, series), abs=1e-12
             )
