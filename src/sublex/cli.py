@@ -6,7 +6,7 @@ Identical configuration and seed produce byte-identical outputs.
 
 Exit codes: 0 all assertions passed, 1 an assertion (mathematical check)
 failed (CheckError), 2 a usage error or any other sublex Error
-(ParameterError, CapacityError).
+(ParameterError, CapacityError).  A run that exits nonzero writes nothing.
 """
 
 from __future__ import annotations
@@ -227,7 +227,11 @@ def apply_overrides(doc: dict, overrides: Sequence[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each writes CSVs and returns the list of files written
+# subcommand runners: each runs its checks and returns its CSV tables, by
+# file name, as (header, rows)
+
+_Table = tuple[Sequence[str], Sequence[Sequence]]
+_Tables = dict[str, _Table]
 
 
 def _draw_trial(rng: np.random.Generator) -> tuple:
@@ -242,7 +246,7 @@ def _draw_trial(rng: np.random.Generator) -> tuple:
     return atoms, w / w.sum(axis=1, keepdims=True), va, vb, lam, c, rng.random(n_atoms) < 0.5
 
 
-def _run_axioms(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_axioms(cfg: ExperimentConfig) -> _Tables:
     """The axioms and capacity identities on random instances, checked in
     stacks of one (measures, atoms) shape, the rows written by trial."""
     rng = np.random.default_rng(cfg.seed)
@@ -272,27 +276,24 @@ def _run_axioms(cfg: ExperimentConfig, out: Path) -> list[str]:
     ]
     failed = ~(residuals <= np.array([ATOL] * 4 + [0.0, ATOL]))  # capacity_complement is exact
     failures = int(np.count_nonzero(failed[:, :5]) + np.count_nonzero(failed[grows, 5]))
-    _write_csv(out / "axioms.csv", ("trial", "check", "residual"), rows)
     if failures:
         raise CheckError(f"{failures} axiom checks exceeded the {ATOL} tolerance")
-    return ["axioms.csv"]
+    return {"axioms.csv": (("trial", "check", "residual"), rows)}
 
 
-def _run_eval(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_eval(cfg: ExperimentConfig) -> _Tables:
     ambiguity = cfg.ambiguity_set
     ambiguity.require_mean_certain("eval")
     n, p = cfg.horizon, cfg.p
     psi = lambda s: np.abs(s / n) ** p
     upper = float(sum_functional_series(ambiguity, n, psi, centered=True)[-1])
     lower = float(sum_functional_series(ambiguity, n, psi, centered=True, maximize=False)[-1])
-    rows = [("upper", upper), ("lower", lower)]
-    _write_csv(out / "eval.csv", ("quantity", "value"), rows)
     if lower > upper + ATOL:
         raise CheckError(f"lower expectation {lower} exceeds upper {upper}")
-    return ["eval.csv"]
+    return {"eval.csv": (("quantity", "value"), [("upper", upper), ("lower", lower)])}
 
 
-def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_capacity(cfg: ExperimentConfig) -> _Tables:
     ambiguity = cfg.ambiguity_set
     mu = ambiguity.require_mean_certain("capacity")
     n = cfg.horizon
@@ -304,8 +305,7 @@ def _run_capacity(cfg: ExperimentConfig, out: Path) -> list[str]:
         if lower > upper + ATOL:
             raise CheckError(f"lower capacity {lower} exceeds upper {upper} at eps={eps}")
         rows.append((eps, upper, lower))
-    _write_csv(out / "capacity.csv", ("epsilon", "V", "v"), rows)
-    return ["capacity.csv"]
+    return {"capacity.csv": (("epsilon", "V", "v"), rows)}
 
 
 _GHEAT_BATTERY: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = (
@@ -317,15 +317,14 @@ _GHEAT_BATTERY: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = (
 )
 
 
-def _run_gheat(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_gheat(cfg: ExperimentConfig) -> _Tables:
     names, payoffs = zip(*_GHEAT_BATTERY)
     results = _g_expectations(payoffs, cfg.gnormal_params(), cfg.heat_grid())
     rows = [(name, r.value, r.residual_estimate) for name, r in zip(names, results)]
-    _write_csv(out / "gheat.csv", ("payoff", "value", "residual"), rows)
-    return ["gheat.csv"]
+    return {"gheat.csv": (("payoff", "value", "residual"), rows)}
 
 
-def _run_clt(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_clt(cfg: ExperimentConfig) -> _Tables:
     ambiguity = cfg.ambiguity_set
     ambiguity.require_mean_certain("clt")
     params = cfg.gnormal_params()
@@ -341,33 +340,30 @@ def _run_clt(cfg: ExperimentConfig, out: Path) -> list[str]:
         gap = abs(scaled - limit)
         rows.append((n, scaled, limit, gap))
         gaps.append(gap)
-    _write_csv(out / "clt.csv", ("n", "scaled_moment", "limit_moment", "gap"), rows)
     slack = 2.0 * residual  # 0 where c_p is in closed form
     for earlier, later in zip(gaps, gaps[1:]):
         if later > earlier + slack:
             raise CheckError(f"CLT gap grew from {earlier} to {later} beyond the slack {slack}")
-    return ["clt.csv"]
+    return {"clt.csv": (("n", "scaled_moment", "limit_moment", "gap"), rows)}
 
 
-def _write_series(path: Path, report: lln.SeriesReport) -> None:
+def _series_table(report: lln.SeriesReport) -> _Table:
     columns = (report.n_values, report.terms, report.partial_sums, report.reference)
     header = ("n", "term", "partial_sum", "reference", "clt_gap")
-    _write_csv(path, header, list(zip(*columns, report.clt_gaps)))
+    return header, list(zip(*columns, report.clt_gaps))
 
 
-def _run_lln_series(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_lln_series(cfg: ExperimentConfig) -> _Tables:
     report = lln.slp_series(cfg.ambiguity_set, cfg.p, cfg.horizon, grid=cfg.heat_grid())
     verdict = lln.dichotomy_diagnosis(report)
-    _write_series(out / "lln_series.csv", report)
-    _write_csv(
-        out / "verdict.csv",
-        ("p", "regime", "burn_in"),
-        [(cfg.p, verdict.regime, -1 if verdict.burn_in is None else verdict.burn_in)],
-    )
-    return ["lln_series.csv", "verdict.csv"]
+    burn_in = -1 if verdict.burn_in is None else verdict.burn_in
+    return {
+        "lln_series.csv": _series_table(report),
+        "verdict.csv": (("p", "regime", "burn_in"), [(cfg.p, verdict.regime, burn_in)]),
+    }
 
 
-def _run_mz(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_mz(cfg: ExperimentConfig) -> _Tables:
     if cfg.horizon < 2:
         raise ParameterError(f"N: mz-check needs N >= 2, got {cfg.horizon}")
     n_list = list(range(2, min(12, cfg.horizon) + 1))
@@ -375,51 +371,40 @@ def _run_mz(cfg: ExperimentConfig, out: Path) -> list[str]:
     rows = list(
         zip(report.n_values, report.lhs, report.rhs_core, report.mean_terms, report.ratios)
     )
-    _write_csv(out / "mz_check.csv", ("n", "lhs", "rhs_core", "mean_term", "ratio"), rows)
     slope = lln.mz_trend_slope(report)
-    _write_csv(
-        out / "mz_summary.csv",
-        ("quantity", "value"),
-        [("running_max_ratio", report.running_max[-1]), ("trend_slope", slope)],
-    )
-    return ["mz_check.csv", "mz_summary.csv"]
+    return {
+        "mz_check.csv": (("n", "lhs", "rhs_core", "mean_term", "ratio"), rows),
+        "mz_summary.csv": (
+            ("quantity", "value"),
+            [("running_max_ratio", report.running_max[-1]), ("trend_slope", slope)],
+        ),
+    }
 
 
-def _run_corollary(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_corollary(cfg: ExperimentConfig) -> _Tables:
     report = lln.corollary_series(
         cfg.ambiguity_set, cfg.p, cfg.beta, cfg.horizon, grid=cfg.heat_grid()
     )
-    _write_series(out / "corollary.csv", report)
     lln._check_tail(report, "weighted series")
-    return ["corollary.csv"]
+    return {"corollary.csv": _series_table(report)}
 
 
-def _run_cc(cfg: ExperimentConfig, out: Path) -> list[str]:
-    outputs = []
+def _run_cc(cfg: ExperimentConfig) -> _Tables:
+    tables: _Tables = {}
     for i, eps in enumerate(cfg.epsilons):
         report = lln.cc_series(cfg.ambiguity_set, eps, cfg.alpha, cfg.horizon)
-        name = f"cc_series_{i}.csv"
-        _write_csv(
-            out / name,
-            ("n", "capacity", "markov_bound"),
-            list(zip(report.n_values, report.terms, report.reference)),
-        )
         lln._check_tail(report, f"capacity series at eps={eps}")
-        outputs.append(name)
-    return outputs
+        rows = list(zip(report.n_values, report.terms, report.reference))
+        tables[f"cc_series_{i}.csv"] = (("n", "capacity", "markov_bound"), rows)
+    return tables
 
 
-def _run_subadd(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_subadd(cfg: ExperimentConfig) -> _Tables:
     lhs, rhs, margin = lln.subadditive_series_check(cfg.ambiguity_set, cfg.beta, cfg.horizon)
-    _write_csv(
-        out / "subadd.csv",
-        ("quantity", "value"),
-        [("lhs", lhs), ("rhs", rhs), ("margin", margin)],
-    )
-    return ["subadd.csv"]
+    return {"subadd.csv": (("quantity", "value"), [("lhs", lhs), ("rhs", rhs), ("margin", margin)])}
 
 
-def _run_sqs(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_sqs(cfg: ExperimentConfig) -> _Tables:
     summary = lln.sqs_empirical(
         cfg.ambiguity_set, cfg.beta, cfg.horizon, cfg.n_paths, cfg.seed
     )
@@ -427,21 +412,13 @@ def _run_sqs(cfg: ExperimentConfig, out: Path) -> list[str]:
         (s.label, s.exact, s.mean, s.stderr, s.minimum, s.q25, s.median, s.q75, s.maximum)
         for s in summary.policies
     ]
-    _write_csv(
-        out / "sqs.csv",
-        ("policy", "exact", "mean", "stderr", "min", "q25", "median", "q75", "max"),
-        rows,
-    )
-    _write_csv(
-        out / "sqs_bound.csv",
-        ("quantity", "value"),
-        [
-            ("dp_upper", summary.dp_value),
-            ("max_policy_mean", summary.max_policy_mean),
-            ("max_path_value", summary.max_path_value),
-        ],
-    )
-    return ["sqs.csv", "sqs_bound.csv"]
+    bound = [
+        ("dp_upper", summary.dp_value),
+        ("max_policy_mean", summary.max_policy_mean),
+        ("max_path_value", summary.max_path_value),
+    ]
+    header = ("policy", "exact", "mean", "stderr", "min", "q25", "median", "q75", "max")
+    return {"sqs.csv": (header, rows), "sqs_bound.csv": (("quantity", "value"), bound)}
 
 
 _RUNNERS = {
@@ -461,18 +438,21 @@ SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run(subcommand: str, cfg: ExperimentConfig, out_dir: str | Path) -> RunManifest:
-    """Execute one subcommand, writing its CSV artifacts and manifest."""
+    """Execute one subcommand, writing its CSV artifacts and manifest once
+    every check has passed: a run that raises writes nothing."""
     if subcommand not in _RUNNERS:
         raise ParameterError(f"unknown subcommand {subcommand!r}")
+    tables = _RUNNERS[subcommand](cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _RUNNERS[subcommand](cfg, out)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
     manifest = RunManifest(
         subcommand=subcommand,
         config=config_to_dict(cfg),
         seed=cfg.seed,
         out_dir=str(out_dir),
-        outputs=tuple(outputs),
+        outputs=tuple(tables),
         tolerances=dict(TOLERANCES),
     )
     (out / "manifest.json").write_text(manifest.to_json())

@@ -6,22 +6,22 @@ maximization over per-step measure choices from the ambiguity set,
 
     V_n(s) = phi(s),   V_k(s) = max_theta sum_j theta_j V_{k+1}(s + atom_j),
 
-evaluated on the lattice of reachable partial sums, one of two.  The dense
-integer lattice serves commensurable offsets (decimals whose differences
-are integer multiples of one unit, as on the canonical grid) while its
-nodes do not outnumber the multisets of draws: a node is an index, its
-value the correctly rounded exact sum, and successors are slices.  All
-other offsets run on the composition lattice: a node is a multiset of
-draws, ranked in the combinatorial number system, with closed-form
-successor ranks computed once and sliced per level; it needs no sort, no
-tolerance and no per-step maps.  On commensurable offsets it counts the
-integer shifts and values a node as the dense lattice would.  Functionals
-of the running maximum run on one chain of merged (sum, running max)
-pairs.  Every lattice, with the arrays its sweep holds, stays under a
-memory budget.  A brute-force enumerator over *all* history-dependent
-measure assignments provides an independent oracle for this recursion at
-small sizes, and an argmax policy extracted from the recursion drives
-adversarial path sampling.
+evaluated on a lattice of partial sums, one of two, whose every node is a
+state.  The dense integer lattice serves commensurable offsets (decimals
+whose differences are integer multiples of one unit, as on the canonical
+grid) while its nodes do not outnumber the multisets of draws: a node is
+an index, its value the correctly rounded exact sum, and successors are
+slices.  All other offsets run on the composition lattice: a node is a
+multiset of draws, ranked in the combinatorial number system, with
+closed-form successor ranks computed once and sliced per level; it needs
+no sort, no tolerance and no per-step maps.  On commensurable offsets it
+counts the integer shifts and values a node as the dense lattice would.
+Functionals of the running maximum run on one chain of merged (sum,
+running max) pairs.  Every lattice, with the arrays its sweep holds, stays
+under a memory budget.  A brute-force enumerator over *all*
+history-dependent measure assignments provides an independent oracle for
+this recursion at small sizes, and an argmax policy extracted from the
+recursion drives adversarial path sampling.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ from .errors import CapacityError, ParameterError
 #: ``sum_lattice`` reports states closer than this as one.
 MERGE_TOL = 1e-9
 
-#: Bytes one lattice may hold: the reachability masks of a gapped integer
-#: lattice, the widest level of a dense one with its successors, the ranks,
-#: values and successor ranks of a composition lattice with the temporaries
-#: that build them, or the maxima and transition maps of the pair chain with
-#: the temporaries of its widest merge; each with the arrays a sweep of it
-#: holds (``_sweep_bytes``).  Also a selection policy's picks (a byte per
-#: reachable state for up to 256 measures) with that lattice and sweep.
+#: Bytes one lattice may hold: the widest level of a dense integer lattice
+#: with its successors, the ranks, values and successor ranks of a
+#: composition lattice with the temporaries that build them, or the maxima
+#: and transition maps of the pair chain with the temporaries of its widest
+#: merge; each with the arrays a sweep of it holds (``_sweep_bytes``).  Also
+#: a selection policy's picks (a byte per node for up to 256 measures) with
+#: that lattice and sweep.
 CHAIN_BUDGET_BYTES = 512 * 2**20
 
 #: Working arrays of a sweep step, in words per node of the widest level,
@@ -87,42 +87,15 @@ class SumLattice:
 
 class _Lattice:
     """Levels of nodes a recursion sweeps: level k holds the states after k
-    steps, and ``successors(k, V)`` gives, per move, the values ``V`` holds on
-    level k+1 at the successors of the nodes of level k; ``gathered()`` of
-    those are new arrays, the others views."""
-
-    def reach(self, k: int) -> np.ndarray | None:
-        """Which nodes of level k are reachable; None when all of them are."""
-        return None
-
-    def states(self, k: int) -> np.ndarray:
-        """The values of the reachable nodes of level k, in node order: sums
-        on a sum lattice, running maxima on the pair chain."""
-        return self.reachable(k, self.nodes(k))
+    steps, one per node, and ``successors(k, V)`` gives, per move, the values
+    ``V`` holds on level k+1 at the successors of the nodes of level k;
+    ``gathered()`` of those are new arrays, the others views.  ``states(k)``
+    are the values of the nodes of level k, in node order: sums on a sum
+    lattice, running maxima on the pair chain."""
 
     def size(self, k: int) -> int:
         """The number of nodes of level k."""
-        return self.nodes(k).size
-
-    def count(self, k: int) -> int:
-        """The number of reachable states of level k."""
-        mask = self.reach(k)
-        return self.size(k) if mask is None else int(np.count_nonzero(mask))
-
-    def on_nodes(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Values given on the reachable nodes of level k, in node order, put
-        on all its nodes (0 elsewhere)."""
-        mask = self.reach(k)
-        if mask is None:
-            return values
-        out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
-        out[mask] = values
-        return out
-
-    def reachable(self, k: int, node_values: np.ndarray) -> np.ndarray:
-        """The entries of ``node_values`` at the reachable nodes of level k, in node order."""
-        mask = self.reach(k)
-        return node_values if mask is None else node_values[mask]
+        return self.states(k).size
 
 
 @dataclass(frozen=True)
@@ -164,23 +137,19 @@ class _IntLattice(_Lattice):
     """Dense sums of commensurable offsets.
 
     Node i of level k is the sum ``k*lo + i*unit``, i = 0..k*span, and move j
-    takes node i to node ``i + moves[j]``.  Unreachable nodes (gapped grids)
-    carry values no reachable node ever reads: a successor of a reachable
-    node is reachable.
+    takes node i to node ``i + moves[j]``.  On a gapped grid some nodes hold
+    sums that k draws never reach; they carry values that no reached node
+    reads, since every successor of a reached node is reached.
     """
 
     units: _Units
     moves: np.ndarray
     zero: int  # node shift of the zero offset of an at-most lattice
-    masks: tuple[np.ndarray | None, ...]  # levels before the first full one
 
     def size(self, k: int) -> int:
         return k * self.units.span + 1
 
-    def reach(self, k: int) -> np.ndarray | None:
-        return self.masks[k] if k < len(self.masks) else None
-
-    def nodes(self, k: int) -> np.ndarray:
+    def states(self, k: int) -> np.ndarray:
         return self.units.values(k, np.arange(self.size(k), dtype=float))
 
     def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
@@ -208,7 +177,7 @@ class _MergedLattice(_Lattice):
     levels: list[np.ndarray]
     maps: list[np.ndarray]
 
-    def nodes(self, k: int) -> np.ndarray:
+    def states(self, k: int) -> np.ndarray:
         return self.levels[k]
 
     def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
@@ -246,7 +215,7 @@ class _CompositionLattice(_Lattice):
     def size(self, k: int) -> int:
         return math.comb(k + len(self.succ), len(self.succ))
 
-    def nodes(self, k: int) -> np.ndarray:
+    def states(self, k: int) -> np.ndarray:
         width = self.size(k)
         out = (k - self.grade[:width]) * self.free
         out += self.base[:width]
@@ -272,11 +241,10 @@ class _CompositionLattice(_Lattice):
 class SelectionPolicy:
     """Argmax (argmin, for a lower recursion) certificate: a measure index per node.
 
-    ``choices[k][i]`` is the measure selected at step ``k`` at the i-th
-    reachable node of level k of ``lattice``, in its node order; ties were
+    ``choices[k][i]`` is the measure selected at step ``k`` at node i of
+    level k of ``lattice``, whose ``states(k)`` are their values; ties were
     broken toward the lowest index.  Picks are read-only, a byte each for up
-    to 256 measures.  ``step_states[k]``, the values of those nodes, is
-    derived from the lattice when read (8 bytes per state), not stored.
+    to 256 measures; no states are stored.
     """
 
     lattice: _Lattice
@@ -288,7 +256,7 @@ class SelectionPolicy:
             if not isinstance(p, np.ndarray) or p.flags.writeable:
                 p = np.array(p)
                 p.flags.writeable = False
-            if p.dtype.kind not in "ui" or p.shape != (self.lattice.count(k),):
+            if p.dtype.kind not in "ui" or p.shape != (self.lattice.size(k),):
                 raise ParameterError("choices must pick a measure at every state of their step")
             picks.append(p)
         object.__setattr__(self, "choices", tuple(picks))
@@ -296,19 +264,6 @@ class SelectionPolicy:
     @property
     def horizon(self) -> int:
         return len(self.choices)
-
-    @property
-    def step_states(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.lattice.states(k) for k in range(self.horizon))
-
-    def measure_at(self, step: int, state: float) -> int:
-        """The measure picked at step ``step`` in the state of exactly this value."""
-        if not 0 <= step < self.horizon:
-            raise ParameterError(f"policy defines steps 0..{self.horizon - 1}, got {step}")
-        at = np.flatnonzero(self.lattice.states(step) == float(state))
-        if not at.size:
-            raise ParameterError(f"state {float(state)!r} is not on the step-{step} lattice")
-        return int(self.choices[step][at[0]])
 
 
 def _merge(flat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -365,29 +320,6 @@ def _commensurable(offsets: np.ndarray, tol: float) -> _Units | None:
     return _Units(lo_num // common, unit_num // common, den // common, shifts)
 
 
-def _reach_masks(shifts: np.ndarray, span: int, n: int) -> tuple[np.ndarray | None, ...]:
-    """Reachability of levels 0..n up to the first full level k >= 1.
-
-    Every later level is full too: it contains the previous one moved by the
-    shifts 0 and ``span``, which overlap once a level is wider than ``span``.
-    """
-    masks: list[np.ndarray | None] = [None]
-    reach = np.ones(1, dtype=bool)
-    held = 0
-    for k in range(1, n + 1):
-        held += k * span + 1
-        if held > CHAIN_BUDGET_BYTES:
-            raise _over_budget(f"the reachability of a gapped {n}-step lattice", held, k)
-        nxt = np.zeros(k * span + 1, dtype=bool)
-        for s in set(shifts.tolist()):
-            nxt[s : s + reach.size] |= reach
-        if nxt.all():
-            break
-        masks.append(nxt)
-        reach = nxt
-    return tuple(masks)
-
-
 def _dense_lattice(
     units: _Units, n: int, at_most: bool = False, measures: int = 0
 ) -> _IntLattice:
@@ -400,10 +332,9 @@ def _dense_lattice(
     held = width * 8 * (1 + shifts.size) + _sweep_bytes(width, measures, 0)
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the widest level of a dense {n}-step lattice", held, n)
-    masks = _reach_masks(shifts, span, n)
     if at_most:
-        return _IntLattice(units, shifts[1:], int(shifts[0]), masks)
-    return _IntLattice(units, shifts, 0, masks)
+        return _IntLattice(units, shifts[1:], int(shifts[0]))
+    return _IntLattice(units, shifts, 0)
 
 
 def _binomial(x: np.ndarray, m: int) -> np.ndarray:
@@ -511,7 +442,23 @@ def sum_lattice(ambiguity: AmbiguitySet, step: int) -> SumLattice:
     states closer than ``MERGE_TOL`` are reported as one, the lowest."""
     if step < 0:
         raise ParameterError(f"step must be >= 0, got {step}")
-    states, _ = _merge(_lattice(ambiguity.grid.array, step).states(step), MERGE_TOL)
+    lattice = _lattice(ambiguity.grid.array, step)
+    states = lattice.states(step)
+    if isinstance(lattice, _IntLattice):
+        # the nodes k draws reach, one level at a time; once a level k >= 1
+        # is full, so is every later one: it holds the previous one moved by
+        # the shifts 0 and span, which overlap
+        reach = np.ones(1, dtype=bool)
+        for k in range(1, step + 1):
+            nxt = np.zeros(lattice.size(k), dtype=bool)
+            for s in set(lattice.moves.tolist()):
+                nxt[s : s + reach.size] |= reach
+            reach = nxt
+            if reach.all():
+                break
+        else:
+            states = states[reach]
+    states, _ = _merge(states, MERGE_TOL)
     return SumLattice(step, tuple(states.tolist()))
 
 
@@ -578,13 +525,13 @@ def _chain_dp(
     replay: SelectionPolicy | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
     """The n-step recursion on ``lattice`` from ``terminal``, the values on the
-    reachable states of level n; ``stage(k)``, values on the reachable states
-    of level k, is added at every level k = 1..n.
+    states of level n; ``stage(k)``, values on the states of level k, is
+    added at every level k = 1..n.
 
     With a ``replay`` policy built on this lattice object, returns that
     policy's exact expected value (policy evaluation) instead of the optimum.
-    A policy keeps one pick (a byte for up to 256 measures) per reachable
-    node of levels 0..n-1 and no states; with the lattice and its sweep past
+    A policy keeps one pick (a byte for up to 256 measures) per node of
+    levels 0..n-1 and no states; with the lattice and its sweep past
     ``CHAIN_BUDGET_BYTES``, it raises CapacityError before the sweep.
     """
     if n < 1:
@@ -592,7 +539,7 @@ def _chain_dp(
     if want_policy:
         # the policy fills up while the lattice and the sweep's arrays are held
         per_state = np.min_scalar_type(len(ambiguity.weight_matrix) - 1).itemsize
-        held = per_state * sum(lattice.count(k) for k in range(n)) + _held(lattice)
+        held = per_state * sum(lattice.size(k) for k in range(n)) + _held(lattice)
         held += _sweep_bytes(lattice.size(n), len(ambiguity.weight_matrix), lattice.gathered())
         if held > CHAIN_BUDGET_BYTES:
             raise _over_budget(f"the selection policy of {n} steps", held, n - 1)
@@ -600,19 +547,19 @@ def _chain_dp(
     if replay is not None:
         if replay.horizon != n or replay.lattice is not lattice:
             raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
-        fixed = lambda k: lattice.on_nodes(k, replay.choices[k])
-    values = lattice.on_nodes(n, terminal)
+        fixed = lambda k: replay.choices[k]
+    values = terminal
     add_stage = None
     if stage is not None:
-        add_stage = lambda k, v: v + lattice.on_nodes(k, stage(k))
+        add_stage = lambda k, v: v + stage(k)
         values = add_stage(n, values)
     choices: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * n
     for k, values, picks in _sweep(
         ambiguity.weight_matrix, lattice, n, values, maximize, add_stage, fixed, want_policy
     ):
         if want_policy:
-            choices[k] = lattice.reachable(k, picks)
-            choices[k].flags.writeable = False
+            picks.flags.writeable = False
+            choices[k] = picks
     policy = SelectionPolicy(lattice, tuple(choices)) if want_policy else None
     return float(values[0]), policy
 
@@ -625,7 +572,7 @@ def _horizons_dp(
 ) -> np.ndarray:
     """Upper expectations for several horizons from one sweep of ``lattice``.
 
-    ``terminal(n)`` gives the payoff on the reachable states of level n; for
+    ``terminal(n)`` gives the payoff on the states of level n; for
     each n of the increasing ``horizons`` a column starts from it at level n,
     and level 0 holds every column's value, returned in horizon order.
     Before the sweep, the arrays of ``lattice`` and a sweep of its level
@@ -650,10 +597,10 @@ def _horizons_dp(
     if held > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
     starts = set(horizons)
-    values = lattice.on_nodes(top, terminal(top))[:, None]
+    values = terminal(top)[:, None]
 
     def start(k: int, v: np.ndarray) -> np.ndarray:
-        return np.column_stack([v, lattice.on_nodes(k, terminal(k))]) if k in starts else v
+        return np.column_stack([v, terminal(k)]) if k in starts else v
 
     for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, stage=start):
         pass
@@ -703,8 +650,8 @@ def _additive_dp(
     replay: SelectionPolicy | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
     """The recursion of ``sum_{k=1..n} g_k(S_k)`` on the grid's ``lattice``, with
-    ``stage(k)`` the values of g_k on the reachable states of level k."""
-    zero = np.zeros(lattice.count(n))
+    ``stage(k)`` the values of g_k on the states of level k."""
+    zero = np.zeros(lattice.size(n))
     return _chain_dp(
         ambiguity, lattice, n, zero, stage=stage, want_policy=want_policy, replay=replay
     )
@@ -905,14 +852,17 @@ def _sample_steps(
         raise ParameterError(f"policy covers {policy.horizon} steps, {n} were requested")
     lattice = policy.lattice
     atoms = ambiguity.grid.array
-    first = lattice.states(1)  # the atoms, on the lattice of this grid
-    if first.shape != atoms.shape or not np.allclose(first, atoms, 0.0, MERGE_TOL):
+    moves = np.arange(atoms.size)
+    # on the lattice of this grid, move j takes the origin to the node of atom j
+    if len(lattice.moves) != atoms.size or not np.allclose(
+        lattice.states(1)[lattice.step(0, np.zeros_like(moves), moves)], atoms, 0.0, MERGE_TOL
+    ):
         raise ParameterError("the policy is not built on the lattice of this grid")
     cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
     node = np.zeros(n_paths, dtype=np.intp)
     s = np.zeros(n_paths)
     for k in range(n):
-        picks = lattice.on_nodes(k, policy.choices[k])[node]
+        picks = policy.choices[k][node]
         u = rng.random(n_paths)
         j = np.minimum(sum(column[picks] <= u for column in cumw.T), atoms.size - 1)
         x = atoms[j]
@@ -945,7 +895,7 @@ def sum_functional_series(
 
     # level j holds every sum of at most j offsets, so the origin stays on it
     lattice = _lattice(offsets, horizon, at_most=True, measures=len(ambiguity.weight_matrix))
-    values = lattice.on_nodes(horizon, _on_states(psi, lattice.states(horizon), "psi"))
+    values = _on_states(psi, lattice.states(horizon), "psi")
     out = np.empty(horizon)
     for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
         out[horizon - 1 - k] = values[lattice.origin(k)]

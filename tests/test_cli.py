@@ -217,6 +217,18 @@ class TestExitCodes:
         if expected == 2:
             assert f"horizon N = {horizon} has 2 points" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "subcommand, horizon, expected",
+        [("corollary", 4, 2), ("cc-series", 5, 1), ("mz-check", 1, 2)],
+    )
+    def test_a_run_that_exits_nonzero_writes_nothing(
+        self, config_path, tmp_path, capsys, subcommand, horizon, expected
+    ):
+        out = tmp_path / "o"
+        args = [subcommand, "--config", str(config_path), "--out", str(out), "--override", f"N={horizon}"]
+        assert main(args) == expected
+        assert not out.exists()
+
     def test_sqs_with_one_path_is_config_error(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = main(["sqs", "--config", str(config_path), "--out", out, "--override", "n_paths=1"])

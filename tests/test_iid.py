@@ -54,9 +54,9 @@ class TestSumFunctional:
     def test_policy_covers_every_step(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 4, lambda s: abs(s))
         assert policy.horizon == 4
-        for step, states in enumerate(policy.step_states):
-            for s in states:
-                assert 0 <= policy.measure_at(step, s) < len(theta_star.weight_matrix)
+        for step, picks in enumerate(policy.choices):
+            assert picks.shape == policy.lattice.states(step).shape
+            assert (picks < len(theta_star.weight_matrix)).all()
 
     def test_tie_breaks_to_lowest_index(self, theta_star):
         doubled = sx.AmbiguitySet(theta_star.grid, np.vstack([theta_star.weight_matrix] * 2))
@@ -416,13 +416,14 @@ class TestSamplePath:
     def test_batch_of_one_matches_stepwise_reference(self, theta_star):
         def reference(ambiguity, policy, n, seed):
             # one path, one measure lookup and one draw per step; the lookup
-            # takes the state's lattice value, the exact sum correctly rounded
+            # finds the state's lattice value, the exact sum correctly rounded
             rng = np.random.default_rng(seed)
             atoms = ambiguity.grid.array
             cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
             increments, sums, s, exact = [], [], 0.0, Fraction(0)
             for k in range(n):
-                row = cumw[policy.measure_at(k, float(exact))]
+                at = np.flatnonzero(policy.lattice.states(k) == float(exact))
+                row = cumw[policy.choices[k][at[0]]]
                 j = min(int(np.searchsorted(row, rng.random(), side="right")), atoms.size - 1)
                 s += atoms[j]
                 exact += Fraction(repr(float(atoms[j])))
@@ -543,8 +544,10 @@ class TestIndexPolicies:
         assert kinds == {
             "dense": "dense", "gapped": "dense", "float": "float", "composition": "composition"
         }
-        gapped = _lattice(np.asarray(POLICY_GRIDS["gapped"]), 6)
-        assert all(gapped.reach(k) is not None for k in range(1, 7))
+        # the gapped lattice holds nodes of sums that no k draws reach
+        family = two_measures(POLICY_GRIDS["gapped"])
+        gapped = _lattice(family.grid.array, 6)
+        assert all(gapped.size(k) > len(sx.sum_lattice(family, k).states) for k in range(1, 7))
 
     def test_choices_must_cover_their_level(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 3, abs)
@@ -563,23 +566,6 @@ class TestIndexPolicies:
                 for (x, s), (x_ref, s_ref) in itertools.zip_longest(steps, reference):
                     np.testing.assert_array_equal(x, x_ref)
                     np.testing.assert_array_equal(s, s_ref)
-
-    @pytest.mark.parametrize("kind", list(POLICY_GRIDS))
-    def test_measure_at_round_trips_every_reachable_state(self, kind):
-        for n in range(1, 7):
-            _, policies = grid_policies(POLICY_GRIDS[kind], n)
-            for policy in policies:
-                for k, states in enumerate(policy.step_states):
-                    assert states.size == policy.lattice.count(k)
-                    picks = [policy.measure_at(k, s) for s in states]
-                    assert picks == policy.choices[k].tolist()
-
-    def test_measure_at_is_exact(self, theta_star):
-        _, policy = sx.eval_sum_functional(theta_star, 3, abs)
-        assert policy.measure_at(1, 1.0) in (0, 1)
-        for off in (0.5, 1 + 1e-7):
-            with pytest.raises(sx.ParameterError, match="step-1 lattice"):
-                policy.measure_at(1, off)
 
 
 def test_oracle_frees_its_arrays_on_return(theta_star):
@@ -677,9 +663,22 @@ def representation(atoms, n):
 
 def relocated(policy, target):
     """``policy``'s picks at the states of the policy ``target``, on its lattice,
-    located by value."""
-    at = [np.searchsorted(policy.step_states[k], s) for k, s in enumerate(target.step_states)]
+    located by value among the sorted states of ``policy``."""
+    at = [
+        np.searchsorted(policy.lattice.states(k), target.lattice.states(k))
+        for k in range(target.horizon)
+    ]
     return SelectionPolicy(target.lattice, tuple(c[i] for c, i in zip(policy.choices, at)))
+
+
+def reached_nodes(dense_lattice, other, k):
+    """The nodes of level k of ``dense_lattice`` that hold the distinct sums of
+    level k of ``other``, a lattice of reached sums only; asserts that they
+    hold exactly those values."""
+    reached = np.unique(other.states(k))
+    at = np.searchsorted(dense_lattice.states(k), reached)
+    assert np.array_equal(dense_lattice.states(k)[at], reached)
+    return at
 
 
 def exact_sum(path):
@@ -721,7 +720,7 @@ def float_sets(draw):
 def at_most_series(ambiguity, lattice, horizon, psi, maximize=True):
     """The all-horizon values of ``psi(S_n)`` read at the origin of an at-most
     lattice, as ``sum_functional_series`` reads them."""
-    values = lattice.on_nodes(horizon, psi(lattice.states(horizon)))
+    values = psi(lattice.states(horizon))
     out = np.empty(horizon)
     for k, values, _ in iid._sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
         out[horizon - 1 - k] = values[lattice.origin(k)]
@@ -758,22 +757,25 @@ class TestIndexLattice:
     def test_representation_follows_the_node_counts(self, atoms, n, kind):
         assert representation(atoms, n) == kind
 
-    def test_gapped_grid_exposes_reachable_states_only(self):
+    def test_gapped_grid_holds_every_node(self):
         gapped = dense([0.0, 0.5, 1.5], 3)
         assert gapped.units.unit_num / gapped.units.den == 0.5
-        assert gapped.states(2).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+        # 2.5 is a node, but no two draws sum to it
+        assert gapped.states(2).tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         for k in range(4):
-            assert np.array_equal(gapped.states(k), merged([0.0, 0.5, 1.5], 3).states(k))
-            assert np.array_equal(gapped.states(k), np.unique(sparse([0.0, 0.5, 1.5], 3).states(k)))
+            at = reached_nodes(gapped, sparse([0.0, 0.5, 1.5], 3), k)
+            assert np.array_equal(gapped.states(k)[at], merged([0.0, 0.5, 1.5], 3).states(k))
+        assert merged([0.0, 0.5, 1.5], 3).states(3).size < gapped.size(3)
         # 0 + 0 + 1.5 and 0.5 + 0.5 + 0.5 are two nodes of one sum
-        assert sparse([0.0, 0.5, 1.5], 3).states(3).size == gapped.states(3).size + 1
+        distinct = merged([0.0, 0.5, 1.5], 3).states(3).size
+        assert sparse([0.0, 0.5, 1.5], 3).states(3).size == distinct + 1
 
     def test_lattice_values_are_the_written_decimals(self):
         # 4*(-0.3) + 19*0.1 rounds to 0.7000000000000002; the node is 0.7
-        reached = (0, 4, 5, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20)
+        reached = [0, 4, 5, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20]
         written = [float(Fraction(i - 12, 10)) for i in reached]
-        for lattice in (dense((-0.3, 0.1, 0.2), 4), sparse((-0.3, 0.1, 0.2), 4)):
-            assert lattice.states(4).tolist() == written
+        assert dense((-0.3, 0.1, 0.2), 4).states(4)[reached].tolist() == written
+        assert sparse((-0.3, 0.1, 0.2), 4).states(4).tolist() == written
 
     @pytest.mark.parametrize("build", [dense, sparse])
     def test_threshold_at_a_lattice_value_matches_oracle(self, build):
@@ -804,10 +806,10 @@ class TestIndexLattice:
         assert isinstance(lattices[0], _IntLattice)
         dyadic = (units_of(atoms).den & (units_of(atoms).den - 1)) == 0
         for k in range(n + 1):
-            states = [lattice.states(k) for lattice in lattices]
-            assert np.array_equal(states[0], np.unique(states[1]))
-            assert np.allclose(states[0], states[2], rtol=0.0, atol=1e-12)
-            assert np.array_equal(states[0], states[2]) or not dyadic
+            # the composition lattice's distinct sums are the reached ones
+            reached = lattices[0].states(k)[reached_nodes(lattices[0], lattices[1], k)]
+            assert np.allclose(reached, lattices[2].states(k), rtol=0.0, atol=1e-12)
+            assert np.array_equal(reached, lattices[2].states(k)) or not dyadic
         payoff = lambda s: np.abs(s - center) ** 3
         stages = [lambda k, lat=lat: np.cos(lat.states(k) + k) for lat in lattices]
         results = []
@@ -820,11 +822,14 @@ class TestIndexLattice:
         assert v_dense == v_sparse
         assert v_dense == pytest.approx(v_float, rel=1e-12, abs=1e-300)
         for k in range(n):
-            # nodes of one sum on the composition lattice: equal values, equal picks
-            at = np.searchsorted(p_dense.step_states[k], p_sparse.step_states[k])
-            assert np.array_equal(p_dense.step_states[k][at], p_sparse.step_states[k])
+            # the reached nodes, and the nodes of one sum on the composition
+            # lattice: equal values, equal picks
+            at = np.searchsorted(lattices[0].states(k), lattices[1].states(k))
+            assert np.array_equal(lattices[0].states(k)[at], lattices[1].states(k))
             assert np.array_equal(p_dense.choices[k][at], p_sparse.choices[k])
-            assert np.array_equal(p_dense.choices[k], p_float.choices[k]) or not dyadic
+            # the float merge lists the distinct sums in order
+            at = reached_nodes(lattices[0], lattices[1], k)
+            assert np.array_equal(p_dense.choices[k][at], p_float.choices[k]) or not dyadic
         # the dense policy, located by value, replays to its value on the others
         others = zip(lattices[1:] if dyadic else lattices[1:2], stages[1:], (p_sparse, p_float))
         for lattice, stage, target in others:
@@ -893,8 +898,7 @@ class TestIndexLattice:
 
     def test_sparse_commensurable_grid_runs_on_compositions(self):
         # (0, 1, 2000): the dense levels hold 2000k + 1 nodes, the composition
-        # levels C(k + 2, 2); reference: the dense lattice, without its
-        # reachability masks, whose unreachable nodes no reachable one reads
+        # levels C(k + 2, 2); reference: the dense lattice
         family = two_measures((0.0, 1.0, 2000.0))
         n = 400
         event = lambda s: s >= 380_000  # 190 draws of 2000
@@ -906,17 +910,18 @@ class TestIndexLattice:
             tracemalloc.stop()
         assert representation(family.grid.array, n) == "composition"
         assert peak < 32 * 2**20
-        units = units_of(family.grid.array)
-        full = _IntLattice(units, np.array(units.shifts), 0, (None,))
+        full = dense(family.grid.array, n)
         terminal = (full.states(n) >= 380_000).astype(float)
         reference, _ = _chain_dp(family, full, n, terminal)
         assert 0.0 < value < 1.0
         assert value == pytest.approx(reference, rel=0.0, abs=1e-12)
 
-    def test_series_memory_is_linear(self, theta_star):
+    @pytest.mark.parametrize("atoms", [None, (0.0, 0.5, 1.5)], ids=["canonical", "gapped"])
+    def test_series_memory_is_linear(self, theta_star, atoms):
+        family = theta_star if atoms is None else two_measures(atoms)
         tracemalloc.start()
         try:
-            series = sx.sum_functional_series(theta_star, 4000, lambda s: np.abs(s) ** 3)
+            series = sx.sum_functional_series(family, 4000, lambda s: np.abs(s) ** 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -951,7 +956,7 @@ class TestCompositionLattice:
             states = lattice.states(n)
             terminal.append(_chain_dp(ambiguity, lattice, n, psi(states), maximize)[0])
             stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
-            zero = np.zeros(lattice.count(n))
+            zero = np.zeros(lattice.size(n))
             additive.append(_chain_dp(ambiguity, lattice, n, zero, maximize, stage)[0])
         assert terminal[0] == pytest.approx(terminal[1], rel=1e-12, abs=1e-300)
         assert additive[0] == pytest.approx(additive[1], rel=1e-12, abs=1e-12)
@@ -974,7 +979,7 @@ class TestCompositionLattice:
         atoms = ambiguity.grid.array
         lattices = _composition_lattice(atoms, n), dense(atoms, n)
         for k in range(n + 1):
-            assert np.array_equal(np.unique(lattices[0].states(k)), lattices[1].states(k))
+            reached_nodes(lattices[1], lattices[0], k)
         payoff = lambda s: np.abs(s - center) ** 3
         results = []
         for lattice in lattices:
@@ -986,8 +991,8 @@ class TestCompositionLattice:
         (v_comp, p_comp), (v_int, p_int) = results
         assert v_comp == v_int
         for k in range(n):
-            at = np.searchsorted(p_int.step_states[k], p_comp.step_states[k])
-            assert np.array_equal(p_int.step_states[k][at], p_comp.step_states[k])
+            at = np.searchsorted(lattices[1].states(k), lattices[0].states(k))
+            assert np.array_equal(lattices[1].states(k)[at], lattices[0].states(k))
             assert np.array_equal(p_int.choices[k][at], p_comp.choices[k])
         grown = np.concatenate([np.zeros(1), atoms])
         psi = lambda s: np.abs(s - center) ** 3
@@ -1017,8 +1022,8 @@ class TestCompositionLattice:
         suffix = np.stack(_tail_sums(e, n), axis=1)
         tails = suffix - np.concatenate([suffix[:, 1:], np.zeros((len(suffix), 1), int)], axis=1)
         for k in range(n):
-            width = lattice.count(k)
-            here, above = lattice.nodes(k), lattice.nodes(k + 1)
+            width = lattice.size(k)
+            here, above = lattice.states(k), lattice.states(k + 1)
             for a, moved in zip(atoms, lattice.successors(k, above)):
                 assert np.allclose(moved, here + a, rtol=0.0, atol=1e-12 * (k + 1))
             for j, ranks in enumerate(lattice.succ):
@@ -1045,8 +1050,15 @@ class TestCompositionLattice:
 
 @pytest.mark.parametrize(
     "atoms",
-    [None, (0.0, 0.5, 1.5), (0.0, 1.0, 2000.0), (-0.7, 0.1, 1.3 * np.sqrt(2.0)), FLOAT_ATOMS],
-    ids=["dense", "gapped-units", "sparse-units", "float-3", "float-5"],
+    [
+        None,
+        (0.0, 0.5, 1.5),
+        (0.0, 1.0, 2000.0),
+        (-0.7, 0.1, 1.3 * np.sqrt(2.0)),
+        FLOAT_ATOMS,
+        (0.5,),
+    ],
+    ids=["dense", "gapped-units", "sparse-units", "float-3", "float-5", "single-atom"],
 )
 def test_sum_lattice_lists_the_fused_sorted_multiset_sums(theta_star, atoms):
     # a lattice lists its states in node order; sum_lattice sorts and fuses
@@ -1084,7 +1096,7 @@ class TestFloatBudget:
         family = sx.AmbiguitySet.from_rows(FLOAT_ATOMS[:4], (np.full(4, 0.25),))
         sx.sum_functional_series(family, 40, lambda s: np.abs(s) ** 3)
 
-    def test_pair_chain_and_masks_keep_a_running_total(self, monkeypatch):
+    def test_pair_chain_keeps_a_running_total(self, monkeypatch):
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**16)
         a, b = np.sqrt(0.5), np.sqrt(0.3)
         weights = (0.25 * b / (a + b), 0.75, 0.25 * a / (a + b))
@@ -1092,9 +1104,12 @@ class TestFloatBudget:
         assert sx.eval_maxabs_functional(irrational, 3, lambda m: m) > 0.0
         with pytest.raises(sx.CapacityError, match="pair lattice"):
             sx.eval_maxabs_functional(irrational, 12, lambda m: m)
+        # a gapped grid's sums are listed within the budget of its widest
+        # dense level, 32 bytes per node: 1201 nodes at step 400, 2101 at 700
         gapped = sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), (np.full(3, 1 / 3),))
-        with pytest.raises(sx.CapacityError, match="reachability"):
-            sx.sum_lattice(gapped, 400)
+        assert len(sx.sum_lattice(gapped, 400).states) == 3 * 400
+        with pytest.raises(sx.CapacityError, match="widest level"):
+            sx.sum_lattice(gapped, 700)
 
     def test_pair_merge_temporaries_are_budgeted(self, monkeypatch):
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 4 * 2**20)
@@ -1304,17 +1319,17 @@ class TestPolicyBudget:
         replayed, _ = _chain_dp(family, lattice, 4, lattice.states(4) ** 2, replay=policy)
         assert replayed == value
 
-    def test_policy_budget_counts_reachable_states(self, monkeypatch):
-        # gapped grid: level k has k*3 + 1 nodes, of which fewer are reachable;
-        # the policy takes a byte per reachable state, beside the lattice (its
-        # masks take a byte per node) and its sweep, and sets the budget with
-        # them: one byte less refuses it
-        n = 40
+    def test_policy_budget_counts_every_node(self, monkeypatch):
+        # gapped grid: level k has k*3 + 1 nodes, of which fewer hold reached
+        # sums; the policy takes a byte per node, beside the lattice and its
+        # sweep, and sets the budget with them: one byte less refuses it (at
+        # n = 100 the picks outweigh the lattice and sweep built without them)
+        n = 100
         gapped = sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), (np.full(3, 1 / 3),))
         lattice = _lattice(gapped.grid.array, n)
         states = sum(lattice.states(k).size for k in range(n))
-        assert states == sum(lattice.count(k) for k in range(n))
-        assert states < sum(lattice.size(k) for k in range(n))
+        assert states == sum(lattice.size(k) for k in range(n))
+        assert states > sum(len(sx.sum_lattice(gapped, k).states) for k in range(n))
         swept = iid._held(lattice) + iid._sweep_bytes(lattice.size(n), 1, lattice.gathered())
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", states + swept)
         _, policy = sx.eval_sum_functional(gapped, n, abs)
