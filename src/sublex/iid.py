@@ -17,11 +17,12 @@ closed-form successor ranks computed once and sliced per level; it needs
 no sort, no tolerance and no per-step maps.  On commensurable offsets it
 counts the integer shifts and values a node as the dense lattice would.
 Functionals of the running maximum run on one chain of merged (sum,
-running max) pairs.  Every lattice, with the arrays its sweep holds, stays
-under a memory budget.  A brute-force enumerator over *all*
-history-dependent measure assignments provides an independent oracle for
-this recursion at small sizes, and an argmax policy extracted from the
-recursion drives adversarial path sampling.
+running max) pairs.  One memory budget admits every sweep before any of
+its levels exists: the lattice's bytes, one sweep step's working arrays over
+its widest level of values and the picks it keeps.  A brute-force
+enumerator over *all* history-dependent measure assignments provides an
+independent oracle for this recursion at small sizes, and an argmax policy
+extracted from the recursion drives adversarial path sampling.
 """
 
 from __future__ import annotations
@@ -42,21 +43,15 @@ from .errors import CapacityError, ParameterError
 #: ``sum_lattice`` reports states closer than this as one.
 MERGE_TOL = 1e-9
 
-#: Bytes one lattice may hold: the widest level of a dense integer lattice
-#: with its successors, the ranks, values and successor ranks of a
-#: composition lattice with the temporaries that build them, or the maxima
-#: and transition maps of the pair chain with the temporaries of its widest
-#: merge; each with the arrays a sweep of it holds (``_sweep_bytes``).  Also
-#: a selection policy's picks (a byte per node for up to 256 measures) with
-#: that lattice and sweep.
+#: Bytes one recursion may hold: its lattice, one sweep step's working arrays
+#: over its widest level of values and the picks it keeps, checked by
+#: ``_admit`` before any level exists.  Building a composition lattice or the
+#: pair chain is checked against it too, for the temporaries that build them.
 CHAIN_BUDGET_BYTES = 512 * 2**20
 
-#: Working arrays of a sweep step, in words per node of the widest level,
-#: beside its candidates and gathered successors: the level above, the
-#: running best and its predecessor, a weighted successor, the picks with
-#: their tie mask, a stage's or terminal's states, its values and the staged
-#: sum; the tenth word is slack, kept so that no budget admission moves.
-_SWEEP_WORDS = 10
+#: Bytes a kept array holds beside its data: the ndarray object (112 bytes
+#: on 64-bit CPython) with its shape and strides, and the slot that keeps it.
+_ARRAY_BYTES = 128
 
 #: Peak bytes per candidate pair of one ``_pair_chain`` step, its outputs
 #: included: ten words and a flag, the sums, maxima, their integer keys,
@@ -91,7 +86,8 @@ class _Lattice:
     ``V`` holds on level k+1 at the successors of the nodes of level k;
     ``gathered()`` of those are new arrays, the others views.  ``states(k)``
     are the values of the nodes of level k, in node order: sums on a sum
-    lattice, running maxima on the pair chain."""
+    lattice, running maxima on the pair chain.  ``nbytes()`` are the bytes of
+    the arrays it keeps, built or not."""
 
     def size(self, k: int) -> int:
         """The number of nodes of level k."""
@@ -111,7 +107,7 @@ class _Units:
     den: int
     shifts: tuple[int, ...]
 
-    @property
+    @cached_property
     def span(self) -> int:
         return max(self.shifts)
 
@@ -159,6 +155,9 @@ class _IntLattice(_Lattice):
     def gathered(self) -> int:
         return 0  # the successors are views
 
+    def nbytes(self) -> int:
+        return self.moves.nbytes
+
     def origin(self, k: int) -> int:
         return k * self.zero
 
@@ -186,6 +185,9 @@ class _MergedLattice(_Lattice):
     def gathered(self) -> int:
         return self.maps[0].shape[1] if self.maps else 0
 
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.levels + self.maps)
+
 
 @dataclass(frozen=True, eq=False)
 class _CompositionLattice(_Lattice):
@@ -202,22 +204,46 @@ class _CompositionLattice(_Lattice):
     lattice has the zero offset as a_0, so its origin is rank 0.  With
     ``units``, the offsets are its integer shifts and a node is valued
     ``units.values(k, index)`` at its index sum, as on the dense lattice;
-    distinct multisets of equal sum stay distinct nodes of equal value.
+    distinct multisets of equal sum stay distinct nodes of equal value.  The
+    grades, base values and successor ranks of levels 0..n are built on
+    first use, so a sweep is admitted before they exist.
     """
 
-    free: float  # a_0
+    atoms: tuple[float, ...]  # a_0..a_e
     moves: tuple[int, ...]  # the offset index of each move, 0 the free one
-    grade: np.ndarray  # |t| by rank, levels 0..n
-    base: np.ndarray  # sum_i t_i a_i by rank, levels 0..n
-    succ: tuple[np.ndarray, ...]  # ranks of t + e_j by rank, levels 0..n-1
+    n: int
     units: _Units | None = None
 
+    grade = property(lambda self: self._ranks[0])  # |t| by rank, levels 0..n
+    base = property(lambda self: self._ranks[1])  # sum_i t_i a_i by rank, levels 0..n
+    succ = property(lambda self: self._ranks[2])  # ranks of t + e_j by rank, levels 0..n-1
+
+    @cached_property
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        e = len(self.atoms) - 1
+        sums = _tail_sums(e, self.n)
+        base = np.zeros(self.size(self.n))
+        for i, a in enumerate(self.atoms[1:]):
+            base += (sums[i] - sums[i + 1] if i + 1 < e else sums[i]) * a
+        width = self.size(self.n - 1)
+        succ = []
+        ranks = np.arange(width)
+        for i in range(e):
+            # rank(t) = sum_i C(g_i + e - i, e - i + 1), so raising g_1..g_j by one
+            # adds sum_{i <= j} C(g_i + e - i, e - i)
+            ranks = ranks + _binomial(sums[i][:width], e - 1 - i)
+            succ.append(ranks)
+        return sums[0], base, tuple(succ)
+
     def size(self, k: int) -> int:
-        return math.comb(k + len(self.succ), len(self.succ))
+        return math.comb(k + len(self.atoms) - 1, len(self.atoms) - 1)
+
+    def nbytes(self) -> int:
+        return 8 * (2 * self.size(self.n) + self.gathered() * self.size(self.n - 1))
 
     def states(self, k: int) -> np.ndarray:
         width = self.size(k)
-        out = (k - self.grade[:width]) * self.free
+        out = (k - self.grade[:width]) * self.atoms[0]
         out += self.base[:width]
         return out if self.units is None else self.units.values(k, out)
 
@@ -227,7 +253,7 @@ class _CompositionLattice(_Lattice):
         return [moved[j] for j in self.moves]
 
     def gathered(self) -> int:
-        return len(self.succ)  # the free move is a view
+        return len(self.atoms) - 1  # the free move is a view
 
     def origin(self, k: int) -> int:
         return 0
@@ -282,26 +308,50 @@ def _merge(flat: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return sv[new], gids
 
 
-def _over_budget(what: str, held: int, step: int) -> CapacityError:
+def _over_budget(what: str, held: int) -> CapacityError:
     return CapacityError(
-        f"{what} would hold {held} bytes by step {step}, "
-        f"past the budget of {CHAIN_BUDGET_BYTES} bytes"
+        f"{what} would hold {held} bytes, past the budget of {CHAIN_BUDGET_BYTES} bytes"
     )
 
 
-def _sweep_bytes(width: int, measures: int, gathered: int, words: int = _SWEEP_WORDS) -> int:
-    """Bytes a sweep of a lattice holds beside it, from the ``width`` of its
-    widest level: a candidate array per measure, ``gathered`` successor or
-    index arrays and ``words`` working arrays (``_SWEEP_WORDS`` unless the
-    caller derives fewer); 0 when ``measures`` is 0, for a lattice that is
-    not swept."""
-    return 8 * width * (measures + gathered + words) if measures else 0
+def _admit(
+    lattice: _Lattice,
+    horizons: Sequence[int],
+    measures: int,
+    staged: bool = False,
+    picks: bool = False,
+    replay: bool = False,
+) -> int:
+    """The bytes a sweep of ``lattice`` holds, a column starting at each of
+    the increasing ``horizons``; past ``CHAIN_BUDGET_BYTES`` CapacityError
+    is raised.  Callers admit a sweep before any of its levels exists.
 
-
-def _held(lattice: _Lattice) -> int:
-    """Bytes of the arrays ``lattice`` keeps."""
-    groups = [v if isinstance(v, (list, tuple)) else [v] for v in vars(lattice).values()]
-    return sum(a.nbytes for group in groups for a in group if isinstance(a, np.ndarray))
+    The bytes are the lattice's own, built or not, and one step's working
+    arrays over the widest level of values (nodes times the columns alive
+    there).  Per value a step holds: a candidate per measure; the gathered
+    successors of its level and of the previous one, which ``_sweep`` holds
+    across its yield; four words, the level above, the running best with its
+    predecessor and a weighted successor; a stacked copy when it starts
+    columns; three words when ``staged``, a stage's states, its values and
+    the staged sum; two words when it derives ``picks``, the picks and their
+    tie mask, or a candidate per measure stacked to ``replay`` a policy.
+    Either keeps a pick per node of levels 0..top-1, an array per level.
+    """
+    top = horizons[-1]
+    sizes = [lattice.size(k) for k in range(top + 1)]
+    alive = len(horizons) - np.searchsorted(horizons, np.arange(top + 1))
+    widest = max(size * columns for size, columns in zip(sizes, alive.tolist()))
+    words = measures + 2 * lattice.gathered() + 4 + (len(horizons) > 1) + 3 * staged
+    held = lattice.nbytes()
+    if picks or replay:
+        words += measures if replay else 2
+        per_node = np.min_scalar_type(measures - 1).itemsize
+        held += per_node * sum(sizes[:top]) + _ARRAY_BYTES * top
+    held += 8 * widest * words
+    if held > CHAIN_BUDGET_BYTES:
+        what = "the selection policy" if picks or replay else "the sweep"
+        raise _over_budget(f"{what} of {top} steps, with its lattice and widest level,", held)
+    return held
 
 
 def _commensurable(offsets: np.ndarray, tol: float) -> _Units | None:
@@ -320,18 +370,11 @@ def _commensurable(offsets: np.ndarray, tol: float) -> _Units | None:
     return _Units(lo_num // common, unit_num // common, den // common, shifts)
 
 
-def _dense_lattice(
-    units: _Units, n: int, at_most: bool = False, measures: int = 0
-) -> _IntLattice:
-    """The dense integer lattice of ``units`` over levels 0..n, budgeted with
-    a sweep over ``measures``; with ``at_most``, shift 0 is the zero offset
-    that keeps shorter sums."""
-    span = units.span
+def _dense_lattice(units: _Units, n: int, at_most: bool = False) -> _IntLattice:
+    """The dense integer lattice of ``units`` over levels 0..n, which
+    allocates no level; with ``at_most``, shift 0 is the zero offset that
+    keeps shorter sums."""
     shifts = np.array(units.shifts, dtype=np.intp)
-    width = n * span + 1
-    held = width * 8 * (1 + shifts.size) + _sweep_bytes(width, measures, 0)
-    if held > CHAIN_BUDGET_BYTES:
-        raise _over_budget(f"the widest level of a dense {n}-step lattice", held, n)
     if at_most:
         return _IntLattice(units, shifts[1:], int(shifts[0]))
     return _IntLattice(units, shifts, 0)
@@ -365,56 +408,32 @@ def _tail_sums(e: int, n: int) -> list[np.ndarray]:
 
 
 def _composition_lattice(
-    offsets: np.ndarray,
-    n: int,
-    at_most: bool = False,
-    measures: int = 0,
-    units: _Units | None = None,
+    offsets: np.ndarray, n: int, at_most: bool = False, units: _Units | None = None
 ) -> _CompositionLattice:
     """Levels 0..n of the k-draw multisets of ``offsets``, at least two of
     them distinct; with ``at_most``, offset 0 is the zero offset that keeps
     shorter sums.  With ``units``, ``offsets`` are its shifts as floats and
     the nodes are valued by it.
 
-    Before anything is allocated, the bytes are projected from the C(n+e, e)
-    nodes of level n: the suffix sums and row indices that build the ranks,
-    or the grades, base values and successor ranks kept with the arrays a
-    sweep over ``measures`` holds; past ``CHAIN_BUDGET_BYTES`` CapacityError
-    is raised.
+    Building the ranks, on first use, holds the suffix sums and row indices
+    of the C(n+e, e) nodes of level n beside what it keeps; past
+    ``CHAIN_BUDGET_BYTES`` CapacityError is raised here, before anything is
+    allocated.
     """
-    atoms: list[float] = []
-    for x in offsets.tolist():
-        if x not in atoms:
-            atoms.append(x)
+    atoms = tuple(dict.fromkeys(offsets.tolist()))  # distinct, in order
     e = len(atoms) - 1
-    size = math.comb(n + e, e)
-    held = 8 * size * (2 + e)
-    projected = max(8 * size * (2 * e + 4), held + _sweep_bytes(size, measures, e))
-    if projected > CHAIN_BUDGET_BYTES:
-        what = f"the composition lattice of {n} steps over {e + 1} offsets"
-        raise _over_budget(what, projected, n)
-    sums = _tail_sums(e, n)
-    base = np.zeros(size)
-    for i, a in enumerate(atoms[1:]):
-        base += (sums[i] - sums[i + 1] if i + 1 < e else sums[i]) * a
-    width = math.comb(n - 1 + e, e)
-    succ = []
-    ranks = np.arange(width)
-    for i in range(e):
-        # rank(t) = sum_i C(g_i + e - i, e - i + 1), so raising g_1..g_j by one
-        # adds sum_{i <= j} C(g_i + e - i, e - i)
-        ranks = ranks + _binomial(sums[i][:width], e - 1 - i)
-        succ.append(ranks)
+    built = 8 * math.comb(n + e, e) * (2 * e + 4)
+    if built > CHAIN_BUDGET_BYTES:
+        raise _over_budget(f"the composition lattice of {n} steps over {e + 1} offsets", built)
     moves = tuple(atoms.index(x) for x in offsets.tolist())
-    moves = moves[1:] if at_most else moves
-    return _CompositionLattice(atoms[0], moves, sums[0], base, tuple(succ), units)
+    return _CompositionLattice(atoms, moves[1:] if at_most else moves, n, units)
 
 
 def _lattice(
-    offsets: np.ndarray, n: int, at_most: bool = False, measures: int = 0
+    offsets: np.ndarray, n: int, at_most: bool = False
 ) -> _IntLattice | _CompositionLattice:
     """Levels 0..n of the k-step sums of ``offsets`` (sums of at most k steps
-    when ``at_most``), budgeted with a sweep over ``measures`` (0: not swept).
+    when ``at_most``).
 
     Commensurable offsets run on the dense integer lattice unless its levels
     would hold more nodes than there are k-draw multisets of the distinct
@@ -428,21 +447,23 @@ def _lattice(
     grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
     units = _commensurable(grown, MERGE_TOL)
     if units is None or n * units.span >= _EXACT_INT:
-        return _composition_lattice(grown, n, at_most, measures)
+        return _composition_lattice(grown, n, at_most)
     distinct = len(set(units.shifts))
     dense = units.span * n * (n + 1) // 2 + n  # nodes on levels 1..n
     if dense <= math.comb(n + distinct, distinct) - 1:  # multisets of 1..n draws
-        return _dense_lattice(units, n, at_most, measures)
+        return _dense_lattice(units, n, at_most)
     shifts = np.array(units.shifts, dtype=float)
-    return _composition_lattice(shifts, n, at_most, measures, units)
+    return _composition_lattice(shifts, n, at_most, units)
 
 
 def sum_lattice(ambiguity: AmbiguitySet, step: int) -> SumLattice:
     """Reachable partial-sum states after ``step`` draws from the grid;
-    states closer than ``MERGE_TOL`` are reported as one, the lowest."""
+    states closer than ``MERGE_TOL`` are reported as one, the lowest.  Its
+    states, reach masks and merge arrays are admitted as a sweep's words."""
     if step < 0:
         raise ParameterError(f"step must be >= 0, got {step}")
     lattice = _lattice(ambiguity.grid.array, step)
+    _admit(lattice, (step,), 0)
     states = lattice.states(step)
     if isinstance(lattice, _IntLattice):
         # the nodes k draws reach, one level at a time; once a level k >= 1
@@ -518,37 +539,32 @@ def _chain_dp(
     ambiguity: AmbiguitySet,
     lattice: _Lattice,
     n: int,
-    terminal: np.ndarray,
+    terminal: Callable[[int], np.ndarray],
     maximize: bool = True,
     stage: Callable[[int], np.ndarray] | None = None,
     want_policy: bool = False,
     replay: SelectionPolicy | None = None,
 ) -> tuple[float, SelectionPolicy | None]:
-    """The n-step recursion on ``lattice`` from ``terminal``, the values on the
-    states of level n; ``stage(k)``, values on the states of level k, is
+    """The n-step recursion on ``lattice`` from ``terminal(n)``, the values on
+    the states of level n; ``stage(k)``, values on the states of level k, is
     added at every level k = 1..n.
 
     With a ``replay`` policy built on this lattice object, returns that
     policy's exact expected value (policy evaluation) instead of the optimum.
     A policy keeps one pick (a byte for up to 256 measures) per node of
-    levels 0..n-1 and no states; with the lattice and its sweep past
-    ``CHAIN_BUDGET_BYTES``, it raises CapacityError before the sweep.
+    levels 0..n-1 and no states.  The sweep is admitted (``_admit``) before
+    the terminal is evaluated.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
-    if want_policy:
-        # the policy fills up while the lattice and the sweep's arrays are held
-        per_state = np.min_scalar_type(len(ambiguity.weight_matrix) - 1).itemsize
-        held = per_state * sum(lattice.size(k) for k in range(n)) + _held(lattice)
-        held += _sweep_bytes(lattice.size(n), len(ambiguity.weight_matrix), lattice.gathered())
-        if held > CHAIN_BUDGET_BYTES:
-            raise _over_budget(f"the selection policy of {n} steps", held, n - 1)
     fixed = None
     if replay is not None:
         if replay.horizon != n or replay.lattice is not lattice:
             raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
         fixed = lambda k: replay.choices[k]
-    values = terminal
+    measures = len(ambiguity.weight_matrix)
+    _admit(lattice, (n,), measures, stage is not None, want_policy, fixed is not None)
+    values = terminal(n)
     add_stage = None
     if stage is not None:
         add_stage = lambda k, v: v + stage(k)
@@ -570,32 +586,17 @@ def _horizons_dp(
     horizons: Sequence[int],
     terminal: Callable[[int], np.ndarray],
 ) -> np.ndarray:
-    """Upper expectations for several horizons from one sweep of ``lattice``.
+    """Upper expectations for several horizons from one sweep of ``lattice``,
+    admitted (``_admit``) before it runs.
 
     ``terminal(n)`` gives the payoff on the states of level n; for
     each n of the increasing ``horizons`` a column starts from it at level n,
     and level 0 holds every column's value, returned in horizon order.
-    Before the sweep, the arrays of ``lattice`` and a sweep of its level
-    with the most values, nodes times the columns alive there, gathering the
-    lattice's successor arrays, are projected; past ``CHAIN_BUDGET_BYTES``
-    CapacityError is raised.
     """
     top = horizons[-1]
     if horizons[0] < 1:
         raise ParameterError(f"horizons must be >= 1, got {horizons[0]}")
-    alive = len(horizons) - np.searchsorted(horizons, np.arange(top + 1))
-    widest = max(lattice.size(k) * int(columns) for k, columns in enumerate(alive))
-    # of the _SWEEP_WORDS, a sweep that derives no picks and adds no stage
-    # cost holds the level above, the running best with its predecessor and
-    # a weighted successor, not the picks, their tie mask, the three stage
-    # arrays or the slack word; starting a column adds the stacked copy of
-    # the values.  A level's successors are gathered while the previous
-    # level's are held
-    words = _SWEEP_WORDS - 2 - 4 + 1
-    gathered = 2 * lattice.gathered()
-    held = _held(lattice) + _sweep_bytes(widest, len(ambiguity.weight_matrix), gathered, words)
-    if held > CHAIN_BUDGET_BYTES:
-        raise _over_budget(f"the sweep of {len(horizons)} horizons", held, top)
+    _admit(lattice, horizons, len(ambiguity.weight_matrix))
     starts = set(horizons)
     values = terminal(top)[:, None]
 
@@ -618,9 +619,9 @@ def eval_sum_functional(
 
     With ``maximize=False``: the lower expectation and its argmin policy.
     """
-    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.weight_matrix))
-    values = _on_states(terminal, lattice.states(n), "terminal")
-    value, policy = _chain_dp(ambiguity, lattice, n, values, maximize, want_policy=True)
+    lattice = _lattice(ambiguity.grid.array, n)
+    payoff = lambda k: _on_states(terminal, lattice.states(k), "terminal")
+    value, policy = _chain_dp(ambiguity, lattice, n, payoff, maximize, want_policy=True)
     assert policy is not None
     return value, policy
 
@@ -635,7 +636,7 @@ def eval_additive_functional(
     costs = list(stage_costs)
     if len(costs) != n:
         raise ParameterError(f"expected {n} stage costs, got {len(costs)}")
-    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.weight_matrix))
+    lattice = _lattice(ambiguity.grid.array, n)
     stage = lambda k: _on_states(costs[k - 1], lattice.states(k), f"stage cost {k}")
     value, _ = _additive_dp(ambiguity, n, lattice, stage)
     return value
@@ -651,7 +652,7 @@ def _additive_dp(
 ) -> tuple[float, SelectionPolicy | None]:
     """The recursion of ``sum_{k=1..n} g_k(S_k)`` on the grid's ``lattice``, with
     ``stage(k)`` the values of g_k on the states of level k."""
-    zero = np.zeros(lattice.size(n))
+    zero = lambda k: np.zeros(lattice.size(k))
     return _chain_dp(
         ambiguity, lattice, n, zero, stage=stage, want_policy=want_policy, replay=replay
     )
@@ -668,9 +669,9 @@ def capacity_sum_event(
 
     With ``maximize=False``: the lower capacity (min-recursion).
     """
-    lattice = _lattice(ambiguity.grid.array, n, measures=len(ambiguity.weight_matrix))
-    values = _on_states(predicate, lattice.states(n), "predicate", bool).astype(float)
-    value, _ = _chain_dp(ambiguity, lattice, n, values, maximize)
+    lattice = _lattice(ambiguity.grid.array, n)
+    event = lambda k: _on_states(predicate, lattice.states(k), "predicate", bool).astype(float)
+    value, _ = _chain_dp(ambiguity, lattice, n, event, maximize)
     return min(1.0, max(0.0, value))
 
 
@@ -692,20 +693,19 @@ def _pair_merge(
 
 
 def _pair_chain(
-    offsets: np.ndarray, n: int, tol: float, measures: int = 0
+    offsets: np.ndarray, n: int, tol: float
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Running maxima per level and per-step maps of the merged (sum, running
     max) pairs, keeping a running byte total of what is stored: a step whose
     merge (``_PAIR_MERGE_BYTES`` per candidate pair) would take that total
-    past ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built, and
-    so does a level whose sweep over ``measures`` would."""
+    past ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built."""
     s_cur, m_cur = np.zeros(1, dtype=offsets.dtype), np.zeros(1, dtype=offsets.dtype)
     levels, maps = [m_cur], []
     held = 0
     for k in range(1, n + 1):
         projected = held + s_cur.size * offsets.size * _PAIR_MERGE_BYTES
         if projected > CHAIN_BUDGET_BYTES:
-            raise _over_budget(f"the merged pair lattice of {n} steps", projected, k)
+            raise _over_budget(f"the merged pair lattice of {n} steps, by step {k},", projected)
         s_next = (s_cur[:, None] + offsets[None, :]).ravel()
         m_next = np.maximum(np.repeat(m_cur, offsets.size), np.abs(s_next))
         s_new, m_cur, gids = _pair_merge(s_next, m_next, tol)
@@ -713,24 +713,20 @@ def _pair_chain(
         levels.append(m_cur)
         s_cur = s_new
         held += s_cur.nbytes + m_cur.nbytes + gids.nbytes
-        projected = held + _sweep_bytes(s_cur.size, measures, offsets.size)
-        if projected > CHAIN_BUDGET_BYTES:
-            raise _over_budget(f"the merged pair lattice of {n} steps", projected, k)
     return levels, maps
 
 
-def _pair_lattice(offsets: np.ndarray, n: int, measures: int = 0) -> _MergedLattice:
+def _pair_lattice(offsets: np.ndarray, n: int) -> _MergedLattice:
     """Levels 0..n of the (sum, running max of |sum|) states of centered
-    offsets on the pair chain, budgeted with a sweep over ``measures`` (0:
-    not swept).  Commensurable offsets merge their integer shifts exactly,
+    offsets on the pair chain.  Commensurable offsets merge their integer shifts exactly,
     each maximum valued by ``units``; other offsets merge floats at
     ``MERGE_TOL``.
     """
     units = _commensurable(np.concatenate([np.zeros(1), offsets]), MERGE_TOL)
     if units is None or n * units.span >= _EXACT_INT:
-        return _MergedLattice(*_pair_chain(offsets, n, MERGE_TOL, measures))
+        return _MergedLattice(*_pair_chain(offsets, n, MERGE_TOL))
     shifts = np.array(units.shifts, dtype=np.int64)
-    maxima, maps = _pair_chain(shifts[1:] - shifts[0], n, 1, measures)
+    maxima, maps = _pair_chain(shifts[1:] - shifts[0], n, 1)
     return _MergedLattice([units.values(0, m) for m in maxima], maps)
 
 
@@ -749,8 +745,8 @@ def eval_maxabs_functional(
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
-    lattice = _pair_lattice(ambiguity.grid.array - mu, n, len(ambiguity.weight_matrix))
-    value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))
+    lattice = _pair_lattice(ambiguity.grid.array - mu, n)
+    value, _ = _chain_dp(ambiguity, lattice, n, lambda k: _on_states(phi, lattice.states(k), "phi"))
     return value
 
 
@@ -764,8 +760,8 @@ def eval_sumsq_functional(
     per-atom squared increments stay aligned with the measure weights.
     """
     mu = ambiguity.require_mean_certain("eval_sumsq_functional")
-    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n, measures=len(ambiguity.weight_matrix))
-    value, _ = _chain_dp(ambiguity, lattice, n, _on_states(phi, lattice.states(n), "phi"))
+    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n)
+    value, _ = _chain_dp(ambiguity, lattice, n, lambda k: _on_states(phi, lattice.states(k), "phi"))
     return value
 
 
@@ -894,7 +890,8 @@ def sum_functional_series(
         offsets = offsets - ambiguity.require_mean_certain("sum_functional_series")
 
     # level j holds every sum of at most j offsets, so the origin stays on it
-    lattice = _lattice(offsets, horizon, at_most=True, measures=len(ambiguity.weight_matrix))
+    lattice = _lattice(offsets, horizon, at_most=True)
+    _admit(lattice, (horizon,), len(ambiguity.weight_matrix))
     values = _on_states(psi, lattice.states(horizon), "psi")
     out = np.empty(horizon)
     for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):

@@ -364,9 +364,8 @@ def mz_check(
     # one sweep per side serves every horizon
     horizons = sorted(set(n_list))
     offsets = ambiguity.grid.array - mu
-    measures = len(ambiguity.weight_matrix)
-    pairs = _pair_lattice(offsets, horizons[-1], measures)
-    squares = _lattice(offsets**2, horizons[-1], measures=measures)
+    pairs = _pair_lattice(offsets, horizons[-1])
+    squares = _lattice(offsets**2, horizons[-1])
     lefts = _horizons_dp(ambiguity, pairs, horizons, lambda n: pairs.states(n) ** alpha)
     rights = _horizons_dp(
         ambiguity, squares, horizons, lambda n: squares.states(n) ** (alpha / 2.0)
@@ -499,7 +498,7 @@ def subadditive_series_check(
             f"additive DP budget is N <= {_MAX_SUBADDITIVE_HORIZON}, got {horizon}"
         )
     mu = ambiguity.require_mean_certain("subadditive_series_check")
-    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.weight_matrix))
+    lattice = _lattice(ambiguity.grid.array, horizon)
     lhs, _ = _additive_dp(ambiguity, horizon, lattice, _series_costs(lattice, mu, beta))
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** beta, centered=True)
     n = np.arange(1, horizon + 1, dtype=float)
@@ -528,7 +527,7 @@ def cc_series(
         raise ParameterError(f"need alpha > 0, got {alpha}")
     mu = ambiguity.require_mean_certain("cc_series")
     raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** alpha, centered=True)
-    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.weight_matrix))
+    lattice = _lattice(ambiguity.grid.array, horizon)
     event = lambda n: _deviation_event(n, mu, eps)(lattice.states(n)).astype(float)
     capacities = np.clip(_horizons_dp(ambiguity, lattice, range(1, horizon + 1), event), 0.0, 1.0)
     n_values = tuple(range(1, horizon + 1))
@@ -622,7 +621,7 @@ def sqs_empirical(
     if n_paths < 2:
         raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
-    lattice = _lattice(ambiguity.grid.array, horizon, measures=len(ambiguity.weight_matrix))
+    lattice = _lattice(ambiguity.grid.array, horizon)
     stage = _series_costs(lattice, mu, beta)
     value, argmax_policy = _additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
     assert argmax_policy is not None

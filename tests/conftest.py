@@ -5,9 +5,14 @@ import numpy as np
 # not counted in the traced (tracemalloc) peak of whichever test calls it first
 import numpy.ma  # noqa: F401
 import pytest
+from hypothesis import settings
 
 import sublex as sx
 from sublex import gnormal, iid
+
+# a failing randomized test prints the @reproduce_failure line that replays it
+settings.register_profile("sublex", print_blob=True)
+settings.load_profile("sublex")
 
 
 @pytest.fixture(scope="session")
