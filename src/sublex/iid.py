@@ -20,9 +20,9 @@ Functionals of the running maximum run on one chain of merged (sum,
 running max) pairs.  One memory budget admits every sweep before any of
 its levels exists: the lattice's bytes, one sweep step's working arrays over
 its widest level of values and the picks it keeps.  A brute-force
-enumerator over *all* history-dependent measure assignments provides an
-independent oracle for this recursion at small sizes, and an argmax policy
-extracted from the recursion drives adversarial path sampling.
+enumerator of the expectation of *every* history-dependent measure
+assignment is an independent oracle for this recursion at small sizes, and
+an argmax policy extracted from the recursion drives adversarial sampling.
 """
 
 from __future__ import annotations
@@ -200,8 +200,7 @@ class _CompositionLattice(_Lattice):
     (t_2..t_e)), the combinatorial number system, so they do not depend on
     k: level k is the first C(k+e, e) ranks of level k+1.  Adding offset j
     takes rank r to ``succ[j-1][r]``; adding the free offset keeps the rank.
-    The states of a level are its node values in rank order.  An at-most
-    lattice has the zero offset as a_0, so its origin is rank 0.  With
+    The states of a level are its node values in rank order.  With
     ``units``, the offsets are its integer shifts and a node is valued
     ``units.values(k, index)`` at its index sum, as on the dense lattice;
     distinct multisets of equal sum stay distinct nodes of equal value.  The
@@ -254,9 +253,6 @@ class _CompositionLattice(_Lattice):
 
     def gathered(self) -> int:
         return len(self.atoms) - 1  # the free move is a view
-
-    def origin(self, k: int) -> int:
-        return 0
 
     def step(self, k: int, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
         ranks = np.stack([nodes] + [succ[nodes] for succ in self.succ])
@@ -408,11 +404,10 @@ def _tail_sums(e: int, n: int) -> list[np.ndarray]:
 
 
 def _composition_lattice(
-    offsets: np.ndarray, n: int, at_most: bool = False, units: _Units | None = None
+    offsets: np.ndarray, n: int, units: _Units | None = None
 ) -> _CompositionLattice:
     """Levels 0..n of the k-draw multisets of ``offsets``, at least two of
-    them distinct; with ``at_most``, offset 0 is the zero offset that keeps
-    shorter sums.  With ``units``, ``offsets`` are its shifts as floats and
+    them distinct.  With ``units``, ``offsets`` are its shifts as floats and
     the nodes are valued by it.
 
     Building the ranks, on first use, holds the suffix sums and row indices
@@ -425,15 +420,13 @@ def _composition_lattice(
     built = 8 * math.comb(n + e, e) * (2 * e + 4)
     if built > CHAIN_BUDGET_BYTES:
         raise _over_budget(f"the composition lattice of {n} steps over {e + 1} offsets", built)
-    moves = tuple(atoms.index(x) for x in offsets.tolist())
-    return _CompositionLattice(atoms, moves[1:] if at_most else moves, n, units)
+    return _CompositionLattice(atoms, tuple(atoms.index(x) for x in offsets.tolist()), n, units)
 
 
 def _lattice(
     offsets: np.ndarray, n: int, at_most: bool = False
-) -> _IntLattice | _CompositionLattice:
-    """Levels 0..n of the k-step sums of ``offsets`` (sums of at most k steps
-    when ``at_most``).
+) -> _IntLattice | _CompositionLattice | None:
+    """Levels 0..n of the k-step sums of ``offsets``.
 
     Commensurable offsets run on the dense integer lattice unless its levels
     would hold more nodes than there are k-draw multisets of the distinct
@@ -441,19 +434,20 @@ def _lattice(
     of their integer shifts, which gives each sum the same value.  Other
     offsets, whose unit is at most ``MERGE_TOL``, and integer indices too
     wide for float64 run on the composition lattice of the offsets themselves.
+    With ``at_most``, the sums of at most k steps (zero offset first) on the
+    dense lattice, or None: on a composition lattice it would add a dimension.
     """
     if n < 0:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
     units = _commensurable(grown, MERGE_TOL)
     if units is None or n * units.span >= _EXACT_INT:
-        return _composition_lattice(grown, n, at_most)
+        return None if at_most else _composition_lattice(offsets, n)
     distinct = len(set(units.shifts))
     dense = units.span * n * (n + 1) // 2 + n  # nodes on levels 1..n
     if dense <= math.comb(n + distinct, distinct) - 1:  # multisets of 1..n draws
         return _dense_lattice(units, n, at_most)
-    shifts = np.array(units.shifts, dtype=float)
-    return _composition_lattice(shifts, n, at_most, units)
+    return None if at_most else _composition_lattice(np.array(units.shifts, float), n, units)
 
 
 def sum_lattice(ambiguity: AmbiguitySet, step: int) -> SumLattice:
@@ -585,9 +579,10 @@ def _horizons_dp(
     lattice: _Lattice,
     horizons: Sequence[int],
     terminal: Callable[[int], np.ndarray],
+    maximize: bool = True,
 ) -> np.ndarray:
     """Upper expectations for several horizons from one sweep of ``lattice``,
-    admitted (``_admit``) before it runs.
+    admitted (``_admit``) before it runs; lower ones if not ``maximize``.
 
     ``terminal(n)`` gives the payoff on the states of level n; for
     each n of the increasing ``horizons`` a column starts from it at level n,
@@ -603,7 +598,7 @@ def _horizons_dp(
     def start(k: int, v: np.ndarray) -> np.ndarray:
         return np.column_stack([v, terminal(k)]) if k in starts else v
 
-    for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, stage=start):
+    for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, maximize, start):
         pass
     return values[0, ::-1]
 
@@ -776,7 +771,9 @@ def brute_force_oracle(
     assignment picks a measure for each node and induces a path measure.
     The maximum expectation over all ``|measures| ** nodes`` assignments is
     returned; past ``_MAX_ASSIGNMENTS`` of them CapacityError is raised.
-    Unlike the backward recursion this never interchanges max and
+    By the tower property each subtree's expectations, one per assignment of
+    its nodes, are weighted into its parent's, the root's one root measure at
+    a time.  Unlike the backward recursion this never interchanges max and
     expectation, which is exactly what makes it a useful oracle.
     """
     return _brute_force_many(ambiguity, n, [path_payoff])[0]
@@ -787,43 +784,40 @@ def _brute_force_many(
 ) -> list[float]:
     if not 1 <= n <= 4:
         raise CapacityError(f"brute force enumeration supports 1 <= n <= 4, got {n}")
-    n_atoms = len(ambiguity.grid)
     n_meas = len(ambiguity.weight_matrix)
-    n_nodes = sum(n_atoms**k for k in range(n))
+    n_nodes = sum(len(ambiguity.grid) ** k for k in range(n))
     n_assign = n_meas**n_nodes
     if n_assign > _MAX_ASSIGNMENTS:
         raise CapacityError(
             f"{n_meas}^{n_nodes} = {n_assign} assignments exceed the budget {_MAX_ASSIGNMENTS}"
         )
+    below = _subtrees(ambiguity, path_payoffs, np.zeros(n), 0)
+    # one root measure's slice of the assignments at a time
+    return np.max([_tower(r, below).max(axis=1) for r in ambiguity.weight_matrix], axis=0).tolist()
 
-    atoms = ambiguity.grid.array
-    weights = ambiguity.weight_matrix
-    depth_offset = [sum(n_atoms**j for j in range(k)) for k in range(n)]  # first node per depth
 
-    # axis i of an assignment array is the measure picked at decision node i;
-    # a single measure needs no axes
-    axes = n_nodes if n_meas > 1 else 0
-    totals = [np.zeros((n_meas,) * axes) for _ in path_payoffs]
-    path = np.zeros(n)
+def _subtrees(
+    ambiguity: AmbiguitySet, payoffs: Sequence[Callable], path: np.ndarray, depth: int
+) -> list[np.ndarray]:
+    """Per atom drawn at ``depth`` after ``path[:depth]``: each payoff's (row)
+    expectation under each assignment (column) of measures to the nodes below."""
+    out = []
+    for x in ambiguity.grid.array:
+        path[depth] = x
+        if depth + 1 == path.size:
+            out.append(np.array([[float(payoff(path))] for payoff in payoffs]))
+        else:
+            below = _subtrees(ambiguity, payoffs, path, depth + 1)
+            out.append(np.hstack([_tower(row, below) for row in ambiguity.weight_matrix]))
+    return out
 
-    def walk(depth: int, prefix_code: int, prob: np.ndarray) -> None:
-        node = depth_offset[depth] + prefix_code
-        column = tuple(n_meas if axis == node else 1 for axis in range(axes))
-        for a in range(n_atoms):
-            branch = prob * weights[:, a].reshape(column)  # over the nodes on the path
-            path[depth] = atoms[a]
-            if depth + 1 == n:
-                for total, payoff in zip(totals, path_payoffs):
-                    total += float(payoff(path)) * branch
-            else:
-                walk(depth + 1, prefix_code * n_atoms + a, branch)
 
-    walk(0, 0, np.ones(()))
-    # walk refers to itself through its closure; dropping the name breaks that
-    # cycle, so its arrays are freed now rather than at the next cyclic
-    # garbage collection
-    del walk
-    return [float(t.max()) for t in totals]
+def _tower(row: np.ndarray, below: list[np.ndarray]) -> np.ndarray:
+    """A node's expectations under ``row``: ``sum_a row[a] * below[a]``, per choice of columns."""
+    acc = row[0] * below[0]
+    for w, subtree in zip(row[1:], below[1:]):
+        acc = (acc[:, :, None] + w * subtree[:, None, :]).reshape(len(acc), -1)
+    return acc
 
 
 def _sample_steps(
@@ -878,10 +872,12 @@ def sum_functional_series(
 
     Because the sequence is i.i.d., the value with r remaining steps from
     state s is the same function U_r(s) at every calendar step, so one
-    sweep of the one-step operator yields E-hat[psi(S_n)] (read at s = 0)
-    for every n <= N.  ``psi`` maps an array of states to their values.  With
-    ``centered=True`` the recursion runs on atoms shifted by the certified
-    mean, producing functionals of the centered sums.
+    sweep of the one-step operator yields E-hat[psi(S_n)] for every n <= N:
+    at s = 0 of the dense lattice of sums of at most N draws, or else at
+    level 0 of the k-draw lattice, a value column per horizon.  ``psi`` maps
+    an array of states to their values.  With ``centered=True`` the
+    recursion runs on atoms shifted by the certified mean, producing
+    functionals of the centered sums.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
@@ -891,6 +887,10 @@ def sum_functional_series(
 
     # level j holds every sum of at most j offsets, so the origin stays on it
     lattice = _lattice(offsets, horizon, at_most=True)
+    if lattice is None:
+        lattice = _lattice(offsets, horizon)
+        payoff = lambda k: _on_states(psi, lattice.states(k), "psi")
+        return _horizons_dp(ambiguity, lattice, range(1, horizon + 1), payoff, maximize)
     _admit(lattice, (horizon,), len(ambiguity.weight_matrix))
     values = _on_states(psi, lattice.states(horizon), "psi")
     out = np.empty(horizon)

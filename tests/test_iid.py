@@ -579,6 +579,42 @@ def test_oracle_frees_its_arrays_on_return(theta_star):
         gc.enable()
 
 
+def test_oracle_holds_one_root_measure_slice():
+    # 3 measures on 13 decision nodes: 3^13 assignments, 12.2 MiB as one
+    # array; a root measure's slice is a third of that
+    family = sx.AmbiguitySet.from_rows(
+        (-1.0, 0.0, 1.0), ((0.3, 0.4, 0.3), (0.5, 0.2, 0.3), (0.3, 0.2, 0.5))
+    )
+    tracemalloc.start()
+    try:
+        value = sx.brute_force_oracle(family, 3, lambda xs: abs(float(np.sum(xs))) ** 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
+    recursion, _ = sx.eval_sum_functional(family, 3, lambda s: np.abs(s) ** 3)
+    assert value == pytest.approx(recursion, rel=1e-12)
+
+
+def test_oracle_matches_an_exact_enumeration():
+    # every assignment's expectation in rationals, from the float weights and
+    # payoffs; the tower property rounds n weighted sums along each path
+    family = sx.AmbiguitySet.from_rows((-1.1, 0.3, 0.95), ((0.2, 0.5, 0.3), (0.4, 0.2, 0.4)))
+    atoms, weights = family.grid.array, family.weight_matrix
+    payoff = lambda xs: abs(float(np.sum(xs))) ** 3
+    exact = max(
+        sum(
+            Fraction(weights[root][a])
+            * Fraction(weights[below[a]][b])
+            * Fraction(payoff(atoms[[a, b]]))
+            for a in range(3)
+            for b in range(3)
+        )
+        for root, *below in itertools.product(range(2), repeat=4)
+    )
+    assert sx.brute_force_oracle(family, 2, payoff) == pytest.approx(float(exact), rel=2 * 2**-52)
+
+
 def test_batched_oracle_matches_single(theta_star):
     payoffs = [
         lambda xs: float(np.sum(xs)) ** 2,
@@ -940,6 +976,33 @@ class TestIndexLattice:
         assert series.shape == (4000,)
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize(
+        "atoms",
+        [FLOAT_ATOMS[:3], FLOAT_ATOMS[:4], (-10.0, 0.1, 7.3)],
+        ids=["float-3", "float-4", "units"],
+    )
+    def test_series_equals_each_horizons_recursion_bit_for_bit(self, atoms, maximize):
+        # (-10, 0.1, 7.3) runs on the composition lattice of its integer shifts
+        family = two_measures(atoms)
+        assert representation(family.grid.array, 40) in ("float", "composition")
+        psi = lambda s: np.abs(s) ** 3
+        series = sx.sum_functional_series(family, 40, psi, maximize=maximize)
+        for n in range(1, 41):
+            assert series[n - 1] == sx.eval_sum_functional(family, n, psi, maximize)[0], n
+
+    def test_float_series_adds_no_dimension_for_the_zero_offset(self):
+        # the sums of at most 40 draws of 4 float atoms would take C(44, 4)
+        # nodes on level 40; a column per horizon takes C(43, 3) there
+        family = two_measures(FLOAT_ATOMS[:4])
+        tracemalloc.start()
+        try:
+            sx.sum_functional_series(family, 40, lambda s: np.abs(s) ** 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
 
 class TestCompositionLattice:
     @settings(max_examples=60, deadline=None)
@@ -952,7 +1015,7 @@ class TestCompositionLattice:
         # (equal up to rounding) stay in
         atoms = ambiguity.grid.array
         grown = np.concatenate([np.zeros(1), atoms])
-        every = _composition_lattice(grown, n, at_most=True).states(n)  # sums of <= n draws
+        every = _composition_lattice(grown, n).states(n)  # sums of <= n draws
         gaps = np.diff(np.sort(every))
         assume(np.all((gaps <= 1e-14 * n * np.max(np.abs(atoms))) | (gaps > 1e-6)))
         lattices = _composition_lattice(atoms, n), reference_float_chain(atoms, n)
@@ -973,11 +1036,10 @@ class TestCompositionLattice:
         assert terminal[0] == pytest.approx(terminal[1], rel=1e-12, abs=1e-300)
         assert additive[0] == pytest.approx(additive[1], rel=1e-12, abs=1e-12)
         series = [
-            at_most_series(ambiguity, lattice, n, psi, maximize)
-            for lattice in (
-                _composition_lattice(grown, n, at_most=True),
-                reference_float_chain(atoms, n, at_most=True),
-            )
+            sx.sum_functional_series(ambiguity, n, psi, maximize=maximize),
+            at_most_series(
+                ambiguity, reference_float_chain(atoms, n, at_most=True), n, psi, maximize
+            ),
         ]
         assert np.allclose(series[0], series[1], rtol=1e-12, atol=0.0)
 
@@ -1006,16 +1068,15 @@ class TestCompositionLattice:
             at = np.searchsorted(lattices[1].states(k), lattices[0].states(k))
             assert np.array_equal(lattices[1].states(k)[at], lattices[0].states(k))
             assert np.array_equal(p_int.choices[k][at], p_comp.choices[k])
+        # a value column per horizon on the composition lattice, and the sums
+        # of at most k draws on the dense one
         grown = np.concatenate([np.zeros(1), atoms])
         psi = lambda s: np.abs(s - center) ** 3
-        series = [
-            at_most_series(ambiguity, lattice, n, psi, maximize)
-            for lattice in (
-                _composition_lattice(grown, n, at_most=True),
-                _dense_lattice(units_of(grown), n, at_most=True),
-            )
-        ]
-        assert np.array_equal(series[0], series[1])
+        columns = iid._horizons_dp(
+            ambiguity, lattices[0], range(1, n + 1), lambda k: psi(lattices[0].states(k)), maximize
+        )
+        at_most = _dense_lattice(units_of(grown), n, at_most=True)
+        assert np.array_equal(columns, at_most_series(ambiguity, at_most, n, psi, maximize))
 
     @pytest.mark.parametrize("e, n", [(1, 7), (2, 6), (3, 5), (4, 4)])
     def test_ranks_are_a_bijection_on_every_level(self, e, n):
@@ -1180,7 +1241,8 @@ class TestSweepBudget:
     def test_dense_series_sweep_stays_within_the_budget(self, theta_star, monkeypatch):
         monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**18)
         call = lambda n: sx.sum_functional_series(theta_star, n, lambda s: np.abs(s) ** 3)
-        outcomes = traced_outcomes(call, range(100, 5000, 100))
+        # the budget admits up to N = 2729; the last built call is 1% below it
+        outcomes = traced_outcomes(call, range(540, 5000, 540))
         assert outcomes[-1] == "raised" and outcomes.count("built") >= 5
 
     def test_many_horizon_sweeps_stay_within_the_budget(self, theta_star, monkeypatch):
