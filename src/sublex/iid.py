@@ -16,13 +16,14 @@ multiset of draws, ranked in the combinatorial number system, with
 closed-form successor ranks computed once and sliced per level; it needs
 no sort, no tolerance and no per-step maps.  On commensurable offsets it
 counts the integer shifts and values a node as the dense lattice would.
-Functionals of the running maximum run on one chain of merged (sum,
-running max) pairs.  One memory budget admits every sweep before any of
-its levels exists: the lattice's bytes, one sweep step's working arrays over
-its widest level of values and the picks it keeps.  A brute-force
-enumerator of the expectation of *every* history-dependent measure
-assignment is an independent oracle for this recursion at small sizes, and
-an argmax policy extracted from the recursion drives adversarial sampling.
+A functional of the running maximum carries it as a trailing value axis
+of a sum lattice: a node holds a value per running max.  One memory budget
+admits every sweep before any of its levels exists: the lattice's bytes,
+one sweep step's working arrays over its widest level of values and the
+picks it keeps.  A brute-force enumerator of the expectation of *every*
+history-dependent measure assignment is an independent oracle for this
+recursion at small sizes, and an argmax policy extracted from the
+recursion drives adversarial sampling.
 """
 
 from __future__ import annotations
@@ -38,26 +39,19 @@ import numpy as np
 from .core import AmbiguitySet, _on_states
 from .errors import CapacityError, ParameterError
 
-#: Offsets whose common unit is at most this are not commensurable, float
-#: (sum, running max) pairs are merged at this resolution, and
+#: Offsets whose common unit is at most this are not commensurable, and
 #: ``sum_lattice`` reports states closer than this as one.
 MERGE_TOL = 1e-9
 
 #: Bytes one recursion may hold: its lattice, one sweep step's working arrays
 #: over its widest level of values and the picks it keeps, checked by
-#: ``_admit`` before any level exists.  Building a composition lattice or the
-#: pair chain is checked against it too, for the temporaries that build them.
+#: ``_admit`` before any level exists.  Building a composition lattice is
+#: checked against it too, for the temporaries that build it.
 CHAIN_BUDGET_BYTES = 512 * 2**20
 
 #: Bytes a kept array holds beside its data: the ndarray object (112 bytes
 #: on 64-bit CPython) with its shape and strides, and the slot that keeps it.
 _ARRAY_BYTES = 128
-
-#: Peak bytes per candidate pair of one ``_pair_chain`` step, its outputs
-#: included: ten words and a flag, the sums, maxima, their integer keys,
-#: their sorted copies, the sort order, the group ids and their running
-#: counts, or, at its end, the kept sums and maxima.
-_PAIR_MERGE_BYTES = 10 * 8 + 1
 
 #: Integers below this are exact in float64.
 _EXACT_INT = 2**53
@@ -85,9 +79,8 @@ class _Lattice:
     steps, one per node, and ``successors(k, V)`` gives, per move, the values
     ``V`` holds on level k+1 at the successors of the nodes of level k;
     ``gathered()`` of those are new arrays, the others views.  ``states(k)``
-    are the values of the nodes of level k, in node order: sums on a sum
-    lattice, running maxima on the pair chain.  ``nbytes()`` are the bytes of
-    the arrays it keeps, built or not."""
+    are the values of the nodes of level k, their sums, in node order.
+    ``nbytes()`` are the bytes of the arrays it keeps, built or not."""
 
     def size(self, k: int) -> int:
         """The number of nodes of level k."""
@@ -164,29 +157,6 @@ class _IntLattice(_Lattice):
     def step(self, k: int, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
         """The nodes of level k+1 that ``moves`` take ``nodes`` of level k to."""
         return nodes + self.moves[moves]
-
-
-@dataclass(frozen=True, eq=False)
-class _MergedLattice(_Lattice):
-    """Merged nodes, as the pair chain builds them: ``levels[k]`` holds the
-    values of level k (the running maxima of its (sum, running max) pairs)
-    and ``maps[k][i, j]`` is the node of level k+1 that move j reaches from
-    node i of level k."""
-
-    levels: list[np.ndarray]
-    maps: list[np.ndarray]
-
-    def states(self, k: int) -> np.ndarray:
-        return self.levels[k]
-
-    def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
-        return [values[step_map] for step_map in self.maps[k].T]
-
-    def gathered(self) -> int:
-        return self.maps[0].shape[1] if self.maps else 0
-
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.levels + self.maps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,6 +287,7 @@ def _admit(
     staged: bool = False,
     picks: bool = False,
     replay: bool = False,
+    axis: np.ndarray | None = None,
 ) -> int:
     """The bytes a sweep of ``lattice`` holds, a column starting at each of
     the increasing ``horizons``; past ``CHAIN_BUDGET_BYTES`` CapacityError
@@ -332,12 +303,18 @@ def _admit(
     the staged sum; two words when it derives ``picks``, the picks and their
     tie mask, or a candidate per measure stacked to ``replay`` a policy.
     Either keeps a pick per node of levels 0..top-1, an array per level.
+    A running-max ``axis`` gives every node a value per entry and column,
+    and its stage three words more per value: the raised entries, the
+    values they gather and the level's states with their entries.
     """
     top = horizons[-1]
     sizes = [lattice.size(k) for k in range(top + 1)]
     alive = len(horizons) - np.searchsorted(horizons, np.arange(top + 1))
     widest = max(size * columns for size, columns in zip(sizes, alive.tolist()))
     words = measures + 2 * lattice.gathered() + 4 + (len(horizons) > 1) + 3 * staged
+    if axis is not None:
+        widest *= axis.size
+        words += 3
     held = lattice.nbytes()
     if picks or replay:
         words += measures if replay else 2
@@ -346,6 +323,8 @@ def _admit(
     held += 8 * widest * words
     if held > CHAIN_BUDGET_BYTES:
         what = "the selection policy" if picks or replay else "the sweep"
+        if axis is not None:
+            what += " of the (sum, running max) pair lattice"
         raise _over_budget(f"{what} of {top} steps, with its lattice and widest level,", held)
     return held
 
@@ -574,33 +553,121 @@ def _chain_dp(
     return float(values[0]), policy
 
 
+def _maxima(lattice: _Lattice, top: int) -> np.ndarray:
+    """The running-max axis of ``lattice``: the distinct |s| over the states
+    of levels 0..top, ascending.  A sweep over it holds at least the nodes
+    of level top per entry, so an axis whose entries alone would take those
+    past ``CHAIN_BUDGET_BYTES`` raises CapacityError while it grows."""
+    axis = np.zeros(1)
+    for k in range(1, top + 1):
+        axis = np.union1d(axis, np.abs(lattice.states(k)))
+        held = 8 * lattice.size(top) * axis.size
+        if held > CHAIN_BUDGET_BYTES:
+            raise _over_budget(
+                f"the (sum, running max) pair lattice of {top} steps, by step {k},", held
+            )
+    return axis
+
+
+def _raise_maxima(
+    lattice: _Lattice, axis: np.ndarray | None, k: int, values: np.ndarray
+) -> np.ndarray:
+    """``values`` of level k, a row per node, a row per entry m of the
+    running-max ``axis`` within it and a column per horizon, with V(s, m)
+    set to V(s, max(m, |s|)): the running max that the move to s leaves.  A
+    state with m < |s|, which no path reaches, then holds its reached
+    state's value.  Without an axis, ``values`` themselves."""
+    if axis is None:
+        return values
+    at = np.searchsorted(axis, np.abs(lattice.states(k)))  # |s| is an entry
+    raised = np.maximum(np.arange(axis.size), at[:, None])
+    return np.take_along_axis(values, raised[..., None], axis=1)
+
+
 def _horizons_dp(
     ambiguity: AmbiguitySet,
     lattice: _Lattice,
     horizons: Sequence[int],
     terminal: Callable[[int], np.ndarray],
     maximize: bool = True,
+    axis: np.ndarray | None = None,
 ) -> np.ndarray:
     """Upper expectations for several horizons from one sweep of ``lattice``,
     admitted (``_admit``) before it runs; lower ones if not ``maximize``.
 
-    ``terminal(n)`` gives the payoff on the states of level n; for
-    each n of the increasing ``horizons`` a column starts from it at level n,
-    and level 0 holds every column's value, returned in horizon order.
+    ``terminal(n)`` gives the payoff on the states of level n, a row per
+    node (and a column per entry of a running-max ``axis``, raised by
+    ``_raise_maxima`` at every level); for each n of the increasing
+    ``horizons`` a column starts from it at level n, and level 0 holds
+    every column's value (at running max 0), returned in horizon order.
     """
     top = horizons[-1]
     if horizons[0] < 1:
         raise ParameterError(f"horizons must be >= 1, got {horizons[0]}")
-    _admit(lattice, horizons, len(ambiguity.weight_matrix))
+    _admit(lattice, horizons, len(ambiguity.weight_matrix), axis=axis)
     starts = set(horizons)
-    values = terminal(top)[:, None]
+    values = _raise_maxima(lattice, axis, top, terminal(top)[..., None])
 
-    def start(k: int, v: np.ndarray) -> np.ndarray:
-        return np.column_stack([v, terminal(k)]) if k in starts else v
+    def stage(k: int, v: np.ndarray) -> np.ndarray:
+        if k in starts:
+            v = np.concatenate([v, terminal(k)[..., None]], axis=-1)
+        return _raise_maxima(lattice, axis, k, v)
 
-    for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, maximize, start):
+    for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, maximize, stage):
         pass
-    return values[0, ::-1]
+    return values[0].reshape(-1, len(horizons))[0, ::-1]
+
+
+def _series(
+    ambiguity: AmbiguitySet,
+    offsets: np.ndarray,
+    horizons: Sequence[int],
+    psi: Callable[[np.ndarray], np.ndarray],
+    maximize: bool = True,
+    running_max: bool = False,
+) -> np.ndarray:
+    """E-hat[psi(S_n)] for each n of the increasing ``horizons``, S_n the sum
+    of n draws of ``offsets``; with ``running_max``, E-hat[psi(max_{k<=n}
+    |S_k|)].  Lower expectations if not ``maximize``; ``psi`` maps an array
+    of states (of running maxima) to their values.
+
+    Because the sequence is i.i.d., the value with r remaining steps from
+    state s is the same function U_r(s) at every calendar step, so one
+    sweep of the one-step operator serves every horizon: at s = 0 of the
+    dense lattice of sums of at most N draws, or else at level 0 of the
+    k-draw lattice, a value column per horizon (``_horizons_dp``).  A running
+    max m is a trailing value axis of the distinct |s| over levels 0..N
+    (``_maxima``): each node holds V(s, m) for every m, ``_raise_maxima``
+    applies the move's new maximum after every level, and level 0 is read
+    at m = 0.
+    """
+    top = horizons[-1]
+    if horizons[0] < 1:
+        raise ParameterError(f"horizon must be >= 1, got {horizons[0]}")
+    # level j holds every sum of at most j offsets, so the origin stays on it
+    lattice = _lattice(offsets, top, at_most=True)
+    on_origin = lattice is not None
+    if not on_origin:
+        lattice = _lattice(offsets, top)
+    if running_max:
+        axis = _maxima(lattice, top)
+        on_axis = _on_states(psi, axis, "payoff")
+        payoff = lambda k: np.broadcast_to(on_axis, (lattice.size(k), axis.size))
+    else:
+        axis = None
+        payoff = lambda k: _on_states(psi, lattice.states(k), "payoff")
+    if not on_origin:
+        return _horizons_dp(ambiguity, lattice, horizons, payoff, maximize, axis)
+    _admit(lattice, (top,), len(ambiguity.weight_matrix), axis=axis)
+    values = _raise_maxima(lattice, axis, top, payoff(top)[..., None])
+    stage = lambda k, v: _raise_maxima(lattice, axis, k, v)
+    out = np.empty(len(horizons))
+    read = 0
+    for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, maximize, stage):
+        if top - k == horizons[read]:
+            out[read] = values[lattice.origin(k)].flat[0]  # at running max 0
+            read += 1
+    return out
 
 
 def eval_sum_functional(
@@ -670,61 +737,6 @@ def capacity_sum_event(
     return min(1.0, max(0.0, value))
 
 
-def _pair_merge(
-    s: np.ndarray, m: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Deduplicate (sum, runningmax) pairs quantized at resolution ``tol``."""
-    ks = np.round(s / tol).astype(np.int64)
-    km = np.round(m / tol).astype(np.int64)
-    order = np.lexsort((km, ks))
-    ks_s, km_s = ks[order], km[order]
-    new = np.empty(ks_s.size, dtype=bool)
-    new[0] = True
-    new[1:] = (np.diff(ks_s) != 0) | (np.diff(km_s) != 0)
-    gids = np.empty(ks_s.size, dtype=np.int64)
-    gids[order] = np.cumsum(new) - 1
-    keep = order[new]
-    return s[keep], m[keep], gids
-
-
-def _pair_chain(
-    offsets: np.ndarray, n: int, tol: float
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Running maxima per level and per-step maps of the merged (sum, running
-    max) pairs, keeping a running byte total of what is stored: a step whose
-    merge (``_PAIR_MERGE_BYTES`` per candidate pair) would take that total
-    past ``CHAIN_BUDGET_BYTES`` raises CapacityError before it is built."""
-    s_cur, m_cur = np.zeros(1, dtype=offsets.dtype), np.zeros(1, dtype=offsets.dtype)
-    levels, maps = [m_cur], []
-    held = 0
-    for k in range(1, n + 1):
-        projected = held + s_cur.size * offsets.size * _PAIR_MERGE_BYTES
-        if projected > CHAIN_BUDGET_BYTES:
-            raise _over_budget(f"the merged pair lattice of {n} steps, by step {k},", projected)
-        s_next = (s_cur[:, None] + offsets[None, :]).ravel()
-        m_next = np.maximum(np.repeat(m_cur, offsets.size), np.abs(s_next))
-        s_new, m_cur, gids = _pair_merge(s_next, m_next, tol)
-        maps.append(gids.reshape(s_cur.size, offsets.size))
-        levels.append(m_cur)
-        s_cur = s_new
-        held += s_cur.nbytes + m_cur.nbytes + gids.nbytes
-    return levels, maps
-
-
-def _pair_lattice(offsets: np.ndarray, n: int) -> _MergedLattice:
-    """Levels 0..n of the (sum, running max of |sum|) states of centered
-    offsets on the pair chain.  Commensurable offsets merge their integer shifts exactly,
-    each maximum valued by ``units``; other offsets merge floats at
-    ``MERGE_TOL``.
-    """
-    units = _commensurable(np.concatenate([np.zeros(1), offsets]), MERGE_TOL)
-    if units is None or n * units.span >= _EXACT_INT:
-        return _MergedLattice(*_pair_chain(offsets, n, MERGE_TOL))
-    shifts = np.array(units.shifts, dtype=np.int64)
-    maxima, maps = _pair_chain(shifts[1:] - shifts[0], n, 1)
-    return _MergedLattice([units.values(0, m) for m in maxima], maps)
-
-
 def eval_maxabs_functional(
     ambiguity: AmbiguitySet,
     n: int,
@@ -733,16 +745,13 @@ def eval_maxabs_functional(
     """Upper expectation of ``phi(max_{k<=n} |S~_k|)`` for a mean-certain set,
     ``phi`` mapping an array of running maxima to their values.
 
-    Runs on the augmented state (centered sum, running max of its absolute
-    value) on the pair chain, whose maps take about n^3 bytes in all; the
-    chain raises CapacityError before it would pass ``CHAIN_BUDGET_BYTES``.
+    Runs on the lattice of centered sums with the running max of their
+    absolute value as a trailing value axis (``_series``): a value per node
+    and distinct |s| of levels 0..n, about 2n^2 words of a dense level on
+    the canonical grid.
     """
-    if n < 1:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
     mu = ambiguity.require_mean_certain("eval_maxabs_functional")
-    lattice = _pair_lattice(ambiguity.grid.array - mu, n)
-    value, _ = _chain_dp(ambiguity, lattice, n, lambda k: _on_states(phi, lattice.states(k), "phi"))
-    return value
+    return float(_series(ambiguity, ambiguity.grid.array - mu, [n], phi, running_max=True)[0])
 
 
 def eval_sumsq_functional(
@@ -755,9 +764,7 @@ def eval_sumsq_functional(
     per-atom squared increments stay aligned with the measure weights.
     """
     mu = ambiguity.require_mean_certain("eval_sumsq_functional")
-    lattice = _lattice((ambiguity.grid.array - mu) ** 2, n)
-    value, _ = _chain_dp(ambiguity, lattice, n, lambda k: _on_states(phi, lattice.states(k), "phi"))
-    return value
+    return float(_series(ambiguity, (ambiguity.grid.array - mu) ** 2, [n], phi)[0])
 
 
 def brute_force_oracle(
@@ -868,14 +875,9 @@ def sum_functional_series(
     centered: bool = False,
     maximize: bool = True,
 ) -> np.ndarray:
-    """Values of the recursion for a fixed terminal across all horizons 1..N.
-
-    Because the sequence is i.i.d., the value with r remaining steps from
-    state s is the same function U_r(s) at every calendar step, so one
-    sweep of the one-step operator yields E-hat[psi(S_n)] for every n <= N:
-    at s = 0 of the dense lattice of sums of at most N draws, or else at
-    level 0 of the k-draw lattice, a value column per horizon.  ``psi`` maps
-    an array of states to their values.  With ``centered=True`` the
+    """Values of the recursion for a fixed terminal across all horizons 1..N,
+    E-hat[psi(S_n)] for every n <= N from one sweep (``_series``).  ``psi``
+    maps an array of states to their values.  With ``centered=True`` the
     recursion runs on atoms shifted by the certified mean, producing
     functionals of the centered sums.
     """
@@ -884,16 +886,4 @@ def sum_functional_series(
     offsets = ambiguity.grid.array
     if centered:
         offsets = offsets - ambiguity.require_mean_certain("sum_functional_series")
-
-    # level j holds every sum of at most j offsets, so the origin stays on it
-    lattice = _lattice(offsets, horizon, at_most=True)
-    if lattice is None:
-        lattice = _lattice(offsets, horizon)
-        payoff = lambda k: _on_states(psi, lattice.states(k), "psi")
-        return _horizons_dp(ambiguity, lattice, range(1, horizon + 1), payoff, maximize)
-    _admit(lattice, (horizon,), len(ambiguity.weight_matrix))
-    values = _on_states(psi, lattice.states(horizon), "psi")
-    out = np.empty(horizon)
-    for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
-        out[horizon - 1 - k] = values[lattice.origin(k)]
-    return out
+    return _series(ambiguity, offsets, range(1, horizon + 1), psi, maximize)

@@ -21,8 +21,8 @@ from sublex.iid import (
     _dense_lattice,
     _IntLattice,
     _lattice,
+    _Lattice,
     _merge,
-    _MergedLattice,
     _sample_steps,
     SelectionPolicy,
     _tail_sums,
@@ -133,10 +133,21 @@ class TestMaxAbsFunctional:
             sx.eval_maxabs_functional(lopsided, 2, lambda m: m)
 
     def test_admits_horizons_past_64(self, theta_star):
-        # the byte budget, not a horizon gate, bounds the pair chain
+        # the byte budget, not a horizon gate, bounds the running-max sweep
         maxabs = sx.eval_maxabs_functional(theta_star, 65, lambda m: m**2)
         terminal, _ = sx.eval_sum_functional(theta_star, 65, lambda s: s * s)
         assert maxabs >= terminal - 1e-12
+
+    def test_horizon_256_traces_at_most_32_mb(self, theta_star):
+        # a value per node and running max of a dense level, O(n^2) bytes
+        tracemalloc.start()
+        try:
+            value = sx.eval_maxabs_functional(theta_star, 256, lambda m: m**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value <= 256.0**4
+        assert peak <= 32 * 10**6
 
 
 class TestSumsqFunctional:
@@ -653,7 +664,29 @@ def sparse(atoms, n):
 
 
 @dataclass(frozen=True, eq=False)
-class AtMostChain(_MergedLattice):
+class MergedLattice(_Lattice):
+    """Merged nodes, as the reference chains build them: ``levels[k]`` holds
+    the values of level k and ``maps[k][i, j]`` is the node of level k+1
+    that move j reaches from node i of level k."""
+
+    levels: list
+    maps: list
+
+    def states(self, k):
+        return self.levels[k]
+
+    def successors(self, k, values):
+        return [values[step_map] for step_map in self.maps[k].T]
+
+    def gathered(self):
+        return self.maps[0].shape[1] if self.maps else 0
+
+    def nbytes(self):
+        return sum(a.nbytes for a in self.levels + self.maps)
+
+
+@dataclass(frozen=True, eq=False)
+class AtMostChain(MergedLattice):
     """A float chain of the sums of at most k offsets: ``origins[k]`` is the
     node of level k that holds 0."""
 
@@ -678,11 +711,58 @@ def reference_float_chain(offsets, n, at_most=False, tol=iid.MERGE_TOL):
         levels.append(reps)
         maps.append(gids.reshape(cur.size, offsets.size))
     if not at_most:
-        return _MergedLattice(levels, maps)
+        return MergedLattice(levels, maps)
     origins = [0]
     for step_map in maps[:-1]:
         origins.append(int(step_map[origins[-1], 0]))
     return AtMostChain(levels, [step_map[:, 1:] for step_map in maps], tuple(origins))
+
+
+def reference_pair_chain(offsets, n, tol):
+    """The chain of (sum, running max of |sum|) pairs that the running max ran
+    on before it became a value axis: each level's candidate pairs quantized
+    at resolution ``tol``, equal ones fused, and one transition map stored
+    per step.  Returns the running maxima of every level and the maps."""
+    s_cur, m_cur = np.zeros(1, dtype=offsets.dtype), np.zeros(1, dtype=offsets.dtype)
+    levels, maps = [m_cur], []
+    for _ in range(n):
+        s_next = (s_cur[:, None] + offsets[None, :]).ravel()
+        m_next = np.maximum(np.repeat(m_cur, offsets.size), np.abs(s_next))
+        ks = np.round(s_next / tol).astype(np.int64)
+        km = np.round(m_next / tol).astype(np.int64)
+        order = np.lexsort((km, ks))
+        new = np.empty(order.size, dtype=bool)
+        new[0] = True
+        new[1:] = (np.diff(ks[order]) != 0) | (np.diff(km[order]) != 0)
+        gids = np.empty(order.size, dtype=np.int64)
+        gids[order] = np.cumsum(new) - 1
+        keep = order[new]
+        s_cur, m_cur = s_next[keep], m_next[keep]
+        maps.append(gids.reshape(-1, offsets.size))
+        levels.append(m_cur)
+    return levels, maps
+
+
+def reference_pair_lattice(offsets, n):
+    """Levels 0..n of the pair chain of centered ``offsets``, valued by their
+    running maxima: commensurable offsets merge their integer shifts exactly,
+    each maximum valued by their units; other offsets merge floats at
+    ``MERGE_TOL``."""
+    units = _commensurable(np.concatenate([np.zeros(1), offsets]), iid.MERGE_TOL)
+    if units is None or n * units.span >= 2**53:
+        return MergedLattice(*reference_pair_chain(offsets, n, iid.MERGE_TOL))
+    shifts = np.array(units.shifts, dtype=np.int64)
+    maxima, maps = reference_pair_chain(shifts[1:] - shifts[0], n, 1)
+    return MergedLattice([units.values(0, m) for m in maxima], maps)
+
+
+#: Mean-certain sets whose running max the oracle and the pair chain check.
+RUNNING_MAX_SETS = [
+    ((-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25), (0.4, 0.2, 0.4))),
+    ((-1.0, 0.5), ((1 / 3, 2 / 3),)),
+    ((-0.3, 0.1, 0.2), ((0.36, 0.2, 0.44), (0.4, 0.0, 0.6))),
+    ((-0.5, 0.0, 1.0), ((0.4, 0.4, 0.2), (0.6, 0.1, 0.3))),
+]
 
 
 def merged(atoms, n):
@@ -899,15 +979,7 @@ class TestIndexLattice:
             value, _ = _chain_dp(ambiguity, slow, n, terminal)
             assert series[n - 1] == pytest.approx(value, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "offsets, rows",
-        [
-            ((-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25), (0.4, 0.2, 0.4))),
-            ((-1.0, 0.5), ((1 / 3, 2 / 3),)),
-            ((-0.3, 0.1, 0.2), ((0.36, 0.2, 0.44), (0.4, 0.0, 0.6))),
-            ((-0.5, 0.0, 1.0), ((0.4, 0.4, 0.2), (0.6, 0.1, 0.3))),
-        ],
-    )
+    @pytest.mark.parametrize("offsets, rows", RUNNING_MAX_SETS)
     def test_running_max_matches_the_oracle(self, offsets, rows):
         # the pair chain on integer shifts, or on floats where the float mean
         # is not exactly 0, against every history-dependent assignment
@@ -918,6 +990,29 @@ class TestIndexLattice:
             value = sx.eval_maxabs_functional(ambiguity, n, lambda m: m**3)
             oracle = sx.brute_force_oracle(ambiguity, n, maxabs)
             assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15), n
+
+    @pytest.mark.parametrize(
+        "offsets, rows", [((-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25), (0.5, 0.0, 0.5)))] + RUNNING_MAX_SETS
+    )
+    def test_running_max_matches_the_pair_chain(self, offsets, rows):
+        # the running max as a value axis against the pair chain at every
+        # horizon: bit for bit where the chain merged integer shifts, within
+        # rounding on float offsets (the float mean of the third set is not
+        # exactly 0), whose composition lattice runs every n <= 32 in 0.3 s
+        ambiguity = sx.AmbiguitySet.from_rows(offsets, rows)
+        centered = ambiguity.grid.array - ambiguity.require_mean_certain("the chain")
+        exact = units_of(np.concatenate([np.zeros(1), centered])) is not None
+        top = 64 if exact else 32
+        chain = reference_pair_lattice(centered, top)
+        phi = lambda m: m**3
+        expected = iid._horizons_dp(ambiguity, chain, range(1, top + 1), lambda n: phi(chain.states(n)))
+        series = iid._series(ambiguity, centered, range(1, top + 1), phi, running_max=True)
+        value = sx.eval_maxabs_functional(ambiguity, top, phi)
+        assert value == series[-1]
+        if exact:
+            assert np.array_equal(series, expected)
+        else:
+            assert np.allclose(series, expected, rtol=1e-12, atol=0.0)
 
     def test_mean_certain_gapped_running_max(self):
         # offsets {-1, 0.5} and 0 share the unit 0.5: a step moves the sum by 0 or

@@ -283,11 +283,18 @@ class TestSubadditivity:
         _, _, margin = sx.subadditive_series_check(theta_star, 3.0, 50)
         assert margin >= -1e-12
 
-    def test_parameter_and_budget_errors(self, theta_star):
+    def test_parameter_and_budget_errors(self, theta_star, monkeypatch):
         with pytest.raises(sx.ParameterError):
             sx.subadditive_series_check(theta_star, 2.0, 5)
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**16)
         with pytest.raises(sx.CapacityError):
             sx.subadditive_series_check(theta_star, 3.0, 5000)
+
+    def test_byte_budget_alone_bounds_the_horizon(self, theta_star):
+        # the additive DP holds bytes linear in N, so no horizon gate refuses
+        # N = 4097 (0.6 s)
+        lhs, _, margin = sx.subadditive_series_check(theta_star, 2.6, 4097)
+        assert lhs > 0.0 and margin >= -1e-12
 
 
 class TestCCSeries:
