@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from . import lln
+from . import iid, lln
 from .core import ATOL, AmbiguitySet, _axiom_residuals, _AXIOMS, _check_stacked, _upper_many
 from .errors import CheckError, Error, ParameterError
 from .gnormal import GNormalParams, HeatGrid, _g_expectations, _limit_abs_moment, default_grid
@@ -234,30 +234,38 @@ _Table = tuple[Sequence[str], Sequence[Sequence]]
 _Tables = dict[str, _Table]
 
 
-def _draw_trial(rng: np.random.Generator) -> tuple:
-    """One random instance of ``axioms``: atoms, weights (measures x atoms),
-    two payoffs, lambda, c and an event mask, drawn in the stream's order."""
-    n_atoms = int(rng.integers(2, 6))
-    atoms = np.cumsum(0.2 + rng.random(n_atoms)) - 1.5
-    n_meas = int(rng.integers(1, 5))
-    w = np.array([rng.random(n_atoms) for _ in range(n_meas)]) + 1e-3
-    va, vb = rng.uniform(-5, 5, n_atoms), rng.uniform(-5, 5, n_atoms)
-    lam, c = 3.0 * rng.random(), rng.uniform(-5, 5)
-    return atoms, w / w.sum(axis=1, keepdims=True), va, vb, lam, c, rng.random(n_atoms) < 0.5
+#: Bytes an ``axioms`` trial holds at most: its shape, its six residuals and
+#: failure flags, its instance at the widest shape with the products that
+#: check it, and its rows, a tuple per check beside the list of its
+#: residuals as Python floats.
+_TRIAL_BYTES = 1024
 
 
 def _run_axioms(cfg: ExperimentConfig) -> _Tables:
-    """The axioms and capacity identities on random instances, checked in
-    stacks of one (measures, atoms) shape, the rows written by trial."""
+    """The axioms and capacity identities on random instances, admitted
+    against ``CHAIN_BUDGET_BYTES`` (``_TRIAL_BYTES`` a trial) before the
+    first draw.  Every trial's (measures, atoms) shape is drawn first; then,
+    shape by shape in increasing order, the instances of that shape are
+    drawn as one block (atoms, weights, both payoffs, lambda, c and the event
+    mask) and checked stacked.  The rows are written by trial."""
+    held = _TRIAL_BYTES * cfg.trials
+    if held > iid.CHAIN_BUDGET_BYTES:
+        raise iid._over_budget(f"axioms of {cfg.trials} trials", held)
     rng = np.random.default_rng(cfg.seed)
-    draws = [_draw_trial(rng) for _ in range(cfg.trials)]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for trial, (_, weights, *_) in enumerate(draws):
-        groups.setdefault(weights.shape, []).append(trial)
+    n_atoms = rng.integers(2, 6, cfg.trials)
+    n_meas = rng.integers(1, 5, cfg.trials)
     names = (*_AXIOMS, "capacity_complement", "capacity_monotone")
     residuals = np.empty((cfg.trials, len(names)))
-    for members in groups.values():
-        atoms, weights, va, vb, lam, c, mask = map(np.array, zip(*(draws[t] for t in members)))
+    grows = np.empty(cfg.trials, dtype=bool)
+    for m, a in sorted(set(zip(n_meas.tolist(), n_atoms.tolist()))):
+        members = np.flatnonzero((n_meas == m) & (n_atoms == a))
+        t = members.size
+        atoms = np.cumsum(0.2 + rng.random((t, a)), axis=1) - 1.5
+        weights = rng.random((t, m, a)) + 1e-3
+        weights /= weights.sum(axis=2, keepdims=True)
+        va, vb = rng.uniform(-5, 5, (t, a)), rng.uniform(-5, 5, (t, a))
+        lam, c = 3.0 * rng.random(t), rng.uniform(-5, 5, t)
+        mask = rng.random((t, a)) < 0.5
         _check_stacked(atoms, weights)
         residuals[members, :4] = _axiom_residuals(weights, va, vb, lam, c)
         # V(A) + v(A^c) - 1, where capacity_pair's v(A^c) is 1 - V(A)
@@ -265,14 +273,14 @@ def _run_axioms(cfg: ExperimentConfig) -> _Tables:
         residuals[members, 4] = np.abs(upper + (1.0 - upper) - 1.0)
         # the event grown by the first atom outside it (the event itself when full)
         grown = mask.copy()
-        grown[np.arange(len(members)), np.argmin(mask, axis=1)] = True
+        grown[np.arange(t), np.argmin(mask, axis=1)] = True
         residuals[members, 5] = upper - _upper_many(weights, grown.astype(float))
-    # capacity_monotone is checked where the event has a complement to grow into
-    grows = np.array([not mask.all() for *_, mask in draws], dtype=bool)
+        # capacity_monotone is checked where the event has a complement to grow into
+        grows[members] = ~mask.all(axis=1)
     rows = [
         (trial, name, r)
-        for trial, values in enumerate(residuals.tolist())
-        for name, r in zip(names[: 5 + int(grows[trial])], values)
+        for trial, (values, grow) in enumerate(zip(residuals.tolist(), grows.tolist()))
+        for name, r in zip(names[: 5 + grow], values)
     ]
     failed = ~(residuals <= np.array([ATOL] * 4 + [0.0, ATOL]))  # capacity_complement is exact
     failures = int(np.count_nonzero(failed[:, :5]) + np.count_nonzero(failed[grows, 5]))

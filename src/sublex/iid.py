@@ -226,7 +226,7 @@ class _CompositionLattice(_Lattice):
 
     def step(self, k: int, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
         ranks = np.stack([nodes] + [succ[nodes] for succ in self.succ])
-        return ranks[np.asarray(self.moves)[moves], np.arange(nodes.size)]
+        return np.take_along_axis(ranks, np.asarray(self.moves)[moves][None], 0)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,8 +301,9 @@ def _admit(
     predecessor and a weighted successor; a stacked copy when it starts
     columns; three words when ``staged``, a stage's states, its values and
     the staged sum; two words when it derives ``picks``, the picks and their
-    tie mask, or a candidate per measure stacked to ``replay`` a policy.
-    Either keeps a pick per node of levels 0..top-1, an array per level.
+    tie mask, or a candidate per measure stacked to ``replay`` policies, a
+    column each.  Either keeps one policy's pick per node of levels
+    0..top-1, an array per level.
     A running-max ``axis`` gives every node a value per entry and column,
     and its stage three words more per value: the raised entries, the
     values they gather and the level's states with their entries.
@@ -318,14 +319,41 @@ def _admit(
     held = lattice.nbytes()
     if picks or replay:
         words += measures if replay else 2
-        per_node = np.min_scalar_type(measures - 1).itemsize
-        held += per_node * sum(sizes[:top]) + _ARRAY_BYTES * top
+        held += _policy_bytes(sizes[:top], measures)
     held += 8 * widest * words
     if held > CHAIN_BUDGET_BYTES:
         what = "the selection policy" if picks or replay else "the sweep"
         if axis is not None:
             what += " of the (sum, running max) pair lattice"
         raise _over_budget(f"{what} of {top} steps, with its lattice and widest level,", held)
+    return held
+
+
+def _policy_bytes(sizes: Sequence[int], measures: int) -> int:
+    """The bytes of a policy's picks on levels of ``sizes`` nodes: a pick of
+    the smallest type that holds every measure index per node, an array per
+    level."""
+    per_node = np.min_scalar_type(measures - 1).itemsize
+    return per_node * sum(sizes) + _ARRAY_BYTES * len(sizes)
+
+
+def _admit_paths(lattice: _Lattice, n: int, measures: int, rows: int, n_paths: int) -> int:
+    """The bytes of sampling ``n_paths`` paths of n steps for each of ``rows``
+    policies (``_sample_steps``), one of them kept on ``lattice``; past
+    ``CHAIN_BUDGET_BYTES`` CapacityError is raised.  Callers admit the paths
+    before the first draw, and before the recursion that finds the policy.
+
+    Beside the lattice and the kept policy, a path holds per row: its node,
+    sum, uniform and pick; a step's atom index, drawn atom, new sum and new
+    node, and a gathered cumulative weight with its comparison; the moved
+    nodes of every gathered move; and the caller's running statistic with
+    two temporaries.
+    """
+    words = 14 + 2 * lattice.gathered()
+    picks = _policy_bytes([lattice.size(k) for k in range(n)], measures)
+    held = lattice.nbytes() + picks + 8 * rows * n_paths * words
+    if held > CHAIN_BUDGET_BYTES:
+        raise _over_budget(f"{rows} x {n_paths} sampled paths of {n} steps", held)
     return held
 
 
@@ -477,9 +505,9 @@ def _sweep(
     ``values`` may carry trailing columns, each swept independently.  Picks
     are of the smallest unsigned type that holds every measure index.
     For k >= 1, ``stage(k, V_k)`` replaces ``V_k`` (a stage cost added, or a
-    column started).  With ``fixed(k)`` giving the picks of step k, the sweep
-    evaluates that policy instead; replaying the optimal picks reproduces
-    ``V_k`` bit for bit.
+    column started).  With ``fixed(k)`` giving the picks of step k, a
+    column per value column, the sweep evaluates those policies instead;
+    replaying the optimal picks reproduces ``V_k`` bit for bit.
     """
     best = np.maximum if maximize else np.minimum
     for k in range(n - 1, -1, -1):
@@ -516,31 +544,46 @@ def _chain_dp(
     maximize: bool = True,
     stage: Callable[[int], np.ndarray] | None = None,
     want_policy: bool = False,
-    replay: SelectionPolicy | None = None,
-) -> tuple[float, SelectionPolicy | None]:
+    replay: Sequence[SelectionPolicy | int] = (),
+) -> tuple[float | np.ndarray, SelectionPolicy | None]:
     """The n-step recursion on ``lattice`` from ``terminal(n)``, the values on
     the states of level n; ``stage(k)``, values on the states of level k, is
     added at every level k = 1..n.
 
-    With a ``replay`` policy built on this lattice object, returns that
-    policy's exact expected value (policy evaluation) instead of the optimum.
-    A policy keeps one pick (a byte for up to 256 measures) per node of
-    levels 0..n-1 and no states.  The sweep is admitted (``_admit``) before
-    the terminal is evaluated.
+    With ``replay`` policies, each built on this lattice object or a
+    measure index that every node picks, returns their exact expected
+    values (policy evaluation), an array in their order, instead of the
+    optimum.  One sweep carries a value column per policy; step k's picks, a
+    column per policy, are stacked when the sweep reaches it, so a constant
+    policy keeps no picks.  A policy keeps one pick (a byte for up to 256
+    measures) per node of levels 0..n-1 and no states.  The sweep is
+    admitted (``_admit``) before the terminal is evaluated.
     """
     if n < 1:
         raise ParameterError(f"horizon must be >= 1, got {n}")
-    fixed = None
-    if replay is not None:
-        if replay.horizon != n or replay.lattice is not lattice:
-            raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
-        fixed = lambda k: replay.choices[k]
+    kept = [p for p in replay if isinstance(p, SelectionPolicy)]
+    if any(policy.horizon != n or policy.lattice is not lattice for policy in kept):
+        raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
     measures = len(ambiguity.weight_matrix)
-    _admit(lattice, (n,), measures, stage is not None, want_policy, fixed is not None)
+    columns = (n,) * max(len(replay), 1)
+    _admit(lattice, columns, measures, stage is not None, want_policy, bool(replay))
     values = terminal(n)
+    fixed = None
+    lift = lambda costs: costs
+    if replay:
+        pick = np.min_scalar_type(measures - 1)
+
+        def fixed(k: int) -> np.ndarray:
+            picks = np.empty((lattice.size(k), len(replay)), dtype=pick)
+            for i, policy in enumerate(replay):
+                picks[:, i] = policy.choices[k] if isinstance(policy, SelectionPolicy) else policy
+            return picks
+
+        lift = lambda costs: costs[:, None]  # the same costs in every policy's column
+        values = np.broadcast_to(lift(values), (values.size, len(replay)))
     add_stage = None
     if stage is not None:
-        add_stage = lambda k, v: v + stage(k)
+        add_stage = lambda k, v: v + lift(stage(k))
         values = add_stage(n, values)
     choices: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * n
     for k, values, picks in _sweep(
@@ -549,6 +592,8 @@ def _chain_dp(
         if want_policy:
             picks.flags.writeable = False
             choices[k] = picks
+    if replay:
+        return values[0], None
     policy = SelectionPolicy(lattice, tuple(choices)) if want_policy else None
     return float(values[0]), policy
 
@@ -710,8 +755,8 @@ def _additive_dp(
     lattice: _Lattice,
     stage: Callable[[int], np.ndarray],
     want_policy: bool = False,
-    replay: SelectionPolicy | None = None,
-) -> tuple[float, SelectionPolicy | None]:
+    replay: Sequence[SelectionPolicy | int] = (),
+) -> tuple[float | np.ndarray, SelectionPolicy | None]:
     """The recursion of ``sum_{k=1..n} g_k(S_k)`` on the grid's ``lattice``, with
     ``stage(k)`` the values of g_k on the states of level k."""
     zero = lambda k: np.zeros(lattice.size(k))
@@ -829,42 +874,67 @@ def _tower(row: np.ndarray, below: list[np.ndarray]) -> np.ndarray:
 
 def _sample_steps(
     ambiguity: AmbiguitySet,
-    policy: SelectionPolicy,
+    policies: Sequence[SelectionPolicy | int],
     n: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     n_paths: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Advance ``n_paths`` paths together, yielding ``(X_k, S_k)`` for k = 1..n.
+    """Advance ``n_paths`` paths under each of ``policies`` together, yielding
+    ``(X_k, S_k)``, a row per policy, for k = 1..n.
 
-    Every path carries its node on the policy's lattice, built on this grid.
-    A step takes the measure picked at that node, inverts one uniform draw
-    per path against its cumulative weights, and moves the node along the
-    drawn atom; no state is looked up by value.  Callers that fold the
-    yielded arrays into a running statistic hold O(n_paths) memory, whatever
-    ``n``.
+    A policy is a ``SelectionPolicy`` on the lattice of this grid, all of
+    them on one lattice object, or a measure index that every step picks.
+    Row i draws ``n_paths`` uniforms per step from ``rngs[i]``, so it is
+    the path run of ``policies[i]`` alone with that generator, bit for bit.
+    Every path carries its node on the lattice.  A step takes the measure
+    picked at that node, counts the first J-1 cumulative weights of that
+    measure at or below the path's uniform to draw atom j, and moves the
+    node along it; no state is looked up by value.  Callers that fold the
+    yielded arrays into a running statistic hold O(policies x n_paths)
+    memory, whatever ``n`` (``_admit_paths``).
     """
     if n < 1:
         raise ParameterError(f"path length must be >= 1, got {n}")
-    if policy.horizon < n:
-        raise ParameterError(f"policy covers {policy.horizon} steps, {n} were requested")
-    lattice = policy.lattice
+    kept = [(i, p) for i, p in enumerate(policies) if isinstance(p, SelectionPolicy)]
+    if len(rngs) != len(policies):
+        raise ParameterError(f"{len(policies)} policies need as many generators, got {len(rngs)}")
+    if any(policy.horizon < n for _, policy in kept):
+        raise ParameterError(f"a policy covers fewer than the {n} steps requested")
     atoms = ambiguity.grid.array
-    moves = np.arange(atoms.size)
-    # on the lattice of this grid, move j takes the origin to the node of atom j
-    if len(lattice.moves) != atoms.size or not np.allclose(
-        lattice.states(1)[lattice.step(0, np.zeros_like(moves), moves)], atoms, 0.0, MERGE_TOL
-    ):
-        raise ParameterError("the policy is not built on the lattice of this grid")
-    cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
-    node = np.zeros(n_paths, dtype=np.intp)
-    s = np.zeros(n_paths)
+    lattice = kept[0][1].lattice if kept else None
+    if lattice is not None:
+        moves = np.arange(atoms.size)
+        # on the lattice of this grid, move j takes the origin to the node of atom j
+        if (
+            any(policy.lattice is not lattice for _, policy in kept)
+            or len(lattice.moves) != atoms.size
+            or not np.allclose(
+                lattice.states(1)[lattice.step(0, np.zeros_like(moves), moves)], atoms, 0.0,
+                MERGE_TOL,
+            )
+        ):
+            raise ParameterError("the policies are not built on the lattice of this grid")
+    below = np.cumsum(ambiguity.weight_matrix, axis=1).T[:-1]  # the first J-1, by measure
+    shape = (len(policies), n_paths)
+    picks = np.empty(shape, dtype=np.intp)
+    for i, policy in enumerate(policies):
+        if not isinstance(policy, SelectionPolicy):
+            picks[i] = policy
+    node = np.zeros(shape, dtype=np.intp)
+    s = np.zeros(shape)
+    u = np.empty(shape)
     for k in range(n):
-        picks = policy.choices[k][node]
-        u = rng.random(n_paths)
-        j = np.minimum(sum(column[picks] <= u for column in cumw.T), atoms.size - 1)
-        x = atoms[j]
+        for i, policy in kept:
+            picks[i] = policy.choices[k][node[i]]
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+        j = np.zeros(shape, dtype=np.intp)
+        for column in below:
+            j += np.take(column, picks) <= u
+        x = np.take(atoms, j)
         s = s + x
-        node = lattice.step(k, node, j)
+        if lattice is not None:
+            node = lattice.step(k, node, j)
         yield x, s
 
 

@@ -30,9 +30,9 @@ from .core import ATOL, AmbiguitySet, lower_expect, upper_expect
 from .errors import CapacityError, CheckError, ParameterError
 from .gnormal import GNormalParams, HeatGrid, _limit_abs_moment
 from .iid import (
-    SelectionPolicy,
     _Lattice,
     _additive_dp,
+    _admit_paths,
     _horizons_dp,
     _lattice,
     _sample_steps,
@@ -601,11 +601,15 @@ def sqs_empirical(
     makes the early terms order one each), so the per-path extremes are
     reported but not bounded.
 
-    Policy ``i`` draws all of its ``n_paths`` paths together from the i-th
+    The policies run as one batch: one replay sweep carries a value column
+    per policy, and one sampler loop steps every policy's paths as a row of
+    one array.  Policy ``i`` still draws its ``n_paths`` paths from the i-th
     child of ``SeedSequence(seed)``, folding each step into the running
-    series, so memory is O(n_paths) whatever the horizon.  The recursion and
-    the replays share one lattice; each evaluates the stage costs one level
-    at a time, so no more than a level's costs are held at once.
+    series, so memory is O(policies x n_paths) whatever the horizon; the
+    paths are admitted (``_admit_paths``) before the recursion runs.  The
+    recursion and the replay share one lattice; each evaluates the stage
+    costs one level at a time, so no more than a level's costs are held at
+    once.
     """
     if beta <= 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
@@ -613,36 +617,35 @@ def sqs_empirical(
         raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
     lattice = _lattice(ambiguity.grid.array, horizon)
+    measures = len(ambiguity.weight_matrix)
+    labels = [f"measure_{i}" for i in range(measures)] + ["argmax"]
+    _admit_paths(lattice, horizon, measures, len(labels), n_paths)
     stage = _series_costs(lattice, mu, beta)
     value, argmax_policy = _additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
     assert argmax_policy is not None
+    policies = [*range(measures), argmax_policy]
+    exacts, _ = _additive_dp(ambiguity, horizon, lattice, stage, replay=policies)
 
-    labels = [f"measure_{i}" for i in range(len(ambiguity.weight_matrix))] + ["argmax"]
     streams = np.random.SeedSequence(seed).spawn(len(labels))
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    values = np.zeros((len(labels), n_paths))
+    for k, (_, sums) in enumerate(_sample_steps(ambiguity, policies, horizon, rngs, n_paths), 1):
+        values += np.abs(sums / k - mu) ** beta
     summaries = []
-    for i, (label, stream) in enumerate(zip(labels, streams)):
-        policy = argmax_policy
-        if label != "argmax":
-            picks = (np.broadcast_to(c.dtype.type(i), c.shape) for c in argmax_policy.choices)
-            policy = SelectionPolicy(lattice, tuple(picks))
-        exact, _ = _additive_dp(ambiguity, horizon, lattice, stage, replay=policy)
+    for label, exact, row in zip(labels, exacts.tolist(), values):
         if exact > value + ATOL:
             raise CheckError(
                 f"policy {label} has exact value {exact}, above the upper expectation {value}"
             )
         if label == "argmax" and abs(exact - value) > ATOL:
             raise CheckError(f"the argmax policy's exact value {exact} misses the DP value {value}")
-        values = np.zeros(n_paths)
-        rng = np.random.default_rng(stream)
-        for k, (_, sums) in enumerate(_sample_steps(ambiguity, policy, horizon, rng, n_paths), 1):
-            values += np.abs(sums / k - mu) ** beta
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(n_paths))
+        mean = float(row.mean())
+        stderr = float(row.std(ddof=1) / math.sqrt(n_paths))
         if abs(mean - exact) > SAMPLING_Z * stderr:
             raise CheckError(
                 f"policy {label}: sampled mean {mean} is more than {SAMPLING_Z} standard "
                 f"errors ({stderr}) from its exact value {exact}"
             )
-        stats = [values.min(), *np.quantile(values, [0.25, 0.5, 0.75]), values.max()]
+        stats = [row.min(), *np.quantile(row, [0.25, 0.5, 0.75]), row.max()]
         summaries.append(PolicyPathSummary(label, exact, mean, stderr, *map(float, stats)))
     return SqsSummary(beta, horizon, n_paths, seed, value, tuple(summaries))

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +16,7 @@ from sublex import gnormal, iid, lln
 from sublex.cli import (
     SUBCOMMANDS,
     ExperimentConfig,
+    _run_axioms,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -24,6 +25,8 @@ from sublex.cli import (
     parse_config,
     run,
 )
+
+from conftest import traced_outcomes
 
 CANONICAL = {
     "atoms": [-1, 0, 1],
@@ -234,6 +237,18 @@ class TestExitCodes:
         code = main(["sqs", "--config", str(config_path), "--out", out, "--override", "n_paths=1"])
         assert code == 2
         assert "n_paths" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("subcommand, key", [("sqs", "n_paths"), ("axioms", "trials")])
+    def test_monte_carlo_past_the_budget_is_capacity_error(
+        self, config_path, tmp_path, capsys, subcommand, key
+    ):
+        # refused before the first draw, so nothing of that size is allocated
+        out = tmp_path / "o"
+        override = f"{key}=1000000000000"
+        args = [subcommand, "--config", str(config_path), "--out", str(out), "--override", override]
+        assert main(args) == 2
+        assert "budget" in capsys.readouterr().out
+        assert not out.exists()
 
     def test_float_lattice_over_budget_is_capacity_error(self, tmp_path, capsys):
         # five incommensurable atoms, symmetric: mean-certain, float-merge lattice
@@ -549,25 +564,36 @@ class TestHeatSolves:
 
 
 def per_trial_axioms_csv(seed: int, trials: int) -> bytes:
-    """``axioms.csv`` recomputed one trial at a time from the same draws: each
-    instance built by ``AmbiguitySet.from_rows``, each residual from
-    ``upper_expect`` on a payoff of the atoms, each capacity from
-    ``capacity_pair`` on a mask predicate."""
+    """``axioms.csv`` recomputed one trial at a time from the same draws:
+    every trial's (measures, atoms) shape first, then each shape's instances
+    as one block, shapes in increasing order.  Each instance is built by
+    ``AmbiguitySet.from_rows``, each residual from ``upper_expect`` on a
+    payoff of the atoms, each capacity from ``capacity_pair`` on a mask
+    predicate."""
     rng = np.random.default_rng(seed)
+    atom_counts = rng.integers(2, 6, trials)
+    measure_counts = rng.integers(1, 5, trials)
+    draws = {}
+    for m, a in sorted(set(zip(measure_counts.tolist(), atom_counts.tolist()))):
+        members = np.flatnonzero((measure_counts == m) & (atom_counts == a))
+        t = members.size
+        block = (
+            np.cumsum(0.2 + rng.random((t, a)), axis=1) - 1.5,
+            rng.random((t, m, a)) + 1e-3,
+            rng.uniform(-5, 5, (t, a)),
+            rng.uniform(-5, 5, (t, a)),
+            3.0 * rng.random(t),
+            rng.uniform(-5, 5, t),
+            rng.random((t, a)) < 0.5,
+        )
+        for i, trial in enumerate(members.tolist()):
+            draws[trial] = [column[i] for column in block]
     lines = ["trial,check,residual"]
     for trial in range(trials):
-        n_atoms = int(rng.integers(2, 6))
-        atoms = np.cumsum(0.2 + rng.random(n_atoms)) - 1.5
-        n_meas = int(rng.integers(1, 5))
-        rows = []
-        for _ in range(n_meas):
-            w = rng.random(n_atoms) + 1e-3
-            rows.append(w / w.sum())
-        family = sx.AmbiguitySet.from_rows(atoms, rows)
-        va = rng.uniform(-5, 5, n_atoms)
-        vb = rng.uniform(-5, 5, n_atoms)
-        lam = float(3.0 * rng.random())
-        c = float(rng.uniform(-5, 5))
+        atoms, weights, va, vb, lam, c, mask = draws[trial]
+        n_atoms = atoms.size
+        family = sx.AmbiguitySet.from_rows(atoms, [w / w.sum() for w in weights])
+        lam, c = float(lam), float(c)
 
         def eup(values) -> float:
             return sx.upper_expect(family, lambda _: values)
@@ -579,7 +605,6 @@ def per_trial_axioms_csv(seed: int, trials: int) -> bytes:
             "subadditivity": eup(va + vb) - (eup(va) + eup(vb)),
             "positive_homogeneity": abs(eup(lam * va) - lam * eup(va)),
         }
-        mask = rng.random(n_atoms) < 0.5
         upper, _ = sx.capacity_pair(family, lambda _: mask)
         _, lower = sx.capacity_pair(family, lambda _: ~mask)
         residuals["capacity_complement"] = abs(upper + lower - 1.0)
@@ -600,11 +625,26 @@ def test_axioms_csv_matches_the_per_trial_recomputation(config_path, tmp_path, s
     assert (out / "axioms.csv").read_bytes() == per_trial_axioms_csv(seed, 200)
 
 
+def test_every_axiom_check_passes_on_seeds_0_to_49():
+    cfg = config_from_dict(CANONICAL)
+    for seed in range(50):
+        _run_axioms(replace(cfg, seed=seed, trials=200))  # CheckError on a failure
+
+
+def test_axioms_trials_stay_within_the_budget(monkeypatch):
+    cfg = config_from_dict(CANONICAL)
+    _run_axioms(replace(cfg, trials=50))  # first-call imports, untraced
+    monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**20)
+    call = lambda trials: _run_axioms(replace(cfg, trials=trials))
+    outcomes = traced_outcomes(call, (250, 500, 1000, 2000, 4000))
+    assert outcomes == ["built", "built", "built", "raised"]
+
+
 #: SHA-256 of every CSV the subcommands write on ``configs/canonical.json``,
 #: by ``<subcommand>/<file>``.  A change that moves an output on purpose
 #: updates its digest here and lists the old and new values in CHANGES.md.
 CANONICAL_DIGESTS = {
-    "axioms/axioms.csv": "7de88b80752e8b9b15afc3f7910bc9b62461c66a517f7afb20741918baa7802e",
+    "axioms/axioms.csv": "cfbb0f1996388afabf3614c1f508ea5e7117df6369fa060f1215c7cd1f87132e",
     "capacity/capacity.csv": "d13efce9f3e1cde2d833b31e9de54714153af725f158921159aed678fb8ba088",
     "cc-series/cc_series_0.csv": "e14a6ca9ce838997fc8387b30fb785e25f3f84017c061f86f38ee4c9d38dfc95",
     "clt/clt.csv": "110da8afb33ca97754ac2830f7f256bd583d014b539b479ca679cc7464b012f9",

@@ -397,8 +397,8 @@ class TestLattice:
 
 def one_path(ambiguity, policy, n, seed):
     """The increments and partial sums of one path drawn from ``default_rng(seed)``."""
-    steps = list(_sample_steps(ambiguity, policy, n, np.random.default_rng(seed), 1))
-    return tuple(float(x[0]) for x, _ in steps), tuple(float(s[0]) for _, s in steps)
+    steps = list(_sample_steps(ambiguity, [policy], n, [np.random.default_rng(seed)], 1))
+    return tuple(float(x[0, 0]) for x, _ in steps), tuple(float(s[0, 0]) for _, s in steps)
 
 
 class TestSamplePath:
@@ -460,21 +460,21 @@ class TestSamplePath:
         value, argmax = sx.eval_sum_functional(theta_star, n, lambda s: s**4)
         lattice = argmax.lattice
         quartic = lambda k: lattice.states(k) ** 4
-        replayed, _ = _chain_dp(theta_star, lattice, n, quartic, replay=argmax)
+        (replayed,), _ = _chain_dp(theta_star, lattice, n, quartic, replay=[argmax])
         assert replayed == value
         for i, (var, m4) in enumerate([(0.5, 0.5), (1.0, 1.0)]):
             constant = sx.SelectionPolicy(lattice, tuple(np.full_like(c, i) for c in argmax.choices))
-            exact, _ = _chain_dp(theta_star, lattice, n, quartic, replay=constant)
+            (exact,), _ = _chain_dp(theta_star, lattice, n, quartic, replay=[constant])
             assert exact == pytest.approx(n * m4 + 3 * n * (n - 1) * var**2, rel=1e-12)
 
     def test_replay_needs_the_policy_lattice(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 5, abs)
         longer = _lattice(theta_star.grid.array, 6)
         with pytest.raises(sx.ParameterError):
-            _chain_dp(theta_star, longer, 6, lambda k: np.abs(longer.states(k)), replay=policy)
+            _chain_dp(theta_star, longer, 6, lambda k: np.abs(longer.states(k)), replay=[policy])
         wider = _lattice(theta_star.grid.array * 2, 5)
         with pytest.raises(sx.ParameterError):
-            _chain_dp(theta_star, wider, 5, lambda k: np.abs(wider.states(k)), replay=policy)
+            _chain_dp(theta_star, wider, 5, lambda k: np.abs(wider.states(k)), replay=[policy])
 
     def test_batch_sampling_matches_exact_policy_value(self, theta_star):
         n = 50
@@ -482,11 +482,12 @@ class TestSamplePath:
             value, policy = sx.eval_sum_functional(theta_star, n, lambda s: s**4, maximize)
             lattice = policy.lattice
             quartic = lambda k: lattice.states(k) ** 4
-            exact, _ = _chain_dp(theta_star, lattice, n, quartic, replay=policy)
+            (exact,), _ = _chain_dp(theta_star, lattice, n, quartic, replay=[policy])
             assert exact == value
-            for _, sums in _sample_steps(theta_star, policy, n, np.random.default_rng(1000), 10_000):
+            rngs = [np.random.default_rng(1000)]
+            for _, sums in _sample_steps(theta_star, [policy], n, rngs, 10_000):
                 pass
-            draws = sums**4
+            draws = sums[0] ** 4
             stderr = draws.std(ddof=1) / np.sqrt(draws.size)
             assert abs(draws.mean() - exact) <= SAMPLING_Z * stderr
 
@@ -523,6 +524,31 @@ def value_lookup_steps(ambiguity, policy, n, rng, n_paths):
         x = atoms[j]
         s = s + x
         yield x, s
+
+
+def single_policy_steps(ambiguity, policy, n, rng, n_paths):
+    """The sampler as it was before it stepped a stack of policies: one
+    policy's paths, its byte picks indexing each cumulative weight column
+    and the count over all J columns capped at J-1."""
+    lattice = policy.lattice
+    atoms = ambiguity.grid.array
+    cumw = np.cumsum(ambiguity.weight_matrix, axis=1)
+    node = np.zeros(n_paths, dtype=np.intp)
+    s = np.zeros(n_paths)
+    for k in range(n):
+        picks = policy.choices[k][node]
+        u = rng.random(n_paths)
+        j = np.minimum(sum(column[picks] <= u for column in cumw.T), atoms.size - 1)
+        x = atoms[j]
+        s = s + x
+        node = lattice.step(k, node, j)
+        yield x, s
+
+
+def constant_policy(like, measure):
+    """The policy that picks ``measure`` at every node of ``like``'s lattice."""
+    picks = (np.broadcast_to(c.dtype.type(measure), c.shape) for c in like.choices)
+    return SelectionPolicy(like.lattice, tuple(picks))
 
 
 #: One grid per lattice a policy can be built on: the canonical dense one, a
@@ -573,11 +599,38 @@ class TestIndexPolicies:
         family, policies = grid_policies(POLICY_GRIDS[kind], n)
         for policy in policies:
             for seed in range(4):
-                steps = _sample_steps(family, policy, n, np.random.default_rng(seed), 300)
+                steps = _sample_steps(family, [policy], n, [np.random.default_rng(seed)], 300)
                 reference = value_lookup_steps(family, policy, n, np.random.default_rng(seed), 300)
                 for (x, s), (x_ref, s_ref) in itertools.zip_longest(steps, reference):
-                    np.testing.assert_array_equal(x, x_ref)
-                    np.testing.assert_array_equal(s, s_ref)
+                    np.testing.assert_array_equal(x[0], x_ref)
+                    np.testing.assert_array_equal(s[0], s_ref)
+
+    @pytest.mark.parametrize("kind", list(POLICY_GRIDS))
+    def test_batched_rows_match_the_single_policy_sampler(self, kind):
+        # kept policies and measure indices in one batch; each row is its
+        # policy's run alone, a measure index run as its constant policy
+        n = 12
+        family, policies = grid_policies(POLICY_GRIDS[kind], n)
+        rows = [*policies, 1, 0]
+        alone = [*policies, *(constant_policy(policies[0], i) for i in (1, 0))]
+        for seed in range(4):
+            streams = np.random.SeedSequence(seed).spawn(len(rows))
+            rngs = [np.random.default_rng(stream) for stream in streams]
+            batched = _sample_steps(family, rows, n, rngs, 300)
+            references = [
+                single_policy_steps(family, policy, n, np.random.default_rng(stream), 300)
+                for policy, stream in zip(alone, streams)
+            ]
+            for (x, s), *steps in itertools.zip_longest(batched, *references):
+                assert x.shape == s.shape == (len(rows), 300)
+                for i, (x_ref, s_ref) in enumerate(steps):
+                    np.testing.assert_array_equal(x[i], x_ref)
+                    np.testing.assert_array_equal(s[i], s_ref)
+
+    def test_each_row_needs_its_generator(self, theta_star):
+        _, policy = sx.eval_sum_functional(theta_star, 4, abs)
+        with pytest.raises(sx.ParameterError, match="generators"):
+            next(_sample_steps(theta_star, [policy, 0], 4, [np.random.default_rng(0)], 10))
 
 
 def test_oracle_frees_its_arrays_on_return(theta_star):
@@ -963,7 +1016,9 @@ class TestIndexLattice:
         for lattice, stage, target in others:
             terminal = lambda k, lat=lattice: payoff(lat.states(k))
             policy = relocated(p_dense, target)
-            replayed, _ = _chain_dp(ambiguity, lattice, n, terminal, stage=stage, replay=policy)
+            (replayed,), _ = _chain_dp(
+                ambiguity, lattice, n, terminal, stage=stage, replay=[policy]
+            )
             assert replayed == pytest.approx(v_dense, **close)
 
     @pytest.mark.parametrize(
@@ -1516,7 +1571,8 @@ class TestPolicyBudget:
         assert all(c.dtype == np.uint16 for c in policy.choices)
         assert max(int(c.max()) for c in policy.choices) > 255
         lattice = policy.lattice
-        replayed, _ = _chain_dp(family, lattice, 4, lambda k: lattice.states(k) ** 2, replay=policy)
+        squares = lambda k: lattice.states(k) ** 2
+        (replayed,), _ = _chain_dp(family, lattice, 4, squares, replay=[policy])
         assert replayed == value
 
     def test_policy_budget_counts_every_node(self, monkeypatch):
@@ -1544,5 +1600,5 @@ def test_policy_sampled_on_another_grid_is_refused(theta_star):
     _, policy = sx.eval_sum_functional(theta_star, 4, abs)
     wider = sx.AmbiguitySet.from_rows((-2.0, 0.0, 2.0), theta_star.weight_matrix)
     with pytest.raises(sx.ParameterError, match="lattice"):
-        for _ in _sample_steps(wider, policy, 4, np.random.default_rng(0), 50):
+        for _ in _sample_steps(wider, [policy], 4, [np.random.default_rng(0)], 50):
             pass

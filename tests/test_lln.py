@@ -322,7 +322,108 @@ class TestCCSeries:
             sx.cc_series(theta_star, 0.0, 4.0, 5)
 
 
+def reference_sqs(ambiguity, beta, horizon, n_paths, seed):
+    """``sqs_empirical`` one policy at a time, as it ran before its policies
+    were batched: per policy, a constant one as picks on the argmax policy's
+    lattice, an ``_additive_dp`` replay and a ``_sample_steps`` loop."""
+    mu = ambiguity.require_mean_certain("reference_sqs")
+    lattice = iid._lattice(ambiguity.grid.array, horizon)
+    stage = lln._series_costs(lattice, mu, beta)
+    value, argmax = iid._additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
+    labels = [f"measure_{i}" for i in range(len(ambiguity.weight_matrix))] + ["argmax"]
+    streams = np.random.SeedSequence(seed).spawn(len(labels))
+    summaries = []
+    for i, (label, stream) in enumerate(zip(labels, streams)):
+        policy = argmax
+        if label != "argmax":
+            picks = (np.broadcast_to(c.dtype.type(i), c.shape) for c in argmax.choices)
+            policy = sx.SelectionPolicy(lattice, tuple(picks))
+        (exact,), _ = iid._additive_dp(ambiguity, horizon, lattice, stage, replay=[policy])
+        if exact > value + 1e-12:
+            raise sx.CheckError(
+                f"policy {label} has exact value {exact}, above the upper expectation {value}"
+            )
+        if label == "argmax" and abs(exact - value) > 1e-12:
+            raise sx.CheckError(f"the argmax policy's exact value {exact} misses the DP value {value}")
+        values = np.zeros(n_paths)
+        rng = [np.random.default_rng(stream)]
+        steps = iid._sample_steps(ambiguity, [policy], horizon, rng, n_paths)
+        for k, (_, sums) in enumerate(steps, 1):
+            values += np.abs(sums[0] / k - mu) ** beta
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / math.sqrt(n_paths))
+        if abs(mean - exact) > SAMPLING_Z * stderr:
+            raise sx.CheckError(
+                f"policy {label}: sampled mean {mean} is more than {SAMPLING_Z} standard "
+                f"errors ({stderr}) from its exact value {exact}"
+            )
+        stats = [values.min(), *np.quantile(values, [0.25, 0.5, 0.75]), values.max()]
+        summaries.append(lln.PolicyPathSummary(label, exact, mean, stderr, *map(float, stats)))
+    return lln.SqsSummary(beta, horizon, n_paths, seed, value, tuple(summaries))
+
+
+def outcome(call, *args):
+    """The value of ``call(*args)``, or the message of the CheckError it raises."""
+    try:
+        return call(*args)
+    except sx.CheckError as exc:
+        return str(exc)
+
+
+def balanced(atoms, tilts):
+    """Measures on atoms (-a, 0, b), each with mass ``u`` off zero, balanced to mean zero."""
+    a, b = -atoms[0], atoms[2]
+    return sx.AmbiguitySet.from_rows(
+        atoms, [(u * b / (a + b), 1.0 - u, u * a / (a + b)) for u in tilts]
+    )
+
+
+#: Mean-certain families on every lattice sqs samples on: the dense
+#: canonical grid, one measure, three measures, a gapped dense grid, and
+#: float atoms on the composition lattice.
+SQS_FAMILIES = {
+    "canonical": sx.canonical_set(),
+    "coin": sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5),)),
+    "three": sx.AmbiguitySet.from_rows(
+        (-1.0, 0.0, 1.0), ((0.25, 0.5, 0.25), (0.5, 0.0, 0.5), (0.1, 0.8, 0.1))
+    ),
+    "gapped": sx.AmbiguitySet.from_rows((0.0, 0.5, 1.5), ((0.5, 0.0, 0.5), (0.3, 0.3, 0.4))),
+    "float": balanced((-np.sqrt(0.3), 0.0, 0.1 * np.pi), (0.4, 0.9)),
+}
+
+
 class TestSqsEmpirical:
+    def test_families_cover_every_lattice(self):
+        lattices = {
+            name: type(iid._lattice(family.grid.array, 30)).__name__
+            for name, family in SQS_FAMILIES.items()
+        }
+        assert lattices == {
+            "canonical": "_IntLattice",
+            "coin": "_IntLattice",
+            "three": "_IntLattice",
+            "gapped": "_IntLattice",
+            "float": "_CompositionLattice",
+        }
+        assert iid._lattice(SQS_FAMILIES["float"].grid.array, 30).units is None
+
+    @pytest.mark.parametrize("name", list(SQS_FAMILIES))
+    def test_batched_policies_match_the_per_policy_reference(self, name):
+        family = SQS_FAMILIES[name]
+        for seed in range(4):
+            for n_paths in (2, 300):
+                args = (family, 3.0, 30, n_paths, seed)
+                assert outcome(sx.sqs_empirical, *args) == outcome(reference_sqs, *args)
+
+    def test_paths_stay_within_the_budget(self, theta_star, monkeypatch):
+        # the sampler's rows are admitted before the first draw: a refused
+        # run allocates none of them
+        sx.sqs_empirical(theta_star, 3.0, 10, 500, seed=0)  # first-call imports, untraced
+        monkeypatch.setattr(iid, "CHAIN_BUDGET_BYTES", 2**20)
+        call = lambda n_paths: sx.sqs_empirical(theta_star, 3.0, 10, n_paths, seed=0)
+        outcomes = traced_outcomes(call, (500, 1000, 2000, 4000, 8000))
+        assert outcomes == ["built", "built", "built", "raised"]
+
     def test_stage_costs_stay_within_the_budget(self, theta_star, monkeypatch):
         # the recursion and its replays hold one level's stage costs at a
         # time, not every level's beside the budgeted policy
@@ -376,9 +477,15 @@ class TestSqsEmpirical:
     def test_biased_sampler_is_caught(self, theta_star, monkeypatch):
         real = lln._sample_steps
 
-        def low_variance(ambiguity, policy, n, rng, n_paths):
-            picks = tuple(np.zeros_like(c) for c in policy.choices)
-            return real(ambiguity, sx.SelectionPolicy(policy.lattice, picks), n, rng, n_paths)
+        def low_variance(ambiguity, policies, n, rngs, n_paths):
+            # every policy, a measure index or kept picks, zeroed to measure 0
+            zeroed = [
+                sx.SelectionPolicy(p.lattice, tuple(np.zeros_like(c) for c in p.choices))
+                if isinstance(p, sx.SelectionPolicy)
+                else 0
+                for p in policies
+            ]
+            return real(ambiguity, zeroed, n, rngs, n_paths)
 
         monkeypatch.setattr(lln, "_sample_steps", low_variance)
         with pytest.raises(sx.CheckError, match="measure_1: sampled mean"):
@@ -396,8 +503,8 @@ class TestSqsEmpirical:
         # once every |s_n/n| <= 1, the per-path series is nonincreasing in beta
         _, policy = sx.eval_sum_functional(coin, 30, lambda s: s)
         for seed in range(5):
-            steps = iid._sample_steps(coin, policy, 30, np.random.default_rng(seed), 1)
-            sums = np.array([s[0] for _, s in steps])
+            steps = iid._sample_steps(coin, [policy], 30, [np.random.default_rng(seed)], 1)
+            sums = np.array([s[0, 0] for _, s in steps])
             ratios = np.abs(sums / np.arange(1, 31))
             assert np.all(ratios <= 1.0)
             low = float(np.sum(ratios**2.1))
