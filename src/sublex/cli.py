@@ -16,12 +16,14 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import iid, lln
+from . import core, iid, lln
 from .core import ATOL, AmbiguitySet, _axiom_residuals, _AXIOMS, _check_stacked, _upper_many
 from .errors import CheckError, Error, ParameterError
 from .gnormal import GNormalParams, HeatGrid, _g_expectations, _limit_abs_moment, default_grid
@@ -60,11 +62,18 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _column(rows: Sequence[Sequence], i: int) -> Iterator[str]:
+    """``_fmt`` of column i, by one formatter where its values share an exact type."""
+    kinds = set(map(type, map(itemgetter(i), rows)))
+    if kinds == {float}:
+        return map(format, map(itemgetter(i), rows), repeat(".17g"))
+    return map(str if kinds <= {str, int} else _fmt, map(itemgetter(i), rows))
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    columns = [_column(rows, i) for i in range(len(header))]
+    with open(path, "w", newline="\n") as fh:  # a line at a time: no file's text is held
+        fh.writelines(map("{}\n".format, map(",".join, chain([header], zip(*columns)))))
 
 
 def _entry(key: str, convert, rule: str, check, default: Any = MISSING):
@@ -290,12 +299,11 @@ def _run_axioms(cfg: ExperimentConfig) -> _Tables:
 
 
 def _run_eval(cfg: ExperimentConfig) -> _Tables:
-    ambiguity = cfg.ambiguity_set
-    ambiguity.require_mean_certain("eval")
+    centred = core._shifted(cfg.ambiguity_set, cfg.ambiguity_set.require_mean_certain("eval"))
     n, p = cfg.horizon, cfg.p
     psi = lambda s: np.abs(s / n) ** p
-    upper = float(sum_functional_series(ambiguity, n, psi, centered=True)[-1])
-    lower = float(sum_functional_series(ambiguity, n, psi, centered=True, maximize=False)[-1])
+    upper = float(sum_functional_series(centred, n, psi)[-1])
+    lower = float(sum_functional_series(centred, n, psi, maximize=False)[-1])
     if lower > upper + ATOL:
         raise CheckError(f"lower expectation {lower} exceeds upper {upper}")
     return {"eval.csv": (("quantity", "value"), [("upper", upper), ("lower", lower)])}
@@ -333,21 +341,14 @@ def _run_gheat(cfg: ExperimentConfig) -> _Tables:
 
 
 def _run_clt(cfg: ExperimentConfig) -> _Tables:
-    ambiguity = cfg.ambiguity_set
-    ambiguity.require_mean_certain("clt")
+    centred = core._shifted(cfg.ambiguity_set, cfg.ambiguity_set.require_mean_certain("clt"))
     params = cfg.gnormal_params()
     limit, residual = _limit_abs_moment(cfg.p, params, cfg.heat_grid())
     n_list = [n for n in (2**k for k in range(4, 30)) if n <= cfg.horizon] or [cfg.horizon]
-    raw = sum_functional_series(
-        ambiguity, max(n_list), lambda s: np.abs(s) ** cfg.p, centered=True
-    )
-    rows = []
-    gaps = []
-    for n in n_list:
-        scaled = float(raw[n - 1]) / n ** (cfg.p / 2.0)
-        gap = abs(scaled - limit)
-        rows.append((n, scaled, limit, gap))
-        gaps.append(gap)
+    raw = sum_functional_series(centred, max(n_list), lambda s: np.abs(s) ** cfg.p)
+    scaled = [float(raw[n - 1]) / n ** (cfg.p / 2.0) for n in n_list]
+    rows = [(n, s, limit, abs(s - limit)) for n, s in zip(n_list, scaled)]
+    gaps = [row[-1] for row in rows]
     slack = 2.0 * residual  # 0 where c_p is in closed form
     for earlier, later in zip(gaps, gaps[1:]):
         if later > earlier + slack:

@@ -125,6 +125,17 @@ class AmbiguitySet:
         return self.mean
 
 
+def _shifted(ambiguity: AmbiguitySet, c: float) -> AmbiguitySet:
+    """The same weights on the atoms ``grid.array - c``, the steps of the walk
+    S_n - nc; ParameterError if the shift rounds two atoms to one value."""
+    atoms = ambiguity.grid.array - c
+    collapsed = np.flatnonzero(atoms[1:] == atoms[:-1])
+    if collapsed.size:
+        a, b = ambiguity.grid.atoms[collapsed[0] : collapsed[0] + 2]
+        raise ParameterError(f"atoms: a shift by {c} takes {a} and {b} both to {a - c}")
+    return AmbiguitySet(SupportGrid(atoms), ambiguity.weight_matrix)
+
+
 def _on_states(
     payoff: Callable[[np.ndarray], np.ndarray], states: np.ndarray, what: str, dtype: type = float
 ) -> np.ndarray:

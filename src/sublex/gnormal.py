@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ATOL, AmbiguitySet, _on_states
+from .core import ATOL, AmbiguitySet, _on_states, _shifted
 from .errors import CheckError, ParameterError
 from .iid import sum_functional_series
 
@@ -335,13 +335,10 @@ def clt_gap(ambiguity: AmbiguitySet, n: int, p: float) -> float:
     closed form for the set's variance interval."""
     if p < 1.0:
         raise ParameterError(f"need p >= 1, got {p}")
-    ambiguity.require_mean_certain("clt_gap")
-    params = GNormalParams.from_ambiguity(ambiguity)
+    centred = _shifted(ambiguity, ambiguity.require_mean_certain("clt_gap"))
     root = math.sqrt(n)
-    dp_value = float(
-        sum_functional_series(ambiguity, n, lambda s: np.abs(s / root) ** p, centered=True)[-1]
-    )
-    limit, _ = _limit_abs_moment(p, params)
+    dp_value = float(sum_functional_series(centred, n, lambda s: np.abs(s / root) ** p)[-1])
+    limit, _ = _limit_abs_moment(p, GNormalParams.from_ambiguity(ambiguity))
     return abs(dp_value - limit)
 
 

@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import AmbiguitySet, _on_states
+from .core import AmbiguitySet, _on_states, _shifted
 from .errors import CapacityError, ParameterError
 
 #: Offsets whose common unit is at most this are not commensurable, and
@@ -790,13 +790,13 @@ def eval_maxabs_functional(
     """Upper expectation of ``phi(max_{k<=n} |S~_k|)`` for a mean-certain set,
     ``phi`` mapping an array of running maxima to their values.
 
-    Runs on the lattice of centered sums with the running max of their
-    absolute value as a trailing value axis (``_series``): a value per node
-    and distinct |s| of levels 0..n, about 2n^2 words of a dense level on
-    the canonical grid.
+    Runs on the lattice of sums of the set shifted by its mean (``_shifted``)
+    with the running max of their absolute value as a trailing value axis
+    (``_series``): a value per node and distinct |s| of levels 0..n, about
+    2n^2 words of a dense level on the canonical grid.
     """
-    mu = ambiguity.require_mean_certain("eval_maxabs_functional")
-    return float(_series(ambiguity, ambiguity.grid.array - mu, [n], phi, running_max=True)[0])
+    centred = _shifted(ambiguity, ambiguity.require_mean_certain("eval_maxabs_functional"))
+    return float(_series(centred, centred.grid.array, [n], phi, running_max=True)[0])
 
 
 def eval_sumsq_functional(
@@ -805,11 +805,12 @@ def eval_sumsq_functional(
     """Upper expectation of ``phi(sum_{k<=n} X~_k^2)`` for a mean-certain set,
     ``phi`` mapping an array of sums of squares to their values.
 
-    The running sum of squared centered atoms forms its own lattice; the
-    per-atom squared increments stay aligned with the measure weights.
+    The running sum of the squared atoms of the set shifted by its mean
+    (``_shifted``) forms its own lattice; the per-atom squared increments
+    stay aligned with the measure weights.
     """
-    mu = ambiguity.require_mean_certain("eval_sumsq_functional")
-    return float(_series(ambiguity, (ambiguity.grid.array - mu) ** 2, [n], phi)[0])
+    centred = _shifted(ambiguity, ambiguity.require_mean_certain("eval_sumsq_functional"))
+    return float(_series(centred, centred.grid.array**2, [n], phi)[0])
 
 
 def brute_force_oracle(
@@ -942,18 +943,14 @@ def sum_functional_series(
     ambiguity: AmbiguitySet,
     horizon: int,
     psi: Callable[[np.ndarray], np.ndarray],
-    centered: bool = False,
     maximize: bool = True,
 ) -> np.ndarray:
     """Values of the recursion for a fixed terminal across all horizons 1..N,
     E-hat[psi(S_n)] for every n <= N from one sweep (``_series``).  ``psi``
-    maps an array of states to their values.  With ``centered=True`` the
-    recursion runs on atoms shifted by the certified mean, producing
-    functionals of the centered sums.
+    maps an array of states to their values.  A walk with drift, such as the
+    centred sums S_n - n mu, is the series of the set with shifted atoms,
+    ``AmbiguitySet.from_rows(grid.array - mu, weight_matrix)``.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    offsets = ambiguity.grid.array
-    if centered:
-        offsets = offsets - ambiguity.require_mean_certain("sum_functional_series")
-    return _series(ambiguity, offsets, range(1, horizon + 1), psi, maximize)
+    return _series(ambiguity, ambiguity.grid.array, range(1, horizon + 1), psi, maximize)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ATOL, AmbiguitySet, lower_expect, upper_expect
+from .core import ATOL, AmbiguitySet, _shifted, lower_expect, upper_expect
 from .errors import CapacityError, CheckError, ParameterError
 from .gnormal import GNormalParams, HeatGrid, _limit_abs_moment
 from .iid import (
@@ -178,7 +178,8 @@ def _moment_series(
     with ``c_p`` the limit moment of the set's variance interval (the PDE
     on ``grid`` below p = 1).
     """
-    raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** p, centered=True)
+    centred = _shifted(ambiguity, ambiguity.mean)
+    raw = sum_functional_series(centred, horizon, lambda s: np.abs(s) ** p)
     n = np.arange(1, horizon + 1, dtype=float)
     terms = term(raw, n)
     scaled = raw / n ** (p / 2.0)
@@ -337,33 +338,32 @@ def mz_check(
 ) -> MZReport:
     """Evaluate both sides of the maximal-moment inequality exactly per n.
 
-    The left side carries the running max as a value axis of the centered
-    sums' lattice, the right side runs on the squared increments' lattice,
-    one sweep per side for every horizon; the mean term vanishes identically
-    on mean-certain sets.  The chain bound lhs <= r_max (mean + rhs) is
-    asserted with the running maximum of the observed ratios.
+    Both sides run on the set shifted by its mean (``_shifted``): the left
+    side carries the running max as a value axis of its sums' lattice, the
+    right side runs on the squared atoms' lattice, one sweep per side for
+    every horizon; the mean term vanishes identically on mean-certain sets.
+    The chain bound lhs <= r_max (mean + rhs) is asserted with the running
+    maximum of the observed ratios.
     """
     if alpha <= 2.0:
         raise ParameterError(f"need alpha > 2, got {alpha}")
     if not n_list:
         raise ParameterError("mz_check needs at least one horizon")
-    mu = ambiguity.require_mean_certain("mz_check")
+    centred = _shifted(ambiguity, ambiguity.require_mean_certain("mz_check"))
     for n in n_list:
         if n > max_n:
             raise CapacityError(f"maxabs DP budget is n <= {max_n}, got {n}")
         if n < 1:
             raise ParameterError(f"horizons must be >= 1, got {n}")
 
-    centered = lambda a: a - mu
-    base = max(upper_expect(ambiguity, centered), 0.0) + max(
-        -lower_expect(ambiguity, centered), 0.0
-    )
+    identity = lambda a: a
+    base = max(upper_expect(centred, identity), 0.0) + max(-lower_expect(centred, identity), 0.0)
 
     # one sweep per side serves every horizon
     horizons = sorted(set(n_list))
-    offsets = ambiguity.grid.array - mu
-    lefts = _series(ambiguity, offsets, horizons, lambda m: m**alpha, running_max=True)
-    rights = _series(ambiguity, offsets**2, horizons, lambda q: q ** (alpha / 2.0))
+    offsets = centred.grid.array
+    lefts = _series(centred, offsets, horizons, lambda m: m**alpha, running_max=True)
+    rights = _series(centred, offsets**2, horizons, lambda q: q ** (alpha / 2.0))
     left_at = dict(zip(horizons, lefts.tolist()))
     right_at = dict(zip(horizons, rights.tolist()))
     lhs, rhs, means, ratios, run = [], [], [], [], []
@@ -414,12 +414,9 @@ def holder_step_check(
     """
     if not 2.0 < p <= alpha:
         raise ParameterError(f"need 2 < p <= alpha, got p={p}, alpha={alpha}")
-    ambiguity.require_mean_certain("holder_step_check")
-    lhs = float(sum_functional_series(ambiguity, n, lambda s: np.abs(s) ** p, centered=True)[-1])
-    moment = float(
-        sum_functional_series(ambiguity, n, lambda s: np.abs(s) ** alpha, centered=True)[-1]
-    )
-    rhs = moment ** (p / alpha)
+    centred = _shifted(ambiguity, ambiguity.require_mean_certain("holder_step_check"))
+    lhs = float(sum_functional_series(centred, n, lambda s: np.abs(s) ** p)[-1])
+    rhs = float(sum_functional_series(centred, n, lambda s: np.abs(s) ** alpha)[-1]) ** (p / alpha)
     margin = rhs - lhs
     if margin < -ATOL:
         raise CheckError(f"interpolation bound violated at n = {n}: margin {margin}")
@@ -491,7 +488,7 @@ def subadditive_series_check(
     mu = ambiguity.require_mean_certain("subadditive_series_check")
     lattice = _lattice(ambiguity.grid.array, horizon)
     lhs, _ = _additive_dp(ambiguity, horizon, lattice, _series_costs(lattice, mu, beta))
-    raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** beta, centered=True)
+    raw = sum_functional_series(_shifted(ambiguity, mu), horizon, lambda s: np.abs(s) ** beta)
     n = np.arange(1, horizon + 1, dtype=float)
     rhs = float(np.sum(raw / n**beta))
     margin = rhs - lhs
@@ -517,20 +514,16 @@ def cc_series(
     if alpha <= 0.0:
         raise ParameterError(f"need alpha > 0, got {alpha}")
     mu = ambiguity.require_mean_certain("cc_series")
-    raw = sum_functional_series(ambiguity, horizon, lambda s: np.abs(s) ** alpha, centered=True)
+    raw = sum_functional_series(_shifted(ambiguity, mu), horizon, lambda s: np.abs(s) ** alpha)
     lattice = _lattice(ambiguity.grid.array, horizon)
     event = lambda n: _deviation_event(n, mu, eps)(lattice.states(n)).astype(float)
     capacities = np.clip(_horizons_dp(ambiguity, lattice, range(1, horizon + 1), event), 0.0, 1.0)
     n_values = tuple(range(1, horizon + 1))
-    terms = []
-    bounds = []
-    for n in n_values:
-        v = float(capacities[n - 1])
-        markov = float(raw[n - 1]) / (float(n) ** alpha * eps**alpha)
+    terms = capacities.tolist()
+    bounds = [float(raw[n - 1]) / (float(n) ** alpha * eps**alpha) for n in n_values]
+    for n, v, markov in zip(n_values, terms, bounds):
         if v > markov + ATOL:
             raise CheckError(f"Markov cross-bound violated at n = {n}: {v} > {markov}")
-        terms.append(v)
-        bounds.append(markov)
     return SeriesReport(
         p=alpha,
         n_values=n_values,

@@ -9,6 +9,7 @@ from hypothesis import settings
 
 import sublex as sx
 from sublex import gnormal, iid
+from sublex.core import _shifted
 
 # a failing randomized test prints the @reproduce_failure line that replays it
 settings.register_profile("sublex", print_blob=True)
@@ -65,6 +66,11 @@ def random_mean_zero_ambiguity(rng: np.random.Generator, max_measures: int = 3):
         w_minus = u * b / (a + b)
         rows.append((w_minus, 1.0 - w_plus - w_minus, w_plus))
     return sx.AmbiguitySet.from_rows((-a, 0.0, b), rows)
+
+
+def centred(ambiguity: sx.AmbiguitySet) -> sx.AmbiguitySet:
+    """The set shifted by its certified mean: its sums are S_n - n mu."""
+    return _shifted(ambiguity, ambiguity.require_mean_certain("centred"))
 
 
 def traced_outcomes(call, horizons):

@@ -18,7 +18,7 @@ from sublex.iid import _brute_force_many
 from sublex import gnormal, lln
 from sublex.lln import tail_consistency
 
-from conftest import random_ambiguity, random_mean_zero_ambiguity
+from conftest import centred, random_ambiguity, random_mean_zero_ambiguity
 
 
 @contextmanager
@@ -129,9 +129,9 @@ def test_02_oracle_equivalence():
 
 def test_03_exact_variance_law(theta_star):
     with criterion(3, "variance identity over n <= 200", 10.0):
-        upper = sx.sum_functional_series(theta_star, 200, lambda s: s * s, centered=True)
+        upper = sx.sum_functional_series(centred(theta_star), 200, lambda s: s * s)
         lower = sx.sum_functional_series(
-            theta_star, 200, lambda s: s * s, centered=True, maximize=False
+            centred(theta_star), 200, lambda s: s * s, maximize=False
         )
         n = np.arange(1, 201, dtype=float)
         assert np.max(np.abs(upper - n)) <= 1e-10
@@ -172,10 +172,8 @@ def test_05_divergence_at_p1(theta_star, cp_cache):
 
 def test_06_convergence_at_p3(theta_star):
     with criterion(6, "p = 3 interpolation chain and fitted tail", 120.0):
-        cubes = sx.sum_functional_series(theta_star, 200, lambda s: np.abs(s) ** 3, centered=True)
-        fourths = sx.sum_functional_series(
-            theta_star, 200, lambda s: np.abs(s) ** 4, centered=True
-        )
+        cubes = sx.sum_functional_series(centred(theta_star), 200, lambda s: np.abs(s) ** 3)
+        fourths = sx.sum_functional_series(centred(theta_star), 200, lambda s: np.abs(s) ** 4)
         margins = fourths ** (3.0 / 4.0) - cubes
         assert float(margins.min()) >= -1e-12
 
@@ -243,7 +241,7 @@ def test_08_g_heat_solver(theta_star):
 def test_09_clt_gap_trend(theta_star, cp_cache):
     with criterion(9, "CLT gap at p = 3 shrinks through n = 256", 180.0):
         c3 = cp_cache(3.0)
-        raw = sx.sum_functional_series(theta_star, 256, lambda s: np.abs(s) ** 3, centered=True)
+        raw = sx.sum_functional_series(centred(theta_star), 256, lambda s: np.abs(s) ** 3)
         gaps = [abs(float(raw[n - 1]) / n**1.5 - c3.value) for n in (16, 32, 64, 128, 256)]
         assert gaps[-1] < 0.05
         slack = 2.0 * c3.residual_estimate

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -29,7 +30,7 @@ from sublex.iid import (
 )
 from sublex.lln import SAMPLING_Z
 
-from conftest import random_ambiguity, random_mean_zero_ambiguity, traced_outcomes
+from conftest import centred, random_ambiguity, random_mean_zero_ambiguity, traced_outcomes
 
 
 class TestSumFunctional:
@@ -248,16 +249,14 @@ class TestOracle:
 
 class TestSeries:
     def test_matches_per_horizon_dp(self, theta_star):
-        raw = sx.sum_functional_series(theta_star, 9, lambda s: np.abs(s) ** 3, centered=True)
+        raw = sx.sum_functional_series(centred(theta_star), 9, lambda s: np.abs(s) ** 3)
         for n in (1, 2, 5, 9):
             direct, _ = sx.eval_sum_functional(theta_star, n, lambda s: abs(s) ** 3)
             assert raw[n - 1] == pytest.approx(direct, abs=1e-12)
 
     def test_variance_identity(self, theta_star):
-        upper = sx.sum_functional_series(theta_star, 40, lambda s: s * s, centered=True)
-        lower = sx.sum_functional_series(
-            theta_star, 40, lambda s: s * s, centered=True, maximize=False
-        )
+        upper = sx.sum_functional_series(centred(theta_star), 40, lambda s: s * s)
+        lower = sx.sum_functional_series(centred(theta_star), 40, lambda s: s * s, maximize=False)
         n = np.arange(1, 41)
         assert np.max(np.abs(upper - n * 1.0)) <= 1e-12
         assert np.max(np.abs(lower - n * 0.5)) <= 1e-12
@@ -268,13 +267,28 @@ class TestSeries:
             (0.0, 1.0, 2.0), ((0.25, 0.5, 0.25), (0.5, 0.0, 0.5))
         )
         assert shifted.mean == pytest.approx(1.0, abs=1e-12)
-        upper = sx.sum_functional_series(shifted, 30, lambda s: s * s, centered=True)
+        upper = sx.sum_functional_series(centred(shifted), 30, lambda s: s * s)
         assert np.max(np.abs(upper - np.arange(1, 31))) <= 1e-10
 
     def test_centered_requires_mean_certainty(self):
+        # every entry point that centres the walk refuses a set with no certified mean
         lopsided = sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5), (0.25, 0.75)))
-        with pytest.raises(sx.ParameterError):
-            sx.sum_functional_series(lopsided, 3, lambda s: s, centered=True)
+        callers = [
+            lambda: sx.eval_maxabs_functional(lopsided, 3, lambda m: m),
+            lambda: sx.eval_sumsq_functional(lopsided, 3, lambda q: q),
+            lambda: sx.mz_check(lopsided, 4.0, [2, 3]),
+            lambda: sx.holder_step_check(lopsided, 3.0, 4.0, 3),
+            lambda: sx.subadditive_series_check(lopsided, 3.0, 3),
+            lambda: sx.cc_series(lopsided, 0.5, 4.0, 3),
+            lambda: sx.slp_series(lopsided, 3.0, 3),
+            lambda: sx.clt_gap(lopsided, 3, 1.0),
+        ]
+        for call in callers:
+            with pytest.raises(sx.ParameterError, match="not mean-certain"):
+                call()
+
+    def test_centring_is_a_shifted_set(self):
+        assert "centered" not in inspect.signature(sx.sum_functional_series).parameters
 
 
 #: Every entry point that takes a payoff, as (its value at horizon n for a
@@ -369,9 +383,9 @@ class TestInvariantsLifted:
         for _ in range(5):
             ambiguity = random_mean_zero_ambiguity(rng)
             lo, hi = ambiguity.variance_interval
-            upper = sx.sum_functional_series(ambiguity, 12, lambda s: s * s, centered=True)
+            upper = sx.sum_functional_series(centred(ambiguity), 12, lambda s: s * s)
             lower = sx.sum_functional_series(
-                ambiguity, 12, lambda s: s * s, centered=True, maximize=False
+                centred(ambiguity), 12, lambda s: s * s, maximize=False
             )
             n = np.arange(1, 13)
             assert np.max(np.abs(upper - n * hi)) <= 1e-10

@@ -15,3 +15,4 @@ def test_library_quickstart_runs():
     assert abs(namespace["value"] - 35.0) <= 1e-9  # E-hat |S_8|^3 on the canonical set
     assert namespace["upper"] == 1.0  # E-hat |X|
     assert namespace["cap"] == (0.5, 0.25)  # (V, v) of {X > 0}
+    assert max(abs(v - n) for n, v in enumerate(namespace["second"], 1)) <= 1e-12  # n sigma-bar^2
