@@ -16,10 +16,8 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -62,18 +60,10 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _column(rows: Sequence[Sequence], i: int) -> Iterator[str]:
-    """``_fmt`` of column i, by one formatter where its values share an exact type."""
-    kinds = set(map(type, map(itemgetter(i), rows)))
-    if kinds == {float}:
-        return map(format, map(itemgetter(i), rows), repeat(".17g"))
-    return map(str if kinds <= {str, int} else _fmt, map(itemgetter(i), rows))
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    columns = [_column(rows, i) for i in range(len(header))]
-    with open(path, "w", newline="\n") as fh:  # a line at a time: no file's text is held
-        fh.writelines(map("{}\n".format, map(",".join, chain([header], zip(*columns)))))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _entry(key: str, convert, rule: str, check, default: Any = MISSING):
@@ -346,9 +336,13 @@ def _run_clt(cfg: ExperimentConfig) -> _Tables:
     limit, residual = _limit_abs_moment(cfg.p, params, cfg.heat_grid())
     n_list = [n for n in (2**k for k in range(4, 30)) if n <= cfg.horizon] or [cfg.horizon]
     raw = sum_functional_series(centred, max(n_list), lambda s: np.abs(s) ** cfg.p)
-    scaled = [float(raw[n - 1]) / n ** (cfg.p / 2.0) for n in n_list]
-    rows = [(n, s, limit, abs(s - limit)) for n, s in zip(n_list, scaled)]
-    gaps = [row[-1] for row in rows]
+    rows = []
+    gaps = []
+    for n in n_list:
+        scaled = float(raw[n - 1]) / n ** (cfg.p / 2.0)
+        gap = abs(scaled - limit)
+        rows.append((n, scaled, limit, gap))
+        gaps.append(gap)
     slack = 2.0 * residual  # 0 where c_p is in closed form
     for earlier, later in zip(gaps, gaps[1:]):
         if later > earlier + slack:

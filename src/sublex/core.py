@@ -128,12 +128,10 @@ class AmbiguitySet:
 def _shifted(ambiguity: AmbiguitySet, c: float) -> AmbiguitySet:
     """The same weights on the atoms ``grid.array - c``, the steps of the walk
     S_n - nc; ParameterError if the shift rounds two atoms to one value."""
-    atoms = ambiguity.grid.array - c
-    collapsed = np.flatnonzero(atoms[1:] == atoms[:-1])
-    if collapsed.size:
-        a, b = ambiguity.grid.atoms[collapsed[0] : collapsed[0] + 2]
-        raise ParameterError(f"atoms: a shift by {c} takes {a} and {b} both to {a - c}")
-    return AmbiguitySet(SupportGrid(atoms), ambiguity.weight_matrix)
+    try:
+        return AmbiguitySet.from_rows(ambiguity.grid.array - c, ambiguity.weight_matrix)
+    except ParameterError as exc:
+        raise ParameterError(f"atoms {ambiguity.grid.atoms} shifted by {c}: {exc}") from exc
 
 
 def _on_states(

@@ -336,9 +336,10 @@ def clt_gap(ambiguity: AmbiguitySet, n: int, p: float) -> float:
     if p < 1.0:
         raise ParameterError(f"need p >= 1, got {p}")
     centred = _shifted(ambiguity, ambiguity.require_mean_certain("clt_gap"))
+    params = GNormalParams.from_ambiguity(ambiguity)
     root = math.sqrt(n)
     dp_value = float(sum_functional_series(centred, n, lambda s: np.abs(s / root) ** p)[-1])
-    limit, _ = _limit_abs_moment(p, GNormalParams.from_ambiguity(ambiguity))
+    limit, _ = _limit_abs_moment(p, params)
     return abs(dp_value - limit)
 
 

@@ -943,6 +943,7 @@ def sum_functional_series(
     ambiguity: AmbiguitySet,
     horizon: int,
     psi: Callable[[np.ndarray], np.ndarray],
+    *,
     maximize: bool = True,
 ) -> np.ndarray:
     """Values of the recursion for a fixed terminal across all horizons 1..N,

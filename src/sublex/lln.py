@@ -416,7 +416,8 @@ def holder_step_check(
         raise ParameterError(f"need 2 < p <= alpha, got p={p}, alpha={alpha}")
     centred = _shifted(ambiguity, ambiguity.require_mean_certain("holder_step_check"))
     lhs = float(sum_functional_series(centred, n, lambda s: np.abs(s) ** p)[-1])
-    rhs = float(sum_functional_series(centred, n, lambda s: np.abs(s) ** alpha)[-1]) ** (p / alpha)
+    moment = float(sum_functional_series(centred, n, lambda s: np.abs(s) ** alpha)[-1])
+    rhs = moment ** (p / alpha)
     margin = rhs - lhs
     if margin < -ATOL:
         raise CheckError(f"interpolation bound violated at n = {n}: margin {margin}")
@@ -519,11 +520,15 @@ def cc_series(
     event = lambda n: _deviation_event(n, mu, eps)(lattice.states(n)).astype(float)
     capacities = np.clip(_horizons_dp(ambiguity, lattice, range(1, horizon + 1), event), 0.0, 1.0)
     n_values = tuple(range(1, horizon + 1))
-    terms = capacities.tolist()
-    bounds = [float(raw[n - 1]) / (float(n) ** alpha * eps**alpha) for n in n_values]
-    for n, v, markov in zip(n_values, terms, bounds):
+    terms = []
+    bounds = []
+    for n in n_values:
+        v = float(capacities[n - 1])
+        markov = float(raw[n - 1]) / (float(n) ** alpha * eps**alpha)
         if v > markov + ATOL:
             raise CheckError(f"Markov cross-bound violated at n = {n}: {v} > {markov}")
+        terms.append(v)
+        bounds.append(markov)
     return SeriesReport(
         p=alpha,
         n_values=n_values,

@@ -16,9 +16,7 @@ from sublex import gnormal, iid, lln
 from sublex.cli import (
     SUBCOMMANDS,
     ExperimentConfig,
-    _fmt,
     _run_axioms,
-    _write_csv,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -673,18 +671,3 @@ def test_canonical_csvs_are_byte_identical(tmp_path):
         for path in sorted(tmp_path.glob("*/*.csv"))
     }
     assert digests == CANONICAL_DIGESTS
-
-
-def test_csv_columns_of_mixed_types_keep_the_value_format(tmp_path):
-    # the canonical tables hold one exact type per column; any other column
-    # still writes each value as _fmt does
-    rows = [
-        ("a", 1, 0.1, np.float64(0.2), 3),
-        ("b", np.int64(2), 1e300, 0.5, 2.5),
-        ("c", True, -0.0, np.float64(math.inf), "x"),
-    ]
-    _write_csv(tmp_path / "t.csv", ("s", "i", "f", "g", "mixed"), rows)
-    expected = ["s,i,f,g,mixed"] + [",".join(map(_fmt, row)) for row in rows]
-    assert (tmp_path / "t.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
-    _write_csv(tmp_path / "empty.csv", ("n", "value"), [])
-    assert (tmp_path / "empty.csv").read_bytes() == b"n,value\n"

@@ -289,6 +289,9 @@ class TestSeries:
 
     def test_centring_is_a_shifted_set(self):
         assert "centered" not in inspect.signature(sx.sum_functional_series).parameters
+        # a call that passed the old flag by position fails instead of dropping it
+        maximize = inspect.signature(sx.sum_functional_series).parameters["maximize"]
+        assert maximize.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 #: Every entry point that takes a payoff, as (its value at horizon n for a
