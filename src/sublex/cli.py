@@ -124,7 +124,7 @@ class ExperimentConfig:
         "solver.dt_safety", _real, "a finite number in (0, 1]", lambda x: 0.0 < x <= 1.0, 0.9
     )
     trials: int = _entry("trials", _integer, "an integer >= 1", lambda n: n >= 1, 1000)
-    n_paths: int = _entry("n_paths", _integer, "an integer >= 1", lambda n: n >= 1, 10000)
+    n_paths: int = _entry("n_paths", _integer, "an integer >= 2", lambda n: n >= 2, 10000)
 
     def __post_init__(self) -> None:
         for f in fields(self):

@@ -7,14 +7,17 @@ maximization over per-step measure choices from the ambiguity set,
     V_n(s) = phi(s),   V_k(s) = max_theta sum_j theta_j V_{k+1}(s + atom_j),
 
 evaluated on a lattice of partial sums, one of two, whose every node is a
-state.  The dense integer lattice serves commensurable offsets (decimals
-whose differences are integer multiples of one unit, as on the canonical
-grid) while its nodes do not outnumber the multisets of draws: a node is
-an index, its value the correctly rounded exact sum, and successors are
-slices.  All other offsets run on the composition lattice: a node is a
-multiset of draws, ranked in the combinatorial number system, with
-closed-form successor ranks computed once and sliced per level; it needs
-no sort, no tolerance and no per-step maps.  On commensurable offsets it
+state.  One driver (``_recursion``) runs every such recursion, for a
+terminal payoff, additive stage costs, many horizons at once, a running
+max or the replay of given policies, as one backward sweep.  The dense
+integer lattice serves commensurable offsets (decimals whose differences
+are integer multiples of one unit, as on the canonical grid) while its
+nodes do not outnumber the multisets of draws: a node is an index, its
+value the correctly rounded exact sum, and successors are slices.  All
+other offsets run on the composition lattice: a node is a multiset of
+draws, ranked in the combinatorial number system, with closed-form
+successor ranks computed once and sliced per level; it needs no sort,
+no tolerance and no per-step maps.  On commensurable offsets it
 counts the integer shifts and values a node as the dense lattice would.
 A functional of the running maximum carries it as a trailing value axis
 of a sum lattice: a node holds a value per running max.  One memory budget
@@ -80,7 +83,11 @@ class _Lattice:
     ``V`` holds on level k+1 at the successors of the nodes of level k;
     ``gathered()`` of those are new arrays, the others views.  ``states(k)``
     are the values of the nodes of level k, their sums, in node order.
-    ``nbytes()`` are the bytes of the arrays it keeps, built or not."""
+    ``nbytes()`` are the bytes of the arrays it keeps, built or not.
+    ``zero`` is the node shift of the zero offset on a lattice of the sums
+    of at most k steps, and None on a lattice of k-step sums."""
+
+    zero: int | None = None
 
     def size(self, k: int) -> int:
         """The number of nodes of level k."""
@@ -133,7 +140,7 @@ class _IntLattice(_Lattice):
 
     units: _Units
     moves: np.ndarray
-    zero: int  # node shift of the zero offset of an at-most lattice
+    zero: int | None = None
 
     def size(self, k: int) -> int:
         return k * self.units.span + 1
@@ -218,7 +225,8 @@ class _CompositionLattice(_Lattice):
 
     def successors(self, k: int, values: np.ndarray) -> list[np.ndarray]:
         width = self.size(k)
-        moved = [values[:width]] + [values[ranks[:width]] for ranks in self.succ]
+        # np.take gathers rows of a column block as fast as the entries of a vector
+        moved = [values[:width]] + [np.take(values, ranks[:width], 0) for ranks in self.succ]
         return [moved[j] for j in self.moves]
 
     def gathered(self) -> int:
@@ -233,10 +241,12 @@ class _CompositionLattice(_Lattice):
 class SelectionPolicy:
     """Argmax (argmin, for a lower recursion) certificate: a measure index per node.
 
-    ``choices[k][i]`` is the measure selected at step ``k`` at node i of
-    level k of ``lattice``, whose ``states(k)`` are their values; ties were
-    broken toward the lowest index.  Picks are read-only, a byte each for up
-    to 256 measures; no states are stored.
+    ``_recursion`` derives it for one horizon and replays it exactly on the
+    lattice object it was built on.  ``choices[k][i]`` is the measure
+    selected at step ``k`` at node i of level k of ``lattice``, whose
+    ``states(k)`` are their values; ties were broken toward the lowest
+    index.  Picks are read-only, a byte each for up to 256 measures; no
+    states are stored.
     """
 
     lattice: _Lattice
@@ -380,7 +390,7 @@ def _dense_lattice(units: _Units, n: int, at_most: bool = False) -> _IntLattice:
     shifts = np.array(units.shifts, dtype=np.intp)
     if at_most:
         return _IntLattice(units, shifts[1:], int(shifts[0]))
-    return _IntLattice(units, shifts, 0)
+    return _IntLattice(units, shifts)
 
 
 def _binomial(x: np.ndarray, m: int) -> np.ndarray:
@@ -536,68 +546,6 @@ def _sweep(
         yield k, values, picks
 
 
-def _chain_dp(
-    ambiguity: AmbiguitySet,
-    lattice: _Lattice,
-    n: int,
-    terminal: Callable[[int], np.ndarray],
-    maximize: bool = True,
-    stage: Callable[[int], np.ndarray] | None = None,
-    want_policy: bool = False,
-    replay: Sequence[SelectionPolicy | int] = (),
-) -> tuple[float | np.ndarray, SelectionPolicy | None]:
-    """The n-step recursion on ``lattice`` from ``terminal(n)``, the values on
-    the states of level n; ``stage(k)``, values on the states of level k, is
-    added at every level k = 1..n.
-
-    With ``replay`` policies, each built on this lattice object or a
-    measure index that every node picks, returns their exact expected
-    values (policy evaluation), an array in their order, instead of the
-    optimum.  One sweep carries a value column per policy; step k's picks, a
-    column per policy, are stacked when the sweep reaches it, so a constant
-    policy keeps no picks.  A policy keeps one pick (a byte for up to 256
-    measures) per node of levels 0..n-1 and no states.  The sweep is
-    admitted (``_admit``) before the terminal is evaluated.
-    """
-    if n < 1:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
-    kept = [p for p in replay if isinstance(p, SelectionPolicy)]
-    if any(policy.horizon != n or policy.lattice is not lattice for policy in kept):
-        raise ParameterError(f"the replayed policy is not built on this {n}-step lattice")
-    measures = len(ambiguity.weight_matrix)
-    columns = (n,) * max(len(replay), 1)
-    _admit(lattice, columns, measures, stage is not None, want_policy, bool(replay))
-    values = terminal(n)
-    fixed = None
-    lift = lambda costs: costs
-    if replay:
-        pick = np.min_scalar_type(measures - 1)
-
-        def fixed(k: int) -> np.ndarray:
-            picks = np.empty((lattice.size(k), len(replay)), dtype=pick)
-            for i, policy in enumerate(replay):
-                picks[:, i] = policy.choices[k] if isinstance(policy, SelectionPolicy) else policy
-            return picks
-
-        lift = lambda costs: costs[:, None]  # the same costs in every policy's column
-        values = np.broadcast_to(lift(values), (values.size, len(replay)))
-    add_stage = None
-    if stage is not None:
-        add_stage = lambda k, v: v + lift(stage(k))
-        values = add_stage(n, values)
-    choices: list[np.ndarray] = [np.empty(0, dtype=np.uint8)] * n
-    for k, values, picks in _sweep(
-        ambiguity.weight_matrix, lattice, n, values, maximize, add_stage, fixed, want_policy
-    ):
-        if want_policy:
-            picks.flags.writeable = False
-            choices[k] = picks
-    if replay:
-        return values[0], None
-    policy = SelectionPolicy(lattice, tuple(choices)) if want_policy else None
-    return float(values[0]), policy
-
-
 def _maxima(lattice: _Lattice, top: int) -> np.ndarray:
     """The running-max axis of ``lattice``: the distinct |s| over the states
     of levels 0..top, ascending.  A sweep over it holds at least the nodes
@@ -629,38 +577,85 @@ def _raise_maxima(
     return np.take_along_axis(values, raised[..., None], axis=1)
 
 
-def _horizons_dp(
+def _recursion(
     ambiguity: AmbiguitySet,
     lattice: _Lattice,
     horizons: Sequence[int],
     terminal: Callable[[int], np.ndarray],
     maximize: bool = True,
+    stage: Callable[[int], np.ndarray] | None = None,
+    want_policy: bool = False,
+    replay: Sequence[SelectionPolicy | int] = (),
     axis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Upper expectations for several horizons from one sweep of ``lattice``,
-    admitted (``_admit``) before it runs; lower ones if not ``maximize``.
+) -> tuple[np.ndarray, SelectionPolicy | None]:
+    """Upper expectations for each n of the increasing ``horizons`` from one
+    sweep of ``lattice`` (lower ones if not ``maximize``): the only driver
+    of ``_sweep``, admitted (``_admit``) before the terminal is evaluated.
 
     ``terminal(n)`` gives the payoff on the states of level n, a row per
     node (and a column per entry of a running-max ``axis``, raised by
-    ``_raise_maxima`` at every level); for each n of the increasing
-    ``horizons`` a column starts from it at level n, and level 0 holds
-    every column's value (at running max 0), returned in horizon order.
+    ``_raise_maxima`` at every level); ``stage(k)``, values on the states
+    of level k, is added at every level k = 1..N.  Values carry a trailing
+    column axis.  On an at-most lattice (``lattice.zero`` set) one column
+    starts at level N and horizon n is read at the origin of level N - n;
+    on any other a column starts at level n for each horizon, and level 0
+    holds them all.  Returns the values at the origin (at running max 0),
+    in horizon order, and with ``want_policy`` the argmax (argmin) policy
+    of one horizon's recursion.
+
+    With ``replay`` policies, each built on this lattice object or a
+    measure index that every node picks, one horizon's recursion returns
+    their exact expected values (policy evaluation), in their order,
+    instead of the optimum.  One sweep carries a value column per policy;
+    step k's picks, a column per policy, are stacked when the sweep reaches
+    it, so a constant policy keeps no picks.  A policy keeps one pick (a
+    byte for up to 256 measures) per node of levels 0..N-1 and no states.
     """
     top = horizons[-1]
     if horizons[0] < 1:
-        raise ParameterError(f"horizons must be >= 1, got {horizons[0]}")
-    _admit(lattice, horizons, len(ambiguity.weight_matrix), axis=axis)
-    starts = set(horizons)
-    values = _raise_maxima(lattice, axis, top, terminal(top)[..., None])
+        raise ParameterError(f"horizon must be >= 1, got {horizons[0]}")
+    kept = [p for p in replay if isinstance(p, SelectionPolicy)]
+    if any(policy.horizon != top or policy.lattice is not lattice for policy in kept):
+        raise ParameterError(f"the replayed policy is not built on this {top}-step lattice")
+    measures = len(ambiguity.weight_matrix)
+    at_most = lattice.zero is not None
+    columns = (top,) * len(replay) or ((top,) if at_most else horizons)
+    _admit(lattice, columns, measures, stage is not None, want_policy, bool(replay), axis)
+    starts = set() if at_most else set(horizons[:-1])
 
-    def stage(k: int, v: np.ndarray) -> np.ndarray:
+    def level(k: int, values: np.ndarray) -> np.ndarray:
         if k in starts:
-            v = np.concatenate([v, terminal(k)[..., None]], axis=-1)
-        return _raise_maxima(lattice, axis, k, v)
+            values = np.concatenate([terminal(k)[..., None], values], axis=-1)
+        if stage is not None:
+            values = values + stage(k)[:, None]  # the same costs in every column
+        return _raise_maxima(lattice, axis, k, values)
 
-    for _, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, maximize, stage):
-        pass
-    return values[0].reshape(-1, len(horizons))[0, ::-1]
+    values = terminal(top)[..., None]
+    fixed = None
+    if replay:
+        values = np.broadcast_to(values, (values.shape[0], len(replay)))
+        pick = np.min_scalar_type(measures - 1)
+
+        def fixed(k: int) -> np.ndarray:
+            picks = np.empty((lattice.size(k), len(replay)), dtype=pick)
+            for i, policy in enumerate(replay):
+                picks[:, i] = policy.choices[k] if isinstance(policy, SelectionPolicy) else policy
+            return picks
+
+    values = level(top, values)
+    choices: list[np.ndarray] = []
+    read: list[float] = []
+    for k, values, picks in _sweep(
+        ambiguity.weight_matrix, lattice, top, values, maximize, level, fixed, want_policy
+    ):
+        if want_policy:
+            choices.append(picks[:, 0].copy())  # a view would keep the block and one more array
+            choices[-1].flags.writeable = False
+        if at_most and top - k == horizons[len(read)]:
+            read.append(values[lattice.origin(k)].flat[0])
+    out = np.array(read) if at_most else values[0].reshape(-1, values.shape[-1])[0]
+    policy = SelectionPolicy(lattice, tuple(choices[::-1])) if want_policy else None
+    return out, policy
 
 
 def _series(
@@ -678,22 +673,17 @@ def _series(
 
     Because the sequence is i.i.d., the value with r remaining steps from
     state s is the same function U_r(s) at every calendar step, so one
-    sweep of the one-step operator serves every horizon: at s = 0 of the
-    dense lattice of sums of at most N draws, or else at level 0 of the
-    k-draw lattice, a value column per horizon (``_horizons_dp``).  A running
+    sweep of the one-step operator serves every horizon (``_recursion``):
+    at s = 0 of the dense lattice of sums of at most N draws, or else at
+    level 0 of the k-draw lattice, a value column per horizon.  A running
     max m is a trailing value axis of the distinct |s| over levels 0..N
     (``_maxima``): each node holds V(s, m) for every m, ``_raise_maxima``
     applies the move's new maximum after every level, and level 0 is read
     at m = 0.
     """
     top = horizons[-1]
-    if horizons[0] < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizons[0]}")
     # level j holds every sum of at most j offsets, so the origin stays on it
-    lattice = _lattice(offsets, top, at_most=True)
-    on_origin = lattice is not None
-    if not on_origin:
-        lattice = _lattice(offsets, top)
+    lattice = _lattice(offsets, top, at_most=True) or _lattice(offsets, top)
     if running_max:
         axis = _maxima(lattice, top)
         on_axis = _on_states(psi, axis, "payoff")
@@ -701,18 +691,7 @@ def _series(
     else:
         axis = None
         payoff = lambda k: _on_states(psi, lattice.states(k), "payoff")
-    if not on_origin:
-        return _horizons_dp(ambiguity, lattice, horizons, payoff, maximize, axis)
-    _admit(lattice, (top,), len(ambiguity.weight_matrix), axis=axis)
-    values = _raise_maxima(lattice, axis, top, payoff(top)[..., None])
-    stage = lambda k, v: _raise_maxima(lattice, axis, k, v)
-    out = np.empty(len(horizons))
-    read = 0
-    for k, values, _ in _sweep(ambiguity.weight_matrix, lattice, top, values, maximize, stage):
-        if top - k == horizons[read]:
-            out[read] = values[lattice.origin(k)].flat[0]  # at running max 0
-            read += 1
-    return out
+    return _recursion(ambiguity, lattice, horizons, payoff, maximize, axis=axis)[0]
 
 
 def eval_sum_functional(
@@ -728,9 +707,9 @@ def eval_sum_functional(
     """
     lattice = _lattice(ambiguity.grid.array, n)
     payoff = lambda k: _on_states(terminal, lattice.states(k), "terminal")
-    value, policy = _chain_dp(ambiguity, lattice, n, payoff, maximize, want_policy=True)
+    (value,), policy = _recursion(ambiguity, lattice, [n], payoff, maximize, want_policy=True)
     assert policy is not None
-    return value, policy
+    return float(value), policy
 
 
 def eval_additive_functional(
@@ -745,24 +724,9 @@ def eval_additive_functional(
         raise ParameterError(f"expected {n} stage costs, got {len(costs)}")
     lattice = _lattice(ambiguity.grid.array, n)
     stage = lambda k: _on_states(costs[k - 1], lattice.states(k), f"stage cost {k}")
-    value, _ = _additive_dp(ambiguity, n, lattice, stage)
-    return value
-
-
-def _additive_dp(
-    ambiguity: AmbiguitySet,
-    n: int,
-    lattice: _Lattice,
-    stage: Callable[[int], np.ndarray],
-    want_policy: bool = False,
-    replay: Sequence[SelectionPolicy | int] = (),
-) -> tuple[float | np.ndarray, SelectionPolicy | None]:
-    """The recursion of ``sum_{k=1..n} g_k(S_k)`` on the grid's ``lattice``, with
-    ``stage(k)`` the values of g_k on the states of level k."""
     zero = lambda k: np.zeros(lattice.size(k))
-    return _chain_dp(
-        ambiguity, lattice, n, zero, stage=stage, want_policy=want_policy, replay=replay
-    )
+    (value,), _ = _recursion(ambiguity, lattice, [n], zero, stage=stage)
+    return float(value)
 
 
 def capacity_sum_event(
@@ -778,8 +742,8 @@ def capacity_sum_event(
     """
     lattice = _lattice(ambiguity.grid.array, n)
     event = lambda k: _on_states(predicate, lattice.states(k), "predicate", bool).astype(float)
-    value, _ = _chain_dp(ambiguity, lattice, n, event, maximize)
-    return min(1.0, max(0.0, value))
+    (value,), _ = _recursion(ambiguity, lattice, [n], event, maximize)
+    return min(1.0, max(0.0, float(value)))
 
 
 def eval_maxabs_functional(

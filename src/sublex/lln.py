@@ -31,10 +31,9 @@ from .errors import CapacityError, CheckError, ParameterError
 from .gnormal import GNormalParams, HeatGrid, _limit_abs_moment
 from .iid import (
     _Lattice,
-    _additive_dp,
     _admit_paths,
-    _horizons_dp,
     _lattice,
+    _recursion,
     _sample_steps,
     _series,
     sum_functional_series,
@@ -96,10 +95,17 @@ def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
     """Least squares of log terms against log n over the top half of the range.
 
     Nonpositive terms are excluded from the fit (a term that has decayed to
-    exact zero carries no tail information at this scale).
+    exact zero carries no tail information at this scale).  It takes one
+    term per n, at least one; ParameterError otherwise.
     """
     n_arr = np.asarray(n_values, dtype=float)
     t_arr = np.asarray(terms, dtype=float)
+    if n_arr.shape != t_arr.shape:
+        raise ParameterError(
+            f"need one term per n, got {t_arr.size} terms for {n_arr.size} values of n"
+        )
+    if n_arr.size == 0:
+        raise ParameterError("need at least one term to fit a tail")
     horizon = int(n_arr[-1])
     lo = horizon // 2 + 1
     mask = (n_arr >= lo) & (t_arr > 0.0)
@@ -488,7 +494,9 @@ def subadditive_series_check(
         raise ParameterError(f"need beta > 2, got {beta}")
     mu = ambiguity.require_mean_certain("subadditive_series_check")
     lattice = _lattice(ambiguity.grid.array, horizon)
-    lhs, _ = _additive_dp(ambiguity, horizon, lattice, _series_costs(lattice, mu, beta))
+    zero = lambda k: np.zeros(lattice.size(k))
+    stage = _series_costs(lattice, mu, beta)
+    lhs = float(_recursion(ambiguity, lattice, [horizon], zero, stage=stage)[0][0])
     raw = sum_functional_series(_shifted(ambiguity, mu), horizon, lambda s: np.abs(s) ** beta)
     n = np.arange(1, horizon + 1, dtype=float)
     rhs = float(np.sum(raw / n**beta))
@@ -518,7 +526,7 @@ def cc_series(
     raw = sum_functional_series(_shifted(ambiguity, mu), horizon, lambda s: np.abs(s) ** alpha)
     lattice = _lattice(ambiguity.grid.array, horizon)
     event = lambda n: _deviation_event(n, mu, eps)(lattice.states(n)).astype(float)
-    capacities = np.clip(_horizons_dp(ambiguity, lattice, range(1, horizon + 1), event), 0.0, 1.0)
+    capacities = np.clip(_recursion(ambiguity, lattice, range(1, horizon + 1), event)[0], 0.0, 1.0)
     n_values = tuple(range(1, horizon + 1))
     terms = []
     bounds = []
@@ -619,10 +627,14 @@ def sqs_empirical(
     labels = [f"measure_{i}" for i in range(measures)] + ["argmax"]
     _admit_paths(lattice, horizon, measures, len(labels), n_paths)
     stage = _series_costs(lattice, mu, beta)
-    value, argmax_policy = _additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
+    zero = lambda k: np.zeros(lattice.size(k))
+    (value,), argmax_policy = _recursion(
+        ambiguity, lattice, [horizon], zero, stage=stage, want_policy=True
+    )
+    value = float(value)
     assert argmax_policy is not None
     policies = [*range(measures), argmax_policy]
-    exacts, _ = _additive_dp(ambiguity, horizon, lattice, stage, replay=policies)
+    exacts, _ = _recursion(ambiguity, lattice, [horizon], zero, stage=stage, replay=policies)
 
     streams = np.random.SeedSequence(seed).spawn(len(labels))
     rngs = [np.random.default_rng(stream) for stream in streams]

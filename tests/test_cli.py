@@ -281,6 +281,7 @@ class TestExitCodes:
             ("cc-series", {"epsilons": []}, [], "epsilons"),
             ("gheat", {}, ["--override", "solver.nx=3"], "solver.nx"),
             ("gheat", {}, ["--override", "solver.nx=4"], "solver.nx"),
+            ("axioms", {"n_paths": 1}, [], "n_paths"),
         ],
         ids=[
             "p-nan",
@@ -294,6 +295,7 @@ class TestExitCodes:
             "epsilons-empty",
             "nx-3-gheat",
             "nx-4-gheat",
+            "n_paths-1-axioms",
         ],
     )
     def test_invalid_value_exits_2_naming_its_key(

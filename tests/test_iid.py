@@ -15,7 +15,6 @@ import sublex as sx
 from sublex import iid
 from sublex.iid import (
     _brute_force_many,
-    _chain_dp,
     _commensurable,
     _composition_lattice,
     _CompositionLattice,
@@ -24,6 +23,7 @@ from sublex.iid import (
     _lattice,
     _Lattice,
     _merge,
+    _recursion,
     _sample_steps,
     SelectionPolicy,
     _tail_sums,
@@ -293,6 +293,12 @@ class TestSeries:
         maximize = inspect.signature(sx.sum_functional_series).parameters["maximize"]
         assert maximize.kind is inspect.Parameter.KEYWORD_ONLY
 
+    def test_one_driver_runs_every_recursion(self):
+        # the terminal, additive, many-horizon and at-most recursions are
+        # all calls of iid._recursion
+        for name in ("_chain_dp", "_horizons_dp", "_additive_dp"):
+            assert not hasattr(iid, name), name
+
 
 #: Every entry point that takes a payoff, as (its value at horizon n for a
 #: payoff, the same functional of a path for the enumeration oracle).
@@ -477,21 +483,21 @@ class TestSamplePath:
         value, argmax = sx.eval_sum_functional(theta_star, n, lambda s: s**4)
         lattice = argmax.lattice
         quartic = lambda k: lattice.states(k) ** 4
-        (replayed,), _ = _chain_dp(theta_star, lattice, n, quartic, replay=[argmax])
+        (replayed,), _ = _recursion(theta_star, lattice, [n], quartic, replay=[argmax])
         assert replayed == value
         for i, (var, m4) in enumerate([(0.5, 0.5), (1.0, 1.0)]):
             constant = sx.SelectionPolicy(lattice, tuple(np.full_like(c, i) for c in argmax.choices))
-            (exact,), _ = _chain_dp(theta_star, lattice, n, quartic, replay=[constant])
+            (exact,), _ = _recursion(theta_star, lattice, [n], quartic, replay=[constant])
             assert exact == pytest.approx(n * m4 + 3 * n * (n - 1) * var**2, rel=1e-12)
 
     def test_replay_needs_the_policy_lattice(self, theta_star):
         _, policy = sx.eval_sum_functional(theta_star, 5, abs)
         longer = _lattice(theta_star.grid.array, 6)
         with pytest.raises(sx.ParameterError):
-            _chain_dp(theta_star, longer, 6, lambda k: np.abs(longer.states(k)), replay=[policy])
+            _recursion(theta_star, longer, [6], lambda k: np.abs(longer.states(k)), replay=[policy])
         wider = _lattice(theta_star.grid.array * 2, 5)
         with pytest.raises(sx.ParameterError):
-            _chain_dp(theta_star, wider, 5, lambda k: np.abs(wider.states(k)), replay=[policy])
+            _recursion(theta_star, wider, [5], lambda k: np.abs(wider.states(k)), replay=[policy])
 
     def test_batch_sampling_matches_exact_policy_value(self, theta_star):
         n = 50
@@ -499,7 +505,7 @@ class TestSamplePath:
             value, policy = sx.eval_sum_functional(theta_star, n, lambda s: s**4, maximize)
             lattice = policy.lattice
             quartic = lambda k: lattice.states(k) ** 4
-            (exact,), _ = _chain_dp(theta_star, lattice, n, quartic, replay=[policy])
+            (exact,), _ = _recursion(theta_star, lattice, [n], quartic, replay=[policy])
             assert exact == value
             rngs = [np.random.default_rng(1000)]
             for _, sums in _sample_steps(theta_star, [policy], n, rngs, 10_000):
@@ -586,10 +592,10 @@ def grid_policies(atoms, n):
     terminal = lambda k: np.abs(lattice.states(k) - 0.3) ** 3
     stage = lambda k: np.cos(lattice.states(k) + k)
     policies = [
-        _chain_dp(family, lattice, n, terminal, maximize, want_policy=True)[1]
+        _recursion(family, lattice, [n], terminal, maximize, want_policy=True)[1]
         for maximize in (True, False)
     ]
-    policies.append(_chain_dp(family, lattice, n, terminal, stage=stage, want_policy=True)[1])
+    policies.append(_recursion(family, lattice, [n], terminal, stage=stage, want_policy=True)[1])
     return family, policies
 
 
@@ -976,7 +982,7 @@ class TestIndexLattice:
                 (lambda s: s <= c, lambda xs: exact_sum(xs) <= bound),
             ):
                 terminal = np.array([float(event(s)) for s in lattice.states(n)])
-                value, _ = _chain_dp(ambiguity, lattice, n, lambda k: terminal)
+                (value,), _ = _recursion(ambiguity, lattice, [n], lambda k: terminal)
                 oracle = sx.brute_force_oracle(ambiguity, n, lambda xs: float(exact(xs)))
                 assert value == pytest.approx(oracle, rel=1e-12, abs=1e-15)
                 public = sx.capacity_sum_event(ambiguity, n, event)
@@ -1011,9 +1017,9 @@ class TestIndexLattice:
         for lattice, stage in zip(lattices, stages):
             terminal = lambda k, lat=lattice: payoff(lat.states(k))
             results.append(
-                _chain_dp(ambiguity, lattice, n, terminal, maximize, stage, want_policy=True)
+                _recursion(ambiguity, lattice, [n], terminal, maximize, stage, want_policy=True)
             )
-        (v_dense, p_dense), (v_sparse, p_sparse), (v_float, p_float) = results
+        ((v_dense,), p_dense), ((v_sparse,), p_sparse), ((v_float,), p_float) = results
         assert v_dense == v_sparse
         # the value sums n stage costs of at most 1 and a terminal; where they
         # nearly cancel, rounding is relative to those magnitudes, not the sum
@@ -1033,8 +1039,8 @@ class TestIndexLattice:
         for lattice, stage, target in others:
             terminal = lambda k, lat=lattice: payoff(lat.states(k))
             policy = relocated(p_dense, target)
-            (replayed,), _ = _chain_dp(
-                ambiguity, lattice, n, terminal, stage=stage, replay=[policy]
+            (replayed,), _ = _recursion(
+                ambiguity, lattice, [n], terminal, stage=stage, replay=[policy]
             )
             assert replayed == pytest.approx(v_dense, **close)
 
@@ -1048,7 +1054,7 @@ class TestIndexLattice:
         slow = merged(atoms, 8)
         terminal = lambda k: np.abs(slow.states(k) - 0.25) ** 3
         for n in range(1, 9):
-            value, _ = _chain_dp(ambiguity, slow, n, terminal)
+            (value,), _ = _recursion(ambiguity, slow, [n], terminal)
             assert series[n - 1] == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("offsets, rows", RUNNING_MAX_SETS)
@@ -1077,7 +1083,7 @@ class TestIndexLattice:
         top = 64 if exact else 32
         chain = reference_pair_lattice(centered, top)
         phi = lambda m: m**3
-        expected = iid._horizons_dp(ambiguity, chain, range(1, top + 1), lambda n: phi(chain.states(n)))
+        expected, _ = _recursion(ambiguity, chain, range(1, top + 1), lambda n: phi(chain.states(n)))
         series = iid._series(ambiguity, centered, range(1, top + 1), phi, running_max=True)
         value = sx.eval_maxabs_functional(ambiguity, top, phi)
         assert value == series[-1]
@@ -1127,7 +1133,7 @@ class TestIndexLattice:
         assert peak < 32 * 2**20
         full = dense(family.grid.array, n)
         terminal = lambda k: (full.states(k) >= 380_000).astype(float)
-        reference, _ = _chain_dp(family, full, n, terminal)
+        (reference,), _ = _recursion(family, full, [n], terminal)
         assert 0.0 < value < 1.0
         assert value == pytest.approx(reference, rel=0.0, abs=1e-12)
 
@@ -1196,10 +1202,10 @@ class TestCompositionLattice:
         terminal, additive = [], []
         for lattice in lattices:
             payoff = lambda k, lat=lattice: psi(lat.states(k))
-            terminal.append(_chain_dp(ambiguity, lattice, n, payoff, maximize)[0])
+            terminal.append(_recursion(ambiguity, lattice, [n], payoff, maximize)[0][0])
             stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
             zero = lambda k, lat=lattice: np.zeros(lat.size(k))
-            additive.append(_chain_dp(ambiguity, lattice, n, zero, maximize, stage)[0])
+            additive.append(_recursion(ambiguity, lattice, [n], zero, maximize, stage)[0][0])
         assert terminal[0] == pytest.approx(terminal[1], rel=1e-12, abs=1e-300)
         assert additive[0] == pytest.approx(additive[1], rel=1e-12, abs=1e-12)
         series = [
@@ -1227,9 +1233,9 @@ class TestCompositionLattice:
             terminal = lambda k, lat=lattice: payoff(lat.states(k))
             stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
             results.append(
-                _chain_dp(ambiguity, lattice, n, terminal, maximize, stage, want_policy=True)
+                _recursion(ambiguity, lattice, [n], terminal, maximize, stage, want_policy=True)
             )
-        (v_comp, p_comp), (v_int, p_int) = results
+        ((v_comp,), p_comp), ((v_int,), p_int) = results
         assert v_comp == v_int
         for k in range(n):
             at = np.searchsorted(lattices[1].states(k), lattices[0].states(k))
@@ -1239,7 +1245,7 @@ class TestCompositionLattice:
         # of at most k draws on the dense one
         grown = np.concatenate([np.zeros(1), atoms])
         psi = lambda s: np.abs(s - center) ** 3
-        columns = iid._horizons_dp(
+        columns, _ = _recursion(
             ambiguity, lattices[0], range(1, n + 1), lambda k: psi(lattices[0].states(k)), maximize
         )
         at_most = _dense_lattice(units_of(grown), n, at_most=True)
@@ -1374,17 +1380,18 @@ class TestFloatBudget:
         calls = {
             "capacity": lambda n: sx.capacity_sum_event(family, n, lambda s: s >= 0.25),
             "series": lambda n: sx.sum_functional_series(family, n, lambda s: np.abs(s) ** 3),
-            "additive": lambda n: iid._additive_dp(family, n, *cosine_stages(family, n)),
+            "additive": lambda n: cosine_additive(family, n),
         }
         for name, call in calls.items():
             outcomes = traced_outcomes(call, range(1, 80))
             assert outcomes[-1] == "raised" and outcomes.count("built") >= 10, name
 
 
-def cosine_stages(ambiguity, n):
-    """The lattice of an additive DP and the array stage cost cos(S_k)."""
+def cosine_additive(ambiguity, n):
+    """The additive DP of the array stage cost cos(S_k), from a zero terminal."""
     lattice = _lattice(ambiguity.grid.array, n)
-    return lattice, lambda k: np.cos(lattice.states(k))
+    zero = lambda k: np.zeros(lattice.size(k))
+    return _recursion(ambiguity, lattice, [n], zero, stage=lambda k: np.cos(lattice.states(k)))
 
 
 def budget_outcomes(monkeypatch, call, budgets):
@@ -1589,7 +1596,7 @@ class TestPolicyBudget:
         assert max(int(c.max()) for c in policy.choices) > 255
         lattice = policy.lattice
         squares = lambda k: lattice.states(k) ** 2
-        (replayed,), _ = _chain_dp(family, lattice, 4, squares, replay=[policy])
+        (replayed,), _ = _recursion(family, lattice, [4], squares, replay=[policy])
         assert replayed == value
 
     def test_policy_budget_counts_every_node(self, monkeypatch):

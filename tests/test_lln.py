@@ -325,11 +325,14 @@ class TestCCSeries:
 def reference_sqs(ambiguity, beta, horizon, n_paths, seed):
     """``sqs_empirical`` one policy at a time, as it ran before its policies
     were batched: per policy, a constant one as picks on the argmax policy's
-    lattice, an ``_additive_dp`` replay and a ``_sample_steps`` loop."""
+    lattice, a ``_recursion`` replay and a ``_sample_steps`` loop."""
     mu = ambiguity.require_mean_certain("reference_sqs")
     lattice = iid._lattice(ambiguity.grid.array, horizon)
     stage = lln._series_costs(lattice, mu, beta)
-    value, argmax = iid._additive_dp(ambiguity, horizon, lattice, stage, want_policy=True)
+    zero = lambda k: np.zeros(lattice.size(k))
+    (value,), argmax = iid._recursion(
+        ambiguity, lattice, [horizon], zero, stage=stage, want_policy=True
+    )
     labels = [f"measure_{i}" for i in range(len(ambiguity.weight_matrix))] + ["argmax"]
     streams = np.random.SeedSequence(seed).spawn(len(labels))
     summaries = []
@@ -338,7 +341,9 @@ def reference_sqs(ambiguity, beta, horizon, n_paths, seed):
         if label != "argmax":
             picks = (np.broadcast_to(c.dtype.type(i), c.shape) for c in argmax.choices)
             policy = sx.SelectionPolicy(lattice, tuple(picks))
-        (exact,), _ = iid._additive_dp(ambiguity, horizon, lattice, stage, replay=[policy])
+        (exact,), _ = iid._recursion(
+            ambiguity, lattice, [horizon], zero, stage=stage, replay=[policy]
+        )
         if exact > value + 1e-12:
             raise sx.CheckError(
                 f"policy {label} has exact value {exact}, above the upper expectation {value}"
@@ -557,6 +562,14 @@ class TestTailFitting:
     def test_too_few_points(self):
         fit = sx.fit_tail([1, 2], [1.0, 0.5])
         assert not fit.usable
+
+    def test_empty_input_is_a_parameter_error(self):
+        with pytest.raises(sx.ParameterError, match="at least one term"):
+            sx.fit_tail([], [])
+
+    def test_misaligned_input_is_a_parameter_error(self):
+        with pytest.raises(sx.ParameterError, match="one term per n, got 2 terms for 3 values of n"):
+            sx.fit_tail([1, 2, 3], [1, 2])
 
     def test_zero_terms_are_skipped(self):
         n = np.arange(1, 51)
