@@ -7,9 +7,10 @@ maximization over per-step measure choices from the ambiguity set,
     V_n(s) = phi(s),   V_k(s) = max_theta sum_j theta_j V_{k+1}(s + atom_j),
 
 evaluated on a lattice of partial sums, one of two, whose every node is a
-state.  One driver (``_recursion``) runs every such recursion, for a
+state.  One function (``_recursion``) runs every such recursion, for a
 terminal payoff, additive stage costs, many horizons at once, a running
-max or the replay of given policies, as one backward sweep.  The dense
+max or the replay of given policies, as one backward sweep; its level
+loop is the only code that applies the one-step operator.  The dense
 integer lattice serves commensurable offsets (decimals whose differences
 are integer multiples of one unit, as on the canonical grid) while its
 nodes do not outnumber the multisets of draws: a node is an index, its
@@ -306,14 +307,14 @@ def _admit(
     The bytes are the lattice's own, built or not, and one step's working
     arrays over the widest level of values (nodes times the columns alive
     there).  Per value a step holds: a candidate per measure; the gathered
-    successors of its level and of the previous one, which ``_sweep`` holds
-    across its yield; four words, the level above, the running best with its
-    predecessor and a weighted successor; a stacked copy when it starts
-    columns; three words when ``staged``, a stage's states, its values and
-    the staged sum; two words when it derives ``picks``, the picks and their
-    tie mask, or a candidate per measure stacked to ``replay`` policies, a
-    column each.  Either keeps one policy's pick per node of levels
-    0..top-1, an array per level.
+    successors of its level and of the previous one, which ``_recursion``
+    holds from one level into the next; four words, the level above, the
+    running best with its predecessor and a weighted successor; a stacked
+    copy when it starts columns; three words when ``staged``, a stage's
+    states, its values and the staged sum; two words when it derives
+    ``picks``, the picks and their tie mask, or a candidate per measure
+    stacked to ``replay`` policies, a column each.  Either keeps one
+    policy's pick per node of levels 0..top-1, an array per level.
     A running-max ``axis`` gives every node a value per entry and column,
     and its stage three words more per value: the raised entries, the
     values they gather and the level's states with their entries.
@@ -494,58 +495,6 @@ def sum_lattice(ambiguity: AmbiguitySet, step: int) -> SumLattice:
     return SumLattice(step, tuple(states.tolist()))
 
 
-def _sweep(
-    weights: np.ndarray,
-    lattice: _Lattice,
-    n: int,
-    values: np.ndarray,
-    maximize: bool = True,
-    stage: Callable[[int, np.ndarray], np.ndarray] | None = None,
-    fixed: Callable[[int], np.ndarray] | None = None,
-    with_picks: bool = False,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """The backward recursion: the only code that applies the one-step operator.
-
-    From ``values`` on the nodes of level n, yields ``(k, V_k, picks)`` for
-    k = n-1..0, where ``V_k(s) = max_theta sum_j theta_j V_{k+1}(succ_j(s))``
-    (min if not ``maximize``), the successors coming from
-    ``lattice.successors``; the products are summed in move order,
-    elementwise.  ``picks``, the optimal measure indices with ties broken
-    toward the lowest, are derived only ``with_picks`` (None otherwise).
-    ``values`` may carry trailing columns, each swept independently.  Picks
-    are of the smallest unsigned type that holds every measure index.
-    For k >= 1, ``stage(k, V_k)`` replaces ``V_k`` (a stage cost added, or a
-    column started).  With ``fixed(k)`` giving the picks of step k, a
-    column per value column, the sweep evaluates those policies instead;
-    replaying the optimal picks reproduces ``V_k`` bit for bit.
-    """
-    best = np.maximum if maximize else np.minimum
-    for k in range(n - 1, -1, -1):
-        succ = lattice.successors(k, values)
-        scored = []
-        for row in weights:
-            acc = succ[0] * row[0]
-            for nxt, w in zip(succ[1:], row[1:]):
-                acc += nxt * w
-            scored.append(acc)
-        picks = None
-        if fixed is not None:
-            picks = fixed(k)
-            values = np.take_along_axis(np.stack(scored, axis=-1), picks[..., None], -1)[..., 0]
-        else:
-            values = scored[0]
-            for candidate in scored[1:]:
-                values = best(values, candidate)  # a tie keeps the earlier measure's value
-            if with_picks:
-                last = len(scored) - 1
-                picks = np.full(values.shape, last, dtype=np.min_scalar_type(last))
-                for i in range(last - 1, -1, -1):
-                    picks = np.where(scored[i] == values, i, picks)
-        if stage is not None and k >= 1:
-            values = stage(k, values)
-        yield k, values, picks
-
-
 def _maxima(lattice: _Lattice, top: int) -> np.ndarray:
     """The running-max axis of ``lattice``: the distinct |s| over the states
     of levels 0..top, ascending.  A sweep over it holds at least the nodes
@@ -589,27 +538,35 @@ def _recursion(
     axis: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SelectionPolicy | None]:
     """Upper expectations for each n of the increasing ``horizons`` from one
-    sweep of ``lattice`` (lower ones if not ``maximize``): the only driver
-    of ``_sweep``, admitted (``_admit``) before the terminal is evaluated.
+    backward sweep of ``lattice`` (lower ones if not ``maximize``), admitted
+    (``_admit``) before the terminal is evaluated: the only code that
+    applies the one-step operator.
 
-    ``terminal(n)`` gives the payoff on the states of level n, a row per
-    node (and a column per entry of a running-max ``axis``, raised by
-    ``_raise_maxima`` at every level); ``stage(k)``, values on the states
-    of level k, is added at every level k = 1..N.  Values carry a trailing
-    column axis.  On an at-most lattice (``lattice.zero`` set) one column
-    starts at level N and horizon n is read at the origin of level N - n;
-    on any other a column starts at level n for each horizon, and level 0
-    holds them all.  Returns the values at the origin (at running max 0),
-    in horizon order, and with ``want_policy`` the argmax (argmin) policy
-    of one horizon's recursion.
+    From the values on the nodes of level N = ``horizons[-1]``, each level
+    k = N-1..0 gets ``V_k(s) = max_theta sum_j theta_j V_{k+1}(succ_j(s))``
+    (min if not ``maximize``), the successors coming from
+    ``lattice.successors``; the products are summed in move order,
+    elementwise.  ``terminal(n)`` gives the payoff on the states of level n,
+    a row per node (and a column per entry of a running-max ``axis``,
+    raised by ``_raise_maxima`` at every level); ``stage(k)``, values on the
+    states of level k, is added at every level k = 1..N.  Values carry a
+    trailing column axis, each column swept independently.  On an at-most
+    lattice (``lattice.zero`` set) one column starts at level N and horizon
+    n is read at the origin of level N - n; on any other a column starts at
+    level n for each horizon, and level 0 holds them all.  Returns the
+    values at the origin (at running max 0), in horizon order, and with
+    ``want_policy`` the argmax (argmin) policy of one horizon's recursion:
+    the optimal measure per node, ties broken toward the lowest, a pick of
+    the smallest unsigned type that holds every measure index.
 
     With ``replay`` policies, each built on this lattice object or a
     measure index that every node picks, one horizon's recursion returns
     their exact expected values (policy evaluation), in their order,
     instead of the optimum.  One sweep carries a value column per policy;
     step k's picks, a column per policy, are stacked when the sweep reaches
-    it, so a constant policy keeps no picks.  A policy keeps one pick (a
-    byte for up to 256 measures) per node of levels 0..N-1 and no states.
+    it, so a constant policy keeps no picks.  Replaying the optimal picks
+    reproduces the optimum bit for bit.  A policy keeps one pick (a byte
+    for up to 256 measures) per node of levels 0..N-1 and no states.
     """
     top = horizons[-1]
     if horizons[0] < 1:
@@ -622,35 +579,43 @@ def _recursion(
     columns = (top,) * len(replay) or ((top,) if at_most else horizons)
     _admit(lattice, columns, measures, stage is not None, want_policy, bool(replay), axis)
     starts = set() if at_most else set(horizons[:-1])
-
-    def level(k: int, values: np.ndarray) -> np.ndarray:
-        if k in starts:
-            values = np.concatenate([terminal(k)[..., None], values], axis=-1)
-        if stage is not None:
-            values = values + stage(k)[:, None]  # the same costs in every column
-        return _raise_maxima(lattice, axis, k, values)
-
+    best = np.maximum if maximize else np.minimum
+    pick = np.min_scalar_type(measures - 1)
     values = terminal(top)[..., None]
-    fixed = None
     if replay:
         values = np.broadcast_to(values, (values.shape[0], len(replay)))
-        pick = np.min_scalar_type(measures - 1)
-
-        def fixed(k: int) -> np.ndarray:
-            picks = np.empty((lattice.size(k), len(replay)), dtype=pick)
-            for i, policy in enumerate(replay):
-                picks[:, i] = policy.choices[k] if isinstance(policy, SelectionPolicy) else policy
-            return picks
-
-    values = level(top, values)
     choices: list[np.ndarray] = []
     read: list[float] = []
-    for k, values, picks in _sweep(
-        ambiguity.weight_matrix, lattice, top, values, maximize, level, fixed, want_policy
-    ):
-        if want_policy:
-            choices.append(picks[:, 0].copy())  # a view would keep the block and one more array
-            choices[-1].flags.writeable = False
+    for k in range(top, -1, -1):
+        if k < top:  # level top holds the terminal, each lower one a step from above
+            succ = lattice.successors(k, values)
+            scored = []
+            for row in ambiguity.weight_matrix:
+                acc = succ[0] * row[0]
+                for nxt, w in zip(succ[1:], row[1:]):
+                    acc += nxt * w
+                scored.append(acc)
+            if replay:
+                picks = np.empty((lattice.size(k), len(replay)), dtype=pick)
+                for i, p in enumerate(replay):
+                    picks[:, i] = p.choices[k] if isinstance(p, SelectionPolicy) else p
+                values = np.take_along_axis(np.stack(scored, axis=-1), picks[..., None], -1)[..., 0]
+            else:
+                values = scored[0]
+                for candidate in scored[1:]:
+                    values = best(values, candidate)  # a tie keeps the earlier measure's value
+            if want_policy:
+                picks = np.full(lattice.size(k), measures - 1, dtype=pick)
+                for i in range(measures - 2, -1, -1):
+                    picks[scored[i][:, 0] == values[:, 0]] = i  # ties go to the lowest
+                picks.flags.writeable = False
+                choices.append(picks)
+        if k >= 1:
+            if k in starts:
+                values = np.concatenate([terminal(k)[..., None], values], axis=-1)
+            if stage is not None:
+                values = values + stage(k)[:, None]  # the same costs in every column
+            values = _raise_maxima(lattice, axis, k, values)
         if at_most and top - k == horizons[len(read)]:
             read.append(values[lattice.origin(k)].flat[0])
     out = np.array(read) if at_most else values[0].reshape(-1, values.shape[-1])[0]

@@ -18,7 +18,7 @@ from sublex.iid import _brute_force_many
 from sublex import gnormal, lln
 from sublex.lln import tail_consistency
 
-from conftest import centred, random_ambiguity, random_mean_zero_ambiguity
+from helpers import centred, random_ambiguity, random_mean_zero_ambiguity
 
 
 @contextmanager

@@ -12,7 +12,7 @@ from sublex.core import _shifted
 from sublex.gnormal import GNormalParams, _limit_abs_moment
 from sublex.iid import _series
 
-from conftest import centred
+from helpers import centred
 
 # (-0.73, 0.21, 1.37) under a second measure with the first one's mean 0.276
 _R = (0.276 - 0.21 + 0.94 * 0.5) / 1.16

@@ -26,7 +26,7 @@ from sublex.cli import (
     run,
 )
 
-from conftest import traced_outcomes
+from helpers import traced_outcomes
 
 CANONICAL = {
     "atoms": [-1, 0, 1],

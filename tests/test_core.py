@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import sublex as sx
 from sublex.core import _check_stacked
 
-from conftest import random_ambiguity
+from helpers import random_ambiguity
 
 
 class TestUpperLower:

@@ -30,7 +30,7 @@ from sublex.iid import (
 )
 from sublex.lln import SAMPLING_Z
 
-from conftest import centred, random_ambiguity, random_mean_zero_ambiguity, traced_outcomes
+from helpers import centred, random_ambiguity, random_mean_zero_ambiguity, traced_outcomes
 
 
 class TestSumFunctional:
@@ -295,8 +295,8 @@ class TestSeries:
 
     def test_one_driver_runs_every_recursion(self):
         # the terminal, additive, many-horizon and at-most recursions are
-        # all calls of iid._recursion
-        for name in ("_chain_dp", "_horizons_dp", "_additive_dp"):
+        # all calls of iid._recursion, which applies the one-step operator itself
+        for name in ("_chain_dp", "_horizons_dp", "_additive_dp", "_sweep"):
             assert not hasattr(iid, name), name
 
 
@@ -912,10 +912,14 @@ def float_sets(draw):
 
 def at_most_series(ambiguity, lattice, horizon, psi, maximize=True):
     """The all-horizon values of ``psi(S_n)`` read at the origin of an at-most
-    lattice, as ``sum_functional_series`` reads them."""
+    lattice, as ``sum_functional_series`` reads them, from a one-step loop of
+    its own: products summed in move order, the best measure elementwise."""
     values = psi(lattice.states(horizon))
     out = np.empty(horizon)
-    for k, values, _ in iid._sweep(ambiguity.weight_matrix, lattice, horizon, values, maximize):
+    for k in range(horizon - 1, -1, -1):
+        succ = lattice.successors(k, values)
+        scored = [sum(nxt * w for nxt, w in zip(succ, row)) for row in ambiguity.weight_matrix]
+        values = (np.max if maximize else np.min)(scored, axis=0)
         out[horizon - 1 - k] = values[lattice.origin(k)]
     return out
 
@@ -1576,14 +1580,14 @@ class TestPolicyBudget:
         assert value > 0.0
 
     def test_a_sixteen_thousand_step_policy_is_admitted(self, theta_star, monkeypatch):
-        # 2.56e8 one-byte picks fit the default budget; the sweep is not run
+        # 2.56e8 one-byte picks fit the default budget; no level is swept
         class Admitted(Exception):
             pass
 
         def refuse_to_sweep(*args, **kwargs):
             raise Admitted
 
-        monkeypatch.setattr(iid, "_sweep", refuse_to_sweep)
+        monkeypatch.setattr(iid._IntLattice, "successors", refuse_to_sweep)
         with pytest.raises(Admitted):
             sx.eval_sum_functional(theta_star, 16000, abs)
 

@@ -10,7 +10,7 @@ from sublex import gnormal, iid, lln
 from sublex.cli import ExperimentConfig
 from sublex.lln import SAMPLING_Z, tail_consistency
 
-from conftest import random_mean_zero_ambiguity, traced_outcomes
+from helpers import random_mean_zero_ambiguity, traced_outcomes
 
 
 class TestExperimentConfig:
