@@ -10,24 +10,25 @@ evaluated on a lattice of partial sums, one of two, whose every node is a
 state.  One function (``_recursion``) runs every such recursion, for a
 terminal payoff, additive stage costs, many horizons at once, a running
 max or the replay of given policies, as one backward sweep; its level
-loop is the only code that applies the one-step operator.  The dense
-integer lattice serves commensurable offsets (decimals whose differences
-are integer multiples of one unit, as on the canonical grid) while its
-nodes do not outnumber the multisets of draws: a node is an index, its
-value the correctly rounded exact sum, and successors are slices.  All
-other offsets run on the composition lattice: a node is a multiset of
-draws, ranked in the combinatorial number system, with closed-form
-successor ranks computed once and sliced per level; it needs no sort,
-no tolerance and no per-step maps.  On commensurable offsets it
-counts the integer shifts and values a node as the dense lattice would.
-A functional of the running maximum carries it as a trailing value axis
-of a sum lattice: a node holds a value per running max.  One memory budget
-admits every sweep before any of its levels exists: the lattice's bytes,
-one sweep step's working arrays over its widest level of values and the
-picks it keeps.  A brute-force enumerator of the expectation of *every*
-history-dependent measure assignment is an independent oracle for this
-recursion at small sizes, and an argmax policy extracted from the
-recursion drives adversarial sampling.
+loop is the only code that applies the one-step operator, and its one
+hook, a stage mapping each level's values, adds stage costs or raises a
+running max.  The dense integer lattice serves commensurable offsets
+(decimals whose differences are integer multiples of one unit, as on the
+canonical grid) while its nodes do not outnumber the multisets of draws:
+a node is an index, its value the correctly rounded exact sum, and
+successors are slices.  All other offsets run on the composition lattice:
+a node is a multiset of draws, ranked in the combinatorial number system,
+with closed-form successor ranks computed once and sliced per level; it
+needs no sort, no tolerance and no per-step maps.  On commensurable
+offsets it counts the integer shifts and values a node as the dense
+lattice would.  A functional of the running maximum carries it as a
+trailing value axis of a sum lattice: a node holds a value per running
+max.  One memory budget admits every sweep before any of its levels
+exists: the lattice's bytes, one sweep step's working arrays over its
+widest level of values and the picks it keeps.  A brute-force enumerator
+of the expectation of *every* history-dependent measure assignment is an
+independent oracle for this recursion at small sizes, and an argmax
+policy extracted from the recursion drives adversarial sampling.
 """
 
 from __future__ import annotations
@@ -80,19 +81,15 @@ class SumLattice:
 
 class _Lattice:
     """Levels of nodes a recursion sweeps: level k holds the states after k
-    steps, one per node, and ``successors(k, V)`` gives, per move, the values
-    ``V`` holds on level k+1 at the successors of the nodes of level k;
-    ``gathered()`` of those are new arrays, the others views.  ``states(k)``
-    are the values of the nodes of level k, their sums, in node order.
-    ``nbytes()`` are the bytes of the arrays it keeps, built or not.
-    ``zero`` is the node shift of the zero offset on a lattice of the sums
-    of at most k steps, and None on a lattice of k-step sums."""
+    steps, ``size(k)`` nodes, and ``successors(k, V)`` gives, per move, the
+    values ``V`` holds on level k+1 at the successors of the nodes of level
+    k; ``gathered()`` of those are new arrays, the others views.
+    ``states(k)`` are the values of the nodes of level k, their sums, in
+    node order.  ``nbytes()`` are the bytes of the arrays it keeps, built or
+    not.  ``zero`` is the node shift of the zero offset on a lattice of the
+    sums of at most k steps, and None on a lattice of k-step sums."""
 
     zero: int | None = None
-
-    def size(self, k: int) -> int:
-        """The number of nodes of level k."""
-        return self.states(k).size
 
 
 @dataclass(frozen=True)
@@ -298,35 +295,32 @@ def _admit(
     staged: bool = False,
     picks: bool = False,
     replay: bool = False,
-    axis: np.ndarray | None = None,
+    entries: int = 1,
 ) -> int:
     """The bytes a sweep of ``lattice`` holds, a column starting at each of
     the increasing ``horizons``; past ``CHAIN_BUDGET_BYTES`` CapacityError
     is raised.  Callers admit a sweep before any of its levels exists.
 
     The bytes are the lattice's own, built or not, and one step's working
-    arrays over the widest level of values (nodes times the columns alive
-    there).  Per value a step holds: a candidate per measure; the gathered
-    successors of its level and of the previous one, which ``_recursion``
-    holds from one level into the next; four words, the level above, the
-    running best with its predecessor and a weighted successor; a stacked
-    copy when it starts columns; three words when ``staged``, a stage's
-    states, its values and the staged sum; two words when it derives
-    ``picks``, the picks and their tie mask, or a candidate per measure
-    stacked to ``replay`` policies, a column each.  Either keeps one
-    policy's pick per node of levels 0..top-1, an array per level.
-    A running-max ``axis`` gives every node a value per entry and column,
-    and its stage three words more per value: the raised entries, the
-    values they gather and the level's states with their entries.
+    arrays over the widest level of values (nodes times the ``entries`` a
+    node holds per column times the columns alive there).  Per value a step
+    holds: a candidate per measure; the gathered successors of its level and
+    of the previous one, which ``_recursion`` holds from one level into the
+    next; four words, the level above, the running best with its predecessor
+    and a weighted successor; a stacked copy when it starts columns; three
+    words when ``staged``, a stage's working arrays (the level's states,
+    its costs and their sum, or the raised entries, the values they gather
+    and the states with their entries); two words when it derives ``picks``,
+    the picks and their tie mask, or a candidate per measure stacked to
+    ``replay`` policies, a column each.  Either keeps one policy's pick per
+    node of levels 0..top-1, an array per level.  More than one entry per
+    node is a running-max axis, and a refusal names the pair lattice.
     """
     top = horizons[-1]
     sizes = [lattice.size(k) for k in range(top + 1)]
     alive = len(horizons) - np.searchsorted(horizons, np.arange(top + 1))
-    widest = max(size * columns for size, columns in zip(sizes, alive.tolist()))
+    widest = entries * max(size * columns for size, columns in zip(sizes, alive.tolist()))
     words = measures + 2 * lattice.gathered() + 4 + (len(horizons) > 1) + 3 * staged
-    if axis is not None:
-        widest *= axis.size
-        words += 3
     held = lattice.nbytes()
     if picks or replay:
         words += measures if replay else 2
@@ -334,7 +328,7 @@ def _admit(
     held += 8 * widest * words
     if held > CHAIN_BUDGET_BYTES:
         what = "the selection policy" if picks or replay else "the sweep"
-        if axis is not None:
+        if entries > 1:
             what += " of the (sum, running max) pair lattice"
         raise _over_budget(f"{what} of {top} steps, with its lattice and widest level,", held)
     return held
@@ -368,16 +362,16 @@ def _admit_paths(lattice: _Lattice, n: int, measures: int, rows: int, n_paths: i
     return held
 
 
-def _commensurable(offsets: np.ndarray, tol: float) -> _Units | None:
+def _commensurable(offsets: np.ndarray) -> _Units | None:
     """The exact integer form of ``offsets``, or None when their unit is at
-    most ``tol``, too fine to tell nodes apart.  Generic floats land here:
-    their 17-digit decimals share a unit near 1e-17."""
+    most ``MERGE_TOL``, too fine to tell nodes apart.  Generic floats land
+    here: their 17-digit decimals share a unit near 1e-17."""
     exact = [Fraction(repr(float(x))) for x in offsets]
     den = math.lcm(*(f.denominator for f in exact))
     nums = [f.numerator * (den // f.denominator) for f in exact]
     lo_num = min(nums)
     unit_num = math.gcd(*(v - lo_num for v in nums)) or den
-    if unit_num / den <= tol:
+    if unit_num / den <= MERGE_TOL:
         return None
     shifts = tuple((v - lo_num) // unit_num for v in nums)
     common = math.gcd(lo_num, unit_num, den)
@@ -458,7 +452,7 @@ def _lattice(
     if n < 0:
         raise ParameterError(f"horizon must be >= 1, got {n}")
     grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
-    units = _commensurable(grown, MERGE_TOL)
+    units = _commensurable(grown)
     if units is None or n * units.span >= _EXACT_INT:
         return None if at_most else _composition_lattice(offsets, n)
     distinct = len(set(units.shifts))
@@ -511,16 +505,12 @@ def _maxima(lattice: _Lattice, top: int) -> np.ndarray:
     return axis
 
 
-def _raise_maxima(
-    lattice: _Lattice, axis: np.ndarray | None, k: int, values: np.ndarray
-) -> np.ndarray:
+def _raise_maxima(lattice: _Lattice, axis: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
     """``values`` of level k, a row per node, a row per entry m of the
     running-max ``axis`` within it and a column per horizon, with V(s, m)
     set to V(s, max(m, |s|)): the running max that the move to s leaves.  A
     state with m < |s|, which no path reaches, then holds its reached
-    state's value.  Without an axis, ``values`` themselves."""
-    if axis is None:
-        return values
+    state's value.  ``_series`` makes it the stage of a running-max sweep."""
     at = np.searchsorted(axis, np.abs(lattice.states(k)))  # |s| is an entry
     raised = np.maximum(np.arange(axis.size), at[:, None])
     return np.take_along_axis(values, raised[..., None], axis=1)
@@ -532,10 +522,10 @@ def _recursion(
     horizons: Sequence[int],
     terminal: Callable[[int], np.ndarray],
     maximize: bool = True,
-    stage: Callable[[int], np.ndarray] | None = None,
+    stage: Callable[[int, np.ndarray], np.ndarray] | None = None,
     want_policy: bool = False,
     replay: Sequence[SelectionPolicy | int] = (),
-    axis: np.ndarray | None = None,
+    entries: int = 1,
 ) -> tuple[np.ndarray, SelectionPolicy | None]:
     """Upper expectations for each n of the increasing ``horizons`` from one
     backward sweep of ``lattice`` (lower ones if not ``maximize``), admitted
@@ -547,14 +537,16 @@ def _recursion(
     (min if not ``maximize``), the successors coming from
     ``lattice.successors``; the products are summed in move order,
     elementwise.  ``terminal(n)`` gives the payoff on the states of level n,
-    a row per node (and a column per entry of a running-max ``axis``,
-    raised by ``_raise_maxima`` at every level); ``stage(k)``, values on the
-    states of level k, is added at every level k = 1..N.  Values carry a
-    trailing column axis, each column swept independently.  On an at-most
-    lattice (``lattice.zero`` set) one column starts at level N and horizon
-    n is read at the origin of level N - n; on any other a column starts at
+    a row per node, with ``entries`` values each (a running max's axis).
+    Values carry a trailing column axis, each column swept independently.
+    At every level k = 1..N, once its columns have started, ``stage(k,
+    values)`` maps the level's values to new ones: additive costs add
+    theirs to every column, a running max raises its entries
+    (``_raise_maxima``).  On an at-most lattice
+    (``lattice.zero`` set) one column starts at level N and horizon n is
+    read at the origin of level N - n; on any other a column starts at
     level n for each horizon, and level 0 holds them all.  Returns the
-    values at the origin (at running max 0), in horizon order, and with
+    values at the origin (at its first entry), in horizon order, and with
     ``want_policy`` the argmax (argmin) policy of one horizon's recursion:
     the optimal measure per node, ties broken toward the lowest, a pick of
     the smallest unsigned type that holds every measure index.
@@ -577,7 +569,7 @@ def _recursion(
     measures = len(ambiguity.weight_matrix)
     at_most = lattice.zero is not None
     columns = (top,) * len(replay) or ((top,) if at_most else horizons)
-    _admit(lattice, columns, measures, stage is not None, want_policy, bool(replay), axis)
+    _admit(lattice, columns, measures, stage is not None, want_policy, bool(replay), entries)
     starts = set() if at_most else set(horizons[:-1])
     best = np.maximum if maximize else np.minimum
     pick = np.min_scalar_type(measures - 1)
@@ -614,8 +606,7 @@ def _recursion(
             if k in starts:
                 values = np.concatenate([terminal(k)[..., None], values], axis=-1)
             if stage is not None:
-                values = values + stage(k)[:, None]  # the same costs in every column
-            values = _raise_maxima(lattice, axis, k, values)
+                values = stage(k, values)
         if at_most and top - k == horizons[len(read)]:
             read.append(values[lattice.origin(k)].flat[0])
     out = np.array(read) if at_most else values[0].reshape(-1, values.shape[-1])[0]
@@ -642,21 +633,21 @@ def _series(
     at s = 0 of the dense lattice of sums of at most N draws, or else at
     level 0 of the k-draw lattice, a value column per horizon.  A running
     max m is a trailing value axis of the distinct |s| over levels 0..N
-    (``_maxima``): each node holds V(s, m) for every m, ``_raise_maxima``
-    applies the move's new maximum after every level, and level 0 is read
-    at m = 0.
+    (``_maxima``): each node holds V(s, m) for every m, the sweep's stage
+    (``_raise_maxima``) applies the move's new maximum at every level, and
+    level 0 is read at m = 0.
     """
     top = horizons[-1]
     # level j holds every sum of at most j offsets, so the origin stays on it
     lattice = _lattice(offsets, top, at_most=True) or _lattice(offsets, top)
-    if running_max:
-        axis = _maxima(lattice, top)
-        on_axis = _on_states(psi, axis, "payoff")
-        payoff = lambda k: np.broadcast_to(on_axis, (lattice.size(k), axis.size))
-    else:
-        axis = None
+    if not running_max:
         payoff = lambda k: _on_states(psi, lattice.states(k), "payoff")
-    return _recursion(ambiguity, lattice, horizons, payoff, maximize, axis=axis)[0]
+        return _recursion(ambiguity, lattice, horizons, payoff, maximize)[0]
+    axis = _maxima(lattice, top)
+    on_axis = _on_states(psi, axis, "payoff")
+    payoff = lambda k: np.broadcast_to(on_axis, (lattice.size(k), axis.size))
+    raised = lambda k, values: _raise_maxima(lattice, axis, k, values)
+    return _recursion(ambiguity, lattice, horizons, payoff, maximize, raised, entries=axis.size)[0]
 
 
 def eval_sum_functional(
@@ -688,7 +679,8 @@ def eval_additive_functional(
     if len(costs) != n:
         raise ParameterError(f"expected {n} stage costs, got {len(costs)}")
     lattice = _lattice(ambiguity.grid.array, n)
-    stage = lambda k: _on_states(costs[k - 1], lattice.states(k), f"stage cost {k}")
+    cost = lambda k: _on_states(costs[k - 1], lattice.states(k), f"stage cost {k}")
+    stage = lambda k, values: values + cost(k)[:, None]  # the same costs in every column
     zero = lambda k: np.zeros(lattice.size(k))
     (value,), _ = _recursion(ambiguity, lattice, [n], zero, stage=stage)
     return float(value)

@@ -480,9 +480,12 @@ def moment_dichotomy_scan(
     return out
 
 
-def _series_costs(lattice: _Lattice, mu: float, beta: float) -> Callable[[int], np.ndarray]:
-    """Stage costs ``|s/k - mu|^beta`` of the truncated series on the states of level k."""
-    return lambda k: np.abs(lattice.states(k) / k - mu) ** beta
+def _series_costs(
+    lattice: _Lattice, mu: float, beta: float
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The stage adding the costs ``|s/k - mu|^beta`` of the truncated series
+    on the states of level k to every column of its values."""
+    return lambda k, values: values + (np.abs(lattice.states(k) / k - mu) ** beta)[:, None]
 
 
 def subadditive_series_check(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sublex as sx
 from sublex import gnormal
 from sublex.gnormal import _check_stability, default_grid, evolve
+from sublex.iid import _lattice, _recursion
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +301,31 @@ def assert_same_bits(out, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(out), nan)
     assert out[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("nx", [201, 202, 401])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("t", [1.0, 0.3])
+def test_evolve_is_a_two_measure_trinomial_recursion(nx, ratio, t):
+    # with lam = dt/dx^2 a step is the max over sigma^2 in {sl, su} of the
+    # trinomial mean (lam sigma^2/2, 1 - lam sigma^2, lam sigma^2/2) of
+    # u(x - dx), u(x), u(x + dx): the recursion's one-step operator on the
+    # atoms {-1, 0, 1}, read from the centre node with the payoff held
+    # constant beyond the domain, where evolve clamps its boundary instead
+    params = sx.GNormalParams(ratio, 1.0)
+    grid = default_grid(params, nx=nx)
+    steps = max(1, math.ceil(t / grid.dt))
+    lam = t / steps / grid.dx**2
+    rows = [(lam * v / 2, 1.0 - lam * v, lam * v / 2) for v in (ratio, 1.0)]
+    family = sx.AmbiguitySet.from_rows((-1.0, 0.0, 1.0), rows)
+    stack = np.stack([np.abs(grid.x), np.abs(grid.x) ** 3, (grid.x >= 1.0).astype(float)])
+    centre = nx // 2
+    lattice = _lattice(family.grid.array, steps)
+    nodes = np.clip(centre + lattice.states(steps).astype(int), 0, nx - 1)
+    for row, heat in zip(stack, evolve(stack, t, params, grid)[:, centre]):
+        (value,), _ = _recursion(family, lattice, [steps], lambda k: row[nodes])
+        # each of the steps rounds a few times, relative to the payoff's size
+        assert abs(value - heat) <= 4 * steps * 2.0**-53 * np.max(np.abs(row))
 
 
 class TestFusedStepper:

@@ -246,6 +246,36 @@ class TestOracle:
         )
         assert dp == pytest.approx(bf, abs=1e-12) == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lo, hi", [(1, 3), (2, 3), (3, 3), (1, 2)])
+    def test_exit_obstacle_is_a_stage(self, lo, hi):
+        # V and v of {d(S_k/k, M) >= eps for some k in [lo, hi]} solve the
+        # optimal stopping recursion V_k = max(1{exit at k}, E-hat V_{k+1})
+        # inside the window: an obstacle stage of one sweep, checked against
+        # every history-dependent assignment of a mean-uncertain set
+        family = sx.AmbiguitySet.from_rows(
+            (-1.0, 0.0, 1.0), ((0.3, 0.4, 0.3), (0.5, 0.2, 0.3), (0.3, 0.2, 0.5))
+        )
+        far = lambda s, k, eps: np.maximum(np.abs(s / k) - 0.2, 0.0) >= eps  # M = [-0.2, 0.2]
+
+        def exits(xs, eps):
+            return any(far(s, k, eps) for k, s in enumerate(np.cumsum(xs), 1) if k >= lo)
+
+        epsilons = (0.3, 0.5, 0.8)
+        payoffs = []
+        for eps in epsilons:
+            payoffs.append(lambda xs, e=eps: float(exits(xs, e)))
+            payoffs.append(lambda xs, e=eps: float(not exits(xs, e)))
+        oracle = _brute_force_many(family, hi, payoffs)  # n = 4 is past _MAX_ASSIGNMENTS
+        lattice = _lattice(family.grid.array, hi)
+        zero = lambda k: np.zeros(lattice.size(k))
+        for eps, upper, complement in zip(epsilons, oracle[::2], oracle[1::2]):
+            hit = lambda k: far(lattice.states(k), k, eps).astype(float)
+            obstacle = lambda k, v: np.maximum(v, hit(k)[:, None]) if k >= lo else v
+            (exit_upper,), _ = _recursion(family, lattice, [hi], zero, stage=obstacle)
+            (exit_lower,), _ = _recursion(family, lattice, [hi], zero, False, obstacle)
+            assert exit_upper == pytest.approx(upper, abs=1e-12)
+            assert exit_lower == pytest.approx(1.0 - complement, abs=1e-12)
+
 
 class TestSeries:
     def test_matches_per_horizon_dp(self, theta_star):
@@ -298,6 +328,8 @@ class TestSeries:
         # all calls of iid._recursion, which applies the one-step operator itself
         for name in ("_chain_dp", "_horizons_dp", "_additive_dp", "_sweep"):
             assert not hasattr(iid, name), name
+        # costs and the running max's raise are stages its callers build
+        assert "axis" not in inspect.signature(_recursion).parameters
 
 
 #: Every entry point that takes a payoff, as (its value at horizon n for a
@@ -590,7 +622,7 @@ def grid_policies(atoms, n):
     family = two_measures(atoms)
     lattice = _lattice(family.grid.array, n)
     terminal = lambda k: np.abs(lattice.states(k) - 0.3) ** 3
-    stage = lambda k: np.cos(lattice.states(k) + k)
+    stage = lambda k, v: v + np.cos(lattice.states(k) + k)[:, None]
     policies = [
         _recursion(family, lattice, [n], terminal, maximize, want_policy=True)[1]
         for maximize in (True, False)
@@ -724,7 +756,7 @@ def two_measures(atoms):
 
 
 def units_of(atoms):
-    return _commensurable(np.asarray(atoms, dtype=float), iid.MERGE_TOL)
+    return _commensurable(np.asarray(atoms, dtype=float))
 
 
 def dense(atoms, n):
@@ -747,6 +779,9 @@ class MergedLattice(_Lattice):
 
     levels: list
     maps: list
+
+    def size(self, k):
+        return self.levels[k].size
 
     def states(self, k):
         return self.levels[k]
@@ -824,7 +859,7 @@ def reference_pair_lattice(offsets, n):
     running maxima: commensurable offsets merge their integer shifts exactly,
     each maximum valued by their units; other offsets merge floats at
     ``MERGE_TOL``."""
-    units = _commensurable(np.concatenate([np.zeros(1), offsets]), iid.MERGE_TOL)
+    units = _commensurable(np.concatenate([np.zeros(1), offsets]))
     if units is None or n * units.span >= 2**53:
         return MergedLattice(*reference_pair_chain(offsets, n, iid.MERGE_TOL))
     shifts = np.array(units.shifts, dtype=np.int64)
@@ -1016,7 +1051,7 @@ class TestIndexLattice:
             assert np.allclose(reached, lattices[2].states(k), rtol=0.0, atol=1e-12)
             assert np.array_equal(reached, lattices[2].states(k)) or not dyadic
         payoff = lambda s: np.abs(s - center) ** 3
-        stages = [lambda k, lat=lat: np.cos(lat.states(k) + k) for lat in lattices]
+        stages = [lambda k, v, lat=lat: v + np.cos(lat.states(k) + k)[:, None] for lat in lattices]
         results = []
         for lattice, stage in zip(lattices, stages):
             terminal = lambda k, lat=lattice: payoff(lat.states(k))
@@ -1207,7 +1242,7 @@ class TestCompositionLattice:
         for lattice in lattices:
             payoff = lambda k, lat=lattice: psi(lat.states(k))
             terminal.append(_recursion(ambiguity, lattice, [n], payoff, maximize)[0][0])
-            stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
+            stage = lambda k, v, lat=lattice: v + np.cos(lat.states(k) + k)[:, None]
             zero = lambda k, lat=lattice: np.zeros(lat.size(k))
             additive.append(_recursion(ambiguity, lattice, [n], zero, maximize, stage)[0][0])
         assert terminal[0] == pytest.approx(terminal[1], rel=1e-12, abs=1e-300)
@@ -1235,7 +1270,7 @@ class TestCompositionLattice:
         results = []
         for lattice in lattices:
             terminal = lambda k, lat=lattice: payoff(lat.states(k))
-            stage = lambda k, lat=lattice: np.cos(lat.states(k) + k)
+            stage = lambda k, v, lat=lattice: v + np.cos(lat.states(k) + k)[:, None]
             results.append(
                 _recursion(ambiguity, lattice, [n], terminal, maximize, stage, want_policy=True)
             )
@@ -1395,7 +1430,8 @@ def cosine_additive(ambiguity, n):
     """The additive DP of the array stage cost cos(S_k), from a zero terminal."""
     lattice = _lattice(ambiguity.grid.array, n)
     zero = lambda k: np.zeros(lattice.size(k))
-    return _recursion(ambiguity, lattice, [n], zero, stage=lambda k: np.cos(lattice.states(k)))
+    stage = lambda k, v: v + np.cos(lattice.states(k))[:, None]
+    return _recursion(ambiguity, lattice, [n], zero, stage=stage)
 
 
 def budget_outcomes(monkeypatch, call, budgets):
