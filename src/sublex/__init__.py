@@ -18,7 +18,6 @@ from .gnormal import (
     GNormalParams,
     HeatGrid,
     classical_abs_moment,
-    clt_gap,
     default_grid,
     evolve,
     g_expectation,
@@ -43,6 +42,7 @@ from .lln import (
     SeriesReport,
     SqsSummary,
     cc_series,
+    clt_gap,
     corollary_series,
     dichotomy_diagnosis,
     fit_tail,

@@ -2,7 +2,8 @@
 
 Reads a JSON experiment configuration, runs one subcommand, and writes
 plottable CSV reports plus a run manifest into the output directory.
-Identical configuration and seed produce byte-identical outputs.
+Identical configuration and seed produce byte-identical outputs on the
+same machine and numpy build.
 
 Exit codes: 0 all assertions passed, 1 an assertion (mathematical check)
 failed (CheckError), 2 a usage error or any other sublex Error

@@ -17,8 +17,8 @@ dx^2, so a G-expectation of a payoff function is solved on the grid and on
 two successive coarsenings, and the three origin values give a Richardson
 value whose error bar is the size of its correction.
 
-The limit moment ``c_p`` and the CLT gap are functions of an ambiguity
-set's own variance interval.
+The limit moment ``c_p`` is a function of an ambiguity set's own variance
+interval; ``lln`` reads the finite-n CLT gap against it.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ATOL, AmbiguitySet, _on_states, _shifted
+from .core import ATOL, AmbiguitySet, _on_states
 from .errors import CheckError, ParameterError
-from .iid import sum_functional_series
 
 #: A fine/coarse difference within this multiple of max(1, |value|) is
 #: round-off (x^2 and -x^2, which the scheme keeps exact up to it), and its
@@ -328,19 +327,6 @@ def classical_abs_moment(p: float, sigma_sq: float) -> float:
             f"quadrature {by_quad!r} and closed form {formula!r} disagree beyond 1e-10"
         )
     return by_quad
-
-
-def clt_gap(ambiguity: AmbiguitySet, n: int, p: float) -> float:
-    """Finite-n central-limit error |E-hat[|S~_n/sqrt(n)|^p] - c_p|, c_p in
-    closed form for the set's variance interval."""
-    if p < 1.0:
-        raise ParameterError(f"need p >= 1, got {p}")
-    centred = _shifted(ambiguity, ambiguity.require_mean_certain("clt_gap"))
-    params = GNormalParams.from_ambiguity(ambiguity)
-    root = math.sqrt(n)
-    dp_value = float(sum_functional_series(centred, n, lambda s: np.abs(s / root) ** p)[-1])
-    limit, _ = _limit_abs_moment(p, params)
-    return abs(dp_value - limit)
 
 
 def semigroup_check(

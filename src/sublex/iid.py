@@ -159,8 +159,8 @@ class _IntLattice(_Lattice):
     def origin(self, k: int) -> int:
         return k * self.zero
 
-    def step(self, k: int, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
-        """The nodes of level k+1 that ``moves`` take ``nodes`` of level k to."""
+    def step(self, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        """The nodes one level up that ``moves`` take ``nodes`` to."""
         return nodes + self.moves[moves]
 
 
@@ -230,7 +230,7 @@ class _CompositionLattice(_Lattice):
     def gathered(self) -> int:
         return len(self.atoms) - 1  # the free move is a view
 
-    def step(self, k: int, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    def step(self, nodes: np.ndarray, moves: np.ndarray) -> np.ndarray:
         ranks = np.stack([nodes] + [succ[nodes] for succ in self.succ])
         return np.take_along_axis(ranks, np.asarray(self.moves)[moves][None], 0)[0]
 
@@ -378,8 +378,8 @@ def _commensurable(offsets: np.ndarray) -> _Units | None:
     return _Units(lo_num // common, unit_num // common, den // common, shifts)
 
 
-def _dense_lattice(units: _Units, n: int, at_most: bool = False) -> _IntLattice:
-    """The dense integer lattice of ``units`` over levels 0..n, which
+def _dense_lattice(units: _Units, at_most: bool = False) -> _IntLattice:
+    """The dense integer lattice of ``units`` over every level, which
     allocates no level; with ``at_most``, shift 0 is the zero offset that
     keeps shorter sums."""
     shifts = np.array(units.shifts, dtype=np.intp)
@@ -458,7 +458,7 @@ def _lattice(
     distinct = len(set(units.shifts))
     dense = units.span * n * (n + 1) // 2 + n  # nodes on levels 1..n
     if dense <= math.comb(n + distinct, distinct) - 1:  # multisets of 1..n draws
-        return _dense_lattice(units, n, at_most)
+        return _dense_lattice(units, at_most)
     return None if at_most else _composition_lattice(np.array(units.shifts, float), n, units)
 
 
@@ -831,7 +831,7 @@ def _sample_steps(
             any(policy.lattice is not lattice for _, policy in kept)
             or len(lattice.moves) != atoms.size
             or not np.allclose(
-                lattice.states(1)[lattice.step(0, np.zeros_like(moves), moves)], atoms, 0.0,
+                lattice.states(1)[lattice.step(np.zeros_like(moves), moves)], atoms, 0.0,
                 MERGE_TOL,
             )
         ):
@@ -856,7 +856,7 @@ def _sample_steps(
         x = np.take(atoms, j)
         s = s + x
         if lattice is not None:
-            node = lattice.step(k, node, j)
+            node = lattice.step(node, j)
         yield x, s
 
 

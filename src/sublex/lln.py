@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,7 +97,7 @@ def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
 
     Nonpositive terms are excluded from the fit (a term that has decayed to
     exact zero carries no tail information at this scale).  It takes one
-    term per n, at least one; ParameterError otherwise.
+    term per n, at least one, at strictly increasing n; ParameterError otherwise.
     """
     n_arr = np.asarray(n_values, dtype=float)
     t_arr = np.asarray(terms, dtype=float)
@@ -106,6 +107,8 @@ def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
         )
     if n_arr.size == 0:
         raise ParameterError("need at least one term to fit a tail")
+    if np.any(n_arr[1:] <= n_arr[:-1]):
+        raise ParameterError("the values of n must strictly increase")
     horizon = int(n_arr[-1])
     lo = horizon // 2 + 1
     mask = (n_arr >= lo) & (t_arr > 0.0)
@@ -123,28 +126,40 @@ def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """Per-n terms of one series, with partial sums, reference curve and tail fit."""
+    """Terms a_n of one series for n = 1..N, with its reference curve; a
+    moment series also stores the scaled moments ``n^{-p/2} E-hat|S~_n|^p``
+    and the limit moment ``c_p`` with its error bound (other series leave
+    them empty and nan).  Columns that are functions of these are derived."""
 
     p: float
-    n_values: tuple[int, ...]
     terms: tuple[float, ...]
-    partial_sums: tuple[float, ...]
     reference: tuple[float, ...]
-    scaled_terms: tuple[float, ...]
-    clt_gaps: tuple[float, ...]
-    c_p: float
-    c_p_residual: float
-    tail: TailFit
+    scaled_terms: tuple[float, ...] = ()
+    c_p: float = math.nan
+    c_p_residual: float = math.nan
 
     def __post_init__(self) -> None:
-        if not (
-            len(self.n_values) == len(self.terms) == len(self.partial_sums) == len(self.reference)
-        ):
+        width = len(self.terms)
+        if len(self.reference) != width or len(self.scaled_terms) not in (0, width):
             raise ParameterError("series columns must have equal length")
 
-    @property
-    def horizon(self) -> int:
-        return self.n_values[-1]
+    @cached_property
+    def n_values(self) -> tuple[int, ...]:
+        return tuple(range(1, len(self.terms) + 1))
+
+    @cached_property
+    def partial_sums(self) -> tuple[float, ...]:
+        return tuple(float(s) for s in np.cumsum(self.terms))
+
+    @cached_property
+    def clt_gaps(self) -> tuple[float, ...]:
+        """The CLT gap ``|scaled - c_p|`` per n; empty unless a moment series."""
+        gaps = np.abs(np.asarray(self.scaled_terms) - self.c_p)
+        return tuple(float(g) for g in gaps)
+
+    @cached_property
+    def tail(self) -> TailFit:
+        return fit_tail(self.n_values, self.terms)
 
     @property
     def total(self) -> float:
@@ -180,7 +195,7 @@ def _moment_series(
     """Series report on the centered moments ``raw_n = E-hat[|S~_n|^p]``.
 
     ``term(raw, n)`` gives the series terms; the reference curve is
-    ``c_p n^reference_exponent`` and the CLT gap is ``|n^{-p/2} raw_n - c_p|``,
+    ``c_p n^reference_exponent``, the scaled moments ``n^{-p/2} raw_n``,
     with ``c_p`` the limit moment of the set's variance interval (the PDE
     on ``grid`` below p = 1).
     """
@@ -191,19 +206,27 @@ def _moment_series(
     scaled = raw / n ** (p / 2.0)
     cp_value, cp_residual = _limit_abs_moment(p, GNormalParams.from_ambiguity(ambiguity), grid)
     reference = cp_value * n**reference_exponent
-    gaps = np.abs(scaled - cp_value)
     return SeriesReport(
         p=p,
-        n_values=tuple(range(1, horizon + 1)),
         terms=tuple(float(t) for t in terms),
-        partial_sums=tuple(float(s) for s in np.cumsum(terms)),
         reference=tuple(float(r) for r in reference),
         scaled_terms=tuple(float(s) for s in scaled),
-        clt_gaps=tuple(float(g) for g in gaps),
         c_p=cp_value,
         c_p_residual=cp_residual,
-        tail=fit_tail(range(1, horizon + 1), terms),
     )
+
+
+def clt_gap(ambiguity: AmbiguitySet, n: int, p: float) -> float:
+    """Finite-n central-limit error |E-hat[|S~_n/sqrt(n)|^p] - c_p|, c_p in
+    closed form for the set's variance interval."""
+    if p < 1.0:
+        raise ParameterError(f"need p >= 1, got {p}")
+    centred = _shifted(ambiguity, ambiguity.require_mean_certain("clt_gap"))
+    params = GNormalParams.from_ambiguity(ambiguity)
+    root = math.sqrt(n)
+    dp_value = float(sum_functional_series(centred, n, lambda s: np.abs(s / root) ** p)[-1])
+    limit, _ = _limit_abs_moment(p, params)
+    return abs(dp_value - limit)
 
 
 def slp_series(
@@ -294,7 +317,7 @@ def dichotomy_diagnosis(report: SeriesReport) -> DichotomyVerdict:
     p, c_p = report.p, report.c_p
     if p <= 2.0:
         scaled = np.asarray(report.scaled_terms)
-        gaps = np.abs(scaled - c_p)
+        gaps = np.asarray(report.clt_gaps)
         below = np.nonzero(gaps < c_p / 4.0)[0]
         if below.size == 0:
             return DichotomyVerdict(
@@ -349,12 +372,14 @@ def mz_check(
     right side runs on the squared atoms' lattice, one sweep per side for
     every horizon; the mean term vanishes identically on mean-certain sets.
     The chain bound lhs <= r_max (mean + rhs) is asserted with the running
-    maximum of the observed ratios.
+    maximum of the observed ratios over strictly increasing horizons.
     """
     if alpha <= 2.0:
         raise ParameterError(f"need alpha > 2, got {alpha}")
     if not n_list:
         raise ParameterError("mz_check needs at least one horizon")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ParameterError(f"mz_check needs strictly increasing horizons, got {list(n_list)}")
     centred = _shifted(ambiguity, ambiguity.require_mean_certain("mz_check"))
     for n in n_list:
         if n > max_n:
@@ -366,16 +391,12 @@ def mz_check(
     base = max(upper_expect(centred, identity), 0.0) + max(-lower_expect(centred, identity), 0.0)
 
     # one sweep per side serves every horizon
-    horizons = sorted(set(n_list))
     offsets = centred.grid.array
-    lefts = _series(centred, offsets, horizons, lambda m: m**alpha, running_max=True)
-    rights = _series(centred, offsets**2, horizons, lambda q: q ** (alpha / 2.0))
-    left_at = dict(zip(horizons, lefts.tolist()))
-    right_at = dict(zip(horizons, rights.tolist()))
+    lefts = _series(centred, offsets, n_list, lambda m: m**alpha, running_max=True)
+    rights = _series(centred, offsets**2, n_list, lambda q: q ** (alpha / 2.0))
     lhs, rhs, means, ratios, run = [], [], [], [], []
     best = 0.0
-    for n in n_list:
-        left, right = left_at[n], right_at[n]
+    for n, left, right in zip(n_list, lefts.tolist(), rights.tolist()):
         mean_term = (n * base) ** alpha
         ratio = left / right
         best = max(best, ratio)
@@ -530,28 +551,16 @@ def cc_series(
     lattice = _lattice(ambiguity.grid.array, horizon)
     event = lambda n: _deviation_event(n, mu, eps)(lattice.states(n)).astype(float)
     capacities = np.clip(_recursion(ambiguity, lattice, range(1, horizon + 1), event)[0], 0.0, 1.0)
-    n_values = tuple(range(1, horizon + 1))
     terms = []
     bounds = []
-    for n in n_values:
+    for n in range(1, horizon + 1):
         v = float(capacities[n - 1])
         markov = float(raw[n - 1]) / (float(n) ** alpha * eps**alpha)
         if v > markov + ATOL:
             raise CheckError(f"Markov cross-bound violated at n = {n}: {v} > {markov}")
         terms.append(v)
         bounds.append(markov)
-    return SeriesReport(
-        p=alpha,
-        n_values=n_values,
-        terms=tuple(terms),
-        partial_sums=tuple(float(s) for s in np.cumsum(terms)),
-        reference=tuple(bounds),
-        scaled_terms=(),
-        clt_gaps=(),
-        c_p=math.nan,
-        c_p_residual=math.nan,
-        tail=fit_tail(n_values, terms),
-    )
+    return SeriesReport(p=alpha, terms=tuple(terms), reference=tuple(bounds))
 
 
 @dataclass(frozen=True)

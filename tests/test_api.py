@@ -1,6 +1,10 @@
 """The public names of ``sublex``, pinned: a change to the API shows in the diff."""
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import sublex as sx
 
@@ -26,3 +30,27 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def _package_imports(module: str) -> set[str]:
+    """The sibling modules that ``sublex/<module>.py`` imports, by ``from .x import``
+    or ``from . import x``."""
+    tree = ast.parse((Path(sx.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        ("core", {"errors"}),
+        ("iid", {"core", "errors"}),
+        ("gnormal", {"core", "errors"}),
+        ("lln", {"core", "errors", "gnormal", "iid"}),
+    ],
+)
+def test_layers_import_only_the_layers_below(module, allowed):
+    assert _package_imports(module) <= allowed

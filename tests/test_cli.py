@@ -645,6 +645,10 @@ def test_axioms_trials_stay_within_the_budget(monkeypatch):
 #: SHA-256 of every CSV the subcommands write on ``configs/canonical.json``,
 #: by ``<subcommand>/<file>``.  A change that moves an output on purpose
 #: updates its digest here and lists the old and new values in CHANGES.md.
+#: The digests hold for one machine and numpy build (numpy 2.4.6 on an x86-64
+#: CPU with X86_V4, AVX512_ICL and AVX512_SPR): float64 array ``**`` takes
+#: another SIMD path under another CPU dispatch, and ``corollary.csv``,
+#: ``lln_series.csv`` and ``sqs.csv`` change in their last bits.
 CANONICAL_DIGESTS = {
     "axioms/axioms.csv": "cfbb0f1996388afabf3614c1f508ea5e7117df6369fa060f1215c7cd1f87132e",
     "capacity/capacity.csv": "d13efce9f3e1cde2d833b31e9de54714153af725f158921159aed678fb8ba088",

@@ -596,7 +596,7 @@ def single_policy_steps(ambiguity, policy, n, rng, n_paths):
         j = np.minimum(sum(column[picks] <= u for column in cumw.T), atoms.size - 1)
         x = atoms[j]
         s = s + x
-        node = lattice.step(k, node, j)
+        node = lattice.step(node, j)
         yield x, s
 
 
@@ -761,7 +761,7 @@ def units_of(atoms):
 
 def dense(atoms, n):
     """The dense integer lattice of a commensurable grid, whatever its size."""
-    return _dense_lattice(units_of(atoms), n)
+    return _dense_lattice(units_of(atoms))
 
 
 def sparse(atoms, n):
@@ -1287,7 +1287,7 @@ class TestCompositionLattice:
         columns, _ = _recursion(
             ambiguity, lattices[0], range(1, n + 1), lambda k: psi(lattices[0].states(k)), maximize
         )
-        at_most = _dense_lattice(units_of(grown), n, at_most=True)
+        at_most = _dense_lattice(units_of(grown), at_most=True)
         assert np.array_equal(columns, at_most_series(ambiguity, at_most, n, psi, maximize))
 
     @pytest.mark.parametrize("e, n", [(1, 7), (2, 6), (3, 5), (4, 4)])

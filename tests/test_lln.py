@@ -103,6 +103,21 @@ class TestSlpSeries:
             assert gap == pytest.approx(abs(scaled - report.c_p), abs=1e-15)
 
 
+class TestSeriesReport:
+    def test_columns_must_align(self):
+        with pytest.raises(sx.ParameterError, match="equal length"):
+            sx.SeriesReport(p=3.0, terms=(1.0, 0.5), reference=(1.0,))
+        with pytest.raises(sx.ParameterError, match="equal length"):
+            sx.SeriesReport(p=3.0, terms=(1.0, 0.5), reference=(1.0, 0.5), scaled_terms=(1.0,))
+
+    def test_derived_columns_follow_the_terms(self):
+        report = sx.SeriesReport(p=3.0, terms=(1.0, 0.5, 0.25), reference=(0.0, 0.0, 0.0))
+        assert report.n_values == (1, 2, 3)
+        assert report.partial_sums == (1.0, 1.5, 1.75) and report.total == 1.75
+        assert report.clt_gaps == ()
+        assert report.tail.window == (2, 3)
+
+
 class TestDichotomy:
     def test_p2_diverges(self, theta_star):
         report = sx.slp_series(theta_star, 2.0, 100)
@@ -131,7 +146,7 @@ class TestDichotomy:
         # the diagnosis and the CLI's series checks apply the same criterion
         report = sx.slp_series(theta_star, 3.0, 100)
         terms = tuple(n**-0.9 for n in report.n_values)
-        slow = dataclasses.replace(report, terms=terms, tail=sx.fit_tail(report.n_values, terms))
+        slow = dataclasses.replace(report, terms=terms)
         with pytest.raises(sx.CheckError, match=r"p = 3.0 > 2 fails the tail criterion"):
             sx.dichotomy_diagnosis(slow)
         with pytest.raises(sx.CheckError, match="weighted series fails the tail criterion"):
@@ -192,6 +207,12 @@ class TestMZ:
     def test_alpha_bound(self, theta_star):
         with pytest.raises(sx.ParameterError):
             sx.mz_check(theta_star, 2.0, [2])
+
+    @pytest.mark.parametrize("n_list", [list(range(12, 1, -1)), [2, 3, 3, 4]])
+    def test_horizons_must_strictly_increase(self, theta_star, n_list):
+        # the running maximum and mz_trend_slope read the list in order
+        with pytest.raises(sx.ParameterError, match="strictly increasing horizons"):
+            sx.mz_check(theta_star, 4.0, n_list)
 
     def test_mean_term_negligible_for_float_weight_families(self):
         rng = np.random.default_rng(17)
@@ -295,6 +316,32 @@ class TestSubadditivity:
         # N = 4097 (0.6 s)
         lhs, _, margin = sx.subadditive_series_check(theta_star, 2.6, 4097)
         assert lhs > 0.0 and margin >= -1e-12
+
+
+#: The canonical set and the coin, on the dense lattice, and three float-atom
+#: families with 2-3 measures, on the composition lattice.
+_TRUNCATED_FAMILIES = {
+    "canonical": sx.canonical_set,
+    "coin": lambda: sx.AmbiguitySet.from_rows((-1.0, 1.0), ((0.5, 0.5),)),
+    **{
+        f"random-{seed}": lambda seed=seed: random_mean_zero_ambiguity(np.random.default_rng(seed))
+        for seed in (4, 5, 11)
+    },
+}
+
+
+@pytest.mark.parametrize("beta, horizon", [(2.6, 30), (3.0, 50)])
+@pytest.mark.parametrize("make", list(_TRUNCATED_FAMILIES.values()), ids=list(_TRUNCATED_FAMILIES))
+def test_truncated_series_is_one_value_on_three_paths(make, beta, horizon):
+    # E-hat[sum_{n<=N} |S_n/n - mu|^beta] by the subadditivity check, the
+    # additive functional and the sampling experiment's DP, bit for bit
+    family = make()
+    mu = family.require_mean_certain("truncated series")
+    costs = [lambda s, k=k: np.abs(s / k - mu) ** beta for k in range(1, horizon + 1)]
+    lhs, _, _ = sx.subadditive_series_check(family, beta, horizon)
+    additive = sx.eval_additive_functional(family, horizon, costs)
+    sampled = sx.sqs_empirical(family, beta, horizon, 200, seed=20240811).dp_value
+    assert lhs == additive == sampled
 
 
 class TestCCSeries:
@@ -566,6 +613,12 @@ class TestTailFitting:
     def test_empty_input_is_a_parameter_error(self):
         with pytest.raises(sx.ParameterError, match="at least one term"):
             sx.fit_tail([], [])
+
+    @pytest.mark.parametrize("n", [np.arange(100, 0, -1), np.array([1, 2, 2, 3])])
+    def test_n_must_strictly_increase(self, n):
+        # the last n is read as the horizon
+        with pytest.raises(sx.ParameterError, match="strictly increase"):
+            sx.fit_tail(n, 1.0 / n)
 
     def test_misaligned_input_is_a_parameter_error(self):
         with pytest.raises(sx.ParameterError, match="one term per n, got 2 terms for 3 values of n"):
