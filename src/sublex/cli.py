@@ -99,7 +99,8 @@ class ExperimentConfig:
 
     The fields are the configuration schema: each names its JSON key, its
     conversion and its range, and a field without a default is required.
-    An invalid value raises ParameterError naming its key.
+    An invalid value raises ParameterError naming its key.  The solver grid
+    is ``default_grid``'s, spanning 8 upper standard deviations each side.
     """
 
     atoms: tuple[float, ...] = _entry("atoms", _reals, "a nonempty list of finite numbers", bool)
@@ -117,10 +118,6 @@ class ExperimentConfig:
     )
     seed: int = _entry("seed", _integer, "an integer >= 0", lambda n: n >= 0, 0)
     nx: int = _entry("solver.nx", _integer, "an integer >= 5", lambda n: n >= 5, 801)
-    half_width: float | None = _entry(
-        "solver.half_width", lambda x: x if x is None else _real(x), "null or a finite number > 0",
-        lambda x: x is None or x > 0.0, None
-    )
     dt_safety: float = _entry(
         "solver.dt_safety", _real, "a finite number in (0, 1]", lambda x: 0.0 < x <= 1.0, 0.9
     )
@@ -148,11 +145,7 @@ class ExperimentConfig:
         return GNormalParams.from_ambiguity(self.ambiguity_set)
 
     def heat_grid(self) -> HeatGrid:
-        params = self.gnormal_params()
-        if self.half_width is None:
-            return default_grid(params, nx=self.nx, dt_safety=self.dt_safety)
-        dx = 2.0 * self.half_width / (self.nx - 1)
-        return HeatGrid(self.half_width, self.nx, self.dt_safety * dx * dx / params.sigma_upper_sq)
+        return default_grid(self.gnormal_params(), nx=self.nx, dt_safety=self.dt_safety)
 
 
 _SCHEMA = {f.metadata["key"]: f for f in fields(ExperimentConfig)}

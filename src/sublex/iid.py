@@ -873,6 +873,6 @@ def sum_functional_series(
     centred sums S_n - n mu, is the series of the set with shifted atoms,
     ``AmbiguitySet.from_rows(grid.array - mu, weight_matrix)``.
     """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ParameterError(f"horizons must be integers >= 1, got {horizon}")
     return _series(ambiguity, ambiguity.grid.array, range(1, horizon + 1), psi, maximize)

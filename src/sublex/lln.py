@@ -20,6 +20,7 @@ within ``TAIL_FACTOR`` times the predicted ones).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,11 +56,17 @@ class TailFit:
     coeff: float
     window: tuple[int, int]
     n_points: int
-    predicted_tail_beyond: float  # coeff * sum_{n > N} n^(-exponent); inf unless exponent > 1
 
     @property
     def usable(self) -> bool:
         return self.n_points >= 3 and math.isfinite(self.exponent)
+
+    @cached_property
+    def predicted_tail_beyond(self) -> float:
+        """coeff * sum_{n > N} n^(-exponent), N the window's top; inf unless exponent > 1."""
+        if self.exponent > 1.0:
+            return self.coeff * _hurwitz_zeta(self.exponent, self.window[1] + 1)
+        return math.inf
 
 
 #: B_2j / (2j)! for j = 1..9: the Euler-Maclaurin corrections of ``_hurwitz_zeta``.
@@ -93,11 +100,12 @@ def _hurwitz_zeta(s: float, q: float) -> float:
 
 
 def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
-    """Least squares of log terms against log n over the top half of the range.
+    """Least squares of log terms against log n over the top half of the range;
+    the fit derives its predicted tail beyond the horizon when first read.
 
-    Nonpositive terms are excluded from the fit (a term that has decayed to
-    exact zero carries no tail information at this scale).  It takes one
-    term per n, at least one, at strictly increasing n; ParameterError otherwise.
+    Nonpositive terms are excluded from the fit (a term decayed to exact zero
+    carries no tail information at this scale).  It takes one term per n, at
+    least one, at strictly increasing n; ParameterError otherwise.
     """
     n_arr = np.asarray(n_values, dtype=float)
     t_arr = np.asarray(terms, dtype=float)
@@ -114,14 +122,11 @@ def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
     mask = (n_arr >= lo) & (t_arr > 0.0)
     pts = int(mask.sum())
     if pts < 3:
-        return TailFit(math.nan, math.nan, (lo, horizon), pts, math.inf)
+        return TailFit(math.nan, math.nan, (lo, horizon), pts)
     x = np.log(n_arr[mask])
     y = np.log(t_arr[mask])
     slope, intercept = np.polyfit(x, y, 1)
-    exponent = -float(slope)
-    coeff = float(math.exp(intercept))
-    tail = coeff * _hurwitz_zeta(exponent, horizon + 1) if exponent > 1.0 else math.inf
-    return TailFit(exponent, coeff, (lo, horizon), pts, tail)
+    return TailFit(-float(slope), float(math.exp(intercept)), (lo, horizon), pts)
 
 
 @dataclass(frozen=True)
@@ -344,19 +349,25 @@ def dichotomy_diagnosis(report: SeriesReport) -> DichotomyVerdict:
 
 @dataclass(frozen=True)
 class MZReport:
-    """Per-n sides of the maximal-moment inequality and the running constant."""
+    """Per-n sides of the maximal-moment inequality; their ratios and running max are derived."""
 
     alpha: float
     n_values: tuple[int, ...]
     lhs: tuple[float, ...]  # E-hat[max_{k<=n} |S~_k|^alpha]
     rhs_core: tuple[float, ...]  # E-hat[(sum X~_k^2)^{alpha/2}]
     mean_terms: tuple[float, ...]
-    ratios: tuple[float, ...]
-    running_max: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if any(v < 0 for col in (self.lhs, self.rhs_core, self.mean_terms) for v in col):
             raise ParameterError("all MZ quantities must be nonnegative")
+
+    @cached_property
+    def ratios(self) -> tuple[float, ...]:
+        return tuple(left / right for left, right in zip(self.lhs, self.rhs_core))
+
+    @cached_property
+    def running_max(self) -> tuple[float, ...]:
+        return tuple(itertools.accumulate(self.ratios, max, initial=0.0))[1:]
 
 
 def mz_check(
@@ -371,21 +382,22 @@ def mz_check(
     side carries the running max as a value axis of its sums' lattice, the
     right side runs on the squared atoms' lattice, one sweep per side for
     every horizon; the mean term vanishes identically on mean-certain sets.
-    The chain bound lhs <= r_max (mean + rhs) is asserted with the running
-    maximum of the observed ratios over strictly increasing horizons.
+    The horizons are strictly increasing integers in 1..max_n (a list, range
+    or integer array).  The chain bound lhs <= r_max (mean + rhs) is asserted
+    with the report's ``running_max``, the running maximum of its ratios.
     """
     if alpha <= 2.0:
         raise ParameterError(f"need alpha > 2, got {alpha}")
-    if not n_list:
+    if len(n_list) == 0:
         raise ParameterError("mz_check needs at least one horizon")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError(f"mz_check needs strictly increasing horizons, got {list(n_list)}")
     centred = _shifted(ambiguity, ambiguity.require_mean_certain("mz_check"))
     for n in n_list:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ParameterError(f"horizons must be integers >= 1, got {n}")
         if n > max_n:
             raise CapacityError(f"maxabs DP budget is n <= {max_n}, got {n}")
-        if n < 1:
-            raise ParameterError(f"horizons must be >= 1, got {n}")
 
     identity = lambda a: a
     base = max(upper_expect(centred, identity), 0.0) + max(-lower_expect(centred, identity), 0.0)
@@ -394,29 +406,20 @@ def mz_check(
     offsets = centred.grid.array
     lefts = _series(centred, offsets, n_list, lambda m: m**alpha, running_max=True)
     rights = _series(centred, offsets**2, n_list, lambda q: q ** (alpha / 2.0))
-    lhs, rhs, means, ratios, run = [], [], [], [], []
-    best = 0.0
-    for n, left, right in zip(n_list, lefts.tolist(), rights.tolist()):
-        mean_term = (n * base) ** alpha
-        ratio = left / right
-        best = max(best, ratio)
+    n_values = tuple(int(n) for n in n_list)
+    report = MZReport(
+        alpha=alpha,
+        n_values=n_values,
+        lhs=tuple(lefts.tolist()),
+        rhs_core=tuple(rights.tolist()),
+        mean_terms=tuple((n * base) ** alpha for n in n_values),
+    )
+    sides = zip(n_values, report.lhs, report.rhs_core, report.mean_terms, report.running_max)
+    for n, left, right, mean_term, best in sides:
         # relative past 1: (left / right) * right may round an ulp below left
         if left > best * (mean_term + right) + ATOL * max(1.0, left):
             raise CheckError(f"chain bound violated at n = {n}: {left} > {best * (mean_term + right)}")
-        lhs.append(left)
-        rhs.append(right)
-        means.append(mean_term)
-        ratios.append(ratio)
-        run.append(best)
-    return MZReport(
-        alpha=alpha,
-        n_values=tuple(int(n) for n in n_list),
-        lhs=tuple(lhs),
-        rhs_core=tuple(rhs),
-        mean_terms=tuple(means),
-        ratios=tuple(ratios),
-        running_max=tuple(run),
-    )
+    return report
 
 
 def mz_trend_slope(report: MZReport) -> float:
@@ -633,6 +636,8 @@ def sqs_empirical(
         raise ParameterError(f"need beta > 2, got {beta}")
     if n_paths < 2:
         raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
     lattice = _lattice(ambiguity.grid.array, horizon)
     measures = len(ambiguity.weight_matrix)

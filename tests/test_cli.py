@@ -274,10 +274,10 @@ class TestExitCodes:
             ("subadd", {}, ["--override", "beta=Infinity"], "beta"),
             ("axioms", {}, ["--seed", "-1"], "seed"),
             ("sqs", {"seed": -1}, [], "seed"),
-            ("gheat", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
-            ("clt", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
-            ("lln-series", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
-            ("corollary", {"solver": {"half_width": math.nan}}, [], "solver.half_width"),
+            ("gheat", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
+            ("clt", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
+            ("lln-series", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
+            ("corollary", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
             ("cc-series", {"epsilons": []}, [], "epsilons"),
             ("gheat", {}, ["--override", "solver.nx=3"], "solver.nx"),
             ("gheat", {}, ["--override", "solver.nx=4"], "solver.nx"),
@@ -288,10 +288,10 @@ class TestExitCodes:
             "beta-inf-override",
             "seed-flag-negative",
             "seed-negative",
-            "half_width-nan-gheat",
-            "half_width-nan-clt",
-            "half_width-nan-lln-series",
-            "half_width-nan-corollary",
+            "dt_safety-nan-gheat",
+            "dt_safety-nan-clt",
+            "dt_safety-nan-lln-series",
+            "dt_safety-nan-corollary",
             "epsilons-empty",
             "nx-3-gheat",
             "nx-4-gheat",
@@ -306,6 +306,16 @@ class TestExitCodes:
         code = main([subcommand, "--config", str(path), "--out", str(out), *args])
         assert code == 2
         assert capsys.readouterr().out.startswith(f"error: {key}: must be ")
+        assert not out.exists()
+
+    def test_solver_half_width_is_an_unknown_key(self, tmp_path, capsys):
+        # the solver grid is derived from the variance interval, not configured
+        path = write_config(tmp_path, solver={"half_width": 8.0})
+        out = tmp_path / "o"
+        assert main(["gheat", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(
+            "error: unknown configuration keys ['solver.half_width']"
+        )
         assert not out.exists()
 
     def test_smallest_solver_grid_runs_gheat(self, config_path, tmp_path):

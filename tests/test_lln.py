@@ -220,6 +220,40 @@ class TestMZ:
         report = sx.mz_check(ambiguity, 4.0, [1, 2, 3])
         assert all(m <= 1e-50 for m in report.mean_terms)
 
+    def test_horizons_as_an_array_a_range_or_a_list(self, theta_star):
+        reports = [
+            sx.mz_check(theta_star, 4.0, horizons)
+            for horizons in (np.arange(2, 9), range(2, 9), list(range(2, 9)))
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].n_values == tuple(range(2, 9))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: sx.mz_check(s, 4.0, [2.5, 3.5]),
+            lambda s: sx.mz_check(s, 4.0, [2, 3.0]),
+            lambda s: sx.sum_functional_series(s, 3.0, abs),
+        ],
+        ids=["mz-fractional", "mz-float", "series-float"],
+    )
+    def test_float_horizons_are_a_parameter_error(self, theta_star, call):
+        with pytest.raises(sx.ParameterError, match="horizons must be integers >= 1"):
+            call(theta_star)
+
+    def test_fields_are_what_the_sweeps_measured(self):
+        names = [f.name for f in dataclasses.fields(sx.MZReport)]
+        assert names == ["alpha", "n_values", "lhs", "rhs_core", "mean_terms"]
+
+    def test_replaced_sides_rederive_ratios_and_running_max(self, theta_star):
+        report = sx.mz_check(theta_star, 4.0, range(2, 6))
+        lhs = tuple(c * right for c, right in zip((2.0, 1.0, 3.0, 0.5), report.rhs_core))
+        changed = dataclasses.replace(report, lhs=lhs)
+        ratios = tuple(left / right for left, right in zip(lhs, report.rhs_core))
+        assert changed.ratios == ratios
+        assert changed.running_max == (ratios[0], ratios[0], ratios[2], ratios[2])
+        assert report.ratios != ratios  # the original keeps its own
+
 
 class TestHolder:
     def test_equality_at_p_alpha(self, theta_star):
@@ -551,6 +585,11 @@ class TestSqsEmpirical:
         with pytest.raises(sx.ParameterError):
             sx.sqs_empirical(theta_star, 2.0, 10, 10, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_seed_must_be_a_nonnegative_integer(self, theta_star, seed):
+        with pytest.raises(sx.ParameterError, match="seed must be an integer >= 0"):
+            sx.sqs_empirical(theta_star, 2.6, 5, 10, seed=seed)
+
     def test_pathwise_beta_comparison(self, coin):
         # once every |s_n/n| <= 1, the per-path series is nonincreasing in beta
         _, policy = sx.eval_sum_functional(coin, 30, lambda s: s)
@@ -609,6 +648,18 @@ class TestTailFitting:
     def test_too_few_points(self):
         fit = sx.fit_tail([1, 2], [1.0, 0.5])
         assert not fit.usable
+        assert fit.predicted_tail_beyond == math.inf  # a nan exponent
+
+    def test_fields_are_the_fit(self):
+        names = [f.name for f in dataclasses.fields(lln.TailFit)]
+        assert names == ["exponent", "coeff", "window", "n_points"]
+
+    def test_replaced_coefficient_rederives_the_predicted_tail(self):
+        n = np.arange(1, 201)
+        fit = sx.fit_tail(n, 2.7 * n ** (-1.5))
+        doubled = dataclasses.replace(fit, coeff=2 * fit.coeff)
+        assert math.isfinite(fit.predicted_tail_beyond)
+        assert doubled.predicted_tail_beyond == 2 * fit.predicted_tail_beyond
 
     def test_empty_input_is_a_parameter_error(self):
         with pytest.raises(sx.ParameterError, match="at least one term"):
