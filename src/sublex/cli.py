@@ -25,7 +25,7 @@ import numpy as np
 from . import core, iid, lln
 from .core import ATOL, AmbiguitySet, _axiom_residuals, _AXIOMS, _check_stacked, _upper_many
 from .errors import CheckError, Error, ParameterError
-from .gnormal import GNormalParams, HeatGrid, _g_expectations, _limit_abs_moment, default_grid
+from .gnormal import GNormalParams, _g_expectations, _limit_abs_moment
 from .iid import MERGE_TOL, capacity_sum_event, sum_functional_series
 
 #: The tolerances a run applies, each read from the constant that applies it,
@@ -68,9 +68,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 
 def _entry(key: str, convert, rule: str, check, default: Any = MISSING):
-    """A config field: its JSON key (dotted inside the solver block), the
-    conversion of its value, and its admissible range as a rule for messages
-    and a check."""
+    """A config field: its JSON key, the conversion of its value, and its
+    admissible range as a rule for messages and a check."""
     return field(default=default, metadata=dict(key=key, convert=convert, rule=rule, check=check))
 
 
@@ -95,12 +94,12 @@ def _integer(value) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: an ambiguity set plus exponents, horizon and solver settings.
+    """One experiment: an ambiguity set plus exponents, horizon, seed and sample sizes.
 
     The fields are the configuration schema: each names its JSON key, its
     conversion and its range, and a field without a default is required.
-    An invalid value raises ParameterError naming its key.  The solver grid
-    is ``default_grid``'s, spanning 8 upper standard deviations each side.
+    An invalid value raises ParameterError naming its key.  Every G-heat
+    solve runs on ``default_grid`` of the set's variance interval.
     """
 
     atoms: tuple[float, ...] = _entry("atoms", _reals, "a nonempty list of finite numbers", bool)
@@ -117,10 +116,6 @@ class ExperimentConfig:
         lambda e: bool(e) and min(e) > 0.0, (0.5,)
     )
     seed: int = _entry("seed", _integer, "an integer >= 0", lambda n: n >= 0, 0)
-    nx: int = _entry("solver.nx", _integer, "an integer >= 5", lambda n: n >= 5, 801)
-    dt_safety: float = _entry(
-        "solver.dt_safety", _real, "a finite number in (0, 1]", lambda x: 0.0 < x <= 1.0, 0.9
-    )
     trials: int = _entry("trials", _integer, "an integer >= 1", lambda n: n >= 1, 1000)
     n_paths: int = _entry("n_paths", _integer, "an integer >= 2", lambda n: n >= 2, 10000)
 
@@ -144,9 +139,6 @@ class ExperimentConfig:
     def gnormal_params(self) -> GNormalParams:
         return GNormalParams.from_ambiguity(self.ambiguity_set)
 
-    def heat_grid(self) -> HeatGrid:
-        return default_grid(self.gnormal_params(), nx=self.nx, dt_safety=self.dt_safety)
-
 
 _SCHEMA = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
@@ -154,28 +146,17 @@ _SCHEMA = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """The configuration a JSON document describes; keys absent from it take
     their defaults."""
-    flat = {}
-    for key, value in doc.items():
-        if not any(k.startswith(f"{key}.") for k in _SCHEMA):
-            flat[key] = value
-        elif isinstance(value, dict):
-            flat.update({f"{key}.{k}": v for k, v in value.items()})
-        else:
-            raise ParameterError(f"{key}: must be an object, got {value!r}")
-    unknown = sorted(set(flat) - set(_SCHEMA) | {key for key in doc if "." in key})
+    unknown = sorted(set(doc) - set(_SCHEMA))
     if unknown:
         raise ParameterError(f"unknown configuration keys {unknown}; the keys are {list(_SCHEMA)}")
-    missing = [key for key, f in _SCHEMA.items() if f.default is MISSING and key not in flat]
+    missing = [key for key, f in _SCHEMA.items() if f.default is MISSING and key not in doc]
     if missing:
         raise ParameterError(f"missing required configuration keys {missing}")
-    return ExperimentConfig(**{_SCHEMA[key].name: value for key, value in flat.items()})
+    return ExperimentConfig(**{_SCHEMA[key].name: value for key, value in doc.items()})
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc: dict = {}
-    for key, f in _SCHEMA.items():
-        group, _, name = key.rpartition(".")
-        (doc.setdefault(group, {}) if group else doc)[name] = getattr(cfg, f.name)
+    doc = {key: getattr(cfg, f.name) for key, f in _SCHEMA.items()}
     return json.loads(json.dumps(doc))  # tuples as lists
 
 
@@ -199,7 +180,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def apply_overrides(doc: dict, overrides: Sequence[str]) -> dict:
-    """Apply repeatable ``key=value`` overrides; dotted keys reach the solver block."""
+    """Apply repeatable ``key=value`` overrides, each to a top-level key."""
     out = json.loads(json.dumps(doc))  # deep copy, JSON types only
     for item in overrides:
         key, sep, raw = item.partition("=")
@@ -209,13 +190,7 @@ def apply_overrides(doc: dict, overrides: Sequence[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        target = out
-        parts = key.split(".")
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-            if not isinstance(target, dict):
-                raise ParameterError(f"override {key!r} descends into a non-object")
-        target[parts[-1]] = value
+        out[key] = value
     return out
 
 
@@ -319,15 +294,14 @@ _GHEAT_BATTERY: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]], ...] = (
 
 def _run_gheat(cfg: ExperimentConfig) -> _Tables:
     names, payoffs = zip(*_GHEAT_BATTERY)
-    results = _g_expectations(payoffs, cfg.gnormal_params(), cfg.heat_grid())
+    results = _g_expectations(payoffs, cfg.gnormal_params())
     rows = [(name, r.value, r.residual_estimate) for name, r in zip(names, results)]
     return {"gheat.csv": (("payoff", "value", "residual"), rows)}
 
 
 def _run_clt(cfg: ExperimentConfig) -> _Tables:
     centred = core._shifted(cfg.ambiguity_set, cfg.ambiguity_set.require_mean_certain("clt"))
-    params = cfg.gnormal_params()
-    limit, residual = _limit_abs_moment(cfg.p, params, cfg.heat_grid())
+    limit, residual = _limit_abs_moment(cfg.p, cfg.gnormal_params())
     n_list = [n for n in (2**k for k in range(4, 30)) if n <= cfg.horizon] or [cfg.horizon]
     raw = sum_functional_series(centred, max(n_list), lambda s: np.abs(s) ** cfg.p)
     rows = []
@@ -351,7 +325,7 @@ def _series_table(report: lln.SeriesReport) -> _Table:
 
 
 def _run_lln_series(cfg: ExperimentConfig) -> _Tables:
-    report = lln.slp_series(cfg.ambiguity_set, cfg.p, cfg.horizon, grid=cfg.heat_grid())
+    report = lln.slp_series(cfg.ambiguity_set, cfg.p, cfg.horizon)
     verdict = lln.dichotomy_diagnosis(report)
     burn_in = -1 if verdict.burn_in is None else verdict.burn_in
     return {
@@ -379,9 +353,7 @@ def _run_mz(cfg: ExperimentConfig) -> _Tables:
 
 
 def _run_corollary(cfg: ExperimentConfig) -> _Tables:
-    report = lln.corollary_series(
-        cfg.ambiguity_set, cfg.p, cfg.beta, cfg.horizon, grid=cfg.heat_grid()
-    )
+    report = lln.corollary_series(cfg.ambiguity_set, cfg.p, cfg.beta, cfg.horizon)
     lln._check_tail(report, "weighted series")
     return {"corollary.csv": _series_table(report)}
 
@@ -470,7 +442,7 @@ def _parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override a config entry (repeatable; dotted keys reach the solver block)",
+        help="override a config entry (repeatable)",
     )
     return parser
 

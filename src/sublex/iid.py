@@ -449,8 +449,8 @@ def _lattice(
     With ``at_most``, the sums of at most k steps (zero offset first) on the
     dense lattice, or None: on a composition lattice it would add a dimension.
     """
-    if n < 0:
-        raise ParameterError(f"horizon must be >= 1, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ParameterError(f"horizon must be an integer >= 0, got {n}")
     grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
     units = _commensurable(grown)
     if units is None or n * units.span >= _EXACT_INT:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import ATOL, AmbiguitySet, _shifted, lower_expect, upper_expect
 from .errors import CapacityError, CheckError, ParameterError
-from .gnormal import GNormalParams, HeatGrid, _limit_abs_moment
+from .gnormal import GNormalParams, _limit_abs_moment
 from .iid import (
     _Lattice,
     _admit_paths,
@@ -195,21 +195,20 @@ def _moment_series(
     horizon: int,
     term: Callable[[np.ndarray, np.ndarray], np.ndarray],
     reference_exponent: float,
-    grid: HeatGrid | None,
 ) -> SeriesReport:
     """Series report on the centered moments ``raw_n = E-hat[|S~_n|^p]``.
 
     ``term(raw, n)`` gives the series terms; the reference curve is
     ``c_p n^reference_exponent``, the scaled moments ``n^{-p/2} raw_n``,
     with ``c_p`` the limit moment of the set's variance interval (the PDE
-    on ``grid`` below p = 1).
+    on ``default_grid`` below p = 1).
     """
     centred = _shifted(ambiguity, ambiguity.mean)
     raw = sum_functional_series(centred, horizon, lambda s: np.abs(s) ** p)
     n = np.arange(1, horizon + 1, dtype=float)
     terms = term(raw, n)
     scaled = raw / n ** (p / 2.0)
-    cp_value, cp_residual = _limit_abs_moment(p, GNormalParams.from_ambiguity(ambiguity), grid)
+    cp_value, cp_residual = _limit_abs_moment(p, GNormalParams.from_ambiguity(ambiguity))
     reference = cp_value * n**reference_exponent
     return SeriesReport(
         p=p,
@@ -238,7 +237,6 @@ def slp_series(
     ambiguity: AmbiguitySet,
     p: float,
     horizon: int,
-    grid: HeatGrid | None = None,
 ) -> SeriesReport:
     """Terms ``a_n = E-hat[|S~_n/n|^p]`` for n = 1..N, with the reference curve
     ``c_p n^{-p/2}`` and the per-n CLT gap ``|n^{p/2} a_n - c_p|``.
@@ -251,7 +249,7 @@ def slp_series(
         raise ParameterError(f"need p > 0, got {p}")
     ambiguity.require_mean_certain("slp_series")
     term = lambda raw, n: raw / n**p
-    return _moment_series(ambiguity, p, horizon, term, -p / 2.0, grid)
+    return _moment_series(ambiguity, p, horizon, term, -p / 2.0)
 
 
 def tail_consistency(report: SeriesReport) -> dict[str, float]:
@@ -459,7 +457,6 @@ def corollary_series(
     p: float,
     beta: float,
     horizon: int,
-    grid: HeatGrid | None = None,
 ) -> SeriesReport:
     """Weighted series ``n^{-beta} E-hat[|S_n|^p]`` for a centered set.
 
@@ -476,14 +473,13 @@ def corollary_series(
     if abs(mu) > ATOL:
         raise ParameterError(f"corollary_series requires mean zero, got mu = {mu}")
     term = lambda raw, n: raw * n ** (-beta)
-    return _moment_series(ambiguity, p, horizon, term, p / 2.0 - beta, grid)
+    return _moment_series(ambiguity, p, horizon, term, p / 2.0 - beta)
 
 
 def moment_dichotomy_scan(
     ambiguity: AmbiguitySet,
     p_list: Sequence[float],
     horizon: int,
-    grid: HeatGrid | None = None,
 ) -> list[tuple[float, DichotomyVerdict]]:
     """Run the series diagnosis per exponent and require the verdict to flip
     exactly at p = 2 (p = 2 itself on the divergent side)."""
@@ -494,7 +490,7 @@ def moment_dichotomy_scan(
         )
     out: list[tuple[float, DichotomyVerdict]] = []
     for p in p_list:
-        verdict = dichotomy_diagnosis(slp_series(ambiguity, p, horizon, grid))
+        verdict = dichotomy_diagnosis(slp_series(ambiguity, p, horizon))
         expected = "diverges" if p <= 2.0 else "converges"
         if verdict.regime != expected:
             raise CheckError(

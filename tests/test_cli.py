@@ -28,19 +28,8 @@ from sublex.cli import (
 
 from helpers import traced_outcomes
 
-CANONICAL = {
-    "atoms": [-1, 0, 1],
-    "measures": [[0.25, 0.5, 0.25], [0.5, 0, 0.5]],
-    "p": 3.0,
-    "alpha": 4.0,
-    "beta": 2.6,
-    "N": 200,
-    "epsilons": [0.5],
-    "seed": 20240811,
-    "solver": {"nx": 801, "dt_safety": 0.9},
-    "trials": 1000,
-    "n_paths": 10000,
-}
+ROOT = Path(__file__).resolve().parents[1]
+CANONICAL = json.loads((ROOT / "configs" / "canonical.json").read_text())
 
 
 @pytest.fixture()
@@ -91,11 +80,6 @@ class TestParseConfig:
         with pytest.raises(sx.ParameterError, match="object"):
             parse_config(path)
 
-    @pytest.mark.parametrize("solver", [5, None, [1]])
-    def test_solver_block_must_be_an_object(self, solver):
-        with pytest.raises(sx.ParameterError, match="solver: must be an object"):
-            config_from_dict({**CANONICAL, "solver": solver})
-
     def test_invalid_field_names_field(self, tmp_path):
         path = write_config(tmp_path, p=-1.0)
         with pytest.raises(sx.ParameterError, match="p:"):
@@ -132,7 +116,6 @@ class TestParseConfig:
             ("N", True),
             ("trials", 3.9),
             ("n_paths", 10.5),
-            ("solver.nx", 801.5),
         ],
     )
     def test_integer_fields_refuse_fractions_and_booleans(self, key, value):
@@ -142,10 +125,9 @@ class TestParseConfig:
 
 
 class TestOverrides:
-    def test_scalar_and_nested(self):
-        doc = apply_overrides(CANONICAL, ["p=2.0", "solver.nx=401", "N=50"])
+    def test_scalar_values(self):
+        doc = apply_overrides(CANONICAL, ["p=2.0", "N=50"])
         assert doc["p"] == 2.0
-        assert doc["solver"]["nx"] == 401
         assert doc["N"] == 50
         assert CANONICAL["p"] == 3.0  # original untouched
 
@@ -274,13 +256,7 @@ class TestExitCodes:
             ("subadd", {}, ["--override", "beta=Infinity"], "beta"),
             ("axioms", {}, ["--seed", "-1"], "seed"),
             ("sqs", {"seed": -1}, [], "seed"),
-            ("gheat", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
-            ("clt", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
-            ("lln-series", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
-            ("corollary", {"solver": {"dt_safety": math.nan}}, [], "solver.dt_safety"),
             ("cc-series", {"epsilons": []}, [], "epsilons"),
-            ("gheat", {}, ["--override", "solver.nx=3"], "solver.nx"),
-            ("gheat", {}, ["--override", "solver.nx=4"], "solver.nx"),
             ("axioms", {"n_paths": 1}, [], "n_paths"),
         ],
         ids=[
@@ -288,13 +264,7 @@ class TestExitCodes:
             "beta-inf-override",
             "seed-flag-negative",
             "seed-negative",
-            "dt_safety-nan-gheat",
-            "dt_safety-nan-clt",
-            "dt_safety-nan-lln-series",
-            "dt_safety-nan-corollary",
             "epsilons-empty",
-            "nx-3-gheat",
-            "nx-4-gheat",
             "n_paths-1-axioms",
         ],
     )
@@ -308,24 +278,21 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith(f"error: {key}: must be ")
         assert not out.exists()
 
-    def test_solver_half_width_is_an_unknown_key(self, tmp_path, capsys):
-        # the solver grid is derived from the variance interval, not configured
-        path = write_config(tmp_path, solver={"half_width": 8.0})
+    @pytest.mark.parametrize(
+        "changes, args, key",
+        [
+            ({"solver": {"nx": 801}}, [], "solver"),
+            ({}, ["--override", "solver.nx=401"], "solver.nx"),
+        ],
+        ids=["solver-block", "solver-nx-override"],
+    )
+    def test_a_solver_key_is_unknown(self, tmp_path, capsys, changes, args, key):
+        # every G-heat solve runs on default_grid, so the grid is not configured
+        path = write_config(tmp_path, **changes)
         out = tmp_path / "o"
-        assert main(["gheat", "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().out.startswith(
-            "error: unknown configuration keys ['solver.half_width']"
-        )
+        assert main(["gheat", "--config", str(path), "--out", str(out), *args]) == 2
+        assert capsys.readouterr().out.startswith(f"error: unknown configuration keys [{key!r}]")
         assert not out.exists()
-
-    def test_smallest_solver_grid_runs_gheat(self, config_path, tmp_path):
-        # nx = 5 is the smallest grid whose coarse rerun has 3 nodes
-        out = tmp_path / "o"
-        code = main(
-            ["gheat", "--config", str(config_path), "--out", str(out), "--override", "solver.nx=5"]
-        )
-        assert code == 0
-        assert (out / "gheat.csv").exists()
 
 
 class TestArtifacts:
@@ -502,8 +469,6 @@ class TestDeterminism:
         assert (tmp_path / "api" / "manifest.json").exists()
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
 #: Imports sublex and the CLI, runs every subcommand given on its command
 #: line on the canonical config, and prints the exit codes, the scipy
 #: modules it loaded and whether it loaded numpy.ma as the last line of JSON.
@@ -521,14 +486,19 @@ print(json.dumps({"codes": codes, "scipy": loaded, "numpy.ma": "numpy.ma" in sys
 """
 
 
-def run_import_probe(tmp_path, names):
-    """The last line of ``IMPORT_PROBE`` run on ``names`` in a new process."""
+def child_env(**variables) -> dict[str, str]:
+    """This process's environment with ``src`` first on PYTHONPATH, plus ``variables``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return {**env, **variables}
+
+
+def run_import_probe(tmp_path, names):
+    """The last line of ``IMPORT_PROBE`` run on ``names`` in a new process."""
     config = str(ROOT / "configs" / "canonical.json")
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, config, str(tmp_path), *names],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
@@ -571,7 +541,7 @@ class TestHeatSolves:
     def test_order_below_one_still_solves_the_pde(self, tmp_path):
         assert self.evolve_calls(tmp_path, "clt", "--override", "p=0.5") == 3
         cfg = parse_config(ROOT / "configs" / "canonical.json")
-        _, residual = gnormal._limit_abs_moment(0.5, cfg.gnormal_params(), cfg.heat_grid())
+        _, residual = gnormal._limit_abs_moment(0.5, cfg.gnormal_params())
         assert residual > 0.0
 
 
@@ -677,13 +647,62 @@ CANONICAL_DIGESTS = {
 }
 
 
+def csv_digests(root: Path) -> dict[str, str]:
+    """SHA-256 of every ``<subcommand>/<file>.csv`` under ``root``; manifest.json
+    is left out, as it records the output directory."""
+    return {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.glob("*/*.csv"))
+    }
+
+
 def test_canonical_csvs_are_byte_identical(tmp_path):
-    # manifest.json is left out: it records the output directory
     config = str(ROOT / "configs" / "canonical.json")
     for name in SUBCOMMANDS:
         assert main([name, "--config", config, "--out", str(tmp_path / name)]) == 0
-    digests = {
-        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.glob("*/*.csv"))
-    }
-    assert digests == CANONICAL_DIGESTS
+    assert csv_digests(tmp_path) == CANONICAL_DIGESTS
+
+
+#: The CPU features whose dispatch ``CANONICAL_DIGESTS`` was recorded under.
+DIGEST_CPU_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+#: Runs every subcommand on the config its first argument names, each into
+#: its own directory under the second, and exits with the largest exit code.
+DIGEST_PROBE = """
+import sys
+import sublex.cli
+config, out = sys.argv[1:]
+codes = [
+    sublex.cli.main([name, "--config", config, "--out", f"{out}/{name}"])
+    for name in sublex.cli.SUBCOMMANDS
+]
+sys.exit(max(codes))
+"""
+
+
+def _dispatches_the_digest_features() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2 keeps them in numpy.core
+        return False
+    return all(f in __cpu_dispatch__ and __cpu_features__.get(f) for f in DIGEST_CPU_FEATURES)
+
+
+@pytest.mark.skipif(
+    not _dispatches_the_digest_features(),
+    reason="CANONICAL_DIGESTS were recorded with X86_V4, AVX512_ICL and AVX512_SPR dispatched",
+)
+def test_canonical_digests_under_another_cpu_dispatch(tmp_path):
+    # with the AVX-512 paths off, array ** moves the last bits of exactly the
+    # three CSVs built from float64 array powers; every other digest holds
+    env = child_env(NPY_DISABLE_CPU_FEATURES=" ".join(DIGEST_CPU_FEATURES))
+    config = str(ROOT / "configs" / "canonical.json")
+    done = subprocess.run(
+        [sys.executable, "-c", DIGEST_PROBE, config, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    digests = csv_digests(tmp_path)
+    assert set(digests) == set(CANONICAL_DIGESTS)
+    moved = {name for name, digest in digests.items() if digest != CANONICAL_DIGESTS[name]}
+    assert moved == {"corollary/corollary.csv", "lln-series/lln_series.csv", "sqs/sqs.csv"}

@@ -408,7 +408,7 @@ class TestFusedStepper:
         for out_row, want_row in zip(out, want):
             assert_same_bits(out_row, want_row)
 
-    @pytest.mark.parametrize("nx", [801, 200])
+    @pytest.mark.parametrize("nx", [801, 200, 5])  # 5: the smallest grid with a coarse rerun
     def test_stacked_solves_match_one_payoff_at_a_time(self, params, nx):
         from sublex.cli import _GHEAT_BATTERY
 

@@ -377,6 +377,25 @@ def test_payoffs_map_state_arrays(theta_star, entry):
         assert value_of(theta_star, 3, truthy) == value_of(theta_star, 3, lambda s: s != 0)
 
 
+#: Entry points whose horizon reaches the lattice before any other use.
+LATTICE_HORIZON_ENTRY_POINTS = {
+    "eval_sum_functional": lambda fam, n: sx.eval_sum_functional(fam, n, np.abs),
+    "capacity_sum_event": lambda fam, n: sx.capacity_sum_event(fam, n, lambda s: s > 0),
+    "eval_additive_functional": lambda fam, n: sx.eval_additive_functional(fam, n, [np.abs] * 3),
+    "eval_maxabs_functional": lambda fam, n: sx.eval_maxabs_functional(fam, n, np.abs),
+    "eval_sumsq_functional": lambda fam, n: sx.eval_sumsq_functional(fam, n, np.abs),
+    "subadditive_series_check": lambda fam, n: sx.subadditive_series_check(fam, 3.0, n),
+    "sqs_empirical": lambda fam, n: sx.sqs_empirical(fam, 3.0, n, 10, 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(LATTICE_HORIZON_ENTRY_POINTS))
+@pytest.mark.parametrize("horizon", [3.0, np.float64(3.0)], ids=["float", "float64"])
+def test_a_float_horizon_is_a_parameter_error(theta_star, entry, horizon):
+    with pytest.raises(sx.ParameterError, match=r"horizon must be an integer >= 0, got 3\.0"):
+        LATTICE_HORIZON_ENTRY_POINTS[entry](theta_star, horizon)
+
+
 class TestInvariantsLifted:
     """Properties of the one-step algebra carried through the recursion."""
 

@@ -24,7 +24,6 @@ class TestExperimentConfig:
         )
         assert cfg.ambiguity_set.variance_interval == (0.5, 1.0)
         assert cfg.gnormal_params() == sx.GNormalParams(0.5, 1.0)
-        assert cfg.heat_grid().nx == 801
 
     @pytest.mark.parametrize(
         "field,kwargs",
@@ -34,8 +33,6 @@ class TestExperimentConfig:
             ("beta", {"beta": 1.5}),
             ("N", {"horizon": 0}),
             ("epsilons", {"epsilons": (0.0,)}),
-            ("solver.nx", {"nx": 2}),
-            ("solver.dt_safety", {"dt_safety": 1.5}),
             ("trials", {"trials": 0}),
         ],
     )
@@ -160,9 +157,7 @@ class TestDichotomy:
             sx.DichotomyVerdict("converges", 2.0, None)
 
     def test_scan_flips_at_two(self, theta_star):
-        scan = sx.moment_dichotomy_scan(
-            theta_star, [1.0, 2.0, 2.5, 3.0, 4.0], 150, grid=None
-        )
+        scan = sx.moment_dichotomy_scan(theta_star, [1.0, 2.0, 2.5, 3.0, 4.0], 150)
         assert [v.regime for _, v in scan] == [
             "diverges",
             "diverges",
