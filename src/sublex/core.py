@@ -180,7 +180,7 @@ def seminorm(
     ambiguity: AmbiguitySet, payoff: Callable[[np.ndarray], np.ndarray], p: float
 ) -> float:
     """The p-seminorm ``(upper_expect(|payoff|^p))**(1/p)`` for p >= 1."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ParameterError(f"seminorm order must satisfy p >= 1, got {p}")
     values = np.abs(_on_states(payoff, ambiguity.grid.array, "payoff")) ** p
     return _upper(ambiguity, values) ** (1.0 / p)
@@ -227,7 +227,7 @@ def axiom_report(
     Monotonicity is checked on (a, b) when a >= b pointwise; otherwise on the
     dominating pair (max(a, b), b) so the check is never vacuous.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ParameterError(f"positive homogeneity requires lambda >= 0, got {lam}")
     va = _on_states(payoff_a, ambiguity.grid.array, "payoff_a")
     vb = _on_states(payoff_b, ambiguity.grid.array, "payoff_b")

@@ -81,11 +81,11 @@ class HeatGrid:
     dt: float
 
     def __post_init__(self) -> None:
-        if self.half_width <= 0.0:
+        if not self.half_width > 0.0:
             raise ParameterError(f"half_width must be positive, got {self.half_width}")
         if self.nx < 3:
             raise ParameterError(f"nx must be >= 3, got {self.nx}")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ParameterError(f"dt must be positive, got {self.dt}")
 
     @property
@@ -176,7 +176,7 @@ def evolve(values: np.ndarray, t: float, params: GNormalParams, grid: HeatGrid) 
     the formula's value but can give -0.0 where it gives +0.0 (``-|x|`` at
     the origin when sl = 0), which would change printed results.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ParameterError(f"evolution time must be >= 0, got {t}")
     _check_stability(grid, params)
     values = np.asarray(values, dtype=float)
@@ -288,18 +288,16 @@ def _normal_abs_moment(p: float, sigma_sq: float) -> float:
     return sigma**p * 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-def _limit_abs_moment(
-    p: float, params: GNormalParams, grid: HeatGrid | None = None
-) -> tuple[float, float]:
+def _limit_abs_moment(p: float, params: GNormalParams) -> tuple[float, float]:
     """``c_p = E-hat[|xi|^p]`` for the G-normal ``xi``, and an error bound.
 
     For p >= 1, |x|^p is convex, so c_p is the classical moment at
     sigma_hi^2 (Peng, 2019): the Gamma closed form, error 0.  Below 1 it
-    is the PDE value on ``grid`` and its residual estimate.
+    is the PDE value on ``default_grid`` and its residual estimate.
     """
     if p >= 1.0:
         return _normal_abs_moment(p, params.sigma_upper_sq), 0.0
-    result = g_expectation(lambda x: np.abs(x) ** p, params, grid)
+    result = g_expectation(lambda x: np.abs(x) ** p, params)
     return result.value, result.residual_estimate
 
 
@@ -311,7 +309,7 @@ def classical_abs_moment(p: float, sigma_sq: float) -> float:
     ``scipy.integrate`` costs more than every subcommand of the CLI, none
     of which calls this function.
     """
-    if p <= 0.0 or sigma_sq <= 0.0:
+    if not (p > 0.0 and sigma_sq > 0.0):
         raise ParameterError(f"need p > 0 and sigma_sq > 0, got p={p}, sigma_sq={sigma_sq}")
     from scipy.integrate import quad
 
@@ -343,7 +341,7 @@ def semigroup_check(
     run.  Returns the absolute discrepancy at the origin, and raises if it
     exceeds ``SEMIGROUP_FACTOR`` times the total run's residual estimate.
     """
-    if a < 0.0 or b < 0.0 or (a == 0.0 and b == 0.0):
+    if not (a >= 0.0 and b >= 0.0) or (a == 0.0 and b == 0.0):
         raise ParameterError("need a, b >= 0 and not both zero")
     if grid is None:
         grid = default_grid(params)

@@ -449,7 +449,7 @@ def _lattice(
     With ``at_most``, the sums of at most k steps (zero offset first) on the
     dense lattice, or None: on a composition lattice it would add a dimension.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ParameterError(f"horizon must be an integer >= 0, got {n}")
     grown = np.concatenate([np.zeros(1), offsets]) if at_most else offsets
     units = _commensurable(grown)
@@ -675,10 +675,10 @@ def eval_additive_functional(
 ) -> float:
     """Upper expectation of ``sum_{k=1..n} g_k(S_k)`` for per-step costs g_k,
     ``stage_costs[k-1]`` mapping the array of states of S_k to their g_k."""
+    lattice = _lattice(ambiguity.grid.array, n)
     costs = list(stage_costs)
     if len(costs) != n:
         raise ParameterError(f"expected {n} stage costs, got {len(costs)}")
-    lattice = _lattice(ambiguity.grid.array, n)
     cost = lambda k: _on_states(costs[k - 1], lattice.states(k), f"stage cost {k}")
     stage = lambda k, values: values + cost(k)[:, None]  # the same costs in every column
     zero = lambda k: np.zeros(lattice.size(k))
@@ -873,6 +873,6 @@ def sum_functional_series(
     centred sums S_n - n mu, is the series of the set with shifted atoms,
     ``AmbiguitySet.from_rows(grid.array - mu, weight_matrix)``.
     """
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ParameterError(f"horizons must be integers >= 1, got {horizon}")
     return _series(ambiguity, ambiguity.grid.array, range(1, horizon + 1), psi, maximize)

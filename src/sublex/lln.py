@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -61,47 +61,9 @@ class TailFit:
     def usable(self) -> bool:
         return self.n_points >= 3 and math.isfinite(self.exponent)
 
-    @cached_property
-    def predicted_tail_beyond(self) -> float:
-        """coeff * sum_{n > N} n^(-exponent), N the window's top; inf unless exponent > 1."""
-        if self.exponent > 1.0:
-            return self.coeff * _hurwitz_zeta(self.exponent, self.window[1] + 1)
-        return math.inf
-
-
-#: B_2j / (2j)! for j = 1..9: the Euler-Maclaurin corrections of ``_hurwitz_zeta``.
-_EULER_MACLAURIN = tuple(
-    num / (den * math.factorial(2 * j))
-    for j, (num, den) in enumerate(
-        ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
-         (43867, 798)),
-        start=1,
-    )
-)
-
-
-def _hurwitz_zeta(s: float, q: float) -> float:
-    """``sum_{k >= 0} (q + k)^(-s)`` for s > 1 and q > 0, by Euler-Maclaurin.
-
-    The terms below ``a = q + head >= max(12, 2s)`` are summed directly; the
-    rest is the integral from a, half the term at a and nine Bernoulli
-    corrections.  With a >= 2s they leave about 1e-15 relative, where a >= s
-    would leave 2e-12 at s = q = 12.
-    """
-    head = max(0, math.ceil(max(12.0, 2.0 * s) - q))
-    a = q + head
-    total = math.fsum((q + k) ** -s for k in range(head))
-    total += a ** (1.0 - s) / (s - 1.0) + 0.5 * a**-s
-    rising = s * a ** (-s - 1.0)  # s (s+1) ... (s+2j-2) a^(-s-2j+1)
-    for j, coeff in enumerate(_EULER_MACLAURIN, start=1):
-        total += coeff * rising
-        rising *= (s + 2 * j - 1) * (s + 2 * j) / (a * a)
-    return total
-
 
 def fit_tail(n_values: Sequence[int], terms: Sequence[float]) -> TailFit:
-    """Least squares of log terms against log n over the top half of the range;
-    the fit derives its predicted tail beyond the horizon when first read.
+    """Least squares of log terms against log n over the top half of the range.
 
     Nonpositive terms are excluded from the fit (a term decayed to exact zero
     carries no tail information at this scale).  It takes one term per n, at
@@ -178,7 +140,6 @@ class DichotomyVerdict:
     regime: str  # "diverges" | "converges" | "inconclusive"
     p: float
     burn_in: int | None
-    evidence: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.regime not in ("diverges", "converges", "inconclusive"):
@@ -223,7 +184,7 @@ def _moment_series(
 def clt_gap(ambiguity: AmbiguitySet, n: int, p: float) -> float:
     """Finite-n central-limit error |E-hat[|S~_n/sqrt(n)|^p] - c_p|, c_p in
     closed form for the set's variance interval."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise ParameterError(f"need p >= 1, got {p}")
     centred = _shifted(ambiguity, ambiguity.require_mean_certain("clt_gap"))
     params = GNormalParams.from_ambiguity(ambiguity)
@@ -245,7 +206,7 @@ def slp_series(
     for ``|s|^p`` on centered sums), so the scaling identity between
     ``a_n`` and the CLT-normalized moment holds by construction.
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise ParameterError(f"need p > 0, got {p}")
     ambiguity.require_mean_certain("slp_series")
     term = lambda raw, n: raw / n**p
@@ -255,17 +216,13 @@ def slp_series(
 def tail_consistency(report: SeriesReport) -> dict[str, float]:
     """Structural convergence evidence against the fitted power tail.
 
-    Returns the fitted exponent, the predicted tail beyond the horizon and
-    the largest ratio of an observed tail sum over the fit window to the
-    one the fitted curve predicts (inf unless the exponent is integrable,
-    > 1); raises nothing (callers decide what a failure means).
+    Returns the fitted exponent and the largest ratio of an observed tail
+    sum over the fit window to the one the fitted curve predicts (inf unless
+    the exponent is integrable, > 1); raises nothing (callers decide what a
+    failure means).
     """
     tail = report.tail
-    out: dict[str, float] = {
-        "fitted_exponent": tail.exponent,
-        "predicted_tail_beyond": tail.predicted_tail_beyond,
-        "max_increment_ratio": 0.0,
-    }
+    out: dict[str, float] = {"fitted_exponent": tail.exponent, "max_increment_ratio": 0.0}
     if not tail.usable or tail.exponent <= 1.0:
         out["max_increment_ratio"] = math.inf
         return out
@@ -291,12 +248,12 @@ def tail_consistency(report: SeriesReport) -> dict[str, float]:
     return out
 
 
-def _check_tail(report: SeriesReport, what: str) -> dict[str, float]:
-    """The convergent-side criterion of every series: returns the evidence of
-    :func:`tail_consistency`, and raises CheckError naming ``what`` unless
-    the fitted exponent exceeds 1 and no observed tail exceeds
-    ``TAIL_FACTOR`` times its fitted prediction.  A fit with too few points
-    is inconclusive, not failed: ParameterError, asking for a longer horizon."""
+def _check_tail(report: SeriesReport, what: str) -> None:
+    """The convergent-side criterion of every series: raises CheckError naming
+    ``what``, with the evidence of :func:`tail_consistency`, unless the
+    fitted exponent exceeds 1 and no observed tail exceeds ``TAIL_FACTOR``
+    times its fitted prediction.  A fit with too few points is
+    inconclusive, not failed: ParameterError, asking for a longer horizon."""
     if not report.tail.usable:
         raise ParameterError(
             f"{what}: the tail fit at horizon N = {report.n_values[-1]} has "
@@ -305,7 +262,6 @@ def _check_tail(report: SeriesReport, what: str) -> dict[str, float]:
     evidence = tail_consistency(report)
     if report.tail.exponent <= 1.0 or evidence["max_increment_ratio"] > TAIL_FACTOR:
         raise CheckError(f"{what} fails the tail criterion: {evidence} (tolerance {TAIL_FACTOR})")
-    return evidence
 
 
 def dichotomy_diagnosis(report: SeriesReport) -> DichotomyVerdict:
@@ -316,16 +272,18 @@ def dichotomy_diagnosis(report: SeriesReport) -> DichotomyVerdict:
     underlying argument) and verify ``n^{p/2} a_n >= c_p/2`` from there on.
     Convergent side: the structural tail criterion.  Too little data
     yields an inconclusive verdict, which is distinct from a failed check.
+    Only a moment series (one with scaled moments) can be diagnosed; any
+    other is a ParameterError.
     """
     p, c_p = report.p, report.c_p
+    if not report.scaled_terms:
+        raise ParameterError("dichotomy_diagnosis needs a moment series (one with scaled moments)")
     if p <= 2.0:
         scaled = np.asarray(report.scaled_terms)
         gaps = np.asarray(report.clt_gaps)
         below = np.nonzero(gaps < c_p / 4.0)[0]
         if below.size == 0:
-            return DichotomyVerdict(
-                "inconclusive", p, None, {"min_gap": float(gaps.min()), "c_p": c_p}
-            )
+            return DichotomyVerdict("inconclusive", p, None)
         burn = int(below[0])
         floor = float(scaled[burn:].min())
         if floor < c_p / 2.0:
@@ -333,16 +291,12 @@ def dichotomy_diagnosis(report: SeriesReport) -> DichotomyVerdict:
                 f"scaled moments dip to {floor} < c_p/2 = {c_p / 2.0} beyond burn-in "
                 f"n = {report.n_values[burn]}"
             )
-        return DichotomyVerdict(
-            "diverges",
-            p,
-            report.n_values[burn],
-            {"min_scaled_beyond_burn_in": floor, "c_p": c_p},
-        )
+        return DichotomyVerdict("diverges", p, report.n_values[burn])
 
     if not report.tail.usable:
-        return DichotomyVerdict("inconclusive", p, None, tail_consistency(report))
-    return DichotomyVerdict("converges", p, None, _check_tail(report, f"series for p = {p} > 2"))
+        return DichotomyVerdict("inconclusive", p, None)
+    _check_tail(report, f"series for p = {p} > 2")
+    return DichotomyVerdict("converges", p, None)
 
 
 @dataclass(frozen=True)
@@ -384,7 +338,7 @@ def mz_check(
     or integer array).  The chain bound lhs <= r_max (mean + rhs) is asserted
     with the report's ``running_max``, the running maximum of its ratios.
     """
-    if alpha <= 2.0:
+    if not alpha > 2.0:
         raise ParameterError(f"need alpha > 2, got {alpha}")
     if len(n_list) == 0:
         raise ParameterError("mz_check needs at least one horizon")
@@ -392,7 +346,7 @@ def mz_check(
         raise ParameterError(f"mz_check needs strictly increasing horizons, got {list(n_list)}")
     centred = _shifted(ambiguity, ambiguity.require_mean_certain("mz_check"))
     for n in n_list:
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ParameterError(f"horizons must be integers >= 1, got {n}")
         if n > max_n:
             raise CapacityError(f"maxabs DP budget is n <= {max_n}, got {n}")
@@ -463,9 +417,9 @@ def corollary_series(
     Requires 2 < p and beta > (p+2)/2, the hypothesis under which the
     weighted series converges; the reference curve is ``c_p n^{p/2-beta}``.
     """
-    if p <= 2.0:
+    if not p > 2.0:
         raise ParameterError(f"need p > 2, got {p}")
-    if beta <= (p + 2.0) / 2.0:
+    if not beta > (p + 2.0) / 2.0:
         raise ParameterError(
             f"need beta > (p+2)/2 = {(p + 2.0) / 2.0}, got beta = {beta}"
         )
@@ -513,7 +467,7 @@ def subadditive_series_check(
 ) -> tuple[float, float, float]:
     """Truncated subadditivity: E-hat[sum_{n<=N} |S~_n/n|^beta] <= sum of the
     per-n upper expectations.  Both sides are exact; returns (lhs, rhs, margin)."""
-    if beta <= 2.0:
+    if not beta > 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
     mu = ambiguity.require_mean_certain("subadditive_series_check")
     lattice = _lattice(ambiguity.grid.array, horizon)
@@ -541,9 +495,9 @@ def cc_series(
 ) -> SeriesReport:
     """Complete-convergence terms ``V(|S~_n/n| >= eps)`` with their Markov
     cross-bound ``E-hat[|S~_n/n|^alpha] / eps^alpha`` (asserted per n)."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ParameterError(f"need eps > 0, got {eps}")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ParameterError(f"need alpha > 0, got {alpha}")
     mu = ambiguity.require_mean_certain("cc_series")
     raw = sum_functional_series(_shifted(ambiguity, mu), horizon, lambda s: np.abs(s) ** alpha)
@@ -628,11 +582,11 @@ def sqs_empirical(
     costs one level at a time, so no more than a level's costs are held at
     once.
     """
-    if beta <= 2.0:
+    if not beta > 2.0:
         raise ParameterError(f"need beta > 2, got {beta}")
-    if n_paths < 2:
-        raise ParameterError(f"need n_paths >= 2 for a standard error, got {n_paths}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 2:
+        raise ParameterError(f"need an integer n_paths >= 2 for a standard error, got {n_paths!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     mu = ambiguity.require_mean_certain("sqs_empirical")
     lattice = _lattice(ambiguity.grid.array, horizon)

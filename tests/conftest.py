@@ -34,7 +34,7 @@ def cp_cache():
 
     def get(p: float) -> sx.GExpectationResult:
         if p not in cache:
-            value, residual = gnormal._limit_abs_moment(p, params, grid)
+            value, residual = gnormal._limit_abs_moment(p, params)
             cache[p] = sx.GExpectationResult(value, grid, residual)
         return cache[p]
 

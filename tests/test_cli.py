@@ -90,8 +90,7 @@ class TestParseConfig:
         schema = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
         block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
         config_from_dict(block)
-        keys = {k for k, v in block.items() if not isinstance(v, dict)}
-        keys |= {f"{k}.{sub}" for k, v in block.items() if isinstance(v, dict) for sub in v}
+        keys = set(block)
         assert keys == set(schema)
         # the key table: one row per key with its default and its range
         rows = readme.split("\n| key ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]

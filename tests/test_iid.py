@@ -390,9 +390,10 @@ LATTICE_HORIZON_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", list(LATTICE_HORIZON_ENTRY_POINTS))
-@pytest.mark.parametrize("horizon", [3.0, np.float64(3.0)], ids=["float", "float64"])
+@pytest.mark.parametrize("horizon", [3.0, np.float64(3.0), True], ids=["float", "float64", "bool"])
 def test_a_float_horizon_is_a_parameter_error(theta_star, entry, horizon):
-    with pytest.raises(sx.ParameterError, match=r"horizon must be an integer >= 0, got 3\.0"):
+    match = r"horizon must be an integer >= 0, got (3\.0|True)"
+    with pytest.raises(sx.ParameterError, match=match):
         LATTICE_HORIZON_ENTRY_POINTS[entry](theta_star, horizon)
 
 
