@@ -622,6 +622,50 @@ class TestTailFitting:
         assert fit.exponent == pytest.approx(1.5, abs=1e-9)
         assert fit.coeff == pytest.approx(2.7, rel=1e-6)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 3.7, 10.0])
+    @pytest.mark.parametrize("coeff", [0.01, 2.7])
+    def test_recovers_any_power_law(self, s, coeff):
+        n = np.arange(1, 201)
+        fit = sx.fit_tail(n, coeff * n ** (-s))
+        assert fit.usable and fit.window == (101, 200) and fit.n_points == 100
+        assert fit.exponent == pytest.approx(s, abs=1e-9)
+        assert fit.coeff == pytest.approx(coeff, rel=1e-6)
+
+    @staticmethod
+    def _power_series(s, horizon=200):
+        n = np.arange(1, horizon + 1)
+        terms = tuple(float(t) for t in 2.7 * n ** (-s))
+        return sx.SeriesReport(p=3.0, terms=terms, reference=terms)
+
+    @pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.7, 10.0, 40.0])
+    def test_an_exact_power_tail_meets_its_fit(self, s):
+        # observed and fitted tails coincide, so the ratio is 1 and the check passes
+        report = self._power_series(s)
+        evidence = tail_consistency(report)
+        assert set(evidence) == {"fitted_exponent", "max_increment_ratio"}
+        assert evidence["fitted_exponent"] == pytest.approx(s, abs=1e-9)
+        assert evidence["max_increment_ratio"] == pytest.approx(1.0, rel=1e-6)
+        assert lln._check_tail(report, "power series") is None
+
+    @pytest.mark.parametrize("s", [0.5, 0.9])
+    def test_a_non_integrable_power_tail_fails(self, s):
+        report = self._power_series(s)
+        assert tail_consistency(report)["max_increment_ratio"] == math.inf
+        with pytest.raises(sx.CheckError, match="power series fails the tail criterion"):
+            lln._check_tail(report, "power series")
+
+    @pytest.mark.parametrize("s", [1.5, 3.7])
+    def test_an_observed_tail_above_the_factor_fails(self, s):
+        # one late term far above the curve: the suffix sum before it exceeds
+        # TAIL_FACTOR times the fitted one while the exponent stays above 1
+        terms = list(self._power_series(s).terms)
+        terms[-2] *= 10.0
+        report = sx.SeriesReport(p=3.0, terms=tuple(terms), reference=tuple(terms))
+        assert report.tail.exponent > 1.0
+        assert tail_consistency(report)["max_increment_ratio"] > lln.TAIL_FACTOR
+        with pytest.raises(sx.CheckError, match="power series fails the tail criterion"):
+            lln._check_tail(report, "power series")
+
     def test_divergent_series_has_infinite_tail(self):
         n = np.arange(1, 101)
         fit = sx.fit_tail(n, 1.0 / n)
